@@ -75,7 +75,6 @@ from .smp import (
     IoCapability,
     KeyDistBits,
     SmpPairingMessage,
-    TunnelFrame,
     ctkd_requested,
     decode_pairing,
     encode_pairing,

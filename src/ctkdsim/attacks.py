@@ -20,7 +20,6 @@ from .pairing import (
     SimContext,
     ble_pair,
     bt_pair,
-    build_pairing_request,
     establish_session,
     make_device,
 )
@@ -226,29 +225,64 @@ def _victim_reconnect(ctx: SimContext, victim: Device, peer: Device) -> str:
     return RECONNECT_NOT_ATTEMPTED
 
 
-def _aborted_outcome(
-    ctx: SimContext,
-    session: PairingSession,
-    targets: set[str],
-    attacker_identities: set[str],
-    start: int,
-) -> AttackOutcome:
-    return AttackOutcome(
-        succeeded=False,
-        victim_reconnect=RECONNECT_NOT_ATTEMPTED,
-        ctis_used=derive_ctis(
-            ctx.trace.events,
-            targets=targets,
-            attacker_identities=attacker_identities,
-            attack_start=start,
-        ),
-        rejection=session.abort_reason,
-    )
+@dataclass
+class _Run:
+    """One attacker pairing run against one target, from its first event on."""
+
+    ctx: SimContext
+    charlie: Device
+    target: Device
+    session: PairingSession
+    start: int
+
+    def outcome(self, reconnect: Optional[tuple[Device, Device]] = None, *, goal_met: bool = True) -> AttackOutcome:
+        """Judge the run: take over both transports, then let a victim reconnect.
+
+        Both takeover sessions are always attempted, so the trace shows each
+        of them. ``reconnect`` names the device that comes back and the peer
+        it comes back to; ``goal_met`` is any attack-specific condition.
+        """
+        events = self.ctx.trace.events
+        targets = {str(self.target.address)}
+        outcome = AttackOutcome(succeeded=False, rejection=self.session.abort_reason)
+        if not self.session.aborted:
+            outcome.keys_written, outcome.overwrote_existing = _keys_written(events, targets, self.start)
+            takeovers = [
+                establish_session(self.ctx, self.charlie, self.target, transport)
+                for transport in (TRANSPORT_BT, TRANSPORT_BLE)
+            ]
+            if reconnect is not None:
+                outcome.victim_reconnect = _victim_reconnect(self.ctx, *reconnect)
+            outcome.succeeded = self.session.complete and all(t.ok for t in takeovers) and goal_met
+        outcome.ctis_used = derive_ctis(
+            events, targets=targets,
+            attacker_identities={str(self.charlie.address)}, attack_start=self.start,
+        )
+        return outcome
+
+
+def _pair_as(ctx: SimContext, config: AttackerConfig, claimed: Address, target: Device, transport: str) -> _Run:
+    """Build the attacker under ``claimed`` and pair it with ``target``.
+
+    The attacker always initiates, with its fixed capability claims; it
+    goes through the same pairing entry points an honest device uses.
+    """
+    start = ctx.trace.clock
+    charlie = _attacker_device(ctx, config, claimed)
+    pair = ble_pair if transport == TRANSPORT_BLE else bt_pair
+    return _Run(ctx, charlie, target, pair(ctx, charlie, target), start)
 
 
 # ---------------------------------------------------------------------------
 # The four attacks
 # ---------------------------------------------------------------------------
+
+def _impersonation(ctx: SimContext, config: AttackerConfig, target: Device,
+                   impersonated: Device, transport: str) -> AttackOutcome:
+    """Pair with ``target`` as ``impersonated``; the real one then tries to reconnect."""
+    run = _pair_as(ctx, config, config.spoofed or impersonated.address, target, transport)
+    return run.outcome(reconnect=(impersonated, target))
+
 
 def master_impersonation(
     ctx: SimContext,
@@ -262,30 +296,7 @@ def master_impersonation(
     table under ``alice``'s address; the real ``alice`` can no longer
     connect back.
     """
-    start = ctx.trace.clock
-    claimed = config.spoofed or alice.address
-    charlie = _attacker_device(ctx, config, claimed)
-    targets = {str(bob.address)}
-    identities = {str(claimed)}
-
-    session = ble_pair(ctx, charlie, bob, build_pairing_request(charlie.profile))
-    if session.aborted:
-        return _aborted_outcome(ctx, session, targets, identities, start)
-
-    keys_written, overwrote = _keys_written(ctx.trace.events, targets, start)
-    takeover_bt = establish_session(ctx, charlie, bob, TRANSPORT_BT)
-    takeover_ble = establish_session(ctx, charlie, bob, TRANSPORT_BLE)
-    reconnect = _victim_reconnect(ctx, alice, bob)
-    return AttackOutcome(
-        succeeded=session.complete and takeover_bt.ok and takeover_ble.ok,
-        keys_written=keys_written,
-        overwrote_existing=overwrote,
-        victim_reconnect=reconnect,
-        ctis_used=derive_ctis(
-            ctx.trace.events, targets=targets,
-            attacker_identities=identities, attack_start=start,
-        ),
-    )
+    return _impersonation(ctx, config, bob, alice, TRANSPORT_BLE)
 
 
 def slave_impersonation(
@@ -296,30 +307,7 @@ def slave_impersonation(
 ) -> AttackOutcome:
     """Claim the slave's identity over BT (after a role switch) and re-key
     the master's store; the derived key lands on BLE via the tunnel."""
-    start = ctx.trace.clock
-    claimed = config.spoofed or bob.address
-    charlie = _attacker_device(ctx, config, claimed)
-    targets = {str(alice.address)}
-    identities = {str(claimed)}
-
-    session = bt_pair(ctx, charlie, alice)
-    if session.aborted:
-        return _aborted_outcome(ctx, session, targets, identities, start)
-
-    keys_written, overwrote = _keys_written(ctx.trace.events, targets, start)
-    takeover_bt = establish_session(ctx, charlie, alice, TRANSPORT_BT)
-    takeover_ble = establish_session(ctx, charlie, alice, TRANSPORT_BLE)
-    reconnect = _victim_reconnect(ctx, bob, alice)
-    return AttackOutcome(
-        succeeded=session.complete and takeover_bt.ok and takeover_ble.ok,
-        keys_written=keys_written,
-        overwrote_existing=overwrote,
-        victim_reconnect=reconnect,
-        ctis_used=derive_ctis(
-            ctx.trace.events, targets=targets,
-            attacker_identities=identities, attack_start=start,
-        ),
-    )
+    return _impersonation(ctx, config, alice, bob, TRANSPORT_BT)
 
 
 def mitm(
@@ -332,7 +320,7 @@ def mitm(
 
     When the victims run a BLE session the slave leg goes first (over BT);
     otherwise the master leg opens. The second leg targets the victim the
-    first one impersonated.
+    first one impersonated, and runs only if the first one succeeded.
     """
     if alice.has_live_session(TRANSPORT_BLE, peer=bob.address):
         legs = ("si", "mi")
@@ -349,22 +337,18 @@ def mitm(
             outcome = master_impersonation(ctx, cfg, bob, alice)
         outcomes.append(outcome)
         if not outcome.succeeded:
-            return AttackOutcome(
-                succeeded=False,
-                keys_written=[k for o in outcomes for k in o.keys_written],
-                overwrote_existing=any(o.overwrote_existing for o in outcomes),
-                victim_reconnect=RECONNECT_NOT_ATTEMPTED,
-                ctis_used=frozenset().union(*(o.ctis_used for o in outcomes)),
-                rejection=outcome.rejection,
-            )
+            break
 
-    reconnect = _victim_reconnect(ctx, alice, bob)
+    succeeded = outcomes[-1].succeeded  # a failed leg ends the loop
     return AttackOutcome(
-        succeeded=True,
+        succeeded=succeeded,
         keys_written=[k for o in outcomes for k in o.keys_written],
         overwrote_existing=any(o.overwrote_existing for o in outcomes),
-        victim_reconnect=reconnect,
+        victim_reconnect=(
+            _victim_reconnect(ctx, alice, bob) if succeeded else RECONNECT_NOT_ATTEMPTED
+        ),
         ctis_used=frozenset().union(*(o.ctis_used for o in outcomes)),
+        rejection=outcomes[-1].rejection,
     )
 
 
@@ -380,52 +364,18 @@ def unintended_session(
     victim's existing bonds stay byte-identical, and the attacker walks away
     with the victim's distributed identity keys (CSRK/IRK).
     """
-    start = ctx.trace.clock
     fresh = config.true_identity or random_address(ctx.rng)
-    charlie = _attacker_device(ctx, config, fresh)
-    targets = {str(victim.address)}
-    identities = {str(fresh)}
-
-    if victim.has_live_session(TRANSPORT_BLE):
-        transport = TRANSPORT_BT
-    else:
-        transport = TRANSPORT_BLE
-
+    transport = TRANSPORT_BT if victim.has_live_session(TRANSPORT_BLE) else TRANSPORT_BLE
     before = victim.bonds.snapshot()
-    if transport == TRANSPORT_BLE:
-        session = ble_pair(ctx, charlie, victim, build_pairing_request(charlie.profile))
-    else:
-        session = bt_pair(ctx, charlie, victim)
-    if session.aborted:
-        return _aborted_outcome(ctx, session, targets, identities, start)
+    run = _pair_as(ctx, config, fresh, victim, transport)
 
     untouched = all(victim.bonds.records.get(k) == v for k, v in before.items())
-    record_ble = charlie.bonds.lookup(victim.address, TRANSPORT_BLE)
+    record_ble = run.charlie.bonds.lookup(victim.address, TRANSPORT_BLE)
     got_identity_keys = (
         record_ble is not None
         and record_ble.extra_keys is not None
         and record_ble.extra_keys.csrk.value == victim.csrk.value
         and record_ble.extra_keys.irk.value == victim.irk.value
     )
-
-    keys_written, overwrote = _keys_written(ctx.trace.events, targets, start)
-    bond_bt = establish_session(ctx, charlie, victim, TRANSPORT_BT)
-    bond_ble = establish_session(ctx, charlie, victim, TRANSPORT_BLE)
-
-    reconnect = RECONNECT_NOT_ATTEMPTED
-    if bonded_peer is not None:
-        reconnect = _victim_reconnect(ctx, victim, bonded_peer)
-
-    return AttackOutcome(
-        succeeded=(
-            session.complete and bond_bt.ok and bond_ble.ok
-            and untouched and got_identity_keys
-        ),
-        keys_written=keys_written,
-        overwrote_existing=overwrote,
-        victim_reconnect=reconnect,
-        ctis_used=derive_ctis(
-            ctx.trace.events, targets=targets,
-            attacker_identities=identities, attack_start=start,
-        ),
-    )
+    reconnect = None if bonded_peer is None else (victim, bonded_peer)
+    return run.outcome(reconnect, goal_met=untouched and got_identity_keys)

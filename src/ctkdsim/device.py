@@ -1,8 +1,10 @@
 """Simulated device state: profile, per-transport pairability, bond store.
 
-The bond table is the attack surface of this whole simulator: every key
-write goes through a single policy hook, and the enumerated rejection
-reasons are what scenarios assert on when a defense blocks a write.
+The bond table is the attack surface of this whole simulator. Pairing
+asks it for a policy verdict on every prospective record
+(``evaluate_store``) before it commits any of them (``commit``); the
+enumerated rejection reasons are what scenarios assert on when a defense
+blocks a write.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .crypto import Address, Key128, TRANSPORTS, random_key128
 from .smp import CONFIRM_CAPABLE, IoCapability, KeyMaterial
@@ -33,10 +35,6 @@ class Association(Enum):
 class PairingRole(Enum):
     MASTER = "master"
     SLAVE = "slave"
-
-    @property
-    def opposite(self) -> "PairingRole":
-        return PairingRole.SLAVE if self is PairingRole.MASTER else PairingRole.MASTER
 
 
 class KeyOrigin(Enum):
@@ -202,55 +200,38 @@ class StoreContext:
 
 @dataclass
 class StoreOutcome:
-    stored: bool
-    reason: Optional[object] = None  # RejectionReason when rejected
-    overwrote: bool = False
-    previous: Optional[KeyRecord] = None
-
-
-def _default_policy_hook(policy: "PolicySet", context: StoreContext) -> "PolicyVerdict":
-    from .policies import evaluate  # deferred: policies imports this module
-
-    return evaluate(policy, context)
+    overwrote: bool
 
 
 class BondTable:
     """Per-device key store, at most one record per (peer, transport)."""
 
-    def __init__(self, policy_hook: Callable = _default_policy_hook) -> None:
+    def __init__(self) -> None:
         self.records: dict[tuple[Address, str], KeyRecord] = {}
-        self.policy_hook = policy_hook
 
     def lookup(self, peer: Address, transport: str) -> Optional[KeyRecord]:
         return self.records.get((peer, transport))
 
     def evaluate_store(self, record: KeyRecord, policy: "PolicySet", **context) -> "PolicyVerdict":
-        """Run the policy hook for one prospective mutation (no state change)."""
+        """The policy verdict on one prospective mutation (no state change)."""
+        from . import policies  # deferred: policies imports this module
+
         ctx = StoreContext(
             table=self,
             existing=self.lookup(record.peer, record.transport),
             incoming=record,
             **context,
         )
-        return self.policy_hook(policy, ctx)
+        return policies.evaluate(policy, ctx)
 
     def commit(self, record: KeyRecord) -> StoreOutcome:
+        """Insert or replace the record; the caller has already had its verdict."""
         previous = self.lookup(record.peer, record.transport)
         self.records[(record.peer, record.transport)] = record
-        return StoreOutcome(stored=True, overwrote=previous is not None, previous=previous)
-
-    def store(self, record: KeyRecord, policy: "PolicySet", **context) -> StoreOutcome:
-        """Policy-gated insert/replace; rejection is an outcome, not an error."""
-        verdict = self.evaluate_store(record, policy, **context)
-        if not verdict.allow:
-            return StoreOutcome(stored=False, reason=verdict.reason)
-        return self.commit(record)
+        return StoreOutcome(overwrote=previous is not None)
 
     def snapshot(self) -> dict:
         return dict(self.records)
-
-    def restore(self, snap: dict) -> None:
-        self.records = dict(snap)
 
 
 class Device:

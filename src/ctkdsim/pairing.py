@@ -1,8 +1,12 @@
 """Honest-device protocol engine.
 
-Implements the two pairing flows (BLE-native with in-band cross-transport
-derivation, and BT with the derivation negotiated over tunneled frames on
-the encrypted link), association negotiation, and session establishment.
+Pairing is one key agreement with two front ends. Each step exists once:
+the request and the pairability check, the early policy checks, DH and
+nonces with the KDF, the CSRK/IRK exchange, and the key-store writes.
+``ble_pair`` negotiates cross-transport derivation in-band, through the
+Link Key flag; ``bt_pair`` negotiates it after the link is encrypted,
+through BLE-style frames tunneled over it. Session establishment closes
+the module.
 
 Key-store writes are transactional per pairing run: every prospective
 record gets its policy verdict first, and nothing is committed unless all
@@ -20,40 +24,28 @@ from .crypto import (
     Address,
     Key128,
     Nonce,
-    SharedSecret,
     TRANSPORT_BLE,
     TRANSPORT_BT,
     TRANSPORTS,
-    aes_cmac,
     ctkd_ble_to_bt,
     ctkd_bt_to_ble,
     dh_generate,
-    dh_public_bytes,
     dh_shared,
     kdf_bt,
     kdf_le,
+    other_transport,
     random_nonce,
     session_key,
 )
-from .device import (
-    Association,
-    Device,
-    DeviceProfile,
-    KeyOrigin,
-    KeyRecord,
-    PairingRole,
-)
+from .device import Association, Device, DeviceProfile, KeyOrigin, KeyRecord, PairingRole
 from .policies import PolicySet, RejectionReason, c2_check, c4_check
 from .smp import (
     CONFIRM_CAPABLE,
     AuthReqBits,
     IoCapability,
     KeyDistBits,
-    MARKER_BLE_NATIVE,
-    MARKER_BT_TUNNELED,
     OPCODE_REQUEST,
     SmpPairingMessage,
-    TunnelFrame,
     ctkd_requested,
     encode_bt_auth_req,
     encode_pairing,
@@ -79,10 +71,6 @@ class SimContext:
     trace: TraceRecorder = field(default_factory=TraceRecorder)
     dh_backend: str = "toy-modp"
 
-    @classmethod
-    def seeded(cls, seed: int) -> "SimContext":
-        return cls(rng=random.Random(seed))
-
 
 def make_device(ctx: SimContext, profile: DeviceProfile, policies: Optional[PolicySet] = None) -> Device:
     return Device(profile, policies if policies is not None else PolicySet(), ctx.rng)
@@ -102,7 +90,6 @@ class PairingState(IntEnum):
 @dataclass
 class Negotiated:
     association: Optional[Association] = None
-    sc: bool = False
     ctkd: bool = False
     h7: bool = False
     key_strength: int = 16
@@ -116,9 +103,7 @@ class PairingSession:
     state: PairingState = PairingState.IDLE
     negotiated: Negotiated = field(default_factory=Negotiated)
     nonces: Optional[tuple[Nonce, Nonce]] = None
-    dh: Optional[tuple] = None  # (PK_i, PK_r, DK)
     abort_reason: Optional[RejectionReason] = None
-    transcript: list[int] = field(default_factory=list)
 
     def advance(self, new_state: PairingState) -> None:
         if self.state is PairingState.ABORTED:
@@ -179,15 +164,18 @@ def negotiate_association(
     return Association.JUST_WORKS
 
 
-def build_pairing_request(profile: DeviceProfile, ctkd: bool = True) -> SmpPairingMessage:
-    """The pairing request an honest device with this profile sends."""
-    auth = AuthReqBits(
+def _auth_req(profile: DeviceProfile) -> AuthReqBits:
+    return AuthReqBits(
         bonding=1,
         mitm=profile.wants_mitm,
         sc=profile.sc_supported,
         keypress=False,
         ct2_h7=profile.h7_supported,
     )
+
+
+def build_pairing_request(profile: DeviceProfile, ctkd: bool = True) -> SmpPairingMessage:
+    """The pairing request an honest device with this profile sends."""
     dist = KeyDistBits(
         enc_key=True,
         id_key=True,
@@ -198,7 +186,7 @@ def build_pairing_request(profile: DeviceProfile, ctkd: bool = True) -> SmpPairi
         opcode=OPCODE_REQUEST,
         io_capability=profile.io_capability,
         oob=False,
-        auth_req=auth,
+        auth_req=_auth_req(profile),
         max_key_size=profile.max_key_size,
         initiator_dist=dist,
         responder_dist=dist,
@@ -207,44 +195,22 @@ def build_pairing_request(profile: DeviceProfile, ctkd: bool = True) -> SmpPairi
 
 def build_pairing_response(profile: DeviceProfile, request: SmpPairingMessage) -> SmpPairingMessage:
     """Honest response: own capabilities, distribution masked by the request."""
-    auth = AuthReqBits(
-        bonding=1,
-        mitm=profile.wants_mitm,
-        sc=profile.sc_supported,
-        keypress=False,
-        ct2_h7=profile.h7_supported,
-    )
     link = profile.ctkd_supported and ctkd_requested(request)
     return request.as_response(
         io_capability=profile.io_capability,
-        auth_req=auth,
+        auth_req=_auth_req(profile),
         max_key_size=profile.max_key_size,
         initiator_dist=replace(request.initiator_dist, link_key=link),
         responder_dist=replace(request.responder_dist, link_key=link),
     )
 
 
-def numeric_comparison_value(pk_i, pk_r, n_i: Nonce, n_r: Nonce) -> int:
-    """Deterministic 6-digit commitment both screens would display."""
-    data = dh_public_bytes(pk_i) + dh_public_bytes(pk_r) + n_r.value
-    return int.from_bytes(aes_cmac(n_i.value, data)[:4], "big") % 1_000_000
-
-
 # ---------------------------------------------------------------------------
 # Trace helpers
 # ---------------------------------------------------------------------------
 
-def _emit_message(
-    ctx: SimContext,
-    session: PairingSession,
-    sender: Device,
-    receiver: Device,
-    transport: str,
-    frame: bytes,
-    opcode: str,
-    tunneled: bool = False,
-    **extra,
-) -> None:
+def _emit_message(ctx: SimContext, sender: Device, receiver: Device, transport: str,
+                  frame: bytes, opcode: str, tunneled: bool = False, **extra) -> None:
     payload = {
         "transport": transport,
         "peer": str(receiver.address),
@@ -253,10 +219,9 @@ def _emit_message(
         "tunneled": tunneled,
         **extra,
     }
-    sent = ctx.trace.emit(sender.address, KIND_MSG_SENT, **payload)
+    ctx.trace.emit(sender.address, KIND_MSG_SENT, **payload)
     payload_recv = dict(payload, peer=str(sender.address))
     ctx.trace.emit(receiver.address, KIND_MSG_RECEIVED, **payload_recv)
-    session.transcript.extend([sent.index, sent.index + 1])
     sender.note_activity(transport, ctx.trace.clock)
     receiver.note_activity(transport, ctx.trace.clock)
 
@@ -302,109 +267,161 @@ def _invalidate_sessions(device: Device, peer: Address, transport: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Early (pre-key) policy checks
+# Pairing steps shared by both transports
 # ---------------------------------------------------------------------------
 
-def _early_c4(ctx, session, device: Device, peer: Address, association: Association) -> bool:
-    """Association monotonicity is checked before any key work happens."""
-    if not device.policies.c4_association_monotonic:
-        return True
-    for transport in TRANSPORTS:
-        verdict = c4_check(device.bonds.lookup(peer, transport), association)
-        if not verdict.allow:
-            _emit_verdict(
-                ctx, device, stage="association", transport=session.transport,
-                peer=peer, allow=False, reason=verdict.reason,
-            )
-            session.abort(verdict.reason)
-            return False
-    return True
+def _sides(initiator: Device, responder: Device) -> tuple:
+    """Each end with its peer and the role that peer plays, responder first.
+
+    The initiator is always the master: it is BLE's central, and BT lets it
+    switch roles right before its request.
+    """
+    return ((responder, initiator, PairingRole.MASTER), (initiator, responder, PairingRole.SLAVE))
 
 
-def _early_c2(ctx, session, device: Device, peer: Address, peer_role: PairingRole) -> bool:
-    """Role binding aborts the pairing at the request, before any key work."""
-    if not device.policies.c2_role_binding:
-        return True
-    for transport in TRANSPORTS:
-        verdict = c2_check(device.bonds.lookup(peer, transport), peer_role, session.transport)
-        if not verdict.allow:
-            _emit_verdict(
-                ctx, device, stage="pairing_request", transport=session.transport,
-                peer=peer, allow=False, reason=verdict.reason,
-            )
-            session.abort(verdict.reason)
-            return False
-    return True
+def _request(ctx: SimContext, initiator: Device, responder: Device, transport: str,
+             request: SmpPairingMessage, **extra) -> PairingSession:
+    """Send the pairing request; a responder that is not pairable aborts the run."""
+    session = PairingSession(initiator.address, responder.address, transport)
+    _emit_message(ctx, initiator, responder, transport, encode_pairing(request), "request", **extra)
+    session.advance(PairingState.REQUESTED)
+    if not responder.is_pairable(transport):
+        _emit_verdict(
+            ctx, responder, stage="pairing_request", transport=transport,
+            peer=initiator.address, allow=False, reason=RejectionReason.NOT_PAIRABLE,
+        )
+        session.abort(RejectionReason.NOT_PAIRABLE)
+    return session
 
 
-def _abort_not_pairable(ctx, session, responder: Device, initiator: Device) -> None:
-    _emit_verdict(
-        ctx, responder, stage="pairing_request", transport=session.transport,
-        peer=initiator.address, allow=False, reason=RejectionReason.NOT_PAIRABLE,
+def _respond(ctx: SimContext, session: PairingSession, initiator: Device, responder: Device,
+             request: SmpPairingMessage, response: SmpPairingMessage, **extra) -> None:
+    """Send the response and settle the association method from both messages."""
+    frame = encode_pairing(response)
+    _emit_message(ctx, responder, initiator, session.transport, frame, "response", **extra)
+    session.advance(PairingState.RESPONDED)
+    session.negotiated.association = negotiate_association(
+        request.io_capability, response.io_capability,
+        request.auth_req.mitm, response.auth_req.mitm,
     )
-    session.abort(RejectionReason.NOT_PAIRABLE)
 
 
-# ---------------------------------------------------------------------------
-# Transactional key storage
-# ---------------------------------------------------------------------------
+def _early_check(ctx, session: PairingSession, initiator: Device, responder: Device, stage: str) -> bool:
+    """One pre-key policy stage against the stored bonds; a failure aborts the run.
 
-@dataclass
-class _PendingStore:
-    device: Device
-    record: KeyRecord
-    ctkd_source: Optional[KeyRecord] = None
-    prior_direct: Optional[KeyRecord] = None
+    At ``pairing_request`` c2 binds each peer to the role it had when the
+    bonds were made; at ``association`` c4 keeps the negotiated method from
+    being weaker than any bond's.
+    """
+    role_stage = stage == "pairing_request"
+    for device, peer, peer_role in _sides(initiator, responder):
+        policies = device.policies
+        if not (policies.c2_role_binding if role_stage else policies.c4_association_monotonic):
+            continue
+        for transport in TRANSPORTS:
+            existing = device.bonds.lookup(peer.address, transport)
+            if role_stage:
+                verdict = c2_check(existing, peer_role, session.transport)
+            else:
+                verdict = c4_check(existing, session.negotiated.association)
+            if not verdict.allow:
+                _emit_verdict(
+                    ctx, device, stage=stage, transport=session.transport,
+                    peer=peer.address, allow=False, reason=verdict.reason,
+                )
+                session.abort(verdict.reason)
+                return False
+    return True
 
 
-def _store_all(ctx: SimContext, session: PairingSession, pending: list[_PendingStore]) -> bool:
-    """Evaluate every store first; commit only if all verdicts allow."""
-    verdicts = []
-    for p in pending:
-        verdict = p.device.bonds.evaluate_store(
-            p.record,
-            p.device.policies,
-            ctkd_source=p.ctkd_source,
-            prior_direct=p.prior_direct,
-            bt_version=p.device.profile.bt_version,
+def _negotiate_ctkd(session: PairingSession, request: SmpPairingMessage,
+                    response: SmpPairingMessage) -> bool:
+    """CTKD needs the Link Key flag from both ends, h7 the CT2 bit from both."""
+    neg = session.negotiated
+    neg.ctkd = ctkd_requested(request) and ctkd_requested(response)
+    neg.h7 = request.auth_req.ct2_h7 and response.auth_req.ct2_h7
+    return neg.ctkd
+
+
+def _agree_key(ctx: SimContext, session: PairingSession, initiator: Device, responder: Device,
+               kdf, *kdf_args) -> Key128:
+    """DH and nonces, drawn as keypair i, keypair r, nonce i, nonce r; then ``kdf``.
+
+    Under Numeric Comparison honest users confirm when both screens show the
+    same value, which in a lossless simulation they always do, so the key is
+    MITM-protected.
+    """
+    kp_i = dh_generate(ctx.rng, ctx.dh_backend)
+    kp_r = dh_generate(ctx.rng, ctx.dh_backend)
+    n_i = random_nonce(ctx.rng, initiator.address)
+    n_r = random_nonce(ctx.rng, responder.address)
+    session.nonces = (n_i, n_r)
+    dk = dh_shared(kp_i.private, kp_r.public)
+    key = kdf(dk, initiator.address, responder.address, n_i, n_r, *kdf_args)
+    if session.negotiated.association is Association.NUMERIC_COMPARISON:
+        key = replace(key, mitm_protected=True)
+    session.advance(PairingState.KEYS_COMPUTED)
+    return key
+
+
+def _exchange_identity_keys(ctx: SimContext, initiator: Device, responder: Device,
+                            transport: str, tunneled: bool = False) -> None:
+    """CSRK/IRK travel both ways over the encrypted link."""
+    for sender, receiver in ((initiator, responder), (responder, initiator)):
+        material = sender.key_material()
+        frame = material.csrk.value + material.irk.value
+        _emit_message(ctx, sender, receiver, transport, frame, "key_material", tunneled)
+
+
+def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, responder: Device,
+                direct_key: Key128, derived_key: Optional[Key128]) -> PairingSession:
+    """Write the run's keys into both bond tables, all or nothing.
+
+    Each end gets a record of the direct key on the pairing transport and,
+    under CTKD, one of the derived key on the other transport; the BLE
+    record keeps the peer's identity keys. Every record gets its verdict
+    before any is committed, so one rejection aborts the run with both
+    tables untouched.
+    """
+    if derived_key is not None:
+        session.advance(PairingState.CTKD_DONE)
+    session.advance(PairingState.DISTRIBUTING)
+    pending = []  # (device, record, what the policy check needs beyond the table)
+    for device, peer, peer_role in _sides(initiator, responder):
+        def bond(transport, key, origin):
+            return KeyRecord(
+                peer.address, transport, key, origin, session.negotiated.association, peer_role,
+                extra_keys=peer.key_material() if transport == TRANSPORT_BLE else None,
+            )
+        direct = bond(session.transport, direct_key, KeyOrigin.DIRECT_PAIRING)
+        pending.append((device, direct, {}))
+        if derived_key is not None:
+            derived = bond(other_transport(session.transport), derived_key, KeyOrigin.CTKD_DERIVED)
+            prior_direct = device.bonds.lookup(peer.address, session.transport)
+            pending.append((device, derived, {"ctkd_source": direct, "prior_direct": prior_direct}))
+
+    for device, record, context in pending:
+        verdict = device.bonds.evaluate_store(
+            record, device.policies, bt_version=device.profile.bt_version, **context,
         )
         _emit_verdict(
-            ctx, p.device, stage="store", transport=p.record.transport,
-            peer=p.record.peer, allow=verdict.allow, reason=verdict.reason,
-            origin=p.record.origin.value,
+            ctx, device, stage="store", transport=record.transport, peer=record.peer,
+            allow=verdict.allow, reason=verdict.reason, origin=record.origin.value,
         )
-        verdicts.append(verdict)
         if not verdict.allow:
             ctx.trace.emit(
-                p.device.address,
-                KIND_KEY_REJECTED,
-                transport=p.record.transport,
-                peer=str(p.record.peer),
-                origin=p.record.origin.value,
-                reason=verdict.reason.value,
+                device.address, KIND_KEY_REJECTED, transport=record.transport,
+                peer=str(record.peer), origin=record.origin.value, reason=verdict.reason.value,
             )
             session.abort(verdict.reason)
-            return False
-    for p in pending:
-        outcome = p.device.bonds.commit(p.record)
-        ctx.trace.emit(p.device.address, KIND_KEY_STORED, **_record_payload(p.record, outcome.overwrote))
+            return session
+    for device, record, _ in pending:
+        outcome = device.bonds.commit(record)
+        ctx.trace.emit(device.address, KIND_KEY_STORED, **_record_payload(record, outcome.overwrote))
         if outcome.overwrote:
-            _invalidate_sessions(p.device, p.record.peer, p.record.transport)
-    return True
-
-
-def _pending_for(
-    device: Device,
-    peer: Address,
-    peer_role: PairingRole,
-    direct: KeyRecord,
-    derived: Optional[KeyRecord],
-) -> list[_PendingStore]:
-    prior_direct = device.bonds.lookup(peer, direct.transport)
-    pending = [_PendingStore(device, direct)]
-    if derived is not None:
-        pending.append(_PendingStore(device, derived, ctkd_source=direct, prior_direct=prior_direct))
-    return pending
+            _invalidate_sessions(device, record.peer, record.transport)
+    session.advance(PairingState.COMPLETE)
+    return session
 
 
 # ---------------------------------------------------------------------------
@@ -419,108 +436,30 @@ def ble_pair(
 ) -> PairingSession:
     """Run BLE pairing, deriving the BT key as well when both ends agree.
 
-    The initiator's address is whatever its profile claims; nothing below
-    authenticates it.
+    Both pairing messages carry the Link Key flag that asks for the
+    derivation. The initiator's address is whatever its profile claims;
+    nothing below authenticates it.
     """
     if request is None:
         request = build_pairing_request(initiator.profile)
-    session = PairingSession(initiator.address, responder.address, TRANSPORT_BLE)
-
-    _emit_message(ctx, session, initiator, responder, TRANSPORT_BLE, encode_pairing(request), "request")
-    session.advance(PairingState.REQUESTED)
-
-    if not responder.is_pairable(TRANSPORT_BLE):
-        _abort_not_pairable(ctx, session, responder, initiator)
+    session = _request(ctx, initiator, responder, TRANSPORT_BLE, request)
+    if session.aborted:
         return session
-
     response = build_pairing_response(responder.profile, request)
-    _emit_message(ctx, session, responder, initiator, TRANSPORT_BLE, encode_pairing(response), "response")
-    session.advance(PairingState.RESPONDED)
-
+    _respond(ctx, session, initiator, responder, request, response)
+    _negotiate_ctkd(session, request, response)
     neg = session.negotiated
-    neg.sc = request.auth_req.sc and response.auth_req.sc
-    neg.ctkd = ctkd_requested(request) and ctkd_requested(response)
-    neg.h7 = request.auth_req.ct2_h7 and response.auth_req.ct2_h7
     neg.key_strength = min(request.max_key_size, response.max_key_size)
-    neg.association = negotiate_association(
-        request.io_capability, response.io_capability,
-        request.auth_req.mitm, response.auth_req.mitm,
-    )
-
-    # The BLE initiator is the central, i.e. the master-side role.
-    if not _early_c2(ctx, session, responder, initiator.address, PairingRole.MASTER):
-        return session
-    if not _early_c2(ctx, session, initiator, responder.address, PairingRole.SLAVE):
-        return session
-    if not _early_c4(ctx, session, responder, initiator.address, neg.association):
-        return session
-    if not _early_c4(ctx, session, initiator, responder.address, neg.association):
-        return session
-
-    kp_i = dh_generate(ctx.rng, ctx.dh_backend)
-    kp_r = dh_generate(ctx.rng, ctx.dh_backend)
-    n_i = random_nonce(ctx.rng, initiator.address)
-    n_r = random_nonce(ctx.rng, responder.address)
-    dk = dh_shared(kp_i.private, kp_r.public)
-    session.nonces = (n_i, n_r)
-    session.dh = (kp_i.public, kp_r.public, dk)
-
-    if neg.association is Association.NUMERIC_COMPARISON:
-        # Honest users confirm when both screens show the same value; in a
-        # lossless simulation they always do.
-        shown_i = numeric_comparison_value(kp_i.public, kp_r.public, n_i, n_r)
-        shown_r = numeric_comparison_value(kp_i.public, kp_r.public, n_i, n_r)
-        if shown_i != shown_r:
-            session.abort(RejectionReason.C4_ASSOCIATION_DOWNGRADE)
-            return session
-
-    k_ble = kdf_le(dk, initiator.address, responder.address, n_i, n_r, neg.key_strength)
-    if neg.association is Association.NUMERIC_COMPARISON:
-        k_ble = replace(k_ble, mitm_protected=True)
-    session.advance(PairingState.KEYS_COMPUTED)
-
-    k_bt = None
-    if neg.ctkd:
-        k_bt = ctkd_ble_to_bt(k_ble, neg.h7)
-        session.advance(PairingState.CTKD_DONE)
-
-    session.advance(PairingState.DISTRIBUTING)
-    # CSRK/IRK travel over the now-encrypted BLE link, both directions.
-    for sender, receiver in ((initiator, responder), (responder, initiator)):
-        material = sender.key_material()
-        frame = material.csrk.value + material.irk.value
-        _emit_message(ctx, session, sender, receiver, TRANSPORT_BLE, frame, "key_material")
-
-    pending: list[_PendingStore] = []
-    for device, peer_dev, peer_role in (
-        (responder, initiator, PairingRole.MASTER),
-        (initiator, responder, PairingRole.SLAVE),
+    if not (
+        _early_check(ctx, session, initiator, responder, "pairing_request")
+        and _early_check(ctx, session, initiator, responder, "association")
     ):
-        direct = KeyRecord(
-            peer=peer_dev.address,
-            transport=TRANSPORT_BLE,
-            key=k_ble,
-            origin=KeyOrigin.DIRECT_PAIRING,
-            association=neg.association,
-            role_at_pairing=peer_role,
-            extra_keys=peer_dev.key_material(),
-        )
-        derived = None
-        if k_bt is not None:
-            derived = KeyRecord(
-                peer=peer_dev.address,
-                transport=TRANSPORT_BT,
-                key=k_bt,
-                origin=KeyOrigin.CTKD_DERIVED,
-                association=neg.association,
-                role_at_pairing=peer_role,
-            )
-        pending.extend(_pending_for(device, peer_dev.address, peer_role, direct, derived))
-
-    if not _store_all(ctx, session, pending):
         return session
-    session.advance(PairingState.COMPLETE)
-    return session
+
+    k_ble = _agree_key(ctx, session, initiator, responder, kdf_le, neg.key_strength)
+    k_bt = ctkd_ble_to_bt(k_ble, neg.h7) if neg.ctkd else None
+    _exchange_identity_keys(ctx, initiator, responder, TRANSPORT_BLE)
+    return _store_keys(ctx, session, initiator, responder, k_ble, k_bt)
 
 
 # ---------------------------------------------------------------------------
@@ -546,147 +485,51 @@ def build_bt_pairing_request(profile: DeviceProfile) -> SmpPairingMessage:
     )
 
 
-def accept_tunnel_frame(device: Device, frame: TunnelFrame, session_encrypted: bool) -> bool:
-    """Tunneled CTKD frames are only meaningful on an encrypted BT link."""
-    if frame.marker != MARKER_BT_TUNNELED:
-        return True
-    return session_encrypted
+def _bt_auth_req(msg: SmpPairingMessage) -> str:
+    return f"0x{encode_bt_auth_req(True, msg.auth_req.mitm):02x}"
 
 
 def bt_pair(
     ctx: SimContext,
     initiator: Device,
     responder: Device,
-    request: Optional[SmpPairingMessage] = None,
     want_ctkd: bool = True,
 ) -> PairingSession:
     """Run BT pairing; CTKD rides on tunneled frames over the encrypted link.
 
     The initiator always shows up in the master role: the transport allows
-    switching roles right before a pairing request.
+    switching roles right before a pairing request, so the responder checks
+    roles before it responds.
     """
-    if request is None:
-        request = build_bt_pairing_request(initiator.profile)
-    session = PairingSession(initiator.address, responder.address, TRANSPORT_BT)
-
-    _emit_message(
-        ctx, session, initiator, responder, TRANSPORT_BT, encode_pairing(request), "request",
-        bt_auth_req=f"0x{encode_bt_auth_req(True, request.auth_req.mitm):02x}",
-    )
-    session.advance(PairingState.REQUESTED)
-
-    if not responder.is_pairable(TRANSPORT_BT):
-        _abort_not_pairable(ctx, session, responder, initiator)
+    request = build_bt_pairing_request(initiator.profile)
+    session = _request(ctx, initiator, responder, TRANSPORT_BT, request, bt_auth_req=_bt_auth_req(request))
+    if session.aborted or not _early_check(ctx, session, initiator, responder, "pairing_request"):
         return session
-
-    if not _early_c2(ctx, session, responder, initiator.address, PairingRole.MASTER):
-        return session
-    if not _early_c2(ctx, session, initiator, responder.address, PairingRole.SLAVE):
-        return session
-
     response = build_bt_pairing_request(responder.profile).as_response()
-    _emit_message(
-        ctx, session, responder, initiator, TRANSPORT_BT, encode_pairing(response), "response",
-        bt_auth_req=f"0x{encode_bt_auth_req(True, response.auth_req.mitm):02x}",
-    )
-    session.advance(PairingState.RESPONDED)
-
-    neg = session.negotiated
-    neg.sc = request.auth_req.sc and response.auth_req.sc
-    neg.key_strength = 16
-    neg.association = negotiate_association(
-        request.io_capability, response.io_capability,
-        request.auth_req.mitm, response.auth_req.mitm,
-    )
-
-    if not _early_c4(ctx, session, responder, initiator.address, neg.association):
-        return session
-    if not _early_c4(ctx, session, initiator, responder.address, neg.association):
+    _respond(ctx, session, initiator, responder, request, response, bt_auth_req=_bt_auth_req(response))
+    if not _early_check(ctx, session, initiator, responder, "association"):
         return session
 
-    kp_i = dh_generate(ctx.rng, ctx.dh_backend)
-    kp_r = dh_generate(ctx.rng, ctx.dh_backend)
-    n_i = random_nonce(ctx.rng, initiator.address)
-    n_r = random_nonce(ctx.rng, responder.address)
-    dk = dh_shared(kp_i.private, kp_r.public)
-    session.nonces = (n_i, n_r)
-    session.dh = (kp_i.public, kp_r.public, dk)
-
-    if neg.association is Association.NUMERIC_COMPARISON:
-        shown = numeric_comparison_value(kp_i.public, kp_r.public, n_i, n_r)
-        if shown != numeric_comparison_value(kp_i.public, kp_r.public, n_i, n_r):
-            session.abort(RejectionReason.C4_ASSOCIATION_DOWNGRADE)
-            return session
-
-    k_bt = kdf_bt(dk, initiator.address, responder.address, n_i, n_r)
-    if neg.association is Association.NUMERIC_COMPARISON:
-        k_bt = replace(k_bt, mitm_protected=True)
-    session.advance(PairingState.KEYS_COMPUTED)
-
-    # Link is encrypted from here on; CTKD negotiation frames are BLE-style
-    # pairing messages tunneled over it, carrying the CT2 bit and key material.
-    encrypted = True
+    k_bt = _agree_key(ctx, session, initiator, responder, kdf_bt)
     k_ble = None
-    material_exchanged = False
     if want_ctkd and initiator.profile.ctkd_supported:
+        # The link is encrypted from here on. CTKD is negotiated by BLE-style
+        # pairing messages tunneled over it, which carry the CT2 bit too.
         tunnel_req = build_pairing_request(initiator.profile)
-        if not accept_tunnel_frame(responder, TunnelFrame(MARKER_BT_TUNNELED, tunnel_req), encrypted):
-            raise AssertionError("tunnel frame outside an encrypted session")
         _emit_message(
-            ctx, session, initiator, responder, TRANSPORT_BT,
+            ctx, initiator, responder, TRANSPORT_BT,
             encode_pairing(tunnel_req), "request", tunneled=True,
         )
         tunnel_resp = build_pairing_response(responder.profile, tunnel_req)
         _emit_message(
-            ctx, session, responder, initiator, TRANSPORT_BT,
+            ctx, responder, initiator, TRANSPORT_BT,
             encode_pairing(tunnel_resp), "response", tunneled=True,
         )
-        neg.ctkd = ctkd_requested(tunnel_req) and ctkd_requested(tunnel_resp)
-        neg.h7 = tunnel_req.auth_req.ct2_h7 and tunnel_resp.auth_req.ct2_h7
-        if neg.ctkd:
-            # BLE key material (CSRK/IRK) rides in the same tunneled exchange.
-            for sender, receiver in ((initiator, responder), (responder, initiator)):
-                material = sender.key_material()
-                frame = material.csrk.value + material.irk.value
-                _emit_message(
-                    ctx, session, sender, receiver, TRANSPORT_BT, frame,
-                    "key_material", tunneled=True,
-                )
-            material_exchanged = True
-            k_ble = ctkd_bt_to_ble(k_bt, neg.h7)
-            session.advance(PairingState.CTKD_DONE)
-
-    session.advance(PairingState.DISTRIBUTING)
-    pending: list[_PendingStore] = []
-    for device, peer_dev, peer_role in (
-        (responder, initiator, PairingRole.MASTER),
-        (initiator, responder, PairingRole.SLAVE),
-    ):
-        direct = KeyRecord(
-            peer=peer_dev.address,
-            transport=TRANSPORT_BT,
-            key=k_bt,
-            origin=KeyOrigin.DIRECT_PAIRING,
-            association=neg.association,
-            role_at_pairing=peer_role,
-        )
-        derived = None
-        if k_ble is not None:
-            derived = KeyRecord(
-                peer=peer_dev.address,
-                transport=TRANSPORT_BLE,
-                key=k_ble,
-                origin=KeyOrigin.CTKD_DERIVED,
-                association=neg.association,
-                role_at_pairing=peer_role,
-                extra_keys=peer_dev.key_material() if material_exchanged else None,
-            )
-        pending.extend(_pending_for(device, peer_dev.address, peer_role, direct, derived))
-
-    if not _store_all(ctx, session, pending):
-        return session
-    session.advance(PairingState.COMPLETE)
-    return session
+        if _negotiate_ctkd(session, tunnel_req, tunnel_resp):
+            # The BLE identity keys ride in the same tunneled exchange.
+            _exchange_identity_keys(ctx, initiator, responder, TRANSPORT_BT, tunneled=True)
+            k_ble = ctkd_bt_to_ble(k_bt, session.negotiated.h7)
+    return _store_keys(ctx, session, initiator, responder, k_bt, k_ble)
 
 
 # ---------------------------------------------------------------------------
@@ -708,18 +551,10 @@ def establish_session(
     """
     rec_a = a.bonds.lookup(b.address, transport)
     rec_b = b.bonds.lookup(a.address, transport)
-    if rec_a is None or rec_b is None:
-        ctx.trace.emit(
-            a.address, KIND_SESSION_FAIL,
-            transport=transport, peer=str(b.address), reason=SESSION_NO_BOND,
-        )
-        return SessionResult(SESSION_NO_BOND)
-    if rec_a.key.value != rec_b.key.value:
-        ctx.trace.emit(
-            a.address, KIND_SESSION_FAIL,
-            transport=transport, peer=str(b.address), reason=SESSION_KEY_MISMATCH,
-        )
-        return SessionResult(SESSION_KEY_MISMATCH)
+    if rec_a is None or rec_b is None or rec_a.key.value != rec_b.key.value:
+        failure = SESSION_NO_BOND if rec_a is None or rec_b is None else SESSION_KEY_MISMATCH
+        ctx.trace.emit(a.address, KIND_SESSION_FAIL, transport=transport, peer=str(b.address), reason=failure)
+        return SessionResult(failure)
 
     entropy = rec_a.key.strength if transport == TRANSPORT_BLE else entropy_proposal
     n_a = random_nonce(ctx.rng, a.address)

@@ -25,7 +25,7 @@ from .attacks import (
     slave_impersonation,
     unintended_session,
 )
-from .crypto import Address, TRANSPORTS
+from .crypto import MAX_STRENGTH, MIN_STRENGTH, TRANSPORTS, Address
 from .device import Device, DeviceProfile
 from .pairing import (
     SimContext,
@@ -41,6 +41,11 @@ from .trace import TraceEvent, TraceRecorder, trace_digest
 
 class ScenarioError(ValueError):
     """Configuration problem, with enough context to find the bad field."""
+
+
+#: The one optional field each pre-state action reads, besides the
+#: action, the two devices and the transport.
+_STEP_OPTIONS = {"pair": "ctkd", "session": "entropy"}
 
 
 @dataclass
@@ -131,13 +136,24 @@ class Scenario:
     @staticmethod
     def _validate_step(step: dict, names: list[str], where: str) -> None:
         action = step.get("action")
-        if action not in ("pair", "session"):
+        if action not in _STEP_OPTIONS:
             raise ScenarioError(f"{where}: unknown action {action!r}")
         for role_field in ("initiator", "responder"):
             if step.get(role_field) not in names:
                 raise ScenarioError(f"{where}: {role_field} {step.get(role_field)!r} is not a listed device")
         if step.get("transport") not in TRANSPORTS:
             raise ScenarioError(f"{where}: bad transport {step.get('transport')!r}")
+        unknown = set(step) - {"action", "initiator", "responder", "transport", _STEP_OPTIONS[action]}
+        if unknown:
+            raise ScenarioError(f"{where}: unknown field(s) {sorted(unknown)} for action {action!r}")
+        if not isinstance(step.get("ctkd", True), bool):
+            raise ScenarioError(f"{where}: ctkd must be true or false, got {step['ctkd']!r}")
+        entropy = step.get("entropy", MAX_STRENGTH)
+        if isinstance(entropy, bool) or not isinstance(entropy, int) \
+                or not MIN_STRENGTH <= entropy <= MAX_STRENGTH:
+            raise ScenarioError(
+                f"{where}: entropy must be an integer in {MIN_STRENGTH}..{MAX_STRENGTH}, got {entropy!r}"
+            )
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -189,12 +189,8 @@ def decode_bt_auth_req(raw: int) -> tuple[bool, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Tunnel frames
+# Identity-key material and the trace's frame convention
 # ---------------------------------------------------------------------------
-
-MARKER_BLE_NATIVE = "BLE-native"
-MARKER_BT_TUNNELED = "BT-tunneled"
-
 
 @dataclass(frozen=True)
 class KeyMaterial:
@@ -202,19 +198,6 @@ class KeyMaterial:
 
     csrk: Key128
     irk: Key128
-
-
-@dataclass(frozen=True)
-class TunnelFrame:
-    """A pairing message or key-material record, on its native transport or
-    tunneled over an encrypted BT session."""
-
-    marker: str
-    payload: SmpPairingMessage | KeyMaterial
-
-    def __post_init__(self) -> None:
-        if self.marker not in (MARKER_BLE_NATIVE, MARKER_BT_TUNNELED):
-            raise CodecError(f"bad transport marker {self.marker!r}")
 
 
 def hexdump(data: bytes) -> str:

@@ -64,9 +64,6 @@ class TraceRecorder:
         self.events.append(event)
         return event
 
-    def since(self, index: int) -> list[TraceEvent]:
-        return self.events[index:]
-
 
 def emit_trace(events: Iterable[TraceEvent], path: str | Path) -> None:
     """One event per line; an empty trace writes an empty file."""

@@ -110,6 +110,27 @@ class TestMasterImpersonation:
         assert outcome.succeeded
         assert bob.bonds.lookup(alice.address, TRANSPORT_BLE) is not None
 
+    def test_failed_bt_takeover_does_not_skip_the_ble_one(self, ctx):
+        # Without CTKD on the target the attack keys only BLE; the BT
+        # takeover fails, and the BLE one must still be attempted.
+        alice, bob = bonded_victims(ctx, bob_overrides={"ctkd_supported": False})
+        start = ctx.trace.clock
+        outcome = master_impersonation(ctx, mi_config(alice, bob), bob, alice)
+        assert not outcome.succeeded
+        assert outcome.keys_written == [(str(bob.address), TRANSPORT_BLE, "direct_pairing")]
+        sessions = [
+            (e.kind, e.payload["transport"], e.payload.get("reason"))
+            for e in ctx.trace.events[start:]
+            if e.kind in ("session_ok", "session_fail") and e.actor == str(alice.address)
+            and e.payload["peer"] == str(bob.address)
+        ]
+        assert sessions == [
+            ("session_fail", TRANSPORT_BT, "no_bond"),  # takeover, BT
+            ("session_ok", TRANSPORT_BLE, None),  # takeover, BLE
+            ("session_ok", TRANSPORT_BT, None),  # the real alice: her BT bond is untouched
+        ]
+        assert outcome.victim_reconnect == "ok"
+
     def test_attacker_starts_with_no_victim_keys(self, ctx):
         alice, bob = bonded_victims(ctx)
         # The attack constructs its device fresh; nothing in the config can

@@ -1,4 +1,4 @@
-"""Profiles, bond records, and the policy-gated key store."""
+"""Profiles, bond records, and the key store with its policy verdicts."""
 
 import pytest
 
@@ -89,13 +89,15 @@ class TestKeyRecord:
 class TestBondTable:
     def test_store_into_empty_table_always_allowed(self):
         table = BondTable()
-        outcome = table.store(record(), PolicySet(sig51_rule=True, c3_no_cross_overwrite=True))
-        assert outcome.stored and not outcome.overwrote
+        rec = record()
+        verdict = table.evaluate_store(rec, PolicySet(sig51_rule=True, c3_no_cross_overwrite=True))
+        assert verdict.allow
+        assert not table.commit(rec).overwrote
 
     def test_lookup_after_store(self):
         table = BondTable()
         rec = record()
-        table.store(rec, PolicySet())
+        table.commit(rec)
         assert table.lookup(rec.peer, "BT") == rec
         assert table.lookup(rec.peer, "BLE") is None
 
@@ -106,32 +108,32 @@ class TestBondTable:
         table = BondTable()
         old = record(key_byte=0x41)
         new = record(key_byte=0x42)
-        table.store(old, PolicySet())
-        outcome = table.store(new, PolicySet())
-        assert outcome.stored and outcome.overwrote
-        assert outcome.previous == old
+        table.commit(old)
+        assert table.commit(new).overwrote
         assert table.lookup(new.peer, "BT").key.value == bytes([0x42]) * 16
         assert len(table.records) == 1  # (peer, transport) uniqueness
 
     def test_sig51_blocks_mitm_downgrade(self):
         table = BondTable()
-        table.store(record(mitm=True), PolicySet())
-        outcome = table.store(record(mitm=False, key_byte=0x42), PolicySet(sig51_rule=True))
-        assert not outcome.stored
-        assert outcome.reason is RejectionReason.MITM_DOWNGRADE
+        table.commit(record(mitm=True))
+        verdict = table.evaluate_store(record(mitm=False, key_byte=0x42), PolicySet(sig51_rule=True))
+        assert not verdict.allow
+        assert verdict.reason is RejectionReason.MITM_DOWNGRADE
 
     def test_sig51_allows_equal_protection_overwrite(self):
         table = BondTable()
-        table.store(record(mitm=False), PolicySet())
-        outcome = table.store(record(mitm=False, key_byte=0x42), PolicySet(sig51_rule=True))
-        assert outcome.stored and outcome.overwrote
+        table.commit(record(mitm=False))
+        new = record(mitm=False, key_byte=0x42)
+        assert table.evaluate_store(new, PolicySet(sig51_rule=True)).allow
+        assert table.commit(new).overwrote
 
     def test_rejection_leaves_table_unchanged(self):
         table = BondTable()
         old = record(mitm=True)
-        table.store(old, PolicySet())
+        table.commit(old)
         snap = table.snapshot()
-        table.store(record(mitm=False, key_byte=0x42), PolicySet(sig51_rule=True))
+        verdict = table.evaluate_store(record(mitm=False, key_byte=0x42), PolicySet(sig51_rule=True))
+        assert not verdict.allow
         assert table.records == snap
 
 

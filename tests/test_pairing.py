@@ -10,7 +10,6 @@ from ctkdsim.device import Association, KeyOrigin
 from ctkdsim.pairing import (
     PairingSession,
     PairingState,
-    accept_tunnel_frame,
     ble_pair,
     bt_pair,
     build_pairing_request,
@@ -19,12 +18,7 @@ from ctkdsim.pairing import (
     negotiate_association,
 )
 from ctkdsim.policies import PolicySet, RejectionReason
-from ctkdsim.smp import (
-    IoCapability,
-    MARKER_BT_TUNNELED,
-    TunnelFrame,
-    KeyMaterial,
-)
+from ctkdsim.smp import IoCapability, KeyMaterial
 from ctkdsim.crypto import Key128
 
 
@@ -155,14 +149,6 @@ class TestBtPairing:
         # Atomicity: neither table moved.
         assert guarded.bonds.records == snap_guarded
         assert laptop.bonds.records == snap_laptop
-
-    def test_tunnel_frames_need_encrypted_session(self, ctx, headset):
-        frame = TunnelFrame(
-            MARKER_BT_TUNNELED,
-            KeyMaterial(Key128(bytes(16)), Key128(bytes(16))),
-        )
-        assert not accept_tunnel_frame(headset, frame, session_encrypted=False)
-        assert accept_tunnel_frame(headset, frame, session_encrypted=True)
 
     def test_without_ctkd_only_bt_keyed(self, ctx, laptop, headset):
         session = bt_pair(ctx, laptop, headset, want_ctkd=False)

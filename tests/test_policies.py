@@ -54,7 +54,7 @@ class TestC2:
 class TestC3:
     def test_derived_key_onto_keyed_transport_rejected(self):
         table = BondTable()
-        table.store(record(transport="BT"), PolicySet())
+        table.commit(record(transport="BT"))
         incoming = record(transport="BT", origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
         verdict = c3_check(table, incoming)
         assert not verdict.allow and verdict.reason is RejectionReason.C3_OVERWRITE_BLOCK
@@ -72,7 +72,7 @@ class TestC3:
 
     def test_direct_repairing_not_gated(self):
         table = BondTable()
-        table.store(record(transport="BT"), PolicySet())
+        table.commit(record(transport="BT"))
         assert c3_check(table, record(transport="BT", key_byte=0x42)).allow
 
 
@@ -99,19 +99,19 @@ class TestEvaluate:
 
     def test_baseline_never_rejects(self):
         table = BondTable()
-        table.store(record(mitm=True), PolicySet())
+        table.commit(record(mitm=True))
         incoming = record(mitm=False, origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
         assert evaluate(PolicySet(), self._context(table, incoming)).allow
 
     def test_sig51_allows_equal_protection_attack_write(self):
         table = BondTable()
-        table.store(record(mitm=False), PolicySet())
+        table.commit(record(mitm=False))
         incoming = record(mitm=False, key_byte=0x42)
         assert evaluate(PolicySet(sig51_rule=True), self._context(table, incoming)).allow
 
     def test_c3_rejects_the_same_equal_protection_write(self):
         table = BondTable()
-        table.store(record(mitm=False), PolicySet())
+        table.commit(record(mitm=False))
         incoming = record(mitm=False, origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
         verdict = evaluate(
             PolicySet(c3_no_cross_overwrite=True), self._context(table, incoming)
@@ -120,7 +120,7 @@ class TestEvaluate:
 
     def test_pure_given_same_inputs(self):
         table = BondTable()
-        table.store(record(mitm=True), PolicySet())
+        table.commit(record(mitm=True))
         incoming = record(mitm=False, key_byte=0x42)
         policy = PolicySet(sig51_rule=True, c4_association_monotonic=True)
         first = evaluate(policy, self._context(table, incoming))
@@ -129,7 +129,7 @@ class TestEvaluate:
 
     def test_version_gating_skips_old_devices(self):
         table = BondTable()
-        table.store(record(mitm=True), PolicySet())
+        table.commit(record(mitm=True))
         incoming = record(mitm=False, key_byte=0x42)
         gated = PolicySet(sig51_rule=True, sig51_version_gated=True)
         assert evaluate(gated, self._context(table, incoming, bt_version="5.0")).allow
@@ -156,8 +156,8 @@ class TestC1Tick:
     def test_live_session_keeps_pairable(self, ctx):
         a = device(ctx, "a", 0x43, policies=PolicySet(c1_auto_pairable=True, c1_idle_threshold=1))
         b = device(ctx, "b", 0x44)
-        a.bonds.store(_bond_for(a, b), PolicySet())
-        b.bonds.store(_bond_for(b, a), PolicySet())
+        a.bonds.commit(_bond_for(a, b))
+        b.bonds.commit(_bond_for(b, a))
         assert establish_session(ctx, a, b, "BT").ok
         assert not c1_tick(a, "BT", event_clock=10_000)
         assert a.is_pairable("BT")

@@ -89,6 +89,32 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="transport"):
             Scenario.from_dict(raw)
 
+    @pytest.mark.parametrize("entropy", [3, 17, "16", 12.5, True])
+    def test_session_entropy_must_be_a_key_size(self, entropy):
+        raw = scenario_dict()
+        raw["pre_state"][1]["entropy"] = entropy
+        with pytest.raises(ScenarioError, match=r"pre_state\[1\]: entropy"):
+            Scenario.from_dict(raw)
+
+    def test_session_entropy_in_range_loads(self):
+        raw = scenario_dict()
+        raw["pre_state"][1]["entropy"] = 7
+        assert Scenario.from_dict(raw).pre_state[1]["entropy"] == 7
+
+    @pytest.mark.parametrize("ctkd", ["no", 0, None])
+    def test_pair_ctkd_must_be_a_bool(self, ctkd):
+        raw = scenario_dict()
+        raw["pre_state"][0]["ctkd"] = ctkd
+        with pytest.raises(ScenarioError, match=r"pre_state\[0\]: ctkd"):
+            Scenario.from_dict(raw)
+
+    @pytest.mark.parametrize("index, field", [(0, "bogus"), (0, "entropy"), (1, "ctkd")])
+    def test_step_field_its_action_does_not_read(self, index, field):
+        raw = scenario_dict()
+        raw["pre_state"][index][field] = 1
+        with pytest.raises(ScenarioError, match=rf"pre_state\[{index}\]: unknown field.*{field}"):
+            Scenario.from_dict(raw)
+
     def test_missing_seed(self):
         raw = scenario_dict()
         del raw["seed"]

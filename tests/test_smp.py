@@ -10,13 +10,9 @@ from ctkdsim.smp import (
     CodecError,
     IoCapability,
     KeyDistBits,
-    KeyMaterial,
-    MARKER_BLE_NATIVE,
-    MARKER_BT_TUNNELED,
     OPCODE_REQUEST,
     OPCODE_RESPONSE,
     SmpPairingMessage,
-    TunnelFrame,
     ctkd_requested,
     decode_bt_auth_req,
     decode_pairing,
@@ -25,7 +21,6 @@ from ctkdsim.smp import (
     hexdump,
     parse_hexdump,
 )
-from ctkdsim.crypto import Key128
 
 
 class TestAuthReqBits:
@@ -176,15 +171,6 @@ class TestCtkdRequested:
 
     def test_all_zero(self):
         assert not ctkd_requested(self._msg(False, False))
-
-
-class TestTunnelFrame:
-    def test_markers(self):
-        material = KeyMaterial(Key128(bytes(16)), Key128(bytes(16)))
-        TunnelFrame(MARKER_BLE_NATIVE, material)
-        TunnelFrame(MARKER_BT_TUNNELED, material)
-        with pytest.raises(CodecError):
-            TunnelFrame("UART-tunneled", material)
 
 
 class TestHexdump:
