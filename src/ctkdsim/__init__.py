@@ -41,7 +41,6 @@ from .device import (
 )
 from .pairing import (
     PairingSession,
-    PairingState,
     SessionState,
     SimContext,
     ble_pair,

@@ -14,7 +14,7 @@ from enum import Enum, IntEnum
 from typing import Optional
 
 from .crypto import Address, TRANSPORT_BLE, TRANSPORT_BT, TRANSPORTS, random_address
-from .device import Association, Device, DeviceProfile, PairingRole, RoleCaps
+from .device import Association, Device, DeviceProfile, PairingRole
 from .pairing import (
     PairingSession,
     SimContext,
@@ -128,8 +128,6 @@ def _attacker_device(ctx: SimContext, config: AttackerConfig, claimed: Address) 
         h7_supported=True,
         pairable_bt=True,
         pairable_ble=True,
-        discoverable=True,
-        role_caps=RoleCaps(True, True, True),
     )
     return make_device(ctx, profile)
 

@@ -1,16 +1,15 @@
 """Simulated device state: profile, per-transport pairability, bond store.
 
 The bond table is the attack surface of this whole simulator. Pairing
-asks it for a policy verdict on every prospective record
-(``evaluate_store``) before it commits any of them (``commit``); the
-enumerated rejection reasons are what scenarios assert on when a defense
-blocks a write.
+gets a policy verdict on every prospective record before it commits any
+of them (``commit``); the enumerated rejection reasons are what
+scenarios assert on when a defense blocks a write.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
@@ -19,7 +18,7 @@ from .smp import CONFIRM_CAPABLE, IoCapability, KeyMaterial
 
 if TYPE_CHECKING:
     from .pairing import SessionState
-    from .policies import PolicySet, PolicyVerdict
+    from .policies import PolicySet
 
 
 class Association(Enum):
@@ -56,14 +55,23 @@ _IO_BY_NAME = {
     "NoInputNoOutput": IoCapability.NO_INPUT_NO_OUTPUT,
     "KeyboardDisplay": IoCapability.KEYBOARD_DISPLAY,
 }
-IO_NAMES = {v: k for k, v in _IO_BY_NAME.items()}
 
 
-@dataclass(frozen=True)
-class RoleCaps:
-    bt_role_switch: bool = True
-    ble_central: bool = True
-    ble_peripheral: bool = True
+def pop_options(cls, data: dict, where: str) -> dict:
+    """Pop from ``data`` each field of dataclass ``cls`` that has a default.
+
+    A value must have exactly its default's type, so a JSON ``"no"`` is not
+    read as a true flag and ``true`` is not read as the number 1.
+    """
+    options = {}
+    for f in fields(cls):
+        if f.default is MISSING or f.name not in data:
+            continue
+        value = data.pop(f.name)
+        if type(value) is not type(f.default):
+            raise ValueError(f"{where}: {f.name} must be {type(f.default).__name__}, got {value!r}")
+        options[f.name] = value
+    return options
 
 
 @dataclass(frozen=True)
@@ -80,11 +88,8 @@ class DeviceProfile:
     h7_supported: bool = True
     pairable_bt: bool = True
     pairable_ble: bool = True
-    discoverable: bool = True
-    role_caps: RoleCaps = field(default_factory=RoleCaps)
     ctkd_backported: bool = False
     max_key_size: int = 16
-    device_class: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.bt_version not in BT_VERSIONS:
@@ -111,58 +116,28 @@ class DeviceProfile:
     @classmethod
     def from_dict(cls, raw: dict, where: str = "profile") -> "DeviceProfile":
         data = dict(raw)
-        try:
-            address = Address.parse(data.pop("address"))
-            name = data.pop("name")
-            bt_version = str(data.pop("bt_version"))
-            io_name = data.pop("io_capability")
-        except KeyError as missing:
-            raise ValueError(f"{where}: missing required field {missing.args[0]!r}") from None
-        if io_name not in _IO_BY_NAME:
-            raise ValueError(f"{where}: unknown io_capability {io_name!r}")
-        role_caps = RoleCaps(**data.pop("role_caps")) if "role_caps" in data else RoleCaps()
-        known = {
-            f: data.pop(f)
-            for f in (
-                "sc_host", "sc_controller", "ctkd_supported", "h7_supported",
-                "pairable_bt", "pairable_ble", "discoverable", "ctkd_backported",
-                "max_key_size", "device_class",
-            )
-            if f in data
-        }
+        required = {}
+        for name in ("address", "name", "bt_version", "io_capability"):
+            if name not in data:
+                raise ValueError(f"{where}: missing required field {name!r}")
+            required[name] = data.pop(name)
+            if not isinstance(required[name], str):
+                raise ValueError(f"{where}: {name} must be str, got {required[name]!r}")
+        if required["io_capability"] not in _IO_BY_NAME:
+            raise ValueError(f"{where}: unknown io_capability {required['io_capability']!r}")
+        options = pop_options(cls, data, where)
         if data:
             raise ValueError(f"{where}: unknown field(s) {sorted(data)}")
-        return cls(
-            address=address,
-            name=name,
-            bt_version=bt_version,
-            io_capability=_IO_BY_NAME[io_name],
-            role_caps=role_caps,
-            **known,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "address": str(self.address),
-            "name": self.name,
-            "bt_version": self.bt_version,
-            "io_capability": IO_NAMES[self.io_capability],
-            "sc_host": self.sc_host,
-            "sc_controller": self.sc_controller,
-            "ctkd_supported": self.ctkd_supported,
-            "h7_supported": self.h7_supported,
-            "pairable_bt": self.pairable_bt,
-            "pairable_ble": self.pairable_ble,
-            "discoverable": self.discoverable,
-            "role_caps": {
-                "bt_role_switch": self.role_caps.bt_role_switch,
-                "ble_central": self.role_caps.ble_central,
-                "ble_peripheral": self.role_caps.ble_peripheral,
-            },
-            "ctkd_backported": self.ctkd_backported,
-            "max_key_size": self.max_key_size,
-            "device_class": self.device_class,
-        }
+        try:
+            return cls(
+                address=Address.parse(required["address"]),
+                name=required["name"],
+                bt_version=required["bt_version"],
+                io_capability=_IO_BY_NAME[required["io_capability"]],
+                **options,
+            )
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -184,20 +159,6 @@ class KeyRecord:
             raise ValueError("mitm_protected flag must mirror the association method")
 
 
-@dataclass(frozen=True)
-class StoreContext:
-    """Everything a policy decision may consult for one key-store mutation."""
-
-    table: "BondTable"
-    existing: Optional[KeyRecord]
-    incoming: KeyRecord
-    # For a derived record: the direct record established in the same run,
-    # and what the table held on that direct transport before the run.
-    ctkd_source: Optional[KeyRecord] = None
-    prior_direct: Optional[KeyRecord] = None
-    bt_version: Optional[str] = None
-
-
 @dataclass
 class StoreOutcome:
     overwrote: bool
@@ -211,18 +172,6 @@ class BondTable:
 
     def lookup(self, peer: Address, transport: str) -> Optional[KeyRecord]:
         return self.records.get((peer, transport))
-
-    def evaluate_store(self, record: KeyRecord, policy: "PolicySet", **context) -> "PolicyVerdict":
-        """The policy verdict on one prospective mutation (no state change)."""
-        from . import policies  # deferred: policies imports this module
-
-        ctx = StoreContext(
-            table=self,
-            existing=self.lookup(record.peer, record.transport),
-            incoming=record,
-            **context,
-        )
-        return policies.evaluate(policy, ctx)
 
     def commit(self, record: KeyRecord) -> StoreOutcome:
         """Insert or replace the record; the caller has already had its verdict."""
@@ -258,7 +207,6 @@ class Device:
         return self.profile.name
 
     def is_pairable(self, transport: str) -> bool:
-        # Pairability never depends on being discoverable.
         return self._pairable[transport]
 
     def set_pairable(self, transport: str, flag: bool, manual: bool = True) -> None:

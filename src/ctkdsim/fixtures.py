@@ -51,8 +51,6 @@ def _victim_profile(index: int, name: str, version: str, io_cap: str) -> dict:
         # 4.1 device with vendor-backported derivation support, SC only on
         # the controller side, no salted-conversion support.
         profile.update(ctkd_backported=True, sc_host=False, h7_supported=False)
-    if name == "lenovo-x1-7th-gen":
-        profile["device_class"] = "0x1c010c"
     return profile
 
 

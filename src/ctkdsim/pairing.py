@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from enum import IntEnum
 from typing import Optional
 
 from .crypto import (
@@ -38,7 +37,7 @@ from .crypto import (
     session_key,
 )
 from .device import Association, Device, DeviceProfile, KeyOrigin, KeyRecord, PairingRole
-from .policies import PolicySet, RejectionReason, c2_check, c4_check
+from .policies import PolicySet, RejectionReason, c2_check, c4_check, evaluate
 from .smp import (
     CONFIRM_CAPABLE,
     AuthReqBits,
@@ -76,17 +75,6 @@ def make_device(ctx: SimContext, profile: DeviceProfile, policies: Optional[Poli
     return Device(profile, policies if policies is not None else PolicySet(), ctx.rng)
 
 
-class PairingState(IntEnum):
-    IDLE = 0
-    REQUESTED = 1
-    RESPONDED = 2
-    KEYS_COMPUTED = 3
-    CTKD_DONE = 4
-    DISTRIBUTING = 5
-    COMPLETE = 6
-    ABORTED = 7
-
-
 @dataclass
 class Negotiated:
     association: Optional[Association] = None
@@ -100,29 +88,14 @@ class PairingSession:
     initiator: Address
     responder: Address
     transport: str
-    state: PairingState = PairingState.IDLE
     negotiated: Negotiated = field(default_factory=Negotiated)
     nonces: Optional[tuple[Nonce, Nonce]] = None
     abort_reason: Optional[RejectionReason] = None
-
-    def advance(self, new_state: PairingState) -> None:
-        if self.state is PairingState.ABORTED:
-            raise ValueError("aborted pairing session is terminal")
-        if new_state is not PairingState.ABORTED and new_state <= self.state:
-            raise ValueError(f"cannot move from {self.state.name} to {new_state.name}")
-        self.state = new_state
-
-    def abort(self, reason: RejectionReason) -> None:
-        self.abort_reason = reason
-        self.advance(PairingState.ABORTED)
-
-    @property
-    def complete(self) -> bool:
-        return self.state is PairingState.COMPLETE
+    complete: bool = False  # set once both bond tables hold the run's keys
 
     @property
     def aborted(self) -> bool:
-        return self.state is PairingState.ABORTED
+        return self.abort_reason is not None
 
 
 @dataclass
@@ -284,13 +257,12 @@ def _request(ctx: SimContext, initiator: Device, responder: Device, transport: s
     """Send the pairing request; a responder that is not pairable aborts the run."""
     session = PairingSession(initiator.address, responder.address, transport)
     _emit_message(ctx, initiator, responder, transport, encode_pairing(request), "request", **extra)
-    session.advance(PairingState.REQUESTED)
     if not responder.is_pairable(transport):
         _emit_verdict(
             ctx, responder, stage="pairing_request", transport=transport,
             peer=initiator.address, allow=False, reason=RejectionReason.NOT_PAIRABLE,
         )
-        session.abort(RejectionReason.NOT_PAIRABLE)
+        session.abort_reason = RejectionReason.NOT_PAIRABLE
     return session
 
 
@@ -299,7 +271,6 @@ def _respond(ctx: SimContext, session: PairingSession, initiator: Device, respon
     """Send the response and settle the association method from both messages."""
     frame = encode_pairing(response)
     _emit_message(ctx, responder, initiator, session.transport, frame, "response", **extra)
-    session.advance(PairingState.RESPONDED)
     session.negotiated.association = negotiate_association(
         request.io_capability, response.io_capability,
         request.auth_req.mitm, response.auth_req.mitm,
@@ -321,7 +292,7 @@ def _early_check(ctx, session: PairingSession, initiator: Device, responder: Dev
         for transport in TRANSPORTS:
             existing = device.bonds.lookup(peer.address, transport)
             if role_stage:
-                verdict = c2_check(existing, peer_role, session.transport)
+                verdict = c2_check(existing, peer_role)
             else:
                 verdict = c4_check(existing, session.negotiated.association)
             if not verdict.allow:
@@ -329,7 +300,7 @@ def _early_check(ctx, session: PairingSession, initiator: Device, responder: Dev
                     ctx, device, stage=stage, transport=session.transport,
                     peer=peer.address, allow=False, reason=verdict.reason,
                 )
-                session.abort(verdict.reason)
+                session.abort_reason = verdict.reason
                 return False
     return True
 
@@ -360,7 +331,6 @@ def _agree_key(ctx: SimContext, session: PairingSession, initiator: Device, resp
     key = kdf(dk, initiator.address, responder.address, n_i, n_r, *kdf_args)
     if session.negotiated.association is Association.NUMERIC_COMPARISON:
         key = replace(key, mitm_protected=True)
-    session.advance(PairingState.KEYS_COMPUTED)
     return key
 
 
@@ -383,10 +353,7 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
     before any is committed, so one rejection aborts the run with both
     tables untouched.
     """
-    if derived_key is not None:
-        session.advance(PairingState.CTKD_DONE)
-    session.advance(PairingState.DISTRIBUTING)
-    pending = []  # (device, record, what the policy check needs beyond the table)
+    pending = []  # (device, record, what the verdict needs beyond the stored record)
     for device, peer, peer_role in _sides(initiator, responder):
         def bond(transport, key, origin):
             return KeyRecord(
@@ -401,8 +368,9 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
             pending.append((device, derived, {"ctkd_source": direct, "prior_direct": prior_direct}))
 
     for device, record, context in pending:
-        verdict = device.bonds.evaluate_store(
-            record, device.policies, bt_version=device.profile.bt_version, **context,
+        verdict = evaluate(
+            device.policies, device.bonds.lookup(record.peer, record.transport), record,
+            bt_version=device.profile.bt_version, **context,
         )
         _emit_verdict(
             ctx, device, stage="store", transport=record.transport, peer=record.peer,
@@ -413,14 +381,14 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
                 device.address, KIND_KEY_REJECTED, transport=record.transport,
                 peer=str(record.peer), origin=record.origin.value, reason=verdict.reason.value,
             )
-            session.abort(verdict.reason)
+            session.abort_reason = verdict.reason
             return session
     for device, record, _ in pending:
         outcome = device.bonds.commit(record)
         ctx.trace.emit(device.address, KIND_KEY_STORED, **_record_payload(record, outcome.overwrote))
         if outcome.overwrote:
             _invalidate_sessions(device, record.peer, record.transport)
-    session.advance(PairingState.COMPLETE)
+    session.complete = True
     return session
 
 

@@ -9,28 +9,27 @@ key that is weaker in strength or MITM protection). The four countermeasures:
   refuses derivation from a weaker re-pairing key,
 * C4 never lets the association method weaken across re-pairings.
 
-All checks are pure; ``evaluate`` is the conjunction of whatever is enabled.
+All checks are pure, and each runs at exactly one stage: C2 when the
+pairing request arrives and C4 once the association method is settled
+(both in ``pairing._early_check``), C1 on the idle tick, and the overwrite
+rule and C3 on each key-store write (``evaluate``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .crypto import TRANSPORTS
 from .device import (
     Association,
-    BondTable,
+    Device,
     KeyOrigin,
     KeyRecord,
     PairingRole,
-    StoreContext,
+    pop_options,
     version_at_least,
 )
-
-if TYPE_CHECKING:
-    from .device import Device
 
 
 class RejectionReason(Enum):
@@ -55,6 +54,14 @@ class PolicyVerdict:
 
 ALLOW = PolicyVerdict(True)
 
+_ALIASES = {
+    "sig51": "sig51_rule",
+    "c1": "c1_auto_pairable",
+    "c2": "c2_role_binding",
+    "c3": "c3_no_cross_overwrite",
+    "c4": "c4_association_monotonic",
+}
+
 
 @dataclass(frozen=True)
 class PolicySet:
@@ -73,39 +80,17 @@ class PolicySet:
     @classmethod
     def from_dict(cls, raw: dict, where: str = "policies") -> "PolicySet":
         data = dict(raw)
-        kwargs = {}
-        for name in (
-            "sig51_rule", "sig51_version_gated", "c1_auto_pairable",
-            "c1_idle_threshold", "c2_role_binding", "c3_no_cross_overwrite",
-            "c4_association_monotonic",
-        ):
-            if name in data:
-                kwargs[name] = data.pop(name)
         # Short aliases used by scenario files and the CLI --policies flag.
-        for alias, name in (
-            ("sig51", "sig51_rule"), ("c1", "c1_auto_pairable"),
-            ("c2", "c2_role_binding"), ("c3", "c3_no_cross_overwrite"),
-            ("c4", "c4_association_monotonic"),
-        ):
+        for alias, name in _ALIASES.items():
             if alias in data:
-                kwargs[name] = data.pop(alias)
+                data[name] = data.pop(alias)
+        options = pop_options(cls, data, where)
         if data:
             raise ValueError(f"{where}: unknown policy field(s) {sorted(data)}")
-        return cls(**kwargs)
+        return cls(**options)
 
     def enabled_names(self) -> list[str]:
-        names = []
-        if self.sig51_rule:
-            names.append("sig51")
-        if self.c1_auto_pairable:
-            names.append("c1")
-        if self.c2_role_binding:
-            names.append("c2")
-        if self.c3_no_cross_overwrite:
-            names.append("c3")
-        if self.c4_association_monotonic:
-            names.append("c4")
-        return names
+        return [alias for alias, name in _ALIASES.items() if getattr(self, name)]
 
 
 def sig51_check(existing: Optional[KeyRecord], incoming: KeyRecord) -> PolicyVerdict:
@@ -123,11 +108,7 @@ def sig51_check(existing: Optional[KeyRecord], incoming: KeyRecord) -> PolicyVer
     return ALLOW
 
 
-def c2_check(
-    existing: Optional[KeyRecord],
-    incoming_role: PairingRole,
-    incoming_transport: str,
-) -> PolicyVerdict:
+def c2_check(existing: Optional[KeyRecord], incoming_role: PairingRole) -> PolicyVerdict:
     """Reject when a stored bond for the peer was made with a different role."""
     if existing is not None and existing.role_at_pairing != incoming_role:
         return PolicyVerdict(False, RejectionReason.C2_ROLE_MISMATCH)
@@ -142,7 +123,7 @@ def _weaker(candidate: KeyRecord, baseline: KeyRecord) -> bool:
 
 
 def c3_check(
-    table: BondTable,
+    existing: Optional[KeyRecord],
     incoming: KeyRecord,
     ctkd_source: Optional[KeyRecord] = None,
     prior_direct: Optional[KeyRecord] = None,
@@ -155,7 +136,7 @@ def c3_check(
     """
     if incoming.origin is not KeyOrigin.CTKD_DERIVED:
         return ALLOW
-    if table.lookup(incoming.peer, incoming.transport) is not None:
+    if existing is not None:
         return PolicyVerdict(False, RejectionReason.C3_OVERWRITE_BLOCK)
     if ctkd_source is not None and prior_direct is not None and _weaker(ctkd_source, prior_direct):
         return PolicyVerdict(False, RejectionReason.C3_WEAK_INPUT_BLOCK)
@@ -169,45 +150,32 @@ def c4_check(existing: Optional[KeyRecord], incoming_association: Association) -
     return ALLOW
 
 
-def evaluate(policy: PolicySet, context: StoreContext) -> PolicyVerdict:
-    """Conjunction of the enabled store-time checks; first failure wins."""
-    incoming = context.incoming
-    if policy.sig51_rule:
-        gated_out = policy.sig51_version_gated and context.bt_version is not None and not version_at_least(context.bt_version, "5.1")
-        if not gated_out:
-            verdict = sig51_check(context.existing, incoming)
-            if not verdict.allow:
-                return verdict
-    if policy.c2_role_binding:
-        for transport in TRANSPORTS:
-            verdict = c2_check(
-                context.table.lookup(incoming.peer, transport),
-                incoming.role_at_pairing,
-                incoming.transport,
-            )
-            if not verdict.allow:
-                return verdict
-    if policy.c3_no_cross_overwrite:
-        verdict = c3_check(
-            context.table,
-            incoming,
-            ctkd_source=context.ctkd_source,
-            prior_direct=context.prior_direct,
-        )
+def evaluate(
+    policy: PolicySet,
+    existing: Optional[KeyRecord],
+    incoming: KeyRecord,
+    *,
+    ctkd_source: Optional[KeyRecord] = None,
+    prior_direct: Optional[KeyRecord] = None,
+    bt_version: Optional[str] = None,
+) -> PolicyVerdict:
+    """The verdict on writing ``incoming`` over ``existing``: sig51, then c3.
+
+    ``ctkd_source`` and ``prior_direct`` only matter for a derived record:
+    the direct record of the same run, and what its transport held before.
+    """
+    gated_out = policy.sig51_version_gated and bt_version is not None \
+        and not version_at_least(bt_version, "5.1")
+    if policy.sig51_rule and not gated_out:
+        verdict = sig51_check(existing, incoming)
         if not verdict.allow:
             return verdict
-    if policy.c4_association_monotonic:
-        for transport in TRANSPORTS:
-            verdict = c4_check(
-                context.table.lookup(incoming.peer, transport),
-                incoming.association,
-            )
-            if not verdict.allow:
-                return verdict
+    if policy.c3_no_cross_overwrite:
+        return c3_check(existing, incoming, ctkd_source, prior_direct)
     return ALLOW
 
 
-def c1_tick(device: "Device", transport: str, event_clock: int) -> bool:
+def c1_tick(device: Device, transport: str, event_clock: int) -> bool:
     """Auto-disable pairability on an idle, session-less transport.
 
     Returns True when this tick turned pairability off. Transports the user

