@@ -35,7 +35,11 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
 
     if args.trace:
-        emit_trace(result.trace, args.trace)
+        try:
+            emit_trace(result.trace, args.trace)
+        except OSError as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return EXIT_CONFIG
 
     outcome = result.outcome.to_dict()
     print(f"scenario: {scenario.name}")
@@ -65,7 +69,11 @@ def _cmd_matrix(args) -> int:
     report = run_matrix(scenarios, policy_override=override)
     print(report.render_text(), end="")
     if args.report:
-        Path(args.report).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+        try:
+            Path(args.report).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+        except OSError as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"report written to {args.report}")
     if report.errors:
         for err in report.errors:

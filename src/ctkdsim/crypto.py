@@ -10,6 +10,7 @@ separated CMAC chains, which is all the protocol-level attacks need.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ class Address:
         return cls(bytes(int(p, 16) for p in parts))
 
     def __str__(self) -> str:
-        return ":".join(f"{b:02x}" for b in self.value)
+        return self.value.hex(":")
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,12 @@ def ctkd_bt_to_ble(k_bt: Key128, h7_supported: bool) -> Key128:
 
 @dataclass(frozen=True)
 class DhPrivate:
+    """The private half of a keypair.
+
+    ``value`` is the integer exponent for toy-modp and the
+    ``EllipticCurvePrivateKey`` for p256.
+    """
+
     value: object
     backend: str
 
@@ -200,7 +207,11 @@ class ToyModPBackend:
 
     def generate(self, rng: random.Random) -> DhKeyPair:
         exponent = rng.randrange(2, self.prime - 1)
-        public = pow(self.generator, exponent, self.prime)
+        # generator**exponent as one table entry per exponent byte.
+        public = 1
+        for row, byte in zip(_toy_generator_table(), exponent.to_bytes(16, "little")):
+            if byte:
+                public = public * row[byte] % self.prime
         return DhKeyPair(DhPrivate(exponent, self.name), DhPublic(public, self.name))
 
     def shared(self, private: DhPrivate, public: DhPublic) -> bytes:
@@ -208,6 +219,21 @@ class ToyModPBackend:
 
     def public_bytes(self, public: DhPublic) -> bytes:
         return public.value.to_bytes(16, "big")
+
+
+@functools.cache
+def _toy_generator_table() -> tuple[tuple[int, ...], ...]:
+    """Row ``i``, entry ``j`` is ``generator**(j << 8*i) % prime``: 16 rows of 256."""
+    prime = ToyModPBackend.prime
+    rows = []
+    base = ToyModPBackend.generator
+    for _ in range(16):
+        row = [1]
+        for _ in range(255):
+            row.append(row[-1] * base % prime)
+        rows.append(tuple(row))
+        base = row[-1] * base % prime
+    return tuple(rows)
 
 
 class P256Backend:
@@ -224,14 +250,13 @@ class P256Backend:
         scalar = rng.randrange(1, self._order)
         key = ec.derive_private_key(scalar, ec.SECP256R1())
         pub = key.public_key().public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
-        return DhKeyPair(DhPrivate(scalar, self.name), DhPublic(pub, self.name))
+        return DhKeyPair(DhPrivate(key, self.name), DhPublic(pub, self.name))
 
     def shared(self, private: DhPrivate, public: DhPublic) -> bytes:
         from cryptography.hazmat.primitives.asymmetric import ec
 
-        key = ec.derive_private_key(private.value, ec.SECP256R1())
         peer = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), public.value)
-        return key.exchange(ec.ECDH(), peer)[:16]
+        return private.value.exchange(ec.ECDH(), peer)[:16]
 
     def public_bytes(self, public: DhPublic) -> bytes:
         return public.value

@@ -202,7 +202,7 @@ class KeyMaterial:
 
 def hexdump(data: bytes) -> str:
     """Trace convention for raw frames: lowercase hex, space-separated."""
-    return " ".join(f"{b:02x}" for b in data)
+    return data.hex(" ")
 
 
 def parse_hexdump(text: str) -> bytes:

@@ -25,6 +25,9 @@ KINDS = (
     KIND_POLICY_VERDICT,
 )
 
+# One encoder for every event; sort_keys makes the on-disk form byte-stable for hashing.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -34,11 +37,8 @@ class TraceEvent:
     payload: dict
 
     def to_json(self) -> str:
-        # sort_keys makes the on-disk form byte-stable for hashing.
-        return json.dumps(
-            {"index": self.index, "actor": self.actor, "kind": self.kind, "payload": self.payload},
-            sort_keys=True,
-            separators=(",", ":"),
+        return _encode(
+            {"index": self.index, "actor": self.actor, "kind": self.kind, "payload": self.payload}
         )
 
     @classmethod
@@ -86,6 +86,8 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
 
 def trace_digest(events: Iterable[TraceEvent]) -> str:
     """Stable hash of a full trace, for determinism checks."""
+    # Imported here: loading OpenSSL's hashlib costs every `import ctkdsim`
+    # several milliseconds, and only runs that take a digest need it.
     import hashlib
 
     h = hashlib.sha256()

@@ -3,6 +3,9 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
+from hypothesis import given, strategies as st
 
 from reference import (
     RFC4493_KEY,
@@ -21,6 +24,7 @@ from ctkdsim.crypto import (
     BackendMismatchError,
     Key128,
     Nonce,
+    P256Backend,
     SharedSecret,
     TAG_BRLE,
     TAG_LEBR,
@@ -58,6 +62,14 @@ class TestKey128:
         key = Key128.from_hex("00112233445566778899aabbccddeeff", 7, True)
         assert key.hex() == "00112233445566778899aabbccddeeff"
         assert key.strength == 7 and key.mitm_protected
+
+
+class TestAddressText:
+    @given(st.binary(min_size=6, max_size=6))
+    def test_matches_per_byte_rendering_and_round_trips(self, value):
+        text = str(Address(value))
+        assert text == ":".join(f"{b:02x}" for b in value)
+        assert Address.parse(text) == Address(value)
 
 
 class TestTags:
@@ -165,7 +177,42 @@ class TestCtkdConversion:
                     assert out.mitm_protected is mitm
 
 
+class _FixedDraw:
+    """Stands in for the simulation RNG: ``randrange`` returns one chosen value."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def randrange(self, start: int, stop: int) -> int:
+        assert start <= self.value < stop
+        return self.value
+
+
 class TestDiffieHellman:
+    @pytest.mark.parametrize("exponent", [2, 255, 256, 2**120, ToyModPBackend.prime - 2],
+                             ids=["2", "255", "256", "2^120", "prime-2"])
+    def test_toy_public_is_the_generator_power_at_edge_exponents(self, exponent):
+        pair = dh_generate(_FixedDraw(exponent))
+        assert pair.private.value == exponent
+        assert pair.public.value == pow(5, exponent, 2**127 - 1)
+
+    def test_toy_public_is_the_generator_power_for_seeded_draws(self):
+        rng = _rng(15)
+        for _ in range(1000):
+            pair = dh_generate(rng)
+            assert pair.public.value == pow(5, pair.private.value, 2**127 - 1)
+
+    def test_p256_shared_equals_the_secret_of_the_derived_scalar(self):
+        for seed in range(8):
+            a = dh_generate(random.Random(seed), "p256")
+            b = dh_generate(random.Random(seed + 100), "p256")
+            scalar = random.Random(seed).randrange(1, P256Backend._order)
+            key = ec.derive_private_key(scalar, ec.SECP256R1())
+            peer = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), b.public.value)
+            assert dh_shared(a.private, b.public).value == key.exchange(ec.ECDH(), peer)[:16]
+            assert a.public.value == key.public_key().public_bytes(
+                Encoding.X962, PublicFormat.UncompressedPoint)
+
     def test_same_seed_same_keypair(self):
         a = dh_generate(random.Random(42))
         b = dh_generate(random.Random(42))

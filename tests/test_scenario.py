@@ -3,6 +3,9 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -306,19 +309,29 @@ class TestCorpusInvariants:
         assert checked >= 64 * 2
 
     def test_every_key_event_consumes_exactly_one_verdict(self, baseline):
-        # A key event must have a pending store-stage verdict for the same
-        # mutation; verdicts without key events are fine (aborted runs stop
-        # before committing anything).
         for result in baseline:
-            pending: dict[tuple, int] = {}
-            for event in result.trace:
-                key = (event.actor, event.payload.get("peer"),
-                       event.payload.get("transport"), event.payload.get("origin"))
-                if event.kind == "policy_verdict" and event.payload.get("stage") == "store":
-                    pending[key] = pending.get(key, 0) + 1
-                elif event.kind in ("key_stored", "key_rejected"):
-                    assert pending.get(key, 0) >= 1, (result.scenario.name, event.index)
-                    pending[key] -= 1
+            _assert_a_verdict_before_every_store(result)
+
+
+def _assert_a_verdict_before_every_store(result) -> int:
+    """Checks the run's key events and returns how many there were.
+
+    A key event must have a pending store-stage verdict for the same
+    mutation; verdicts without key events are fine (aborted runs stop
+    before committing anything).
+    """
+    checked = 0
+    pending: dict[tuple, int] = {}
+    for event in result.trace:
+        key = (event.actor, event.payload.get("peer"),
+               event.payload.get("transport"), event.payload.get("origin"))
+        if event.kind == "policy_verdict" and event.payload.get("stage") == "store":
+            pending[key] = pending.get(key, 0) + 1
+        elif event.kind in ("key_stored", "key_rejected"):
+            assert pending.get(key, 0) >= 1, (result.scenario.name, event.index)
+            pending[key] -= 1
+            checked += 1
+    return checked
 
 
 def _paired_h7(events, near_index: int) -> bool:
@@ -401,6 +414,24 @@ class TestCli:
         assert cli_main(["kdf-selftest"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_run_unwritable_trace_path_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario_dict()))
+        assert cli_main(["run", str(path), "--trace", str(tmp_path / "missing" / "t.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_matrix_unwritable_report_path_exits_2(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "r.json"
+        assert cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--report", str(report)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_python_m_ctkdsim_runs_the_cli(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-m", "ctkdsim", "kdf-selftest"],
+                              capture_output=True, text=True, env=env, cwd=ROOT)
+        assert done.returncode == 0, done.stderr
+        assert "checks passed" in done.stdout
 
 
 MUTATED = ROOT / "scenarios" / "extra" / "mi-peer-without-ctkd.json"
@@ -531,6 +562,18 @@ class TestLatticeInvariants:
             if small < big and not blocked[small] <= blocked[big]
         ]
         assert not violations
+
+    def test_a_verdict_before_every_store_under_every_defense_subset(self):
+        scenarios = [load_scenario(p) for p in BUNDLED]
+        runs = checked = 0
+        for subset in _defense_subsets():
+            override = PolicySet.from_dict({name: True for name in subset})
+            for scenario in scenarios:
+                result = run_scenario(scenario, policy_override=override)
+                checked += _assert_a_verdict_before_every_store(result)
+                runs += 1
+        assert runs == 32 * 69
+        assert checked
 
     def test_outcomes_do_not_depend_on_the_seed(self):
         differ = []

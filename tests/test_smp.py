@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ctkdsim.smp import (
     AuthReqBits,
@@ -176,6 +176,11 @@ class TestCtkdRequested:
 class TestHexdump:
     def test_convention(self):
         assert hexdump(bytes([0x01, 0xAB, 0x00])) == "01 ab 00"
+
+    @given(st.binary(max_size=64))
+    @example(b"")
+    def test_matches_per_byte_rendering(self, data):
+        assert hexdump(data) == " ".join(f"{b:02x}" for b in data)
 
     def test_round_trip(self):
         rng = random.Random(5)
