@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
 from cryptography.hazmat.primitives.cmac import CMAC
@@ -44,20 +44,23 @@ class Address:
     """6-byte device identifier, shared by both transports on a dual-mode device."""
 
     value: bytes
+    text: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.value) != 6:
             raise ValueError("address must be 6 bytes")
+        object.__setattr__(self, "text", self.value.hex(":"))
 
     @classmethod
     def parse(cls, text: str) -> "Address":
-        parts = text.split(":")
-        if len(parts) != 6:
+        """The inverse of ``str``, in either case: two hex digits per octet."""
+        address = cls(bytes.fromhex(text.replace(":", " ")))
+        if address.text != text.lower():
             raise ValueError(f"bad address {text!r}")
-        return cls(bytes(int(p, 16) for p in parts))
+        return address
 
     def __str__(self) -> str:
-        return self.value.hex(":")
+        return self.text
 
 
 @dataclass(frozen=True)

@@ -184,17 +184,11 @@ def build_pairing_response(profile: DeviceProfile, request: SmpPairingMessage) -
 
 def _emit_message(ctx: SimContext, sender: Device, receiver: Device, transport: str,
                   frame: bytes, opcode: str, tunneled: bool = False, **extra) -> None:
-    payload = {
-        "transport": transport,
-        "peer": str(receiver.address),
-        "frame": hexdump(frame),
-        "opcode": opcode,
-        "tunneled": tunneled,
-        **extra,
-    }
-    ctx.trace.emit(sender.address, KIND_MSG_SENT, **payload)
-    payload_recv = dict(payload, peer=str(sender.address))
-    ctx.trace.emit(receiver.address, KIND_MSG_RECEIVED, **payload_recv)
+    text = hexdump(frame)
+    ctx.trace.emit(sender.address, KIND_MSG_SENT, transport=transport, peer=str(receiver.address),
+                   frame=text, opcode=opcode, tunneled=tunneled, **extra)
+    ctx.trace.emit(receiver.address, KIND_MSG_RECEIVED, transport=transport, peer=str(sender.address),
+                   frame=text, opcode=opcode, tunneled=tunneled, **extra)
     sender.note_activity(transport, ctx.trace.clock)
     receiver.note_activity(transport, ctx.trace.clock)
 

@@ -206,4 +206,8 @@ def hexdump(data: bytes) -> str:
 
 
 def parse_hexdump(text: str) -> bytes:
-    return bytes(int(part, 16) for part in text.split())
+    """The inverse of ``hexdump``, in either case: two hex digits per octet."""
+    data = bytes.fromhex(text)
+    if data.hex(" ") != text.lower():
+        raise ValueError(f"bad hexdump {text!r}")
+    return data

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 KIND_MSG_SENT = "msg_sent"
 KIND_MSG_RECEIVED = "msg_received"
@@ -26,11 +26,21 @@ KINDS = (
 )
 
 # One encoder for every event; sort_keys makes the on-disk form byte-stable for hashing.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# JSONEncoder.encode builds a C encoder per call, so one is built here with its settings;
+# without the _json accelerator, the pure-Python encoder writes the same bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+if c_make_encoder is None:
+    _encode = _ENCODER.encode
+else:
+    _iterencode = c_make_encoder(
+        None, _ENCODER.default, encode_basestring_ascii, None, ":", ",", True, False, True
+    )
+
+    def _encode(obj) -> str:
+        return "".join(_iterencode(obj, 0))
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     index: int
     actor: str  # rendered device address
     kind: str
@@ -60,18 +70,19 @@ class TraceRecorder:
     def emit(self, actor, kind: str, **payload) -> TraceEvent:
         if kind not in KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        event = TraceEvent(index=len(self.events), actor=str(actor), kind=kind, payload=payload)
+        event = TraceEvent(len(self.events), str(actor), kind, payload)
         self.events.append(event)
         return event
 
 
+def _jsonl(events: Iterable[TraceEvent]) -> str:
+    """The text that trace files hold and digests hash: one event per line."""
+    return "".join([event.to_json() + "\n" for event in events])
+
+
 def emit_trace(events: Iterable[TraceEvent], path: str | Path) -> None:
     """One event per line; an empty trace writes an empty file."""
-    path = Path(path)
-    with path.open("w", encoding="ascii") as fh:
-        for event in events:
-            fh.write(event.to_json())
-            fh.write("\n")
+    Path(path).write_text(_jsonl(events), encoding="ascii")
 
 
 def read_trace(path: str | Path) -> list[TraceEvent]:
@@ -85,13 +96,9 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
 
 
 def trace_digest(events: Iterable[TraceEvent]) -> str:
-    """Stable hash of a full trace, for determinism checks."""
+    """Stable hash of a full trace (the SHA-256 of its JSONL text), for determinism checks."""
     # Imported here: loading OpenSSL's hashlib costs every `import ctkdsim`
     # several milliseconds, and only runs that take a digest need it.
     import hashlib
 
-    h = hashlib.sha256()
-    for event in events:
-        h.update(event.to_json().encode("ascii"))
-        h.update(b"\n")
-    return h.hexdigest()
+    return hashlib.sha256(_jsonl(events).encode("ascii")).hexdigest()

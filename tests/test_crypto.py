@@ -1,5 +1,6 @@
 """Key material, CMAC core, cross-transport conversion, DH, and the KDFs."""
 
+import dataclasses
 import random
 
 import pytest
@@ -70,6 +71,34 @@ class TestAddressText:
         text = str(Address(value))
         assert text == ":".join(f"{b:02x}" for b in value)
         assert Address.parse(text) == Address(value)
+
+    def test_cached_text_is_not_part_of_the_value(self):
+        a = Address(bytes([2, 0, 0, 0, 0, 1]))
+        b = Address(bytes([2, 0, 0, 0, 0, 2]))
+        object.__setattr__(a, "text", "stale")  # only value may count below
+        assert a == Address(bytes([2, 0, 0, 0, 0, 1]))
+        assert hash(a) == hash(Address(bytes([2, 0, 0, 0, 0, 1])))
+        assert a < b and sorted([b, a]) == [a, b]
+        assert repr(a) == "Address(value=b'\\x02\\x00\\x00\\x00\\x00\\x01')"
+
+    def test_replace_renders_the_new_value(self):
+        a = Address.parse("02:00:00:00:00:01")
+        b = dataclasses.replace(a, value=bytes([0xAB, 0, 0, 0, 0, 0xFF]))
+        assert str(b) == "ab:00:00:00:00:ff"
+        assert str(a) == "02:00:00:00:00:01"
+
+    def test_parse_accepts_either_case(self):
+        assert Address.parse("AB:cd:EF:01:23:45") == Address(bytes.fromhex("abcdef012345"))
+        assert str(Address.parse("AB:CD:EF:01:23:45")) == "ab:cd:ef:01:23:45"
+
+    @pytest.mark.parametrize("text", [
+        "0x2:0:0:0:0:1", " 2:+0:0_0:0:0:1", "02:00:00:00:00:\u0663", "2:0:0:0:0:1",
+        "02:00:00:00:00:001", "02:00:00:00:00", "02:00:00:00:00:01:", "02-00-00-00-00-01",
+        "02:00:00:00:00:01\n", "020000000001", "", "02:00:00:00:00:0g",
+    ])
+    def test_parse_rejects_anything_but_two_hex_digits_per_octet(self, text):
+        with pytest.raises(ValueError):
+            Address.parse(text)
 
 
 class TestTags:

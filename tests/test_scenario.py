@@ -490,10 +490,16 @@ class TestMalformedInput:
         (("devices", 1, "profile", "address"), "02:00:00:00:0e:05"),
         (("devices", 0, "policies"), {"c3": "false"}),
         (("devices", 0, "profile", "sc_host"), "no"),
+        (("devices", 0, "profile", "address"), "0x2:0:0:0:0:1"),
+        (("devices", 0, "profile", "address"), " 2:+0:0_0:0:0:1"),
+        (("devices", 0, "profile", "address"), "02:00:00:00:00:\u0663"),
+        (("attack", "attacker_address"), "2:ff:ff:ff:ff:1"),
     ], ids=[
         "seed-text", "devices-number", "attack-list", "top-level-list", "expectations-list",
         "device-text", "step-text", "address-number", "max-key-size-text", "c1-threshold-text",
         "attacker-address-unparsable", "duplicate-address", "policy-flag-text", "profile-flag-text",
+        "address-0x-prefix", "address-space-sign-underscore", "address-non-ascii-digit",
+        "attacker-address-one-digit-octets",
     ])
     def test_config_error_exits_2(self, path, value):
         raw = _replaced(json.loads(MUTATED.read_text()), path, value)

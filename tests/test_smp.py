@@ -187,3 +187,14 @@ class TestHexdump:
         for _ in range(50):
             data = rng.randbytes(rng.randrange(0, 24))
             assert parse_hexdump(hexdump(data)) == data
+
+    def test_parse_accepts_either_case(self):
+        assert parse_hexdump("01 AB cD") == bytes([0x01, 0xAB, 0xCD])
+
+    @pytest.mark.parametrize("text", [
+        "1 ab", "0x1 ab", "+1 ab", "01 a_b", "01 ab\u0663", "01  ab", " 01 ab", "01 ab ",
+        "01\tab", "01ab", "001 ab", "01 ag",
+    ])
+    def test_parse_rejects_anything_but_two_hex_digits_per_octet(self, text):
+        with pytest.raises(ValueError):
+            parse_hexdump(text)

@@ -1,10 +1,14 @@
 """Trace records, JSONL round-trips, and trace-level invariants."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from ctkdsim import trace
 from ctkdsim.pairing import ble_pair
+from ctkdsim.scenario import load_scenario, run_scenario
 from ctkdsim.trace import (
     TraceEvent,
     TraceRecorder,
@@ -64,6 +68,51 @@ class TestJsonl:
     def test_digest_is_stable(self, ctx, laptop, headset):
         ble_pair(ctx, laptop, headset)
         assert trace_digest(ctx.trace.events) == trace_digest(ctx.trace.events)
+
+
+BUNDLED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*/*.json"))
+
+
+@pytest.fixture(scope="module")
+def bundled_traces():
+    return [run_scenario(load_scenario(path)).trace for path in BUNDLED]
+
+
+class TestSerialisedBytes:
+    """The bytes of a trace are those of the public ``json`` API, whichever encoder runs."""
+
+    def _check(self, traces, tmp_path):
+        assert len(traces) == 69
+        path = tmp_path / "run.jsonl"
+        for events in traces:
+            for event in events:
+                assert event.to_json() == json.dumps(
+                    {"index": event.index, "actor": event.actor, "kind": event.kind,
+                     "payload": event.payload},
+                    sort_keys=True, separators=(",", ":"),
+                )
+            emit_trace(events, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_digest(events)
+
+    def test_bundled_traces(self, bundled_traces, tmp_path):
+        self._check(bundled_traces, tmp_path)
+
+    def test_bundled_traces_with_the_pure_python_encoder(self, bundled_traces, tmp_path, monkeypatch):
+        # What the module binds when the interpreter has no C encoder.
+        monkeypatch.setattr(trace, "_encode", trace._ENCODER.encode)
+        self._check(bundled_traces, tmp_path)
+
+    def test_unserialisable_payload_is_a_type_error(self):
+        event = TraceEvent(0, "02:00:00:00:00:01", "key_stored", {"key": b"\x00"})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            event.to_json()
+
+    def test_events_are_immutable_values(self):
+        event = TraceEvent(0, "02:00:00:00:00:01", "key_stored", {"transport": "BT"})
+        with pytest.raises(AttributeError):
+            event.index = 1
+        assert event == TraceEvent(0, "02:00:00:00:00:01", "key_stored", {"transport": "BT"})
+        assert event != TraceEvent(1, "02:00:00:00:00:01", "key_stored", {"transport": "BT"})
 
 
 class TestTraceInvariants:
