@@ -187,8 +187,18 @@ class DhPrivate:
 
 @dataclass(frozen=True)
 class DhPublic:
+    """The public half of a keypair.
+
+    ``value`` is the integer group element for toy-modp and the uncompressed
+    X9.62 point bytes for p256. For p256, ``key`` carries the
+    ``EllipticCurvePublicKey`` those bytes were encoded from, so ``shared``
+    need not decode them again; like ``Address.text`` it is not part of the
+    value. A ``DhPublic`` built from bytes alone has no ``key``.
+    """
+
     value: object
     backend: str
+    key: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -246,20 +256,28 @@ class P256Backend:
     # Order of the P-256 base point.
     _order = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
-    def generate(self, rng: random.Random) -> DhKeyPair:
+    def __init__(self) -> None:
+        # Imported here: the backend is built on first use, so `import ctkdsim` skips them.
         from cryptography.hazmat.primitives.asymmetric import ec
         from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
+        self._ec = ec
+        self._curve = ec.SECP256R1()
+        self._ecdh = ec.ECDH()
+        self._format = (Encoding.X962, PublicFormat.UncompressedPoint)
+
+    def generate(self, rng: random.Random) -> DhKeyPair:
         scalar = rng.randrange(1, self._order)
-        key = ec.derive_private_key(scalar, ec.SECP256R1())
-        pub = key.public_key().public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
-        return DhKeyPair(DhPrivate(key, self.name), DhPublic(pub, self.name))
+        key = self._ec.derive_private_key(scalar, self._curve)
+        public = key.public_key()
+        pub = public.public_bytes(*self._format)
+        return DhKeyPair(DhPrivate(key, self.name), DhPublic(pub, self.name, public))
 
     def shared(self, private: DhPrivate, public: DhPublic) -> bytes:
-        from cryptography.hazmat.primitives.asymmetric import ec
-
-        peer = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), public.value)
-        return private.value.exchange(ec.ECDH(), peer)[:16]
+        peer = public.key
+        if peer is None:
+            peer = self._ec.EllipticCurvePublicKey.from_encoded_point(self._curve, public.value)
+        return private.value.exchange(self._ecdh, peer)[:16]
 
     def public_bytes(self, public: DhPublic) -> bytes:
         return public.value

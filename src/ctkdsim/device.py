@@ -188,19 +188,17 @@ class Device:
 
     def __init__(self, profile: DeviceProfile, policies: "PolicySet", rng: random.Random) -> None:
         self.profile = profile
+        self.address: Address = profile.address
         self.policies = policies
         self.bonds = BondTable()
-        # Identity keys this device distributes during pairing.
+        # Identity keys this device distributes during pairing; never reassigned.
         self.csrk = random_key128(rng)
         self.irk = random_key128(rng)
+        self.key_material = KeyMaterial(csrk=self.csrk, irk=self.irk)
         self._pairable = {"BT": profile.pairable_bt, "BLE": profile.pairable_ble}
         self._manual_pairable: dict[str, bool] = {}
         self.sessions: list["SessionState"] = []
         self.last_activity: dict[str, int] = {t: 0 for t in TRANSPORTS}
-
-    @property
-    def address(self) -> Address:
-        return self.profile.address
 
     @property
     def name(self) -> str:
@@ -232,9 +230,6 @@ class Device:
 
     def has_live_session(self, transport: Optional[str] = None, peer: Optional[Address] = None) -> bool:
         return next(self.live_sessions(transport, peer), None) is not None
-
-    def key_material(self) -> KeyMaterial:
-        return KeyMaterial(csrk=self.csrk, irk=self.irk)
 
     def __repr__(self) -> str:
         return f"<Device {self.name} {self.address}>"

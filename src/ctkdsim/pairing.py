@@ -16,7 +16,7 @@ of them pass, so an aborted pairing leaves both bond tables untouched.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .crypto import (
@@ -44,6 +44,7 @@ from .smp import (
     IoCapability,
     KeyDistBits,
     OPCODE_REQUEST,
+    OPCODE_RESPONSE,
     SmpPairingMessage,
     ctkd_requested,
     encode_bt_auth_req,
@@ -169,13 +170,19 @@ def build_pairing_request(profile: DeviceProfile, ctkd: bool = True) -> SmpPairi
 def build_pairing_response(profile: DeviceProfile, request: SmpPairingMessage) -> SmpPairingMessage:
     """Honest response: own capabilities, distribution masked by the request."""
     link = profile.ctkd_supported and ctkd_requested(request)
-    return request.as_response(
-        io_capability=profile.io_capability,
-        auth_req=_auth_req(profile),
-        max_key_size=profile.max_key_size,
-        initiator_dist=replace(request.initiator_dist, link_key=link),
-        responder_dist=replace(request.responder_dist, link_key=link),
+    return SmpPairingMessage(
+        OPCODE_RESPONSE,
+        profile.io_capability,
+        request.oob,
+        _auth_req(profile),
+        profile.max_key_size,
+        _with_link_key(request.initiator_dist, link),
+        _with_link_key(request.responder_dist, link),
     )
+
+
+def _with_link_key(dist: KeyDistBits, link: bool) -> KeyDistBits:
+    return KeyDistBits(dist.enc_key, dist.id_key, dist.sign_key, link)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +331,7 @@ def _agree_key(ctx: SimContext, session: PairingSession, initiator: Device, resp
     dk = dh_shared(kp_i.private, kp_r.public)
     key = kdf(dk, initiator.address, responder.address, n_i, n_r, *kdf_args)
     if session.negotiated.association is Association.NUMERIC_COMPARISON:
-        key = replace(key, mitm_protected=True)
+        key = Key128(key.value, key.strength, True)
     return key
 
 
@@ -332,7 +339,7 @@ def _exchange_identity_keys(ctx: SimContext, initiator: Device, responder: Devic
                             transport: str, tunneled: bool = False) -> None:
     """CSRK/IRK travel both ways over the encrypted link."""
     for sender, receiver in ((initiator, responder), (responder, initiator)):
-        material = sender.key_material()
+        material = sender.key_material
         frame = material.csrk.value + material.irk.value
         _emit_message(ctx, sender, receiver, transport, frame, "key_material", tunneled)
 
@@ -352,7 +359,7 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
         def bond(transport, key, origin):
             return KeyRecord(
                 peer.address, transport, key, origin, session.negotiated.association, peer_role,
-                extra_keys=peer.key_material() if transport == TRANSPORT_BLE else None,
+                extra_keys=peer.key_material if transport == TRANSPORT_BLE else None,
             )
         direct = bond(session.transport, direct_key, KeyOrigin.DIRECT_PAIRING)
         pending.append((device, direct, {}))
@@ -428,8 +435,8 @@ def ble_pair(
 # BT pairing (derivation negotiated over tunneled frames)
 # ---------------------------------------------------------------------------
 
-def build_bt_pairing_request(profile: DeviceProfile) -> SmpPairingMessage:
-    """BT-native pairing request: no key-distribution flags, no CT2 bit.
+def build_bt_pairing_request(profile: DeviceProfile, opcode: int = OPCODE_REQUEST) -> SmpPairingMessage:
+    """BT-native pairing request (or response): no key-distribution flags, no CT2 bit.
 
     Cross-transport derivation cannot be asked for here; that happens in the
     tunneled exchange after the link is encrypted.
@@ -437,7 +444,7 @@ def build_bt_pairing_request(profile: DeviceProfile) -> SmpPairingMessage:
     auth = AuthReqBits(bonding=1, mitm=profile.wants_mitm, sc=profile.sc_supported)
     empty = KeyDistBits()
     return SmpPairingMessage(
-        opcode=OPCODE_REQUEST,
+        opcode=opcode,
         io_capability=profile.io_capability,
         oob=False,
         auth_req=auth,
@@ -467,7 +474,7 @@ def bt_pair(
     session = _request(ctx, initiator, responder, TRANSPORT_BT, request, bt_auth_req=_bt_auth_req(request))
     if session.aborted or not _early_check(ctx, session, initiator, responder, "pairing_request"):
         return session
-    response = build_bt_pairing_request(responder.profile).as_response()
+    response = build_bt_pairing_request(responder.profile, OPCODE_RESPONSE)
     _respond(ctx, session, initiator, responder, request, response, bt_auth_req=_bt_auth_req(response))
     if not _early_check(ctx, session, initiator, responder, "association"):
         return session

@@ -18,6 +18,7 @@ from .attacks import (
     STRATEGY_MI,
     STRATEGY_MITM,
     STRATEGY_SI,
+    STRATEGY_US,
     AttackerConfig,
     AttackOutcome,
     master_impersonation,
@@ -135,6 +136,8 @@ class Scenario:
         peer = attack_raw.pop("peer", None)
         if peer is not None and peer not in names:
             raise ScenarioError(f"{where}.attack: peer {peer!r} is not a listed device")
+        if peer == target:
+            raise ScenarioError(f"{where}.attack: peer and target are both {target!r}")
         if strategy in (STRATEGY_MI, STRATEGY_SI, STRATEGY_MITM) and peer is None:
             raise ScenarioError(f"{where}.attack: strategy {strategy!r} needs a 'peer'")
         attacker_address = attack_raw.pop("attacker_address", None)
@@ -144,6 +147,14 @@ class Scenario:
                 attacker_address = Address.parse(attacker_address)
             except ValueError as err:
                 raise ScenarioError(f"{where}.attack.attacker_address: {err}") from None
+            if strategy != STRATEGY_US:
+                raise ScenarioError(
+                    f"{where}.attack: attacker_address is read only by strategy {STRATEGY_US!r}"
+                )
+            if attacker_address in addresses:
+                raise ScenarioError(
+                    f"{where}.attack.attacker_address: {attacker_address} is a listed device's address"
+                )
         attack = AttackSpec(
             strategy=strategy,
             target=target,
@@ -172,6 +183,8 @@ class Scenario:
         for role_field in ("initiator", "responder"):
             if step.get(role_field) not in names:
                 raise ScenarioError(f"{where}: {role_field} {step.get(role_field)!r} is not a listed device")
+        if step["initiator"] == step["responder"]:
+            raise ScenarioError(f"{where}: initiator and responder are both {step['initiator']!r}")
         if step.get("transport") not in TRANSPORTS:
             raise ScenarioError(f"{where}: bad transport {step.get('transport')!r}")
         unknown = set(step) - {"action", "initiator", "responder", "transport", _STEP_OPTIONS[action]}

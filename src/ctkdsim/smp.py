@@ -9,7 +9,7 @@ zero on decode so malformed attacker frames surface immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .crypto import Key128, MAX_STRENGTH, MIN_STRENGTH
@@ -123,9 +123,6 @@ class SmpPairingMessage:
     @property
     def kind(self) -> str:
         return _OPCODES[self.opcode]
-
-    def as_response(self, **changes) -> "SmpPairingMessage":
-        return replace(self, opcode=OPCODE_RESPONSE, **changes)
 
 
 def encode_pairing(msg: SmpPairingMessage) -> bytes:

@@ -24,6 +24,7 @@ KINDS = (
     KIND_SESSION_FAIL,
     KIND_POLICY_VERDICT,
 )
+_KIND_SET = frozenset(KINDS)
 
 # One encoder for every event; sort_keys makes the on-disk form byte-stable for hashing.
 # JSONEncoder.encode builds a C encoder per call, so one is built here with its settings;
@@ -47,8 +48,10 @@ class TraceEvent(NamedTuple):
     payload: dict
 
     def to_json(self) -> str:
-        return _encode(
-            {"index": self.index, "actor": self.actor, "kind": self.kind, "payload": self.payload}
+        # The envelope's keys are written in sorted order; only the payload needs the encoder.
+        return (
+            f'{{"actor":{encode_basestring_ascii(self.actor)},"index":{self.index},'
+            f'"kind":{encode_basestring_ascii(self.kind)},"payload":{_encode(self.payload)}}}'
         )
 
     @classmethod
@@ -68,9 +71,10 @@ class TraceRecorder:
         return len(self.events)
 
     def emit(self, actor, kind: str, **payload) -> TraceEvent:
-        if kind not in KINDS:
+        if kind not in _KIND_SET:
             raise ValueError(f"unknown event kind {kind!r}")
-        event = TraceEvent(len(self.events), str(actor), kind, payload)
+        # tuple.__new__ skips the NamedTuple's generated __new__ and its argument binding.
+        event = tuple.__new__(TraceEvent, (len(self.events), str(actor), kind, payload))
         self.events.append(event)
         return event
 

@@ -23,6 +23,7 @@ from reference import (
 from ctkdsim.crypto import (
     Address,
     BackendMismatchError,
+    DhPublic,
     Key128,
     Nonce,
     P256Backend,
@@ -241,6 +242,24 @@ class TestDiffieHellman:
             assert dh_shared(a.private, b.public).value == key.exchange(ec.ECDH(), peer)[:16]
             assert a.public.value == key.public_key().public_bytes(
                 Encoding.X962, PublicFormat.UncompressedPoint)
+
+    def test_p256_shared_with_the_carried_point_equals_shared_from_bytes(self):
+        for seed in range(8):
+            a = dh_generate(random.Random(seed), "p256")
+            b = dh_generate(random.Random(seed + 200), "p256")
+            assert b.public.key is not None
+            from_bytes = DhPublic(b.public.value, "p256")
+            assert from_bytes.key is None
+            assert dh_shared(a.private, b.public) == dh_shared(a.private, from_bytes)
+
+    def test_public_equality_ignores_the_carried_point(self):
+        pair = dh_generate(random.Random(3), "p256")
+        from_bytes = DhPublic(pair.public.value, "p256")
+        assert pair.public == from_bytes
+        assert hash(pair.public) == hash(from_bytes)
+        assert repr(pair.public) == repr(from_bytes)
+        other = dh_generate(random.Random(4), "p256").public
+        assert DhPublic(pair.public.value, "p256", other.key) == pair.public
 
     def test_same_seed_same_keypair(self):
         a = dh_generate(random.Random(42))

@@ -1,5 +1,9 @@
 """Protocol engine: both pairing flows, sessions, atomicity, completion."""
 
+import dataclasses
+import itertools
+
+import pytest
 from conftest import device, make_profile
 from reference import ref_ble_to_bt, ref_bt_to_ble
 
@@ -8,13 +12,24 @@ from ctkdsim.device import Association, KeyOrigin
 from ctkdsim.pairing import (
     ble_pair,
     bt_pair,
+    build_bt_pairing_request,
     build_pairing_request,
+    build_pairing_response,
     establish_session,
     make_device,
     negotiate_association,
 )
 from ctkdsim.policies import PolicySet, RejectionReason
-from ctkdsim.smp import IoCapability, KeyMaterial
+from ctkdsim.smp import (
+    OPCODE_REQUEST,
+    OPCODE_RESPONSE,
+    AuthReqBits,
+    IoCapability,
+    KeyDistBits,
+    KeyMaterial,
+    SmpPairingMessage,
+    ctkd_requested,
+)
 from ctkdsim.crypto import Key128
 
 
@@ -36,6 +51,48 @@ class TestAssociationNegotiation:
                     IoCapability.NO_INPUT_NO_OUTPUT, IoCapability.NO_INPUT_NO_OUTPUT,
                     mitm_i, mitm_r,
                 ) is Association.JUST_WORKS
+
+
+_IO_NAMES = ["DisplayOnly", "DisplayYesNo", "KeyboardOnly", "NoInputNoOutput", "KeyboardDisplay"]
+
+
+class TestMessageConstruction:
+    """Direct construction builds the messages ``dataclasses.replace`` used to."""
+
+    @staticmethod
+    def _replaced_response(profile, request):
+        link = profile.ctkd_supported and ctkd_requested(request)
+        return dataclasses.replace(
+            request,
+            opcode=OPCODE_RESPONSE,
+            io_capability=profile.io_capability,
+            auth_req=AuthReqBits(bonding=1, mitm=profile.wants_mitm, sc=profile.sc_supported,
+                                 keypress=False, ct2_h7=profile.h7_supported),
+            max_key_size=profile.max_key_size,
+            initiator_dist=dataclasses.replace(request.initiator_dist, link_key=link),
+            responder_dist=dataclasses.replace(request.responder_dist, link_key=link),
+        )
+
+    @pytest.mark.parametrize("io", _IO_NAMES)
+    @pytest.mark.parametrize("ctkd, h7", list(itertools.product((True, False), repeat=2)))
+    def test_pairing_response_equals_the_replaced_request(self, io, ctkd, h7):
+        profile = make_profile("responder", 0x02, io, ctkd_supported=ctkd, h7_supported=h7,
+                               max_key_size=12)
+        for mitm, oob, init_byte, resp_byte in itertools.product(
+                (True, False), (True, False), range(16), range(16)):
+            request = SmpPairingMessage(
+                OPCODE_REQUEST, IoCapability.DISPLAY_YES_NO, oob,
+                AuthReqBits(bonding=1, mitm=mitm, sc=True, ct2_h7=True), 16,
+                KeyDistBits.from_byte(init_byte), KeyDistBits.from_byte(resp_byte),
+            )
+            assert build_pairing_response(profile, request) == self._replaced_response(profile, request)
+
+    @pytest.mark.parametrize("io", _IO_NAMES)
+    def test_bt_response_is_the_request_with_the_response_opcode(self, io):
+        profile = make_profile("responder", 0x02, io)
+        request = build_bt_pairing_request(profile)
+        assert build_bt_pairing_request(profile, OPCODE_RESPONSE) == dataclasses.replace(
+            request, opcode=OPCODE_RESPONSE)
 
 
 class TestBlePairing:

@@ -494,12 +494,20 @@ class TestMalformedInput:
         (("devices", 0, "profile", "address"), " 2:+0:0_0:0:0:1"),
         (("devices", 0, "profile", "address"), "02:00:00:00:00:\u0663"),
         (("attack", "attacker_address"), "2:ff:ff:ff:ff:1"),
+        (("pre_state", 0, "responder"), "legacy-speaker"),
+        (("pre_state", 1, "initiator"), "phone"),
+        (("attack", "peer"), "phone"),
+        (("attack", "attacker_address"), "02:00:00:00:0e:07"),
+        (("attack",), {"strategy": "us", "target": "phone", "peer": "legacy-speaker",
+                       "attacker_address": "02:00:00:00:0E:06"}),
     ], ids=[
         "seed-text", "devices-number", "attack-list", "top-level-list", "expectations-list",
         "device-text", "step-text", "address-number", "max-key-size-text", "c1-threshold-text",
         "attacker-address-unparsable", "duplicate-address", "policy-flag-text", "profile-flag-text",
         "address-0x-prefix", "address-space-sign-underscore", "address-non-ascii-digit",
         "attacker-address-one-digit-octets",
+        "pair-step-with-itself", "session-step-with-itself", "peer-is-target",
+        "attacker-address-not-us", "us-attacker-address-of-listed-device",
     ])
     def test_config_error_exits_2(self, path, value):
         raw = _replaced(json.loads(MUTATED.read_text()), path, value)

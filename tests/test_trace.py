@@ -115,6 +115,45 @@ class TestSerialisedBytes:
         assert event != TraceEvent(1, "02:00:00:00:00:01", "key_stored", {"transport": "BT"})
 
 
+#: Texts the envelope must escape as ``json.dumps`` does: a quote, a backslash,
+#: control characters, and non-ASCII inside and outside the BMP.
+_EDGE_TEXTS = [
+    "02:00:00:00:00:01",
+    'say "hi"',
+    "back\\slash",
+    "tab\tnul\x00us\x1fdel\x7f",
+    "caf\u00e9 \u2603 \U0001f600",
+]
+_NESTED = {"z": [1, {"b": None, "a": "\u00e9"}], "a": {"y": True, "x": -2.5}, "": []}
+
+
+class TestEnvelope:
+    """Hand-built events serialise exactly as the public ``json`` API, with either encoder."""
+
+    @pytest.fixture(params=["c", "python"])
+    def encoder(self, request, monkeypatch):
+        if request.param == "python":
+            monkeypatch.setattr(trace, "_encode", trace._ENCODER.encode)
+
+    @pytest.mark.parametrize("actor", _EDGE_TEXTS)
+    @pytest.mark.parametrize("index", [0, 2**70])
+    @pytest.mark.parametrize("payload", [{}, _NESTED], ids=["empty", "nested"])
+    def test_matches_json_dumps(self, encoder, actor, index, payload):
+        kind = actor[::-1]
+        event = TraceEvent(index, actor, kind, payload)
+        assert event.to_json() == json.dumps(
+            {"index": index, "actor": actor, "kind": kind, "payload": payload},
+            sort_keys=True, separators=(",", ":"),
+        )
+        assert TraceEvent.from_json(event.to_json()) == event
+
+    def test_emitted_event_equals_a_constructed_one(self):
+        event = TraceRecorder().emit("02:00:00:00:00:01", "key_stored", transport="BT")
+        assert type(event) is TraceEvent
+        assert event == TraceEvent(0, "02:00:00:00:00:01", "key_stored", {"transport": "BT"})
+        assert event.payload == {"transport": "BT"}
+
+
 class TestTraceInvariants:
     def test_every_key_event_is_preceded_by_its_verdict(self, ctx, laptop, headset):
         ble_pair(ctx, laptop, headset)
