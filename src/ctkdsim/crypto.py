@@ -62,6 +62,10 @@ class Address:
     def __str__(self) -> str:
         return self.text
 
+    def __hash__(self) -> int:
+        # By value alone, as the generated method hashes, without building a one-field tuple.
+        return hash(self.value)
+
 
 @dataclass(frozen=True)
 class Key128:
@@ -175,10 +179,11 @@ def ctkd_bt_to_ble(k_bt: Key128, h7_supported: bool) -> Key128:
 
 @dataclass(frozen=True)
 class DhPrivate:
-    """The private half of a keypair.
+    """The private half of a keypair, or a private value drawn alone.
 
     ``value`` is the integer exponent for toy-modp and the
-    ``EllipticCurvePrivateKey`` for p256.
+    ``EllipticCurvePrivateKey`` for p256. ``dh_private`` draws it exactly
+    as ``dh_generate`` does, without the public half a caller would not read.
     """
 
     value: object
@@ -218,14 +223,17 @@ class ToyModPBackend:
     prime = 2**127 - 1
     generator = 5
 
+    def private(self, rng: random.Random) -> DhPrivate:
+        return DhPrivate(rng.randrange(2, self.prime - 1), self.name)
+
     def generate(self, rng: random.Random) -> DhKeyPair:
-        exponent = rng.randrange(2, self.prime - 1)
+        private = self.private(rng)
         # generator**exponent as one table entry per exponent byte.
         public = 1
-        for row, byte in zip(_toy_generator_table(), exponent.to_bytes(16, "little")):
+        for row, byte in zip(_toy_generator_table(), private.value.to_bytes(16, "little")):
             if byte:
                 public = public * row[byte] % self.prime
-        return DhKeyPair(DhPrivate(exponent, self.name), DhPublic(public, self.name))
+        return DhKeyPair(private, DhPublic(public, self.name))
 
     def shared(self, private: DhPrivate, public: DhPublic) -> bytes:
         return pow(public.value, private.value, self.prime).to_bytes(16, "big")
@@ -266,12 +274,15 @@ class P256Backend:
         self._ecdh = ec.ECDH()
         self._format = (Encoding.X962, PublicFormat.UncompressedPoint)
 
-    def generate(self, rng: random.Random) -> DhKeyPair:
+    def private(self, rng: random.Random) -> DhPrivate:
         scalar = rng.randrange(1, self._order)
-        key = self._ec.derive_private_key(scalar, self._curve)
-        public = key.public_key()
+        return DhPrivate(self._ec.derive_private_key(scalar, self._curve), self.name)
+
+    def generate(self, rng: random.Random) -> DhKeyPair:
+        private = self.private(rng)
+        public = private.value.public_key()
         pub = public.public_bytes(*self._format)
-        return DhKeyPair(DhPrivate(key, self.name), DhPublic(pub, self.name, public))
+        return DhKeyPair(private, DhPublic(pub, self.name, public))
 
     def shared(self, private: DhPrivate, public: DhPublic) -> bytes:
         peer = public.key
@@ -300,6 +311,14 @@ def get_backend(name: str):
 def dh_generate(rng: random.Random, backend: str = ToyModPBackend.name) -> DhKeyPair:
     """Generate a keypair in the configured group from the simulation RNG."""
     return get_backend(backend).generate(rng)
+
+
+def dh_private(rng: random.Random, backend: str = ToyModPBackend.name) -> DhPrivate:
+    """Draw a private value as ``dh_generate`` would, leaving the rng in the same state.
+
+    For the side of a key agreement whose public value nobody reads.
+    """
+    return get_backend(backend).private(rng)
 
 
 def dh_shared(private: DhPrivate, public: DhPublic) -> SharedSecret:

@@ -29,6 +29,7 @@ from .crypto import (
     ctkd_ble_to_bt,
     ctkd_bt_to_ble,
     dh_generate,
+    dh_private,
     dh_shared,
     kdf_bt,
     kdf_le,
@@ -317,18 +318,21 @@ def _negotiate_ctkd(session: PairingSession, request: SmpPairingMessage,
 
 def _agree_key(ctx: SimContext, session: PairingSession, initiator: Device, responder: Device,
                kdf, *kdf_args) -> Key128:
-    """DH and nonces, drawn as keypair i, keypair r, nonce i, nonce r; then ``kdf``.
+    """DH and nonces, drawn as private i, keypair r, nonce i, nonce r; then ``kdf``.
+
+    The initiator's private value is drawn as a keypair would be, so the rng
+    state is as if both drew keypairs; its public half would go unread.
 
     Under Numeric Comparison honest users confirm when both screens show the
     same value, which in a lossless simulation they always do, so the key is
     MITM-protected.
     """
-    kp_i = dh_generate(ctx.rng, ctx.dh_backend)
+    private_i = dh_private(ctx.rng, ctx.dh_backend)
     kp_r = dh_generate(ctx.rng, ctx.dh_backend)
     n_i = random_nonce(ctx.rng, initiator.address)
     n_r = random_nonce(ctx.rng, responder.address)
     session.nonces = (n_i, n_r)
-    dk = dh_shared(kp_i.private, kp_r.public)
+    dk = dh_shared(private_i, kp_r.public)
     key = kdf(dk, initiator.address, responder.address, n_i, n_r, *kdf_args)
     if session.negotiated.association is Association.NUMERIC_COMPARISON:
         key = Key128(key.value, key.strength, True)

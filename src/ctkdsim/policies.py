@@ -83,10 +83,14 @@ class PolicySet:
         # Short aliases used by scenario files and the CLI --policies flag.
         for alias, name in _ALIASES.items():
             if alias in data:
+                if name in data:
+                    raise ValueError(f"{where}: {alias!r} and {name!r} name the same defense")
                 data[name] = data.pop(alias)
         options = pop_options(cls, data, where)
         if data:
             raise ValueError(f"{where}: unknown policy field(s) {sorted(data)}")
+        if options.get("c1_idle_threshold", 0) < 0:
+            raise ValueError(f"{where}: c1_idle_threshold must not be negative")
         return cls(**options)
 
     def enabled_names(self) -> list[str]:

@@ -6,7 +6,7 @@ import random
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from reference import (
     RFC4493_KEY,
@@ -38,6 +38,7 @@ from ctkdsim.crypto import (
     ctkd_ble_to_bt,
     ctkd_bt_to_ble,
     dh_generate,
+    dh_private,
     dh_shared,
     kdf_bt,
     kdf_le,
@@ -81,6 +82,14 @@ class TestAddressText:
         assert hash(a) == hash(Address(bytes([2, 0, 0, 0, 0, 1])))
         assert a < b and sorted([b, a]) == [a, b]
         assert repr(a) == "Address(value=b'\\x02\\x00\\x00\\x00\\x00\\x01')"
+
+    @given(st.lists(st.binary(min_size=6, max_size=6), min_size=1, max_size=8))
+    def test_hash_order_and_repr_follow_the_bytes(self, values):
+        for value in values:
+            a, b = Address(value), Address(bytes(value))
+            assert a == b and hash(a) == hash(b)
+            assert repr(a) == f"Address(value={value!r})"
+        assert [a.value for a in sorted(map(Address, values))] == sorted(values)
 
     def test_replace_renders_the_new_value(self):
         a = Address.parse("02:00:00:00:00:01")
@@ -218,6 +227,11 @@ class _FixedDraw:
         return self.value
 
 
+def _private_value(private) -> int:
+    value = private.value
+    return value if isinstance(value, int) else value.private_numbers().private_value
+
+
 class TestDiffieHellman:
     @pytest.mark.parametrize("exponent", [2, 255, 256, 2**120, ToyModPBackend.prime - 2],
                              ids=["2", "255", "256", "2^120", "prime-2"])
@@ -260,6 +274,18 @@ class TestDiffieHellman:
         assert repr(pair.public) == repr(from_bytes)
         other = dh_generate(random.Random(4), "p256").public
         assert DhPublic(pair.public.value, "p256", other.key) == pair.public
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), backend=st.sampled_from(["toy-modp", "p256"]))
+    def test_private_draws_exactly_as_generate_does(self, seed, backend):
+        rng_a, rng_b = random.Random(seed), random.Random(seed)
+        private = dh_private(rng_a, backend)
+        pair = dh_generate(rng_b, backend)
+        assert private.backend == pair.private.backend == pair.public.backend
+        assert _private_value(private) == _private_value(pair.private)
+        assert rng_a.getrandbits(64) == rng_b.getrandbits(64)
+        peer = dh_generate(random.Random(seed + 1), backend).public
+        assert dh_shared(private, peer) == dh_shared(pair.private, peer)
 
     def test_same_seed_same_keypair(self):
         a = dh_generate(random.Random(42))

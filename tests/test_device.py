@@ -1,6 +1,9 @@
 """Profiles, bond records, and the key store with its policy verdicts."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import device, make_profile
 
@@ -101,6 +104,17 @@ class TestBondTable:
         table.commit(rec)
         assert table.lookup(rec.peer, "BT") == rec
         assert table.lookup(rec.peer, "BLE") is None
+
+    @given(st.binary(min_size=6, max_size=6))
+    def test_lookup_by_an_equal_but_distinct_address(self, value):
+        table = BondTable()
+        rec = dataclasses.replace(record(), peer=Address(value))
+        table.commit(rec)
+        twin = Address(bytes(rec.peer.value))
+        assert twin is not rec.peer
+        assert table.lookup(twin, "BT") is rec
+        assert table.commit(dataclasses.replace(rec, peer=twin)).overwrote
+        assert len(table.records) == 1
 
     def test_unknown_peer_is_none(self):
         assert BondTable().lookup(Address(bytes(6)), "BT") is None

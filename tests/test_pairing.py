@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from conftest import device, make_profile
@@ -9,7 +10,9 @@ from reference import ref_ble_to_bt, ref_bt_to_ble
 
 from ctkdsim.crypto import TRANSPORT_BLE, TRANSPORT_BT
 from ctkdsim.device import Association, KeyOrigin
+from ctkdsim import pairing
 from ctkdsim.pairing import (
+    SimContext,
     ble_pair,
     bt_pair,
     build_bt_pairing_request,
@@ -297,3 +300,27 @@ class TestNonceFreshness:
             assert n_i.value not in seen and n_r.value not in seen
             seen.add(n_i.value)
             seen.add(n_r.value)
+
+
+class TestKeyAgreementDraws:
+    @pytest.mark.parametrize("backend", ["toy-modp", "p256"])
+    @pytest.mark.parametrize("pair", [ble_pair, bt_pair])
+    def test_one_keypair_and_one_private_value_per_pairing(self, monkeypatch, backend, pair):
+        calls = {"dh_generate": 0, "dh_private": 0}
+
+        def counted(name):
+            inner = getattr(pairing, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pairing, name, counted(name))
+        ctx = SimContext(rng=random.Random(5), dh_backend=backend)
+        a = make_device(ctx, make_profile("a", 0x01))
+        b = make_device(ctx, make_profile("b", 0x02))
+        for runs in (1, 2):  # a first pairing, then a re-pair
+            assert pair(ctx, a, b).complete
+            assert calls == {"dh_generate": runs, "dh_private": runs}

@@ -406,6 +406,11 @@ class TestCli:
         assert data["summary"]["succeeded"] == 0
         assert data["policies"] == ["c1", "c3"]
 
+    def test_matrix_policies_naming_one_defense_twice_exits_2(self, capsys):
+        code = cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--policies", "c1,c1_auto_pairable"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_matrix_empty_dir_exits_2(self, tmp_path):
         (tmp_path / "empty").mkdir()
         assert cli_main(["matrix", str(tmp_path / "empty")]) == 2
@@ -500,6 +505,8 @@ class TestMalformedInput:
         (("attack", "attacker_address"), "02:00:00:00:0e:07"),
         (("attack",), {"strategy": "us", "target": "phone", "peer": "legacy-speaker",
                        "attacker_address": "02:00:00:00:0E:06"}),
+        (("devices", 0, "policies"), {"c1": False, "c1_auto_pairable": True}),
+        (("devices", 0, "policies"), {"c1_idle_threshold": -1}),
     ], ids=[
         "seed-text", "devices-number", "attack-list", "top-level-list", "expectations-list",
         "device-text", "step-text", "address-number", "max-key-size-text", "c1-threshold-text",
@@ -508,6 +515,7 @@ class TestMalformedInput:
         "attacker-address-one-digit-octets",
         "pair-step-with-itself", "session-step-with-itself", "peer-is-target",
         "attacker-address-not-us", "us-attacker-address-of-listed-device",
+        "policy-alias-and-full-name", "c1-threshold-negative",
     ])
     def test_config_error_exits_2(self, path, value):
         raw = _replaced(json.loads(MUTATED.read_text()), path, value)
