@@ -9,7 +9,6 @@ both transports and the real master is locked out.
 import random
 
 from ctkdsim import (
-    AttackerConfig,
     SimContext,
     bt_pair,
     establish_session,
@@ -38,8 +37,7 @@ print("pre-state: bonded on both transports, BT session live")
 print(f"  bob's BT key for alice : {bob.bonds.lookup(alice.address, 'BT').key.hex()}")
 
 # The attack: one BLE pairing against bob, spoofing alice's address.
-config = AttackerConfig("mi", target=bob.address, spoofed=alice.address)
-outcome = master_impersonation(ctx, config, bob, alice)
+outcome = master_impersonation(ctx, bob, alice)
 
 print("\nattack outcome:")
 for field, value in outcome.to_dict().items():

@@ -4,7 +4,6 @@ the defense policies that do (or do not) block them."""
 
 from .attacks import (
     CTI,
-    AttackerConfig,
     AttackOutcome,
     Requirement,
     cti_map,

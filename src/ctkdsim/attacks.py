@@ -16,7 +16,6 @@ from typing import Optional
 from .crypto import Address, TRANSPORT_BLE, TRANSPORT_BT, TRANSPORTS, random_address
 from .device import Association, Device, DeviceProfile, PairingRole
 from .pairing import (
-    PairingSession,
     SimContext,
     ble_pair,
     bt_pair,
@@ -75,27 +74,6 @@ def cti_map(strategy: str) -> dict[CTI, Requirement]:
     return dict(zip(CTI, row))
 
 
-@dataclass(frozen=True)
-class AttackerConfig:
-    """What the attacker claims and whom it goes after.
-
-    The claimed capability set is fixed by the playbook: no input/output
-    (forcing Just Works), Secure Connections, cross-transport derivation,
-    and the Link Key distribution flag. The attacker holds no victim key
-    at the start of a run.
-    """
-
-    strategy: str
-    target: Address
-    spoofed: Optional[Address] = None  # victim identity to claim (mi/si/mitm)
-    true_identity: Optional[Address] = None  # fresh identity for us
-    name: str = "charlie"
-
-    def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-
-
 @dataclass
 class AttackOutcome:
     succeeded: bool
@@ -116,10 +94,16 @@ class AttackOutcome:
         }
 
 
-def _attacker_device(ctx: SimContext, config: AttackerConfig, claimed: Address) -> Device:
+def _attacker_device(ctx: SimContext, claimed: Address) -> Device:
+    """The attacker under ``claimed``, with the playbook's fixed capability claims.
+
+    No input/output (forcing Just Works), Secure Connections, cross-transport
+    derivation and the Link Key distribution flag. It is built fresh for each
+    pairing run, so it holds no victim key at the start.
+    """
     profile = DeviceProfile(
         address=claimed,
-        name=config.name,
+        name="charlie",
         bt_version="5.0",
         io_capability=IoCapability.NO_INPUT_NO_OUTPUT,
         sc_host=True,
@@ -223,97 +207,58 @@ def _victim_reconnect(ctx: SimContext, victim: Device, peer: Device) -> str:
     return RECONNECT_NOT_ATTEMPTED
 
 
-@dataclass
-class _Run:
-    """One attacker pairing run against one target, from its first event on."""
+def _attack(ctx: SimContext, claimed: Address, target: Device, transport: str,
+            reconnect: Optional[tuple[Device, Device]] = None) -> AttackOutcome:
+    """Pair with ``target`` as ``claimed``, take over both transports, and judge.
 
-    ctx: SimContext
-    charlie: Device
-    target: Device
-    session: PairingSession
-    start: int
-
-    def outcome(self, reconnect: Optional[tuple[Device, Device]] = None, *, goal_met: bool = True) -> AttackOutcome:
-        """Judge the run: take over both transports, then let a victim reconnect.
-
-        Both takeover sessions are always attempted, so the trace shows each
-        of them. ``reconnect`` names the device that comes back and the peer
-        it comes back to; ``goal_met`` is any attack-specific condition.
-        """
-        events = self.ctx.trace.events
-        targets = {str(self.target.address)}
-        outcome = AttackOutcome(succeeded=False, rejection=self.session.abort_reason)
-        if not self.session.aborted:
-            outcome.keys_written, outcome.overwrote_existing = _keys_written(events, targets, self.start)
-            takeovers = [
-                establish_session(self.ctx, self.charlie, self.target, transport)
-                for transport in (TRANSPORT_BT, TRANSPORT_BLE)
-            ]
-            if reconnect is not None:
-                outcome.victim_reconnect = _victim_reconnect(self.ctx, *reconnect)
-            outcome.succeeded = self.session.complete and all(t.ok for t in takeovers) and goal_met
-        outcome.ctis_used = derive_ctis(
-            events, targets=targets,
-            attacker_identities={str(self.charlie.address)}, attack_start=self.start,
-        )
-        return outcome
-
-
-def _pair_as(ctx: SimContext, config: AttackerConfig, claimed: Address, target: Device, transport: str) -> _Run:
-    """Build the attacker under ``claimed`` and pair it with ``target``.
-
-    The attacker always initiates, with its fixed capability claims; it
-    goes through the same pairing entry points an honest device uses.
+    The attacker always initiates, through the same pairing entry points an
+    honest device uses. Both takeover sessions are always attempted, so the
+    trace shows each of them. ``reconnect`` names the device that comes back
+    and the peer it comes back to. The outcome reads only the pairing
+    session, the takeover results and the trace.
     """
     start = ctx.trace.clock
-    charlie = _attacker_device(ctx, config, claimed)
+    charlie = _attacker_device(ctx, claimed)
     pair = ble_pair if transport == TRANSPORT_BLE else bt_pair
-    return _Run(ctx, charlie, target, pair(ctx, charlie, target), start)
+    session = pair(ctx, charlie, target)
+    events = ctx.trace.events
+    targets = {str(target.address)}
+    outcome = AttackOutcome(succeeded=False, rejection=session.abort_reason)
+    if not session.aborted:
+        outcome.keys_written, outcome.overwrote_existing = _keys_written(events, targets, start)
+        takeovers = [
+            establish_session(ctx, charlie, target, t) for t in (TRANSPORT_BT, TRANSPORT_BLE)
+        ]
+        if reconnect is not None:
+            outcome.victim_reconnect = _victim_reconnect(ctx, *reconnect)
+        outcome.succeeded = all(t.ok for t in takeovers)
+    outcome.ctis_used = derive_ctis(
+        events, targets=targets, attacker_identities={str(claimed)}, attack_start=start,
+    )
+    return outcome
 
 
 # ---------------------------------------------------------------------------
 # The four attacks
 # ---------------------------------------------------------------------------
 
-def _impersonation(ctx: SimContext, config: AttackerConfig, target: Device,
-                   impersonated: Device, transport: str) -> AttackOutcome:
-    """Pair with ``target`` as ``impersonated``; the real one then tries to reconnect."""
-    run = _pair_as(ctx, config, config.spoofed or impersonated.address, target, transport)
-    return run.outcome(reconnect=(impersonated, target))
-
-
-def master_impersonation(
-    ctx: SimContext,
-    config: AttackerConfig,
-    bob: Device,
-    alice: Device,
-) -> AttackOutcome:
+def master_impersonation(ctx: SimContext, bob: Device, alice: Device) -> AttackOutcome:
     """Claim the master's identity over BLE and re-key the slave's store.
 
     One pairing run plants attacker keys for both transports in ``bob``'s
     table under ``alice``'s address; the real ``alice`` can no longer
     connect back.
     """
-    return _impersonation(ctx, config, bob, alice, TRANSPORT_BLE)
+    return _attack(ctx, alice.address, bob, TRANSPORT_BLE, reconnect=(alice, bob))
 
 
-def slave_impersonation(
-    ctx: SimContext,
-    config: AttackerConfig,
-    alice: Device,
-    bob: Device,
-) -> AttackOutcome:
+def slave_impersonation(ctx: SimContext, alice: Device, bob: Device) -> AttackOutcome:
     """Claim the slave's identity over BT (after a role switch) and re-key
     the master's store; the derived key lands on BLE via the tunnel."""
-    return _impersonation(ctx, config, alice, bob, TRANSPORT_BT)
+    return _attack(ctx, bob.address, alice, TRANSPORT_BT, reconnect=(bob, alice))
 
 
-def mitm(
-    ctx: SimContext,
-    config: AttackerConfig,
-    alice: Device,
-    bob: Device,
-) -> AttackOutcome:
+def mitm(ctx: SimContext, alice: Device, bob: Device) -> AttackOutcome:
     """Sequential composition of the two impersonations.
 
     When the victims run a BLE session the slave leg goes first (over BT);
@@ -328,11 +273,9 @@ def mitm(
     outcomes: list[AttackOutcome] = []
     for leg in legs:
         if leg == "si":
-            cfg = AttackerConfig(STRATEGY_SI, target=alice.address, spoofed=bob.address, name=config.name)
-            outcome = slave_impersonation(ctx, cfg, alice, bob)
+            outcome = slave_impersonation(ctx, alice, bob)
         else:
-            cfg = AttackerConfig(STRATEGY_MI, target=bob.address, spoofed=alice.address, name=config.name)
-            outcome = master_impersonation(ctx, cfg, bob, alice)
+            outcome = master_impersonation(ctx, bob, alice)
         outcomes.append(outcome)
         if not outcome.succeeded:
             break
@@ -352,28 +295,22 @@ def mitm(
 
 def unintended_session(
     ctx: SimContext,
-    config: AttackerConfig,
     victim: Device,
     bonded_peer: Optional[Device] = None,
+    identity: Optional[Address] = None,
 ) -> AttackOutcome:
-    """Silently bond with the victim as a fresh random device.
+    """Silently bond with the victim as ``identity``, else a fresh random device.
 
-    One pairing on the currently unused transport yields keys for both, the
-    victim's existing bonds stay byte-identical, and the attacker walks away
-    with the victim's distributed identity keys (CSRK/IRK).
+    One pairing on the currently unused transport yields keys for both, and
+    the attacker walks away with the victim's distributed identity keys
+    (CSRK/IRK), which its BLE record keeps. The run fails if it overwrote
+    any record: a commit replaces only the records under the claimed
+    identity, so without an overwrite the victim's existing bonds are
+    untouched.
     """
-    fresh = config.true_identity or random_address(ctx.rng)
+    claimed = identity or random_address(ctx.rng)
     transport = TRANSPORT_BT if victim.has_live_session(TRANSPORT_BLE) else TRANSPORT_BLE
-    before = victim.bonds.snapshot()
-    run = _pair_as(ctx, config, fresh, victim, transport)
-
-    untouched = all(victim.bonds.records.get(k) == v for k, v in before.items())
-    record_ble = run.charlie.bonds.lookup(victim.address, TRANSPORT_BLE)
-    got_identity_keys = (
-        record_ble is not None
-        and record_ble.extra_keys is not None
-        and record_ble.extra_keys.csrk.value == victim.csrk.value
-        and record_ble.extra_keys.irk.value == victim.irk.value
-    )
     reconnect = None if bonded_peer is None else (victim, bonded_peer)
-    return run.outcome(reconnect, goal_met=untouched and got_identity_keys)
+    outcome = _attack(ctx, claimed, victim, transport, reconnect)
+    outcome.succeeded = outcome.succeeded and not outcome.overwrote_existing
+    return outcome

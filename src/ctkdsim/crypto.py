@@ -238,10 +238,6 @@ class ToyModPBackend:
     def shared(self, private: DhPrivate, public: DhPublic) -> bytes:
         return pow(public.value, private.value, self.prime).to_bytes(16, "big")
 
-    def public_bytes(self, public: DhPublic) -> bytes:
-        return public.value.to_bytes(16, "big")
-
-
 @functools.cache
 def _toy_generator_table() -> tuple[tuple[int, ...], ...]:
     """Row ``i``, entry ``j`` is ``generator**(j << 8*i) % prime``: 16 rows of 256."""
@@ -290,10 +286,6 @@ class P256Backend:
             peer = self._ec.EllipticCurvePublicKey.from_encoded_point(self._curve, public.value)
         return private.value.exchange(self._ecdh, peer)[:16]
 
-    def public_bytes(self, public: DhPublic) -> bytes:
-        return public.value
-
-
 _BACKENDS = {
     ToyModPBackend.name: ToyModPBackend(),
 }
@@ -328,10 +320,6 @@ def dh_shared(private: DhPrivate, public: DhPublic) -> SharedSecret:
             f"private key from {private.backend!r}, public key from {public.backend!r}"
         )
     return SharedSecret(get_backend(private.backend).shared(private, public))
-
-
-def dh_public_bytes(public: DhPublic) -> bytes:
-    return get_backend(public.backend).public_bytes(public)
 
 
 # ---------------------------------------------------------------------------

@@ -179,9 +179,6 @@ class BondTable:
         self.records[(record.peer, record.transport)] = record
         return StoreOutcome(overwrote=previous is not None)
 
-    def snapshot(self) -> dict:
-        return dict(self.records)
-
 
 class Device:
     """A profile plus the mutable state the protocol engine acts on."""
@@ -196,7 +193,6 @@ class Device:
         self.irk = random_key128(rng)
         self.key_material = KeyMaterial(csrk=self.csrk, irk=self.irk)
         self._pairable = {"BT": profile.pairable_bt, "BLE": profile.pairable_ble}
-        self._manual_pairable: dict[str, bool] = {}
         self.sessions: list["SessionState"] = []
         self.last_activity: dict[str, int] = {t: 0 for t in TRANSPORTS}
 
@@ -207,13 +203,8 @@ class Device:
     def is_pairable(self, transport: str) -> bool:
         return self._pairable[transport]
 
-    def set_pairable(self, transport: str, flag: bool, manual: bool = True) -> None:
+    def set_pairable(self, transport: str, flag: bool) -> None:
         self._pairable[transport] = flag
-        if manual:
-            self._manual_pairable[transport] = flag
-
-    def manually_set(self, transport: str) -> bool:
-        return transport in self._manual_pairable
 
     def note_activity(self, transport: str, clock: int) -> None:
         self.last_activity[transport] = clock

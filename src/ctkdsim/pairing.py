@@ -374,8 +374,7 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
 
     for device, record, context in pending:
         verdict = evaluate(
-            device.policies, device.bonds.lookup(record.peer, record.transport), record,
-            bt_version=device.profile.bt_version, **context,
+            device.policies, device.bonds.lookup(record.peer, record.transport), record, **context,
         )
         _emit_verdict(
             ctx, device, stage="store", transport=record.transport, peer=record.peer,

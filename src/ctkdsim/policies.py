@@ -28,7 +28,6 @@ from .device import (
     KeyRecord,
     PairingRole,
     pop_options,
-    version_at_least,
 )
 
 
@@ -68,9 +67,6 @@ class PolicySet:
     """Independent defense toggles; the baseline is everything off."""
 
     sig51_rule: bool = False
-    # Scenario knob: apply the overwrite rule only to devices >= 5.1, the
-    # narrow reading of the standard's version-specific wording.
-    sig51_version_gated: bool = False
     c1_auto_pairable: bool = False
     c1_idle_threshold: int = 10
     c2_role_binding: bool = False
@@ -161,16 +157,13 @@ def evaluate(
     *,
     ctkd_source: Optional[KeyRecord] = None,
     prior_direct: Optional[KeyRecord] = None,
-    bt_version: Optional[str] = None,
 ) -> PolicyVerdict:
     """The verdict on writing ``incoming`` over ``existing``: sig51, then c3.
 
     ``ctkd_source`` and ``prior_direct`` only matter for a derived record:
     the direct record of the same run, and what its transport held before.
     """
-    gated_out = policy.sig51_version_gated and bt_version is not None \
-        and not version_at_least(bt_version, "5.1")
-    if policy.sig51_rule and not gated_out:
+    if policy.sig51_rule:
         verdict = sig51_check(existing, incoming)
         if not verdict.allow:
             return verdict
@@ -182,19 +175,16 @@ def evaluate(
 def c1_tick(device: Device, transport: str, event_clock: int) -> bool:
     """Auto-disable pairability on an idle, session-less transport.
 
-    Returns True when this tick turned pairability off. Transports the user
-    toggled manually are left alone.
+    Returns True when this tick turned pairability off.
     """
     policy = device.policies
     if not policy.c1_auto_pairable:
-        return False
-    if device.manually_set(transport):
         return False
     if not device.is_pairable(transport):
         return False
     if device.has_live_session(transport):
         return False
     if event_clock - device.last_activity[transport] >= policy.c1_idle_threshold:
-        device.set_pairable(transport, False, manual=False)
+        device.set_pairable(transport, False)
         return True
     return False

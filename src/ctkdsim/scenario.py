@@ -19,14 +19,13 @@ from .attacks import (
     STRATEGY_MITM,
     STRATEGY_SI,
     STRATEGY_US,
-    AttackerConfig,
     AttackOutcome,
     master_impersonation,
     mitm,
     slave_impersonation,
     unintended_session,
 )
-from .crypto import MAX_STRENGTH, MIN_STRENGTH, TRANSPORTS, Address
+from .crypto import MAX_STRENGTH, MIN_STRENGTH, TRANSPORT_BLE, TRANSPORTS, Address
 from .device import Device, DeviceProfile
 from .pairing import (
     SimContext,
@@ -72,7 +71,6 @@ class AttackSpec:
     strategy: str
     target: str
     peer: Optional[str] = None
-    attacker_name: str = "charlie"
     attacker_address: Optional[Address] = None  # fixed fresh identity for `us`
 
 
@@ -159,8 +157,6 @@ class Scenario:
             strategy=strategy,
             target=target,
             peer=peer,
-            attacker_name=_typed(attack_raw.pop("attacker_name", "charlie"), str,
-                                 f"{where}.attack.attacker_name"),
             attacker_address=attacker_address,
         )
         if attack_raw:
@@ -192,6 +188,9 @@ class Scenario:
             raise ScenarioError(f"{where}: unknown field(s) {sorted(unknown)} for action {action!r}")
         if not isinstance(step.get("ctkd", True), bool):
             raise ScenarioError(f"{where}: ctkd must be true or false, got {step['ctkd']!r}")
+        if "entropy" in step and step["transport"] == TRANSPORT_BLE:
+            # A BLE session key always takes the pairing key's strength.
+            raise ScenarioError(f"{where}: entropy is read only by a BT session")
         entropy = step.get("entropy", MAX_STRENGTH)
         if isinstance(entropy, bool) or not isinstance(entropy, int) \
                 or not MIN_STRENGTH <= entropy <= MAX_STRENGTH:
@@ -304,20 +303,13 @@ def _dispatch_attack(ctx: SimContext, scenario: Scenario, devices: dict[str, Dev
     attack = scenario.attack
     target = devices[attack.target]
     peer = devices[attack.peer] if attack.peer else None
-    config = AttackerConfig(
-        strategy=attack.strategy,
-        target=target.address,
-        spoofed=peer.address if peer else None,
-        true_identity=attack.attacker_address,
-        name=attack.attacker_name,
-    )
     if attack.strategy == STRATEGY_MI:
-        return master_impersonation(ctx, config, target, peer)
+        return master_impersonation(ctx, target, peer)
     if attack.strategy == STRATEGY_SI:
-        return slave_impersonation(ctx, config, target, peer)
+        return slave_impersonation(ctx, target, peer)
     if attack.strategy == STRATEGY_MITM:
-        return mitm(ctx, config, target, peer)
-    return unintended_session(ctx, config, target, peer)
+        return mitm(ctx, target, peer)
+    return unintended_session(ctx, target, peer, attack.attacker_address)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from conftest import device
 
 from ctkdsim.attacks import (
     CTI,
-    AttackerConfig,
     Requirement,
     cti_map,
     master_impersonation,
@@ -35,18 +34,10 @@ def bonded_victims(ctx, *, alice_policies=None, bob_policies=None, live="BT",
     return alice, bob
 
 
-def mi_config(alice, bob):
-    return AttackerConfig("mi", target=bob.address, spoofed=alice.address)
-
-
-def si_config(alice, bob):
-    return AttackerConfig("si", target=alice.address, spoofed=bob.address)
-
-
 class TestMasterImpersonation:
     def test_baseline_takeover(self, ctx):
         alice, bob = bonded_victims(ctx)
-        outcome = master_impersonation(ctx, mi_config(alice, bob), bob, alice)
+        outcome = master_impersonation(ctx, bob, alice)
         assert outcome.succeeded
         assert outcome.overwrote_existing
         assert outcome.victim_reconnect == "key_mismatch"
@@ -58,24 +49,24 @@ class TestMasterImpersonation:
     def test_victim_records_now_hold_attacker_keys(self, ctx):
         alice, bob = bonded_victims(ctx)
         old_bt = bob.bonds.lookup(alice.address, TRANSPORT_BT).key.value
-        master_impersonation(ctx, mi_config(alice, bob), bob, alice)
+        master_impersonation(ctx, bob, alice)
         new_bt = bob.bonds.lookup(alice.address, TRANSPORT_BT).key.value
         assert new_bt != old_bt
         assert bob.bonds.lookup(alice.address, TRANSPORT_BT).origin is KeyOrigin.CTKD_DERIVED
 
     def test_ctis_match_required_row(self, ctx):
         alice, bob = bonded_victims(ctx)
-        outcome = master_impersonation(ctx, mi_config(alice, bob), bob, alice)
+        outcome = master_impersonation(ctx, bob, alice)
         assert outcome.ctis_used == {CTI.EXTENDED_PAIRING, CTI.KEY_TAMPERING}
 
     def test_sig51_does_not_block_equal_protection(self, ctx):
         alice, bob = bonded_victims(ctx, bob_policies=PolicySet(sig51_rule=True))
-        outcome = master_impersonation(ctx, mi_config(alice, bob), bob, alice)
+        outcome = master_impersonation(ctx, bob, alice)
         assert outcome.succeeded
 
     def test_c3_blocks(self, ctx):
         alice, bob = bonded_victims(ctx, bob_policies=PolicySet(c3_no_cross_overwrite=True))
-        outcome = master_impersonation(ctx, mi_config(alice, bob), bob, alice)
+        outcome = master_impersonation(ctx, bob, alice)
         assert not outcome.succeeded
         assert outcome.rejection is RejectionReason.C3_OVERWRITE_BLOCK
         assert outcome.victim_reconnect == "not_attempted"
@@ -86,7 +77,7 @@ class TestMasterImpersonation:
         alice, bob = bonded_victims(ctx, bob_io="DisplayYesNo")
         assert bob.bonds.lookup(alice.address, TRANSPORT_BT).association \
             is Association.NUMERIC_COMPARISON
-        outcome = master_impersonation(ctx, mi_config(alice, bob), bob, alice)
+        outcome = master_impersonation(ctx, bob, alice)
         assert outcome.succeeded
         assert CTI.ASSOCIATION_MANIPULATION in outcome.ctis_used
 
@@ -94,7 +85,7 @@ class TestMasterImpersonation:
         alice, bob = bonded_victims(
             ctx, bob_io="DisplayYesNo", bob_policies=PolicySet(sig51_rule=True)
         )
-        outcome = master_impersonation(ctx, mi_config(alice, bob), bob, alice)
+        outcome = master_impersonation(ctx, bob, alice)
         assert not outcome.succeeded
         assert outcome.rejection is RejectionReason.MITM_DOWNGRADE
 
@@ -106,7 +97,7 @@ class TestMasterImpersonation:
         assert bt_pair(ctx, alice, bob, want_ctkd=False).complete
         assert bob.bonds.lookup(alice.address, TRANSPORT_BLE) is None
         assert establish_session(ctx, alice, bob, TRANSPORT_BT).ok
-        outcome = master_impersonation(ctx, mi_config(alice, bob), bob, alice)
+        outcome = master_impersonation(ctx, bob, alice)
         assert outcome.succeeded
         assert bob.bonds.lookup(alice.address, TRANSPORT_BLE) is not None
 
@@ -115,7 +106,7 @@ class TestMasterImpersonation:
         # takeover fails, and the BLE one must still be attempted.
         alice, bob = bonded_victims(ctx, bob_overrides={"ctkd_supported": False})
         start = ctx.trace.clock
-        outcome = master_impersonation(ctx, mi_config(alice, bob), bob, alice)
+        outcome = master_impersonation(ctx, bob, alice)
         assert not outcome.succeeded
         assert outcome.keys_written == [(str(bob.address), TRANSPORT_BLE, "direct_pairing")]
         sessions = [
@@ -131,20 +122,11 @@ class TestMasterImpersonation:
         ]
         assert outcome.victim_reconnect == "ok"
 
-    def test_attacker_starts_with_no_victim_keys(self, ctx):
-        alice, bob = bonded_victims(ctx)
-        # The attack constructs its device fresh; nothing in the config can
-        # smuggle key material in.
-        config = mi_config(alice, bob)
-        assert not hasattr(config, "keys")
-        outcome = master_impersonation(ctx, config, bob, alice)
-        assert outcome.succeeded
-
 
 class TestSlaveImpersonation:
     def test_baseline_takeover(self, ctx):
         alice, bob = bonded_victims(ctx, live="BLE")
-        outcome = slave_impersonation(ctx, si_config(alice, bob), alice, bob)
+        outcome = slave_impersonation(ctx, alice, bob)
         assert outcome.succeeded
         assert outcome.overwrote_existing
         assert outcome.victim_reconnect == "key_mismatch"
@@ -155,7 +137,7 @@ class TestSlaveImpersonation:
 
     def test_ctis_include_role_asymmetry(self, ctx):
         alice, bob = bonded_victims(ctx, live="BLE")
-        outcome = slave_impersonation(ctx, si_config(alice, bob), alice, bob)
+        outcome = slave_impersonation(ctx, alice, bob)
         assert outcome.ctis_used == {
             CTI.EXTENDED_PAIRING, CTI.ROLE_ASYMMETRY, CTI.KEY_TAMPERING,
         }
@@ -164,7 +146,7 @@ class TestSlaveImpersonation:
         alice, bob = bonded_victims(
             ctx, live="BLE", alice_policies=PolicySet(c2_role_binding=True)
         )
-        outcome = slave_impersonation(ctx, si_config(alice, bob), alice, bob)
+        outcome = slave_impersonation(ctx, alice, bob)
         assert not outcome.succeeded
         assert outcome.rejection is RejectionReason.C2_ROLE_MISMATCH
 
@@ -172,7 +154,7 @@ class TestSlaveImpersonation:
         alice, bob = bonded_victims(
             ctx, live="BLE", alice_policies=PolicySet(c3_no_cross_overwrite=True)
         )
-        outcome = slave_impersonation(ctx, si_config(alice, bob), alice, bob)
+        outcome = slave_impersonation(ctx, alice, bob)
         assert not outcome.succeeded
         assert outcome.rejection is RejectionReason.C3_OVERWRITE_BLOCK
 
@@ -180,8 +162,7 @@ class TestSlaveImpersonation:
 class TestMitm:
     def test_baseline_controls_both_victims(self, ctx):
         alice, bob = bonded_victims(ctx, live="BLE")
-        config = AttackerConfig("mitm", target=alice.address, spoofed=bob.address)
-        outcome = mitm(ctx, config, alice, bob)
+        outcome = mitm(ctx, alice, bob)
         assert outcome.succeeded
         assert outcome.victim_reconnect == "key_mismatch"
         # Both victims' stores now point at attacker keys.
@@ -195,8 +176,7 @@ class TestMitm:
         policies = PolicySet(c3_no_cross_overwrite=True)
         alice, bob = bonded_victims(ctx, live="BLE", alice_policies=policies,
                                     bob_policies=policies)
-        config = AttackerConfig("mitm", target=alice.address, spoofed=bob.address)
-        outcome = mitm(ctx, config, alice, bob)
+        outcome = mitm(ctx, alice, bob)
         assert not outcome.succeeded
         assert outcome.rejection is RejectionReason.C3_OVERWRITE_BLOCK
 
@@ -204,8 +184,7 @@ class TestMitm:
         alice, bob = bonded_victims(ctx, live="BLE")
         # Force the second leg (against bob over BLE) to fail.
         bob.set_pairable(TRANSPORT_BLE, False)
-        config = AttackerConfig("mitm", target=alice.address, spoofed=bob.address)
-        outcome = mitm(ctx, config, alice, bob)
+        outcome = mitm(ctx, alice, bob)
         assert not outcome.succeeded
         assert outcome.rejection is RejectionReason.NOT_PAIRABLE
 
@@ -214,8 +193,7 @@ class TestMitm:
         # is a BLE pairing request at bob.
         alice, bob = bonded_victims(ctx, live="BT")
         start = ctx.trace.clock
-        config = AttackerConfig("mitm", target=alice.address, spoofed=bob.address)
-        outcome = mitm(ctx, config, alice, bob)
+        outcome = mitm(ctx, alice, bob)
         assert outcome.succeeded
         first_msg = next(e for e in ctx.trace.events[start:] if e.kind == "msg_sent")
         assert first_msg.payload["transport"] == TRANSPORT_BLE
@@ -224,9 +202,8 @@ class TestMitm:
 class TestUnintendedSession:
     def test_baseline_stealth_bond(self, ctx):
         alice, bob = bonded_victims(ctx)
-        before = bob.bonds.snapshot()
-        config = AttackerConfig("us", target=bob.address)
-        outcome = unintended_session(ctx, config, bob, alice)
+        before = dict(bob.bonds.records)
+        outcome = unintended_session(ctx, bob, alice)
         assert outcome.succeeded
         assert not outcome.overwrote_existing
         # Pre-existing bonds byte-identical, and still functional.
@@ -235,18 +212,37 @@ class TestUnintendedSession:
 
     def test_attacker_gets_victim_identity_keys(self, ctx):
         alice, bob = bonded_victims(ctx)
-        config = AttackerConfig("us", target=bob.address)
         start = ctx.trace.clock
-        outcome = unintended_session(ctx, config, bob, alice)
+        outcome = unintended_session(ctx, bob, alice)
         assert outcome.succeeded
         # The fresh identity is whatever address sent the first attack frame.
         first = next(e for e in ctx.trace.events[start:] if e.kind == "msg_sent")
         assert first.actor not in (str(alice.address), str(bob.address))
 
+    def test_attacker_key_stored_event_carries_victim_identity_keys(self, ctx):
+        alice, bob = bonded_victims(ctx)
+        start = ctx.trace.clock
+        assert unintended_session(ctx, bob, alice).succeeded
+        victims = (str(alice.address), str(bob.address))
+        stored = [
+            e.payload for e in ctx.trace.events[start:]
+            if e.kind == "key_stored" and e.actor not in victims
+            and e.payload["transport"] == TRANSPORT_BLE
+        ]
+        assert len(stored) == 1
+        assert stored[0]["peer"] == str(bob.address)
+        assert stored[0]["extra_keys"] == {"csrk": bob.csrk.hex(), "irk": bob.irk.hex()}
+
+    def test_claiming_a_bonded_identity_overwrites_and_fails(self, ctx):
+        # The victim's BLE bond for alice is replaced, so its bonds are not untouched.
+        alice, bob = bonded_victims(ctx)
+        outcome = unintended_session(ctx, bob, alice, identity=alice.address)
+        assert outcome.overwrote_existing
+        assert not outcome.succeeded
+
     def test_ctis_exclude_association_manipulation(self, ctx):
         alice, bob = bonded_victims(ctx)
-        config = AttackerConfig("us", target=bob.address)
-        outcome = unintended_session(ctx, config, bob, alice)
+        outcome = unintended_session(ctx, bob, alice)
         assert outcome.ctis_used == {CTI.EXTENDED_PAIRING, CTI.KEY_TAMPERING}
 
     def test_c1_blocks_when_idle_transport_disabled(self, ctx):
@@ -257,15 +253,13 @@ class TestUnintendedSession:
 
         for transport in (TRANSPORT_BT, TRANSPORT_BLE):
             c1_tick(bob, transport, ctx.trace.clock)
-        config = AttackerConfig("us", target=bob.address)
-        outcome = unintended_session(ctx, config, bob, alice)
+        outcome = unintended_session(ctx, bob, alice)
         assert not outcome.succeeded
         assert outcome.rejection is RejectionReason.NOT_PAIRABLE
 
     def test_sig51_is_out_of_scope_for_key_writes(self, ctx):
         alice, bob = bonded_victims(ctx, bob_policies=PolicySet(sig51_rule=True))
-        config = AttackerConfig("us", target=bob.address)
-        outcome = unintended_session(ctx, config, bob, alice)
+        outcome = unintended_session(ctx, bob, alice)
         assert outcome.succeeded
 
     def test_fixed_fresh_identity(self, ctx):
@@ -273,8 +267,7 @@ class TestUnintendedSession:
 
         alice, bob = bonded_victims(ctx)
         fresh = Address.parse("02:ff:ff:ff:ff:01")
-        config = AttackerConfig("us", target=bob.address, true_identity=fresh)
-        outcome = unintended_session(ctx, config, bob, alice)
+        outcome = unintended_session(ctx, bob, alice, identity=fresh)
         assert outcome.succeeded
         assert bob.bonds.lookup(fresh, TRANSPORT_BT) is not None
 
@@ -321,10 +314,10 @@ def outcome_satisfies_map(outcome, strategy):
 class TestStandardCompliance:
     def test_every_baseline_attack_matches_its_cti_row(self, ctx):
         alice, bob = bonded_victims(ctx, live="BLE")
-        outcome = slave_impersonation(ctx, si_config(alice, bob), alice, bob)
+        outcome = slave_impersonation(ctx, alice, bob)
         assert outcome_satisfies_map(outcome, "si")
 
         ctx2 = SimContext(rng=random.Random(11))
         alice2, bob2 = bonded_victims(ctx2)
-        outcome2 = master_impersonation(ctx2, mi_config(alice2, bob2), bob2, alice2)
+        outcome2 = master_impersonation(ctx2, bob2, alice2)
         assert outcome_satisfies_map(outcome2, "mi")

@@ -146,7 +146,7 @@ class TestBondTable:
         table = BondTable()
         old = record(mitm=True)
         table.commit(old)
-        snap = table.snapshot()
+        snap = dict(table.records)
         verdict = store_verdict(table, record(mitm=False, key_byte=0x42), PolicySet(sig51_rule=True))
         assert not verdict.allow
         assert table.records == snap

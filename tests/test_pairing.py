@@ -197,8 +197,8 @@ class TestBtPairing:
         guarded = device(ctx, "guarded", 0x56, io="NoInputNoOutput",
                          policies=PolicySet(c2_role_binding=True))
         bt_pair(ctx, laptop, guarded)
-        snap_guarded = guarded.bonds.snapshot()
-        snap_laptop = laptop.bonds.snapshot()
+        snap_guarded = dict(guarded.bonds.records)
+        snap_laptop = dict(laptop.bonds.records)
         session = bt_pair(ctx, guarded, laptop)
         assert session.aborted
         assert session.abort_reason is RejectionReason.C2_ROLE_MISMATCH
@@ -221,8 +221,8 @@ class TestAbortAtomicity:
                          policies=PolicySet(c3_no_cross_overwrite=True))
         first = ble_pair(ctx, laptop, guarded)
         assert first.complete
-        snap_guarded = guarded.bonds.snapshot()
-        snap_laptop = laptop.bonds.snapshot()
+        snap_guarded = dict(guarded.bonds.records)
+        snap_laptop = dict(laptop.bonds.records)
         second = ble_pair(ctx, laptop, guarded)
         assert second.aborted
         assert second.abort_reason is RejectionReason.C3_OVERWRITE_BLOCK

@@ -103,13 +103,6 @@ class TestEvaluate:
         policy = PolicySet(sig51_rule=True, c4_association_monotonic=True)
         assert evaluate(policy, existing, incoming) == evaluate(policy, existing, incoming)
 
-    def test_version_gating_skips_old_devices(self):
-        existing = record(mitm=True)
-        incoming = record(mitm=False, key_byte=0x42)
-        gated = PolicySet(sig51_rule=True, sig51_version_gated=True)
-        assert evaluate(gated, existing, incoming, bt_version="5.0").allow
-        assert not evaluate(gated, existing, incoming, bt_version="5.1").allow
-
     def test_rejecting_verdict_needs_reason(self):
         with pytest.raises(ValueError):
             PolicyVerdict(False)
@@ -135,14 +128,6 @@ class TestC1Tick:
         assert establish_session(ctx, a, b, "BT").ok
         assert not c1_tick(a, "BT", event_clock=10_000)
         assert a.is_pairable("BT")
-
-    def test_manual_reenable_sticks(self, ctx):
-        dev = device(ctx, "manual", 0x45, policies=PolicySet(c1_auto_pairable=True, c1_idle_threshold=1))
-        assert c1_tick(dev, "BLE", event_clock=100)
-        assert not dev.is_pairable("BLE")
-        dev.set_pairable("BLE", True)  # user flips it back on
-        assert not c1_tick(dev, "BLE", event_clock=10_000)
-        assert dev.is_pairable("BLE")
 
     def test_disabled_policy_never_fires(self, ctx):
         dev = device(ctx, "off", 0x46)

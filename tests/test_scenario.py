@@ -411,6 +411,11 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_matrix_policies_naming_no_defense_exits_2(self, capsys):
+        code = cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--policies", "sig51_version_gated"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_matrix_empty_dir_exits_2(self, tmp_path):
         (tmp_path / "empty").mkdir()
         assert cli_main(["matrix", str(tmp_path / "empty")]) == 2
@@ -507,6 +512,12 @@ class TestMalformedInput:
                        "attacker_address": "02:00:00:00:0E:06"}),
         (("devices", 0, "policies"), {"c1": False, "c1_auto_pairable": True}),
         (("devices", 0, "policies"), {"c1_idle_threshold": -1}),
+        (("attack", "attacker_name"), "mallory"),
+        (("pre_state",), [
+            {"action": "pair", "transport": "BLE", "initiator": "legacy-speaker", "responder": "phone"},
+            {"action": "session", "transport": "BLE", "initiator": "legacy-speaker",
+             "responder": "phone", "entropy": 7},
+        ]),
     ], ids=[
         "seed-text", "devices-number", "attack-list", "top-level-list", "expectations-list",
         "device-text", "step-text", "address-number", "max-key-size-text", "c1-threshold-text",
@@ -516,6 +527,7 @@ class TestMalformedInput:
         "pair-step-with-itself", "session-step-with-itself", "peer-is-target",
         "attacker-address-not-us", "us-attacker-address-of-listed-device",
         "policy-alias-and-full-name", "c1-threshold-negative",
+        "attacker-name", "ble-session-entropy",
     ])
     def test_config_error_exits_2(self, path, value):
         raw = _replaced(json.loads(MUTATED.read_text()), path, value)
