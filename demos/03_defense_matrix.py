@@ -16,12 +16,10 @@ scenarios = matrix_scenarios()
 
 configs = [
     ("baseline (no defenses)", None),
-    ("5.1 overwrite rule", PolicySet(sig51_rule=True)),
-    ("c3: no cross-transport overwrites", PolicySet(c3_no_cross_overwrite=True)),
-    ("c1+c3", PolicySet(c1_auto_pairable=True, c3_no_cross_overwrite=True)),
-    ("all defenses", PolicySet(sig51_rule=True, c1_auto_pairable=True,
-                               c2_role_binding=True, c3_no_cross_overwrite=True,
-                               c4_association_monotonic=True)),
+    ("5.1 overwrite rule", PolicySet(sig51=True)),
+    ("c3: no cross-transport overwrites", PolicySet(c3=True)),
+    ("c1+c3", PolicySet(c1=True, c3=True)),
+    ("all defenses", PolicySet(sig51=True, c1=True, c2=True, c3=True, c4=True)),
 ]
 
 for label, policy in configs:

@@ -37,8 +37,6 @@ STRATEGY_MITM = "mitm"
 STRATEGY_US = "us"
 STRATEGIES = (STRATEGY_MI, STRATEGY_SI, STRATEGY_MITM, STRATEGY_US)
 
-RECONNECT_OK = "ok"
-RECONNECT_KEY_MISMATCH = "key_mismatch"
 RECONNECT_NOT_ATTEMPTED = "not_attempted"
 
 
@@ -110,8 +108,6 @@ def _attacker_device(ctx: SimContext, claimed: Address) -> Device:
         sc_controller=True,
         ctkd_supported=True,
         h7_supported=True,
-        pairable_bt=True,
-        pairable_ble=True,
     )
     return make_device(ctx, profile)
 
@@ -123,11 +119,14 @@ def _attacker_device(ctx: SimContext, claimed: Address) -> Device:
 def derive_ctis(
     events: list[TraceEvent],
     *,
-    targets: set[str],
-    attacker_identities: set[str],
+    target: str,
+    claimed: str,
     attack_start: int,
 ) -> frozenset[CTI]:
     """Replay the trace and record which issue predicates fired.
+
+    ``target`` is the attacked device's address and ``claimed`` the
+    identity the attacker paired under, both as text.
 
     * extended pairing: the attack pairing landed on a transport where the
       target had no live session at that moment;
@@ -151,8 +150,8 @@ def derive_ctis(
             if (
                 in_window
                 and payload.get("opcode") == "request"
-                and event.actor in targets
-                and payload.get("peer") in attacker_identities
+                and event.actor == target
+                and payload.get("peer") == claimed
             ):
                 transport = payload["transport"]
                 target_live = any(
@@ -172,7 +171,7 @@ def derive_ctis(
             sessions[(pair, payload["transport"])] = True
 
         elif event.kind == KIND_KEY_STORED:
-            if in_window and event.actor in targets and payload["peer"] in attacker_identities:
+            if in_window and event.actor == target and payload["peer"] == claimed:
                 if payload["origin"] == "ctkd_derived":
                     fired.add(CTI.KEY_TAMPERING)
                 if payload["association"] == Association.JUST_WORKS.value:
@@ -188,11 +187,11 @@ def derive_ctis(
     return frozenset(fired)
 
 
-def _keys_written(events: list[TraceEvent], victims: set[str], since: int) -> tuple[list, bool]:
+def _keys_written(events: list[TraceEvent], victim: str, since: int) -> tuple[list, bool]:
     written = []
     overwrote = False
     for event in events[since:]:
-        if event.kind == KIND_KEY_STORED and event.actor in victims:
+        if event.kind == KIND_KEY_STORED and event.actor == victim:
             written.append((event.actor, event.payload["transport"], event.payload["origin"]))
             overwrote = overwrote or bool(event.payload.get("overwrote"))
     return written, overwrote
@@ -222,19 +221,17 @@ def _attack(ctx: SimContext, claimed: Address, target: Device, transport: str,
     pair = ble_pair if transport == TRANSPORT_BLE else bt_pair
     session = pair(ctx, charlie, target)
     events = ctx.trace.events
-    targets = {str(target.address)}
+    victim = str(target.address)
     outcome = AttackOutcome(succeeded=False, rejection=session.abort_reason)
     if not session.aborted:
-        outcome.keys_written, outcome.overwrote_existing = _keys_written(events, targets, start)
+        outcome.keys_written, outcome.overwrote_existing = _keys_written(events, victim, start)
         takeovers = [
             establish_session(ctx, charlie, target, t) for t in (TRANSPORT_BT, TRANSPORT_BLE)
         ]
         if reconnect is not None:
             outcome.victim_reconnect = _victim_reconnect(ctx, *reconnect)
         outcome.succeeded = all(t.ok for t in takeovers)
-    outcome.ctis_used = derive_ctis(
-        events, targets=targets, attacker_identities={str(claimed)}, attack_start=start,
-    )
+    outcome.ctis_used = derive_ctis(events, target=victim, claimed=str(claimed), attack_start=start)
     return outcome
 
 

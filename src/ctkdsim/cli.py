@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 when expectations were met (or nothing was checked), 1 on an
-expectation/selftest mismatch, 2 on configuration errors.
+expectation/selftest mismatch, 2 on configuration errors. A command signals
+a configuration error by raising ``ScenarioError`` or ``OSError``; ``main``
+reports it and exits 2.
 """
 
 from __future__ import annotations
@@ -23,23 +25,17 @@ EXIT_CONFIG = 2
 
 def _parse_policies(spec: str) -> PolicySet:
     names = [part.strip() for part in spec.split(",") if part.strip()]
-    return PolicySet.from_dict({name: True for name in names}, "--policies")
+    try:
+        return PolicySet.from_dict({name: True for name in names}, "--policies")
+    except ValueError as err:
+        raise ScenarioError(str(err)) from None
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        result = run_scenario(scenario, seed_override=args.seed)
-    except ScenarioError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    scenario = load_scenario(args.scenario)
+    result = run_scenario(scenario, seed_override=args.seed)
     if args.trace:
-        try:
-            emit_trace(result.trace, args.trace)
-        except OSError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return EXIT_CONFIG
+        emit_trace(result.trace, args.trace)
 
     outcome = result.outcome.to_dict()
     print(f"scenario: {scenario.name}")
@@ -57,23 +53,14 @@ def _cmd_matrix(args) -> int:
     directory = Path(args.directory)
     paths = sorted(directory.glob("*.json"))
     if not paths:
-        print(f"config error: no scenario files in {directory}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        scenarios = [load_scenario(p) for p in paths]
-        override = _parse_policies(args.policies) if args.policies else None
-    except (ScenarioError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ScenarioError(f"no scenario files in {directory}")
+    scenarios = [load_scenario(p) for p in paths]
+    override = _parse_policies(args.policies) if args.policies else None
 
     report = run_matrix(scenarios, policy_override=override)
     print(report.render_text(), end="")
     if args.report:
-        try:
-            Path(args.report).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
-        except OSError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return EXIT_CONFIG
+        Path(args.report).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
         print(f"report written to {args.report}")
     if report.errors:
         for err in report.errors:
@@ -127,7 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ScenarioError, OSError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -121,10 +121,9 @@ TAG_BRLE = TagString("brle")
 
 @dataclass(frozen=True)
 class Nonce:
-    """Fresh 16-byte per-run value, tagged with the address that produced it."""
+    """Fresh 16-byte per-run value."""
 
     value: bytes
-    origin: Address
 
     def __post_init__(self) -> None:
         if len(self.value) != 16:
@@ -397,8 +396,8 @@ def random_key128(rng: random.Random, strength: int = MAX_STRENGTH, mitm_protect
     return Key128(rng.randbytes(16), strength, mitm_protected)
 
 
-def random_nonce(rng: random.Random, origin: Address) -> Nonce:
-    return Nonce(rng.randbytes(16), origin)
+def random_nonce(rng: random.Random) -> Nonce:
+    return Nonce(rng.randbytes(16))
 
 
 def random_address(rng: random.Random) -> Address:

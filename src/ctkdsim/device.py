@@ -86,8 +86,6 @@ class DeviceProfile:
     sc_controller: bool = True
     ctkd_supported: bool = True
     h7_supported: bool = True
-    pairable_bt: bool = True
-    pairable_ble: bool = True
     ctkd_backported: bool = False
     max_key_size: int = 16
 
@@ -192,7 +190,8 @@ class Device:
         self.csrk = random_key128(rng)
         self.irk = random_key128(rng)
         self.key_material = KeyMaterial(csrk=self.csrk, irk=self.irk)
-        self._pairable = {"BT": profile.pairable_bt, "BLE": profile.pairable_ble}
+        # Pairable on both transports from the start; only c1 turns it off.
+        self._pairable = {"BT": True, "BLE": True}
         self.sessions: list["SessionState"] = []
         self.last_activity: dict[str, int] = {t: 0 for t in TRANSPORTS}
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .attacks import STRATEGIES
 from .device import DeviceProfile
 from .scenario import Scenario
 
@@ -36,8 +37,6 @@ _VICTIMS = [
     ("sony-wh-1000xm3", "4.2", "Master", "NoInputNoOutput"),
     ("sony-wh-ch700n", "4.1", "Master", "NoInputNoOutput"),
 ]
-
-STRATEGY_ORDER = ("mi", "si", "mitm", "us")
 
 
 def _victim_profile(index: int, name: str, version: str, io_cap: str) -> dict:
@@ -148,29 +147,25 @@ def _scenario_dict(index: int, victim_index: int, strategy: str) -> dict:
     }
 
 
+def _matrix_dicts() -> list[dict]:
+    """The raw matrix scenarios, victim by victim, in ``STRATEGIES`` order."""
+    cells = [(v, strategy) for v in range(len(_VICTIMS)) for strategy in STRATEGIES]
+    return [_scenario_dict(index, v, strategy) for index, (v, strategy) in enumerate(cells)]
+
+
 def matrix_scenarios() -> list[Scenario]:
     """The 64 bundled scenarios: 16 profiles x 4 strategies, baseline policies."""
-    scenarios = []
-    index = 0
-    for victim_index in range(len(_VICTIMS)):
-        for strategy in STRATEGY_ORDER:
-            scenarios.append(Scenario.from_dict(_scenario_dict(index, victim_index, strategy)))
-            index += 1
-    return scenarios
+    return [Scenario.from_dict(raw) for raw in _matrix_dicts()]
 
 
 def write_matrix(directory: str | Path) -> list[Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    index = 0
-    for victim_index in range(len(_VICTIMS)):
-        for strategy in STRATEGY_ORDER:
-            raw = _scenario_dict(index, victim_index, strategy)
-            path = directory / f"{index:02d}__{raw['name']}.json"
-            path.write_text(json.dumps(raw, indent=2) + "\n")
-            written.append(path)
-            index += 1
+    for index, raw in enumerate(_matrix_dicts()):
+        path = directory / f"{index:02d}__{raw['name']}.json"
+        path.write_text(json.dumps(raw, indent=2) + "\n")
+        written.append(path)
     return written
 
 

@@ -93,11 +93,15 @@ class PairingSession:
     negotiated: Negotiated = field(default_factory=Negotiated)
     nonces: Optional[tuple[Nonce, Nonce]] = None
     abort_reason: Optional[RejectionReason] = None
-    complete: bool = False  # set once both bond tables hold the run's keys
 
     @property
     def aborted(self) -> bool:
         return self.abort_reason is not None
+
+    @property
+    def complete(self) -> bool:
+        # Every run that does not abort ends with both bond tables written.
+        return self.abort_reason is None
 
 
 @dataclass
@@ -289,7 +293,7 @@ def _early_check(ctx, session: PairingSession, initiator: Device, responder: Dev
     role_stage = stage == "pairing_request"
     for device, peer, peer_role in _sides(initiator, responder):
         policies = device.policies
-        if not (policies.c2_role_binding if role_stage else policies.c4_association_monotonic):
+        if not (policies.c2 if role_stage else policies.c4):
             continue
         for transport in TRANSPORTS:
             existing = device.bonds.lookup(peer.address, transport)
@@ -329,8 +333,8 @@ def _agree_key(ctx: SimContext, session: PairingSession, initiator: Device, resp
     """
     private_i = dh_private(ctx.rng, ctx.dh_backend)
     kp_r = dh_generate(ctx.rng, ctx.dh_backend)
-    n_i = random_nonce(ctx.rng, initiator.address)
-    n_r = random_nonce(ctx.rng, responder.address)
+    n_i = random_nonce(ctx.rng)
+    n_r = random_nonce(ctx.rng)
     session.nonces = (n_i, n_r)
     dk = dh_shared(private_i, kp_r.public)
     key = kdf(dk, initiator.address, responder.address, n_i, n_r, *kdf_args)
@@ -392,7 +396,6 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
         ctx.trace.emit(device.address, KIND_KEY_STORED, **_record_payload(record, outcome.overwrote))
         if outcome.overwrote:
             _invalidate_sessions(device, record.peer, record.transport)
-    session.complete = True
     return session
 
 
@@ -400,20 +403,15 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
 # BLE pairing (derivation negotiated in-band)
 # ---------------------------------------------------------------------------
 
-def ble_pair(
-    ctx: SimContext,
-    initiator: Device,
-    responder: Device,
-    request: Optional[SmpPairingMessage] = None,
-) -> PairingSession:
+def ble_pair(ctx: SimContext, initiator: Device, responder: Device, ctkd: bool = True) -> PairingSession:
     """Run BLE pairing, deriving the BT key as well when both ends agree.
 
     Both pairing messages carry the Link Key flag that asks for the
-    derivation. The initiator's address is whatever its profile claims;
-    nothing below authenticates it.
+    derivation; the initiator sets it only when ``ctkd`` is on. The
+    initiator's address is whatever its profile claims; nothing below
+    authenticates it.
     """
-    if request is None:
-        request = build_pairing_request(initiator.profile)
+    request = build_pairing_request(initiator.profile, ctkd)
     session = _request(ctx, initiator, responder, TRANSPORT_BLE, request)
     if session.aborted:
         return session
@@ -461,17 +459,13 @@ def _bt_auth_req(msg: SmpPairingMessage) -> str:
     return f"0x{encode_bt_auth_req(True, msg.auth_req.mitm):02x}"
 
 
-def bt_pair(
-    ctx: SimContext,
-    initiator: Device,
-    responder: Device,
-    want_ctkd: bool = True,
-) -> PairingSession:
+def bt_pair(ctx: SimContext, initiator: Device, responder: Device, ctkd: bool = True) -> PairingSession:
     """Run BT pairing; CTKD rides on tunneled frames over the encrypted link.
 
-    The initiator always shows up in the master role: the transport allows
-    switching roles right before a pairing request, so the responder checks
-    roles before it responds.
+    The tunneled exchange runs only when ``ctkd`` is on and the initiator
+    supports the derivation. The initiator always shows up in the master
+    role: the transport allows switching roles right before a pairing
+    request, so the responder checks roles before it responds.
     """
     request = build_bt_pairing_request(initiator.profile)
     session = _request(ctx, initiator, responder, TRANSPORT_BT, request, bt_auth_req=_bt_auth_req(request))
@@ -484,7 +478,7 @@ def bt_pair(
 
     k_bt = _agree_key(ctx, session, initiator, responder, kdf_bt)
     k_ble = None
-    if want_ctkd and initiator.profile.ctkd_supported:
+    if ctkd and initiator.profile.ctkd_supported:
         # The link is encrypted from here on. CTKD is negotiated by BLE-style
         # pairing messages tunneled over it, which carry the CT2 bit too.
         tunnel_req = build_pairing_request(initiator.profile)
@@ -529,8 +523,8 @@ def establish_session(
         return SessionResult(failure)
 
     entropy = rec_a.key.strength if transport == TRANSPORT_BLE else entropy_proposal
-    n_a = random_nonce(ctx.rng, a.address)
-    n_b = random_nonce(ctx.rng, b.address)
+    n_a = random_nonce(ctx.rng)
+    n_b = random_nonce(ctx.rng)
     sk = session_key(transport, rec_a.key, n_a, n_b, entropy)
     state = SessionState(peers=(a.address, b.address), transport=transport, session_key=sk)
     a.sessions.append(state)

@@ -53,35 +53,24 @@ class PolicyVerdict:
 
 ALLOW = PolicyVerdict(True)
 
-_ALIASES = {
-    "sig51": "sig51_rule",
-    "c1": "c1_auto_pairable",
-    "c2": "c2_role_binding",
-    "c3": "c3_no_cross_overwrite",
-    "c4": "c4_association_monotonic",
-}
+#: The defenses, in the order ``enabled_names`` lists them.
+DEFENSES = ("sig51", "c1", "c2", "c3", "c4")
 
 
 @dataclass(frozen=True)
 class PolicySet:
     """Independent defense toggles; the baseline is everything off."""
 
-    sig51_rule: bool = False
-    c1_auto_pairable: bool = False
+    sig51: bool = False  # the Bluetooth 5.1 key-overwrite rule
+    c1: bool = False  # auto-disable pairability on idle transports
     c1_idle_threshold: int = 10
-    c2_role_binding: bool = False
-    c3_no_cross_overwrite: bool = False
-    c4_association_monotonic: bool = False
+    c2: bool = False  # bind each peer's pairing role
+    c3: bool = False  # no cross-transport overwrite, no derivation from a weaker key
+    c4: bool = False  # the association method never weakens
 
     @classmethod
     def from_dict(cls, raw: dict, where: str = "policies") -> "PolicySet":
         data = dict(raw)
-        # Short aliases used by scenario files and the CLI --policies flag.
-        for alias, name in _ALIASES.items():
-            if alias in data:
-                if name in data:
-                    raise ValueError(f"{where}: {alias!r} and {name!r} name the same defense")
-                data[name] = data.pop(alias)
         options = pop_options(cls, data, where)
         if data:
             raise ValueError(f"{where}: unknown policy field(s) {sorted(data)}")
@@ -90,7 +79,7 @@ class PolicySet:
         return cls(**options)
 
     def enabled_names(self) -> list[str]:
-        return [alias for alias, name in _ALIASES.items() if getattr(self, name)]
+        return [name for name in DEFENSES if getattr(self, name)]
 
 
 def sig51_check(existing: Optional[KeyRecord], incoming: KeyRecord) -> PolicyVerdict:
@@ -163,11 +152,11 @@ def evaluate(
     ``ctkd_source`` and ``prior_direct`` only matter for a derived record:
     the direct record of the same run, and what its transport held before.
     """
-    if policy.sig51_rule:
+    if policy.sig51:
         verdict = sig51_check(existing, incoming)
         if not verdict.allow:
             return verdict
-    if policy.c3_no_cross_overwrite:
+    if policy.c3:
         return c3_check(existing, incoming, ctkd_source, prior_direct)
     return ALLOW
 
@@ -178,7 +167,7 @@ def c1_tick(device: Device, transport: str, event_clock: int) -> bool:
     Returns True when this tick turned pairability off.
     """
     policy = device.policies
-    if not policy.c1_auto_pairable:
+    if not policy.c1:
         return False
     if not device.is_pairable(transport):
         return False

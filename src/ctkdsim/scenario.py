@@ -27,16 +27,9 @@ from .attacks import (
 )
 from .crypto import MAX_STRENGTH, MIN_STRENGTH, TRANSPORT_BLE, TRANSPORTS, Address
 from .device import Device, DeviceProfile
-from .pairing import (
-    SimContext,
-    ble_pair,
-    bt_pair,
-    build_pairing_request,
-    establish_session,
-    make_device,
-)
+from .pairing import SimContext, ble_pair, bt_pair, establish_session, make_device
 from .policies import PolicySet, c1_tick
-from .trace import TraceEvent, TraceRecorder, trace_digest
+from .trace import TraceEvent, trace_digest
 
 
 class ScenarioError(ValueError):
@@ -202,7 +195,7 @@ class Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{path}: line {err.lineno}, column {err.colno}: {err.msg}") from None
     except (OSError, ValueError, RecursionError) as err:
@@ -257,7 +250,7 @@ def run_scenario(
 ) -> ScenarioResult:
     """Execute pre-state then the attack; fully deterministic under the seed."""
     seed = scenario.seed if seed_override is None else seed_override
-    ctx = SimContext(rng=random.Random(seed), trace=TraceRecorder())
+    ctx = SimContext(rng=random.Random(seed))
 
     devices: dict[str, Device] = {}
     for spec in scenario.devices:
@@ -269,13 +262,9 @@ def run_scenario(
         responder = devices[step["responder"]]
         transport = step["transport"]
         if step["action"] == "pair":
-            request = None
-            if transport == "BLE":
-                request = build_pairing_request(initiator.profile, ctkd=step.get("ctkd", True))
-                session = ble_pair(ctx, initiator, responder, request)
-            else:
-                session = bt_pair(ctx, initiator, responder, want_ctkd=step.get("ctkd", True))
-            if not session.complete:
+            pair = ble_pair if transport == TRANSPORT_BLE else bt_pair
+            session = pair(ctx, initiator, responder, step.get("ctkd", True))
+            if session.aborted:
                 raise ScenarioError(
                     f"{scenario.name}: pre_state[{i}] pairing aborted "
                     f"({session.abort_reason and session.abort_reason.value})"

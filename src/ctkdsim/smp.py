@@ -18,7 +18,7 @@ MESSAGE_LEN = 7
 
 OPCODE_REQUEST = 0x01
 OPCODE_RESPONSE = 0x02
-_OPCODES = {OPCODE_REQUEST: "request", OPCODE_RESPONSE: "response"}
+_OPCODES = (OPCODE_REQUEST, OPCODE_RESPONSE)
 
 
 class CodecError(ValueError):
@@ -119,10 +119,6 @@ class SmpPairingMessage:
             raise CodecError(
                 f"max key size {self.max_key_size} outside {MIN_STRENGTH}..{MAX_STRENGTH}"
             )
-
-    @property
-    def kind(self) -> str:
-        return _OPCODES[self.opcode]
 
 
 def encode_pairing(msg: SmpPairingMessage) -> bytes:

@@ -68,7 +68,7 @@ def test_criterion_2_baseline_matrix_64_of_64(baseline_results):
 
 def test_criterion_3_overwrite_rule_is_ineffective():
     """The 5.1 key-overwrite rule blocks nothing at equal strength/protection."""
-    report = run_matrix(matrix_scenarios(), policy_override=PolicySet(sig51_rule=True))
+    report = run_matrix(matrix_scenarios(), policy_override=PolicySet(sig51=True))
     assert report.total == 64
     assert report.succeeded == 64, [r for r in report.rows if not r["succeeded"]]
     _report(3, "64/64 still succeed with the overwrite rule enforced everywhere")
@@ -77,7 +77,7 @@ def test_criterion_3_overwrite_rule_is_ineffective():
 def test_criterion_4_countermeasures_block():
     """C3 stops impersonation and MitM; C1+C3 stop everything."""
     c3_report = run_matrix(
-        matrix_scenarios(), policy_override=PolicySet(c3_no_cross_overwrite=True)
+        matrix_scenarios(), policy_override=PolicySet(c3=True)
     )
     imp_rows = [r for r in c3_report.rows if r["strategy"] in ("mi", "si", "mitm")]
     assert len(imp_rows) == 48
@@ -88,7 +88,7 @@ def test_criterion_4_countermeasures_block():
 
     both_report = run_matrix(
         matrix_scenarios(),
-        policy_override=PolicySet(c1_auto_pairable=True, c3_no_cross_overwrite=True),
+        policy_override=PolicySet(c1=True, c3=True),
     )
     assert both_report.total == 64
     assert both_report.succeeded == 0, [r for r in both_report.rows if r["succeeded"]]

@@ -60,12 +60,12 @@ class TestMasterImpersonation:
         assert outcome.ctis_used == {CTI.EXTENDED_PAIRING, CTI.KEY_TAMPERING}
 
     def test_sig51_does_not_block_equal_protection(self, ctx):
-        alice, bob = bonded_victims(ctx, bob_policies=PolicySet(sig51_rule=True))
+        alice, bob = bonded_victims(ctx, bob_policies=PolicySet(sig51=True))
         outcome = master_impersonation(ctx, bob, alice)
         assert outcome.succeeded
 
     def test_c3_blocks(self, ctx):
-        alice, bob = bonded_victims(ctx, bob_policies=PolicySet(c3_no_cross_overwrite=True))
+        alice, bob = bonded_victims(ctx, bob_policies=PolicySet(c3=True))
         outcome = master_impersonation(ctx, bob, alice)
         assert not outcome.succeeded
         assert outcome.rejection is RejectionReason.C3_OVERWRITE_BLOCK
@@ -83,7 +83,7 @@ class TestMasterImpersonation:
 
     def test_sig51_blocks_the_nc_downgrade_variant(self, ctx):
         alice, bob = bonded_victims(
-            ctx, bob_io="DisplayYesNo", bob_policies=PolicySet(sig51_rule=True)
+            ctx, bob_io="DisplayYesNo", bob_policies=PolicySet(sig51=True)
         )
         outcome = master_impersonation(ctx, bob, alice)
         assert not outcome.succeeded
@@ -94,7 +94,7 @@ class TestMasterImpersonation:
         # so the attacker's own claim is all that matters.
         alice = device(ctx, "alice", 0x0A, ctkd_supported=False)
         bob = device(ctx, "bob", 0x0B, io="NoInputNoOutput")
-        assert bt_pair(ctx, alice, bob, want_ctkd=False).complete
+        assert bt_pair(ctx, alice, bob, ctkd=False).complete
         assert bob.bonds.lookup(alice.address, TRANSPORT_BLE) is None
         assert establish_session(ctx, alice, bob, TRANSPORT_BT).ok
         outcome = master_impersonation(ctx, bob, alice)
@@ -144,7 +144,7 @@ class TestSlaveImpersonation:
 
     def test_c2_blocks_with_role_mismatch(self, ctx):
         alice, bob = bonded_victims(
-            ctx, live="BLE", alice_policies=PolicySet(c2_role_binding=True)
+            ctx, live="BLE", alice_policies=PolicySet(c2=True)
         )
         outcome = slave_impersonation(ctx, alice, bob)
         assert not outcome.succeeded
@@ -152,7 +152,7 @@ class TestSlaveImpersonation:
 
     def test_c3_blocks(self, ctx):
         alice, bob = bonded_victims(
-            ctx, live="BLE", alice_policies=PolicySet(c3_no_cross_overwrite=True)
+            ctx, live="BLE", alice_policies=PolicySet(c3=True)
         )
         outcome = slave_impersonation(ctx, alice, bob)
         assert not outcome.succeeded
@@ -173,7 +173,7 @@ class TestMitm:
         }
 
     def test_c3_fails_the_first_leg(self, ctx):
-        policies = PolicySet(c3_no_cross_overwrite=True)
+        policies = PolicySet(c3=True)
         alice, bob = bonded_victims(ctx, live="BLE", alice_policies=policies,
                                     bob_policies=policies)
         outcome = mitm(ctx, alice, bob)
@@ -247,7 +247,7 @@ class TestUnintendedSession:
 
     def test_c1_blocks_when_idle_transport_disabled(self, ctx):
         alice, bob = bonded_victims(
-            ctx, bob_policies=PolicySet(c1_auto_pairable=True, c1_idle_threshold=5)
+            ctx, bob_policies=PolicySet(c1=True, c1_idle_threshold=5)
         )
         from ctkdsim.policies import c1_tick
 
@@ -258,7 +258,7 @@ class TestUnintendedSession:
         assert outcome.rejection is RejectionReason.NOT_PAIRABLE
 
     def test_sig51_is_out_of_scope_for_key_writes(self, ctx):
-        alice, bob = bonded_victims(ctx, bob_policies=PolicySet(sig51_rule=True))
+        alice, bob = bonded_victims(ctx, bob_policies=PolicySet(sig51=True))
         outcome = unintended_session(ctx, bob, alice)
         assert outcome.succeeded
 

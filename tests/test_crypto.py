@@ -338,8 +338,8 @@ def _kdf_fixture(rng):
     dk = SharedSecret(rng.randbytes(16))
     addr_a = Address(rng.randbytes(6))
     addr_b = Address(rng.randbytes(6))
-    n_a = random_nonce(rng, addr_a)
-    n_b = random_nonce(rng, addr_b)
+    n_a = random_nonce(rng)
+    n_b = random_nonce(rng)
     return dk, addr_a, addr_b, n_a, n_b
 
 
@@ -364,9 +364,9 @@ class TestPairingKdfs:
             elif which == 2:
                 b2 = Address(rng.randbytes(6))
             elif which == 3:
-                na2 = random_nonce(rng, a)
+                na2 = random_nonce(rng)
             else:
-                nb2 = random_nonce(rng, b)
+                nb2 = random_nonce(rng)
             out = kdf_le(dk2, a2, b2, na2, nb2, 16).value
             assert out != base
             seen.add(out)
@@ -395,8 +395,7 @@ class TestSessionKey:
     def test_ble_entropy_must_match_pairing_key(self):
         rng = _rng(19)
         key = Key128(rng.randbytes(16), strength=10)
-        addr = Address(rng.randbytes(6))
-        na, nb = random_nonce(rng, addr), random_nonce(rng, addr)
+        na, nb = random_nonce(rng), random_nonce(rng)
         with pytest.raises(ValueError):
             session_key("BLE", key, na, nb, 16)
         assert session_key("BLE", key, na, nb, 10).strength == 10
@@ -404,17 +403,15 @@ class TestSessionKey:
     def test_fresh_nonces_fresh_session_key(self):
         rng = _rng(20)
         key = Key128(rng.randbytes(16))
-        addr = Address(rng.randbytes(6))
-        na, nb = random_nonce(rng, addr), random_nonce(rng, addr)
+        na, nb = random_nonce(rng), random_nonce(rng)
         first = session_key("BT", key, na, nb, 16)
-        second = session_key("BT", key, random_nonce(rng, addr), random_nonce(rng, addr), 16)
+        second = session_key("BT", key, random_nonce(rng), random_nonce(rng), 16)
         assert first.value != second.value
 
     def test_bt_entropy_negotiation(self):
         rng = _rng(21)
         key = Key128(rng.randbytes(16))
-        addr = Address(rng.randbytes(6))
-        na, nb = random_nonce(rng, addr), random_nonce(rng, addr)
+        na, nb = random_nonce(rng), random_nonce(rng)
         weak = session_key("BT", key, na, nb, 7)
         strong = session_key("BT", key, na, nb, 16)
         assert weak.strength == 7 and strong.strength == 16
@@ -424,8 +421,7 @@ class TestSessionKey:
     def test_rejects_unknown_transport(self):
         rng = _rng(22)
         key = Key128(rng.randbytes(16))
-        addr = Address(rng.randbytes(6))
-        na, nb = random_nonce(rng, addr), random_nonce(rng, addr)
+        na, nb = random_nonce(rng), random_nonce(rng)
         with pytest.raises(ValueError):
             session_key("UART", key, na, nb, 16)
 
@@ -433,10 +429,9 @@ class TestSessionKey:
 class TestNonce:
     def test_length_enforced(self):
         with pytest.raises(ValueError):
-            Nonce(bytes(8), Address(bytes(6)))
+            Nonce(bytes(8))
 
     def test_no_reuse_across_draws(self):
         rng = _rng(23)
-        addr = Address(rng.randbytes(6))
-        values = {random_nonce(rng, addr).value for _ in range(1000)}
+        values = {random_nonce(rng).value for _ in range(1000)}
         assert len(values) == 1000

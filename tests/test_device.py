@@ -94,7 +94,7 @@ class TestBondTable:
     def test_store_into_empty_table_always_allowed(self):
         table = BondTable()
         rec = record()
-        verdict = store_verdict(table, rec, PolicySet(sig51_rule=True, c3_no_cross_overwrite=True))
+        verdict = store_verdict(table, rec, PolicySet(sig51=True, c3=True))
         assert verdict.allow
         assert not table.commit(rec).overwrote
 
@@ -131,7 +131,7 @@ class TestBondTable:
     def test_sig51_blocks_mitm_downgrade(self):
         table = BondTable()
         table.commit(record(mitm=True))
-        verdict = store_verdict(table, record(mitm=False, key_byte=0x42), PolicySet(sig51_rule=True))
+        verdict = store_verdict(table, record(mitm=False, key_byte=0x42), PolicySet(sig51=True))
         assert not verdict.allow
         assert verdict.reason is RejectionReason.MITM_DOWNGRADE
 
@@ -139,7 +139,7 @@ class TestBondTable:
         table = BondTable()
         table.commit(record(mitm=False))
         new = record(mitm=False, key_byte=0x42)
-        assert store_verdict(table, new, PolicySet(sig51_rule=True)).allow
+        assert store_verdict(table, new, PolicySet(sig51=True)).allow
         assert table.commit(new).overwrote
 
     def test_rejection_leaves_table_unchanged(self):
@@ -147,7 +147,7 @@ class TestBondTable:
         old = record(mitm=True)
         table.commit(old)
         snap = dict(table.records)
-        verdict = store_verdict(table, record(mitm=False, key_byte=0x42), PolicySet(sig51_rule=True))
+        verdict = store_verdict(table, record(mitm=False, key_byte=0x42), PolicySet(sig51=True))
         assert not verdict.allow
         assert table.records == snap
 

@@ -45,11 +45,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 SCENARIO_FILES = sorted((ROOT / "scenarios").glob("*/*.json"))
 POLICY_SETS = {
     "own": None,
-    "sig51": PolicySet(sig51_rule=True),
-    "c1": PolicySet(c1_auto_pairable=True),
-    "c2": PolicySet(c2_role_binding=True),
-    "c3": PolicySet(c3_no_cross_overwrite=True),
-    "c4": PolicySet(c4_association_monotonic=True),
+    "sig51": PolicySet(sig51=True),
+    "c1": PolicySet(c1=True),
+    "c2": PolicySet(c2=True),
+    "c3": PolicySet(c3=True),
+    "c4": PolicySet(c4=True),
     "all": PolicySet.from_dict({name: True for name in ("sig51", "c1", "c2", "c3", "c4")}),
 }
 

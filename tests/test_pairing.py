@@ -16,7 +16,6 @@ from ctkdsim.pairing import (
     ble_pair,
     bt_pair,
     build_bt_pairing_request,
-    build_pairing_request,
     build_pairing_response,
     establish_session,
     make_device,
@@ -195,7 +194,7 @@ class TestBtPairing:
 
     def test_c2_aborts_role_switched_repairing(self, ctx, laptop):
         guarded = device(ctx, "guarded", 0x56, io="NoInputNoOutput",
-                         policies=PolicySet(c2_role_binding=True))
+                         policies=PolicySet(c2=True))
         bt_pair(ctx, laptop, guarded)
         snap_guarded = dict(guarded.bonds.records)
         snap_laptop = dict(laptop.bonds.records)
@@ -207,7 +206,7 @@ class TestBtPairing:
         assert laptop.bonds.records == snap_laptop
 
     def test_without_ctkd_only_bt_keyed(self, ctx, laptop, headset):
-        session = bt_pair(ctx, laptop, headset, want_ctkd=False)
+        session = bt_pair(ctx, laptop, headset, ctkd=False)
         assert session.complete and not session.negotiated.ctkd
         assert headset.bonds.lookup(laptop.address, TRANSPORT_BT) is not None
         assert headset.bonds.lookup(laptop.address, TRANSPORT_BLE) is None
@@ -218,7 +217,7 @@ class TestAbortAtomicity:
         # Guarded device already bonded on both transports; a re-pairing
         # whose derived write C3 rejects must leave no trace in any table.
         guarded = device(ctx, "fort", 0x57, io="NoInputNoOutput",
-                         policies=PolicySet(c3_no_cross_overwrite=True))
+                         policies=PolicySet(c3=True))
         first = ble_pair(ctx, laptop, guarded)
         assert first.complete
         snap_guarded = dict(guarded.bonds.records)
@@ -231,10 +230,11 @@ class TestAbortAtomicity:
 
     def test_c4_aborts_before_any_key_work(self, ctx):
         a = device(ctx, "nc-a", 0x58)
-        strict = device(ctx, "nc-b", 0x59, policies=PolicySet(c4_association_monotonic=True))
+        strict = device(ctx, "nc-b", 0x59, policies=PolicySet(c4=True))
         assert ble_pair(ctx, a, strict).complete  # NC bond
-        jw_request = build_pairing_request(make_profile("nc-a", 0x58, io="NoInputNoOutput"))
-        session = ble_pair(ctx, a, strict, jw_request)
+        # Whoever claims a's address with no input/output forces Just Works.
+        claimant = device(ctx, "nc-a-jw", 0x58, io="NoInputNoOutput")
+        session = ble_pair(ctx, claimant, strict)
         assert session.aborted
         assert session.abort_reason is RejectionReason.C4_ASSOCIATION_DOWNGRADE
         assert session.nonces is None  # aborted before the DH stage

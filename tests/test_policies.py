@@ -90,17 +90,17 @@ class TestEvaluate:
 
     def test_sig51_allows_equal_protection_attack_write(self):
         incoming = record(mitm=False, key_byte=0x42)
-        assert evaluate(PolicySet(sig51_rule=True), record(mitm=False), incoming).allow
+        assert evaluate(PolicySet(sig51=True), record(mitm=False), incoming).allow
 
     def test_c3_rejects_the_same_equal_protection_write(self):
         incoming = record(mitm=False, origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
-        verdict = evaluate(PolicySet(c3_no_cross_overwrite=True), record(mitm=False), incoming)
+        verdict = evaluate(PolicySet(c3=True), record(mitm=False), incoming)
         assert not verdict.allow and verdict.reason is RejectionReason.C3_OVERWRITE_BLOCK
 
     def test_pure_given_same_inputs(self):
         existing = record(mitm=True)
         incoming = record(mitm=False, key_byte=0x42)
-        policy = PolicySet(sig51_rule=True, c4_association_monotonic=True)
+        policy = PolicySet(sig51=True, c4=True)
         assert evaluate(policy, existing, incoming) == evaluate(policy, existing, incoming)
 
     def test_rejecting_verdict_needs_reason(self):
@@ -110,18 +110,18 @@ class TestEvaluate:
 
 class TestC1Tick:
     def test_idle_transport_auto_disabled(self, ctx):
-        dev = device(ctx, "idle", 0x41, policies=PolicySet(c1_auto_pairable=True, c1_idle_threshold=10))
+        dev = device(ctx, "idle", 0x41, policies=PolicySet(c1=True, c1_idle_threshold=10))
         assert c1_tick(dev, "BLE", event_clock=10)
         assert not dev.is_pairable("BLE")
 
     def test_below_threshold_unchanged(self, ctx):
-        dev = device(ctx, "busy", 0x42, policies=PolicySet(c1_auto_pairable=True, c1_idle_threshold=10))
+        dev = device(ctx, "busy", 0x42, policies=PolicySet(c1=True, c1_idle_threshold=10))
         dev.note_activity("BLE", 5)
         assert not c1_tick(dev, "BLE", event_clock=9)
         assert dev.is_pairable("BLE")
 
     def test_live_session_keeps_pairable(self, ctx):
-        a = device(ctx, "a", 0x43, policies=PolicySet(c1_auto_pairable=True, c1_idle_threshold=1))
+        a = device(ctx, "a", 0x43, policies=PolicySet(c1=True, c1_idle_threshold=1))
         b = device(ctx, "b", 0x44)
         a.bonds.commit(_bond_for(a, b))
         b.bonds.commit(_bond_for(b, a))

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctkdsim.cli import main as cli_main
 from ctkdsim.fixtures import bundled_profiles, matrix_scenarios, write_matrix
-from ctkdsim.policies import PolicySet
+from ctkdsim.policies import DEFENSES, PolicySet
 from ctkdsim.scenario import (
     Scenario,
     ScenarioError,
@@ -27,7 +27,6 @@ from ctkdsim.trace import read_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 BUNDLED = sorted((ROOT / "scenarios").glob("*/*.json"))
-DEFENSES = ("sig51", "c1", "c2", "c3", "c4")
 
 
 def scenario_dict(**overrides):
@@ -179,9 +178,30 @@ class TestRunScenario:
 
     def test_policy_override_applies_to_every_device(self):
         scenario = Scenario.from_dict(scenario_dict())
-        result = run_scenario(scenario, policy_override=PolicySet(c3_no_cross_overwrite=True))
+        result = run_scenario(scenario, policy_override=PolicySet(c3=True))
         assert not result.outcome.succeeded
         assert result.outcome.rejection.value == "c3_overwrite_block"
+
+
+    @pytest.mark.parametrize("step_ctkd", [False, None], ids=["ctkd-false", "ctkd-default"])
+    @pytest.mark.parametrize("transport", ["BLE", "BT"])
+    def test_pre_state_pairing_bonds_the_expected_transports(self, transport, step_ctkd):
+        step = {"action": "pair", "transport": transport, "initiator": "alice", "responder": "bob"}
+        if step_ctkd is not None:
+            step["ctkd"] = step_ctkd
+        # The attack bonds under an identity of its own, so alice's and bob's
+        # bonds with each other are the pre-state's.
+        raw = scenario_dict(
+            pre_state=[step],
+            attack={"strategy": "us", "target": "bob", "attacker_address": "02:00:00:00:0a:09"},
+            expectations={},
+        )
+        result = run_scenario(Scenario.from_dict(raw))
+        alice, bob = result.devices["alice"], result.devices["bob"]
+        expected = {transport} if step_ctkd is False else {"BT", "BLE"}
+        for device, peer in ((alice, bob), (bob, alice)):
+            bonded = {t for t in ("BT", "BLE") if device.bonds.lookup(peer.address, t) is not None}
+            assert bonded == expected, device.name
 
 
 class TestBundledFixtures:
@@ -276,8 +296,8 @@ class TestCorpusInvariants:
     def test_sig51_strictly_weaker_than_c3_on_attack_corpus(self):
         """Whatever the overwrite rule blocks, c3 blocks too; not vice versa."""
         scenarios = matrix_scenarios()
-        sig51 = run_matrix(scenarios, policy_override=PolicySet(sig51_rule=True))
-        c3 = run_matrix(scenarios, policy_override=PolicySet(c3_no_cross_overwrite=True))
+        sig51 = run_matrix(scenarios, policy_override=PolicySet(sig51=True))
+        c3 = run_matrix(scenarios, policy_override=PolicySet(c3=True))
         blocked_sig51 = {r["scenario"] for r in sig51.rows if not r["succeeded"]}
         blocked_c3 = {r["scenario"] for r in c3.rows if not r["succeeded"]}
         assert blocked_sig51 <= blocked_c3
@@ -406,10 +426,11 @@ class TestCli:
         assert data["summary"]["succeeded"] == 0
         assert data["policies"] == ["c1", "c3"]
 
-    def test_matrix_policies_naming_one_defense_twice_exits_2(self, capsys):
+    def test_matrix_policies_long_defense_name_is_unknown_exits_2(self, capsys):
         code = cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--policies", "c1,c1_auto_pairable"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --policies: unknown policy field(s) ['c1_auto_pairable']")
 
     def test_matrix_policies_naming_no_defense_exits_2(self, capsys):
         code = cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--policies", "sig51_version_gated"])
@@ -435,6 +456,17 @@ class TestCli:
         report = tmp_path / "missing" / "r.json"
         assert cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--report", str(report)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_run_reads_a_utf8_scenario_under_an_ascii_locale(self, tmp_path):
+        text = MUTATED.read_text(encoding="utf-8").replace('"phone"', '"café-phone"')
+        path = tmp_path / "s.json"
+        path.write_text(text, encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUTF8"}
+        env.update(PYTHONPATH=str(ROOT / "src"), LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "ctkdsim", "run", str(path)],
+                              capture_output=True, text=True, env=env, cwd=ROOT)
+        assert done.returncode == 0, done.stderr
+        assert "expectations: ok" in done.stdout
 
     def test_python_m_ctkdsim_runs_the_cli(self):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -510,7 +542,9 @@ class TestMalformedInput:
         (("attack", "attacker_address"), "02:00:00:00:0e:07"),
         (("attack",), {"strategy": "us", "target": "phone", "peer": "legacy-speaker",
                        "attacker_address": "02:00:00:00:0E:06"}),
-        (("devices", 0, "policies"), {"c1": False, "c1_auto_pairable": True}),
+        (("devices", 0, "policies"), {"c1_auto_pairable": True}),
+        (("devices", 0, "policies"), {"c3_no_cross_overwrite": True}),
+        (("devices", 0, "profile", "pairable_bt"), True),
         (("devices", 0, "policies"), {"c1_idle_threshold": -1}),
         (("attack", "attacker_name"), "mallory"),
         (("pre_state",), [
@@ -526,7 +560,7 @@ class TestMalformedInput:
         "attacker-address-one-digit-octets",
         "pair-step-with-itself", "session-step-with-itself", "peer-is-target",
         "attacker-address-not-us", "us-attacker-address-of-listed-device",
-        "policy-alias-and-full-name", "c1-threshold-negative",
+        "policy-long-name-c1", "policy-long-name-c3", "profile-pairable-bt", "c1-threshold-negative",
         "attacker-name", "ble-session-entropy",
     ])
     def test_config_error_exits_2(self, path, value):
@@ -579,16 +613,34 @@ def _defense_subsets():
             yield frozenset(subset)
 
 
+@pytest.fixture(scope="module")
+def lattice():
+    """Every bundled scenario under each defense subset, run once for the module.
+
+    Maps each subset to the results of the scenarios that ran and the
+    errors of those that did not.
+    """
+    scenarios = [load_scenario(p) for p in BUNDLED]
+    runs = {}
+    for subset in _defense_subsets():
+        override = PolicySet.from_dict({name: True for name in subset})
+        results, errors = runs[subset] = [], []
+        for scenario in scenarios:
+            try:
+                results.append(run_scenario(scenario, policy_override=override))
+            except ScenarioError as err:
+                errors.append(str(err))
+    return runs
+
+
 class TestLatticeInvariants:
     """Properties over every bundled scenario and the whole 32-subset lattice."""
 
-    def test_a_superset_of_defenses_blocks_whatever_a_subset_blocks(self):
-        scenarios = [load_scenario(p) for p in BUNDLED]
+    def test_a_superset_of_defenses_blocks_whatever_a_subset_blocks(self, lattice):
         blocked = {}
-        for subset in _defense_subsets():
-            report = run_matrix(scenarios, PolicySet.from_dict({name: True for name in subset}))
-            assert not report.errors, (sorted(subset), report.errors[:3])
-            blocked[subset] = {row["scenario"] for row in report.rows if not row["succeeded"]}
+        for subset, (results, errors) in lattice.items():
+            assert not errors, (sorted(subset), errors[:3])
+            blocked[subset] = {r.scenario.name for r in results if not r.outcome.succeeded}
         assert len(blocked) == 32
         violations = [
             (sorted(small), sorted(big), sorted(blocked[small] - blocked[big])[:3])
@@ -597,13 +649,10 @@ class TestLatticeInvariants:
         ]
         assert not violations
 
-    def test_a_verdict_before_every_store_under_every_defense_subset(self):
-        scenarios = [load_scenario(p) for p in BUNDLED]
+    def test_a_verdict_before_every_store_under_every_defense_subset(self, lattice):
         runs = checked = 0
-        for subset in _defense_subsets():
-            override = PolicySet.from_dict({name: True for name in subset})
-            for scenario in scenarios:
-                result = run_scenario(scenario, policy_override=override)
+        for results, _errors in lattice.values():
+            for result in results:
                 checked += _assert_a_verdict_before_every_store(result)
                 runs += 1
         assert runs == 32 * 69
