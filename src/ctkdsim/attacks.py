@@ -14,7 +14,7 @@ from enum import Enum, IntEnum
 from typing import Optional
 
 from .crypto import Address, TRANSPORT_BLE, TRANSPORT_BT, TRANSPORTS, random_address
-from .device import Association, Device, DeviceProfile, PairingRole
+from .device import Association, Device, DeviceProfile, KeyOrigin, PairingRole
 from .pairing import (
     SimContext,
     ble_pair,
@@ -116,6 +116,10 @@ def _attacker_device(ctx: SimContext, claimed: Address) -> Device:
 # Trace inspection: which cross-transport issues actually fired
 # ---------------------------------------------------------------------------
 
+_MASTER, _CTKD_DERIVED = PairingRole.MASTER.value, KeyOrigin.CTKD_DERIVED.value  # as payloads hold them
+_JUST_WORKS, _NUMERIC_COMPARISON = Association.JUST_WORKS.value, Association.NUMERIC_COMPARISON.value
+
+
 def derive_ctis(
     events: list[TraceEvent],
     *,
@@ -163,7 +167,7 @@ def derive_ctis(
                 if transport == TRANSPORT_BT:
                     for t in TRANSPORTS:
                         stored = bonds.get((event.actor, payload["peer"], t))
-                        if stored is not None and stored["role"] != PairingRole.MASTER.value:
+                        if stored is not None and stored["role"] != _MASTER:
                             fired.add(CTI.ROLE_ASYMMETRY)
 
         elif event.kind == KIND_SESSION_OK:
@@ -172,12 +176,12 @@ def derive_ctis(
 
         elif event.kind == KIND_KEY_STORED:
             if in_window and event.actor == target and payload["peer"] == claimed:
-                if payload["origin"] == "ctkd_derived":
+                if payload["origin"] == _CTKD_DERIVED:
                     fired.add(CTI.KEY_TAMPERING)
-                if payload["association"] == Association.JUST_WORKS.value:
+                if payload["association"] == _JUST_WORKS:
                     for t in TRANSPORTS:
                         prior = bonds.get((event.actor, payload["peer"], t))
-                        if prior is not None and prior["association"] == Association.NUMERIC_COMPARISON.value:
+                        if prior is not None and prior["association"] == _NUMERIC_COMPARISON:
                             fired.add(CTI.ASSOCIATION_MANIPULATION)
             if payload.get("overwrote"):
                 pair = tuple(sorted((event.actor, payload["peer"])))
@@ -221,7 +225,7 @@ def _attack(ctx: SimContext, claimed: Address, target: Device, transport: str,
     pair = ble_pair if transport == TRANSPORT_BLE else bt_pair
     session = pair(ctx, charlie, target)
     events = ctx.trace.events
-    victim = str(target.address)
+    victim = target.address.text
     outcome = AttackOutcome(succeeded=False, rejection=session.abort_reason)
     if not session.aborted:
         outcome.keys_written, outcome.overwrote_existing = _keys_written(events, victim, start)
@@ -231,7 +235,7 @@ def _attack(ctx: SimContext, claimed: Address, target: Device, transport: str,
         if reconnect is not None:
             outcome.victim_reconnect = _victim_reconnect(ctx, *reconnect)
         outcome.succeeded = all(t.ok for t in takeovers)
-    outcome.ctis_used = derive_ctis(events, target=victim, claimed=str(claimed), attack_start=start)
+    outcome.ctis_used = derive_ctis(events, target=victim, claimed=claimed.text, attack_start=start)
     return outcome
 
 

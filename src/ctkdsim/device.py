@@ -44,10 +44,6 @@ class KeyOrigin(Enum):
 BT_VERSIONS = ("4.1", "4.2", "5.0", "5.1", "5.2")
 
 
-def version_at_least(version: str, minimum: str) -> bool:
-    return tuple(int(p) for p in version.split(".")) >= tuple(int(p) for p in minimum.split("."))
-
-
 _IO_BY_NAME = {
     "DisplayOnly": IoCapability.DISPLAY_ONLY,
     "DisplayYesNo": IoCapability.DISPLAY_YES_NO,
@@ -97,7 +93,7 @@ class DeviceProfile:
         if self.ctkd_supported and not self.ctkd_backported:
             if not (self.sc_host or self.sc_controller):
                 raise ValueError(f"{self.name}: CTKD requires Secure Connections support")
-            if not version_at_least(self.bt_version, "4.2"):
+            if BT_VERSIONS.index(self.bt_version) < BT_VERSIONS.index("4.2"):
                 raise ValueError(
                     f"{self.name}: CTKD requires version >= 4.2 (set ctkd_backported for older)"
                 )

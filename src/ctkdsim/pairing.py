@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .crypto import (
     Address,
@@ -190,16 +190,67 @@ def _with_link_key(dist: KeyDistBits, link: bool) -> KeyDistBits:
     return KeyDistBits(dist.enc_key, dist.id_key, dist.sign_key, link)
 
 
+def build_bt_pairing_request(profile: DeviceProfile, opcode: int = OPCODE_REQUEST) -> SmpPairingMessage:
+    """BT-native pairing request (or response): no key-distribution flags, no CT2 bit.
+
+    Cross-transport derivation cannot be asked for here; that happens in the
+    tunneled exchange after the link is encrypted.
+    """
+    auth = AuthReqBits(bonding=1, mitm=profile.wants_mitm, sc=profile.sc_supported)
+    empty = KeyDistBits()
+    return SmpPairingMessage(
+        opcode=opcode,
+        io_capability=profile.io_capability,
+        oob=False,
+        auth_req=auth,
+        max_key_size=16,
+        initiator_dist=empty,
+        responder_dist=empty,
+    )
+
+
+class HonestFrame(NamedTuple):
+    """An honest pairing message, its 7-byte frame as trace text, and its BT auth-req text."""
+
+    msg: SmpPairingMessage
+    text: str
+    bt_auth_req: str
+
+
+#: Never keyed by a profile or an address: a few dozen entries whatever the traffic.
+_FRAMES: dict[tuple, HonestFrame] = {}
+
+
+def honest(build, profile: DeviceProfile, arg, arg_key=None) -> HonestFrame:
+    """``build(profile, arg)`` with its trace text, built once per capability set.
+
+    The key is ``build``, the capability fields the message reads (the MITM
+    wish follows from the IO capability) and ``arg``, or ``arg_key`` when
+    given: a response passes its request's message and the request's text.
+    """
+    key = (build, profile.io_capability, profile.sc_supported, profile.h7_supported,
+           profile.max_key_size, profile.ctkd_supported, arg if arg_key is None else arg_key)
+    frame = _FRAMES.get(key)
+    if frame is None:
+        msg = build(profile, arg)
+        bt_auth_req = f"0x{encode_bt_auth_req(True, msg.auth_req.mitm):02x}"
+        frame = _FRAMES[key] = HonestFrame(msg, hexdump(encode_pairing(msg)), bt_auth_req)
+    return frame
+
+
 # ---------------------------------------------------------------------------
 # Trace helpers
 # ---------------------------------------------------------------------------
 
+#: Enum values as the trace writes them, rendered once.
+_TEXT = {m: m.value for enum in (Association, KeyOrigin, PairingRole, RejectionReason) for m in enum}
+
+
 def _emit_message(ctx: SimContext, sender: Device, receiver: Device, transport: str,
-                  frame: bytes, opcode: str, tunneled: bool = False, **extra) -> None:
-    text = hexdump(frame)
-    ctx.trace.emit(sender.address, KIND_MSG_SENT, transport=transport, peer=str(receiver.address),
+                  text: str, opcode: str, tunneled: bool = False, **extra) -> None:
+    ctx.trace.emit(sender.address.text, KIND_MSG_SENT, transport=transport, peer=receiver.address.text,
                    frame=text, opcode=opcode, tunneled=tunneled, **extra)
-    ctx.trace.emit(receiver.address, KIND_MSG_RECEIVED, transport=transport, peer=str(sender.address),
+    ctx.trace.emit(receiver.address.text, KIND_MSG_RECEIVED, transport=transport, peer=sender.address.text,
                    frame=text, opcode=opcode, tunneled=tunneled, **extra)
     sender.note_activity(transport, ctx.trace.clock)
     receiver.note_activity(transport, ctx.trace.clock)
@@ -207,13 +258,13 @@ def _emit_message(ctx: SimContext, sender: Device, receiver: Device, transport: 
 
 def _emit_verdict(ctx, device: Device, *, stage, transport, peer, allow, reason, origin=None):
     ctx.trace.emit(
-        device.address,
+        device.address.text,
         KIND_POLICY_VERDICT,
         stage=stage,
         transport=transport,
-        peer=str(peer),
+        peer=peer.text,
         allow=allow,
-        reason=None if reason is None else reason.value,
+        reason=None if reason is None else _TEXT[reason],
         origin=origin,
     )
 
@@ -221,20 +272,17 @@ def _emit_verdict(ctx, device: Device, *, stage, transport, peer, allow, reason,
 def _record_payload(record: KeyRecord, overwrote: bool) -> dict:
     payload = {
         "transport": record.transport,
-        "peer": str(record.peer),
-        "origin": record.origin.value,
-        "association": record.association.value,
-        "role": record.role_at_pairing.value,
+        "peer": record.peer.text,
+        "origin": _TEXT[record.origin],
+        "association": _TEXT[record.association],
+        "role": _TEXT[record.role_at_pairing],
         "strength": record.key.strength,
         "mitm_protected": record.key.mitm_protected,
         "key": record.key.hex(),
         "overwrote": overwrote,
     }
     if record.extra_keys is not None:
-        payload["extra_keys"] = {
-            "csrk": record.extra_keys.csrk.hex(),
-            "irk": record.extra_keys.irk.hex(),
-        }
+        payload["extra_keys"] = {"csrk": record.extra_keys.csrk_hex, "irk": record.extra_keys.irk_hex}
     return payload
 
 
@@ -259,10 +307,10 @@ def _sides(initiator: Device, responder: Device) -> tuple:
 
 
 def _request(ctx: SimContext, initiator: Device, responder: Device, transport: str,
-             request: SmpPairingMessage, **extra) -> PairingSession:
+             request: HonestFrame, **extra) -> PairingSession:
     """Send the pairing request; a responder that is not pairable aborts the run."""
     session = PairingSession(initiator.address, responder.address, transport)
-    _emit_message(ctx, initiator, responder, transport, encode_pairing(request), "request", **extra)
+    _emit_message(ctx, initiator, responder, transport, request.text, "request", **extra)
     if not responder.is_pairable(transport):
         _emit_verdict(
             ctx, responder, stage="pairing_request", transport=transport,
@@ -273,13 +321,12 @@ def _request(ctx: SimContext, initiator: Device, responder: Device, transport: s
 
 
 def _respond(ctx: SimContext, session: PairingSession, initiator: Device, responder: Device,
-             request: SmpPairingMessage, response: SmpPairingMessage, **extra) -> None:
+             request: SmpPairingMessage, response: HonestFrame, **extra) -> None:
     """Send the response and settle the association method from both messages."""
-    frame = encode_pairing(response)
-    _emit_message(ctx, responder, initiator, session.transport, frame, "response", **extra)
+    _emit_message(ctx, responder, initiator, session.transport, response.text, "response", **extra)
     session.negotiated.association = negotiate_association(
-        request.io_capability, response.io_capability,
-        request.auth_req.mitm, response.auth_req.mitm,
+        request.io_capability, response.msg.io_capability,
+        request.auth_req.mitm, response.msg.auth_req.mitm,
     )
 
 
@@ -347,9 +394,7 @@ def _exchange_identity_keys(ctx: SimContext, initiator: Device, responder: Devic
                             transport: str, tunneled: bool = False) -> None:
     """CSRK/IRK travel both ways over the encrypted link."""
     for sender, receiver in ((initiator, responder), (responder, initiator)):
-        material = sender.key_material
-        frame = material.csrk.value + material.irk.value
-        _emit_message(ctx, sender, receiver, transport, frame, "key_material", tunneled)
+        _emit_message(ctx, sender, receiver, transport, sender.key_material.frame, "key_material", tunneled)
 
 
 def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, responder: Device,
@@ -382,18 +427,18 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
         )
         _emit_verdict(
             ctx, device, stage="store", transport=record.transport, peer=record.peer,
-            allow=verdict.allow, reason=verdict.reason, origin=record.origin.value,
+            allow=verdict.allow, reason=verdict.reason, origin=_TEXT[record.origin],
         )
         if not verdict.allow:
             ctx.trace.emit(
-                device.address, KIND_KEY_REJECTED, transport=record.transport,
-                peer=str(record.peer), origin=record.origin.value, reason=verdict.reason.value,
+                device.address.text, KIND_KEY_REJECTED, transport=record.transport,
+                peer=record.peer.text, origin=_TEXT[record.origin], reason=_TEXT[verdict.reason],
             )
             session.abort_reason = verdict.reason
             return session
     for device, record, _ in pending:
         outcome = device.bonds.commit(record)
-        ctx.trace.emit(device.address, KIND_KEY_STORED, **_record_payload(record, outcome.overwrote))
+        ctx.trace.emit(device.address.text, KIND_KEY_STORED, **_record_payload(record, outcome.overwrote))
         if outcome.overwrote:
             _invalidate_sessions(device, record.peer, record.transport)
     return session
@@ -411,15 +456,15 @@ def ble_pair(ctx: SimContext, initiator: Device, responder: Device, ctkd: bool =
     initiator's address is whatever its profile claims; nothing below
     authenticates it.
     """
-    request = build_pairing_request(initiator.profile, ctkd)
+    request = honest(build_pairing_request, initiator.profile, ctkd)
     session = _request(ctx, initiator, responder, TRANSPORT_BLE, request)
     if session.aborted:
         return session
-    response = build_pairing_response(responder.profile, request)
-    _respond(ctx, session, initiator, responder, request, response)
-    _negotiate_ctkd(session, request, response)
+    response = honest(build_pairing_response, responder.profile, request.msg, request.text)
+    _respond(ctx, session, initiator, responder, request.msg, response)
+    _negotiate_ctkd(session, request.msg, response.msg)
     neg = session.negotiated
-    neg.key_strength = min(request.max_key_size, response.max_key_size)
+    neg.key_strength = min(request.msg.max_key_size, response.msg.max_key_size)
     if not (
         _early_check(ctx, session, initiator, responder, "pairing_request")
         and _early_check(ctx, session, initiator, responder, "association")
@@ -436,29 +481,6 @@ def ble_pair(ctx: SimContext, initiator: Device, responder: Device, ctkd: bool =
 # BT pairing (derivation negotiated over tunneled frames)
 # ---------------------------------------------------------------------------
 
-def build_bt_pairing_request(profile: DeviceProfile, opcode: int = OPCODE_REQUEST) -> SmpPairingMessage:
-    """BT-native pairing request (or response): no key-distribution flags, no CT2 bit.
-
-    Cross-transport derivation cannot be asked for here; that happens in the
-    tunneled exchange after the link is encrypted.
-    """
-    auth = AuthReqBits(bonding=1, mitm=profile.wants_mitm, sc=profile.sc_supported)
-    empty = KeyDistBits()
-    return SmpPairingMessage(
-        opcode=opcode,
-        io_capability=profile.io_capability,
-        oob=False,
-        auth_req=auth,
-        max_key_size=16,
-        initiator_dist=empty,
-        responder_dist=empty,
-    )
-
-
-def _bt_auth_req(msg: SmpPairingMessage) -> str:
-    return f"0x{encode_bt_auth_req(True, msg.auth_req.mitm):02x}"
-
-
 def bt_pair(ctx: SimContext, initiator: Device, responder: Device, ctkd: bool = True) -> PairingSession:
     """Run BT pairing; CTKD rides on tunneled frames over the encrypted link.
 
@@ -467,12 +489,12 @@ def bt_pair(ctx: SimContext, initiator: Device, responder: Device, ctkd: bool = 
     role: the transport allows switching roles right before a pairing
     request, so the responder checks roles before it responds.
     """
-    request = build_bt_pairing_request(initiator.profile)
-    session = _request(ctx, initiator, responder, TRANSPORT_BT, request, bt_auth_req=_bt_auth_req(request))
+    request = honest(build_bt_pairing_request, initiator.profile, OPCODE_REQUEST)
+    session = _request(ctx, initiator, responder, TRANSPORT_BT, request, bt_auth_req=request.bt_auth_req)
     if session.aborted or not _early_check(ctx, session, initiator, responder, "pairing_request"):
         return session
-    response = build_bt_pairing_request(responder.profile, OPCODE_RESPONSE)
-    _respond(ctx, session, initiator, responder, request, response, bt_auth_req=_bt_auth_req(response))
+    response = honest(build_bt_pairing_request, responder.profile, OPCODE_RESPONSE)
+    _respond(ctx, session, initiator, responder, request.msg, response, bt_auth_req=response.bt_auth_req)
     if not _early_check(ctx, session, initiator, responder, "association"):
         return session
 
@@ -481,17 +503,11 @@ def bt_pair(ctx: SimContext, initiator: Device, responder: Device, ctkd: bool = 
     if ctkd and initiator.profile.ctkd_supported:
         # The link is encrypted from here on. CTKD is negotiated by BLE-style
         # pairing messages tunneled over it, which carry the CT2 bit too.
-        tunnel_req = build_pairing_request(initiator.profile)
-        _emit_message(
-            ctx, initiator, responder, TRANSPORT_BT,
-            encode_pairing(tunnel_req), "request", tunneled=True,
-        )
-        tunnel_resp = build_pairing_response(responder.profile, tunnel_req)
-        _emit_message(
-            ctx, responder, initiator, TRANSPORT_BT,
-            encode_pairing(tunnel_resp), "response", tunneled=True,
-        )
-        if _negotiate_ctkd(session, tunnel_req, tunnel_resp):
+        tunnel_req = honest(build_pairing_request, initiator.profile, True)
+        _emit_message(ctx, initiator, responder, TRANSPORT_BT, tunnel_req.text, "request", tunneled=True)
+        tunnel_resp = honest(build_pairing_response, responder.profile, tunnel_req.msg, tunnel_req.text)
+        _emit_message(ctx, responder, initiator, TRANSPORT_BT, tunnel_resp.text, "response", tunneled=True)
+        if _negotiate_ctkd(session, tunnel_req.msg, tunnel_resp.msg):
             # The BLE identity keys ride in the same tunneled exchange.
             _exchange_identity_keys(ctx, initiator, responder, TRANSPORT_BT, tunneled=True)
             k_ble = ctkd_bt_to_ble(k_bt, session.negotiated.h7)
@@ -519,7 +535,7 @@ def establish_session(
     rec_b = b.bonds.lookup(a.address, transport)
     if rec_a is None or rec_b is None or rec_a.key.value != rec_b.key.value:
         failure = SESSION_NO_BOND if rec_a is None or rec_b is None else SESSION_KEY_MISMATCH
-        ctx.trace.emit(a.address, KIND_SESSION_FAIL, transport=transport, peer=str(b.address), reason=failure)
+        ctx.trace.emit(a.address.text, KIND_SESSION_FAIL, transport=transport, peer=b.address.text, reason=failure)
         return SessionResult(failure)
 
     entropy = rec_a.key.strength if transport == TRANSPORT_BLE else entropy_proposal
@@ -530,8 +546,8 @@ def establish_session(
     a.sessions.append(state)
     b.sessions.append(state)
     ctx.trace.emit(
-        a.address, KIND_SESSION_OK,
-        transport=transport, peer=str(b.address), entropy=entropy,
+        a.address.text, KIND_SESSION_OK,
+        transport=transport, peer=b.address.text, entropy=entropy,
     )
     a.note_activity(transport, ctx.trace.clock)
     b.note_activity(transport, ctx.trace.clock)

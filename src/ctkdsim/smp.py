@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .crypto import Key128, MAX_STRENGTH, MIN_STRENGTH
 
@@ -187,10 +188,22 @@ def decode_bt_auth_req(raw: int) -> tuple[bool, bool]:
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """CSRK/IRK values distributed over an encrypted link during pairing."""
+    """CSRK/IRK values distributed over an encrypted link during pairing, with their trace text."""
 
     csrk: Key128
     irk: Key128
+
+    @cached_property
+    def csrk_hex(self) -> str:
+        return self.csrk.hex()
+
+    @cached_property
+    def irk_hex(self) -> str:
+        return self.irk.hex()
+
+    @cached_property
+    def frame(self) -> str:
+        return hexdump(self.csrk.value + self.irk.value)
 
 
 def hexdump(data: bytes) -> str:

@@ -9,6 +9,7 @@ from conftest import device, make_profile
 
 from ctkdsim.crypto import Address, Key128
 from ctkdsim.device import (
+    BT_VERSIONS,
     Association,
     BondTable,
     DeviceProfile,
@@ -17,6 +18,7 @@ from ctkdsim.device import (
     PairingRole,
 )
 from ctkdsim.policies import PolicySet, RejectionReason, evaluate
+from ctkdsim.smp import IoCapability
 
 
 def record(peer_last=0x99, transport="BT", strength=16, mitm=False,
@@ -39,6 +41,17 @@ class TestDeviceProfile:
     def test_ctkd_needs_modern_version(self):
         with pytest.raises(ValueError, match="4.2"):
             make_profile("old", 1, bt_version="4.1")
+
+    @pytest.mark.parametrize("version", BT_VERSIONS)
+    def test_ctkd_version_floor_is_4_2(self, version):
+        def build():
+            return DeviceProfile(Address(bytes(6)), "old", version, IoCapability.DISPLAY_YES_NO)
+        if version == "4.1":
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == "old: CTKD requires version >= 4.2 (set ctkd_backported for older)"
+        else:
+            assert build().ctkd_supported
 
     def test_backport_flag_lifts_version_floor(self):
         profile = make_profile("old", 1, bt_version="4.1", ctkd_backported=True)

@@ -1,0 +1,192 @@
+"""Static pairing content is rendered once, and that changes nothing a run writes.
+
+Honest SMP messages and their trace text come from a cache keyed by
+capability fields (``pairing.honest``), identity-key text is rendered
+once per ``KeyMaterial``, and payloads read pre-rendered address and enum
+text. The bundled scenarios use only two IO capabilities at key size 16,
+so the golden digests alone cannot catch a cache key that drops a field:
+the Hypothesis tests here cover the whole capability space.
+"""
+
+import gc
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from ctkdsim import pairing
+from ctkdsim.attacks import unintended_session
+from ctkdsim.crypto import Address, TRANSPORT_BLE, random_address
+from ctkdsim.device import DeviceProfile
+from ctkdsim.pairing import (
+    SimContext,
+    bt_pair,
+    build_bt_pairing_request,
+    build_pairing_request,
+    build_pairing_response,
+    establish_session,
+    honest,
+    make_device,
+)
+from ctkdsim.scenario import load_scenario, run_scenario
+from ctkdsim.smp import (
+    OPCODE_REQUEST,
+    OPCODE_RESPONSE,
+    IoCapability,
+    decode_bt_auth_req,
+    decode_pairing,
+    encode_pairing,
+    hexdump,
+    parse_hexdump,
+)
+from ctkdsim.trace import KIND_KEY_STORED
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+MATRIX = sorted((ROOT / "scenarios" / "matrix").glob("*.json"))
+
+
+@st.composite
+def profiles(draw) -> DeviceProfile:
+    """Any valid profile: every capability field drawn, under a random address."""
+    fields = draw(st.fixed_dictionaries({
+        "io_capability": st.sampled_from(IoCapability),
+        "sc_host": st.booleans(),
+        "sc_controller": st.booleans(),
+        "h7_supported": st.booleans(),
+        "ctkd_supported": st.booleans(),
+        "ctkd_backported": st.booleans(),
+        "max_key_size": st.integers(7, 16),
+    }))
+    sc = fields["sc_host"] or fields["sc_controller"]
+    assume(sc or not fields["ctkd_supported"] or fields["ctkd_backported"])
+    address = Address(bytes([0x02]) + draw(st.binary(min_size=5, max_size=5)))
+    return DeviceProfile(address, "p", "5.0", **fields)
+
+
+class TestHonestFramesEqualAFreshBuild:
+    @staticmethod
+    def _check(frame, fresh, profile) -> None:
+        assert frame.msg == fresh
+        assert frame.text == hexdump(encode_pairing(fresh))
+        assert decode_pairing(parse_hexdump(frame.text)) == fresh
+        assert decode_bt_auth_req(int(frame.bt_auth_req, 16)) == (True, profile.wants_mitm)
+
+    @settings(max_examples=400, deadline=None)
+    @given(initiator=profiles(), responder=profiles(), ctkd=st.booleans())
+    def test_request_and_response(self, initiator, responder, ctkd):
+        request = honest(build_pairing_request, initiator, ctkd)
+        self._check(request, build_pairing_request(initiator, ctkd), initiator)
+        response = honest(build_pairing_response, responder, request.msg, request.text)
+        fresh = build_pairing_response(responder, build_pairing_request(initiator, ctkd))
+        self._check(response, fresh, responder)
+
+    @settings(max_examples=200, deadline=None)
+    @given(profile=profiles(), opcode=st.sampled_from([OPCODE_REQUEST, OPCODE_RESPONSE]))
+    def test_bt_message(self, profile, opcode):
+        frame = honest(build_bt_pairing_request, profile, opcode)
+        self._check(frame, build_bt_pairing_request(profile, opcode), profile)
+
+
+#: 20 capability sets for generated victims.
+CAPABILITY_SETS = [
+    {"io_capability": io, "max_key_size": size, "h7_supported": h7}
+    for io in IoCapability
+    for size in (7, 16)
+    for h7 in (True, False)
+]
+
+
+def _us_attacks(rounds: int, rng: random.Random) -> None:
+    """``us`` under a fresh random identity against a generated victim, each time.
+
+    Every other victim runs a BLE session with a companion first, so its
+    attack pairs over BT; the others are attacked over BLE.
+    """
+    for i in range(rounds):
+        ctx = SimContext(rng=random.Random(rng.random()))
+        caps = CAPABILITY_SETS[i % len(CAPABILITY_SETS)]
+        victim = make_device(ctx, DeviceProfile(random_address(rng), f"v{i}", "5.0", **caps))
+        companion = None
+        if i % 2:
+            companion = make_device(ctx, DeviceProfile(random_address(rng), f"c{i}", "5.0",
+                                                       IoCapability.NO_INPUT_NO_OUTPUT))
+            assert bt_pair(ctx, companion, victim).complete
+            assert establish_session(ctx, victim, companion, TRANSPORT_BLE).ok
+        unintended_session(ctx, victim, companion)
+
+
+class TestBoundedMemory:
+    def test_frames_grow_with_capability_sets_not_with_traffic(self):
+        rng = random.Random(3)
+        before = set(pairing._FRAMES)
+        _us_attacks(2 * len(CAPABILITY_SETS), rng)
+        first = set(pairing._FRAMES) - before
+        # Per victim capability set: its BT response, its response to the
+        # attacker's request and its response to the companion's. Beside
+        # them, the attacker's and the companion's two requests each.
+        assert len(first) <= 3 * len(CAPABILITY_SETS) + 4
+        _us_attacks(10 * len(CAPABILITY_SETS), rng)
+        assert set(pairing._FRAMES) == before | first
+
+    def test_matrix_passes_retain_nothing_after_the_first(self):
+        scenarios = [load_scenario(path) for path in MATRIX]
+
+        def one_pass():
+            for scenario in scenarios:
+                run_scenario(scenario)
+            gc.collect()
+
+        only_src = [tracemalloc.Filter(True, str(SRC / "*"))]
+        tracemalloc.start()
+        try:
+            one_pass()
+            after_first = tracemalloc.take_snapshot().filter_traces(only_src)
+            one_pass()
+            one_pass()
+            after_third = tracemalloc.take_snapshot().filter_traces(only_src)
+        finally:
+            tracemalloc.stop()
+        grown = [s for s in after_third.compare_to(after_first, "lineno") if s.size_diff > 0]
+        assert not grown, grown[:5]
+
+    def test_each_key_stored_event_owns_its_extra_keys(self):
+        scenario = load_scenario(MATRIX[3])  # an us attack: the attacker keeps the victim's keys
+        result = run_scenario(scenario)
+        digest = result.trace_digest()
+        dicts = [e.payload["extra_keys"] for e in result.trace
+                 if e.kind == KIND_KEY_STORED and "extra_keys" in e.payload]
+        assert len(dicts) >= 4
+        assert len({id(d) for d in dicts}) == len(dicts)
+        others = [dict(d) for d in dicts[1:]]
+        dicts[0]["csrk"] = "00" * 16
+        dicts[0]["extra"] = True
+        assert [dict(d) for d in dicts[1:]] == others
+        assert run_scenario(scenario).trace_digest() == digest
+
+
+#: One scenario per attack strategy, and the one Numeric Comparison pre-bond.
+HASH_SEED_SCENARIOS = [*MATRIX[:4], ROOT / "scenarios" / "extra" / "nc-bond-mi-baseline.json"]
+
+
+@pytest.mark.parametrize("path", HASH_SEED_SCENARIOS, ids=lambda p: p.stem)
+def test_trace_bytes_do_not_depend_on_the_hash_seed(path, tmp_path):
+    golden = json.loads((ROOT / "tests" / "golden_digests.json").read_text())
+    traces = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"trace-{hash_seed}.jsonl"
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run([sys.executable, "-m", "ctkdsim", "run", str(path), "--trace", str(out)],
+                              capture_output=True, text=True, env=env, cwd=ROOT)
+        assert done.returncode == 0, done.stdout + done.stderr
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1]
+    key = f"{path.parent.name}/{path.stem}|own"
+    assert hashlib.sha256(traces[0]).hexdigest() == golden[key]["digest"]
