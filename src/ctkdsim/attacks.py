@@ -146,47 +146,47 @@ def derive_ctis(
     bonds: dict[tuple[str, str, str], dict] = {}
     sessions: dict[tuple[tuple[str, str], str], bool] = {}
 
-    for event in events:
-        payload = event.payload
-        in_window = event.index >= attack_start
+    for index, actor, kind, payload in events:
+        in_window = index >= attack_start
 
-        if event.kind == KIND_MSG_RECEIVED and not payload.get("tunneled", False):
+        if kind == KIND_MSG_RECEIVED and not payload.get("tunneled", False):
             if (
                 in_window
                 and payload.get("opcode") == "request"
-                and event.actor == target
+                and actor == target
                 and payload.get("peer") == claimed
             ):
                 transport = payload["transport"]
                 target_live = any(
-                    live and transport == t and event.actor in pair
+                    live and transport == t and actor in pair
                     for (pair, t), live in sessions.items()
                 )
                 if not target_live:
                     fired.add(CTI.EXTENDED_PAIRING)
                 if transport == TRANSPORT_BT:
                     for t in TRANSPORTS:
-                        stored = bonds.get((event.actor, payload["peer"], t))
+                        stored = bonds.get((actor, claimed, t))
                         if stored is not None and stored["role"] != _MASTER:
                             fired.add(CTI.ROLE_ASYMMETRY)
 
-        elif event.kind == KIND_SESSION_OK:
-            pair = tuple(sorted((event.actor, payload["peer"])))
+        elif kind == KIND_SESSION_OK:
+            pair = tuple(sorted((actor, payload["peer"])))
             sessions[(pair, payload["transport"])] = True
 
-        elif event.kind == KIND_KEY_STORED:
-            if in_window and event.actor == target and payload["peer"] == claimed:
+        elif kind == KIND_KEY_STORED:
+            peer = payload["peer"]
+            if in_window and actor == target and peer == claimed:
                 if payload["origin"] == _CTKD_DERIVED:
                     fired.add(CTI.KEY_TAMPERING)
                 if payload["association"] == _JUST_WORKS:
                     for t in TRANSPORTS:
-                        prior = bonds.get((event.actor, payload["peer"], t))
+                        prior = bonds.get((actor, peer, t))
                         if prior is not None and prior["association"] == _NUMERIC_COMPARISON:
                             fired.add(CTI.ASSOCIATION_MANIPULATION)
             if payload.get("overwrote"):
-                pair = tuple(sorted((event.actor, payload["peer"])))
+                pair = tuple(sorted((actor, peer)))
                 sessions[(pair, payload["transport"])] = False
-            bonds[(event.actor, payload["peer"], payload["transport"])] = payload
+            bonds[(actor, peer, payload["transport"])] = payload
 
     return frozenset(fired)
 

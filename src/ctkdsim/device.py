@@ -9,7 +9,7 @@ scenarios assert on when a defense blocks a write.
 from __future__ import annotations
 
 import random
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
@@ -84,6 +84,8 @@ class DeviceProfile:
     h7_supported: bool = True
     ctkd_backported: bool = False
     max_key_size: int = 16
+    #: The fields an honest message reads, as plain values (the key of ``pairing.honest``).
+    capabilities: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.bt_version not in BT_VERSIONS:
@@ -97,6 +99,8 @@ class DeviceProfile:
                 raise ValueError(
                     f"{self.name}: CTKD requires version >= 4.2 (set ctkd_backported for older)"
                 )
+        object.__setattr__(self, "capabilities", (self.io_capability._value_, self.sc_supported,
+                                                  self.h7_supported, self.max_key_size, self.ctkd_supported))
 
     @property
     def sc_supported(self) -> bool:

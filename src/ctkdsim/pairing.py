@@ -22,7 +22,6 @@ from typing import NamedTuple, Optional
 from .crypto import (
     Address,
     Key128,
-    Nonce,
     TRANSPORT_BLE,
     TRANSPORT_BT,
     TRANSPORTS,
@@ -91,7 +90,6 @@ class PairingSession:
     responder: Address
     transport: str
     negotiated: Negotiated = field(default_factory=Negotiated)
-    nonces: Optional[tuple[Nonce, Nonce]] = None
     abort_reason: Optional[RejectionReason] = None
 
     @property
@@ -138,7 +136,7 @@ def negotiate_association(
     Nothing authenticates this negotiation: either side may simply claim to
     have no input/output and force Just Works.
     """
-    if io_i in CONFIRM_CAPABLE and io_r in CONFIRM_CAPABLE and mitm_i and mitm_r:
+    if mitm_i and mitm_r and io_i in CONFIRM_CAPABLE and io_r in CONFIRM_CAPABLE:
         return Association.NUMERIC_COMPARISON
     return Association.JUST_WORKS
 
@@ -224,12 +222,11 @@ _FRAMES: dict[tuple, HonestFrame] = {}
 def honest(build, profile: DeviceProfile, arg, arg_key=None) -> HonestFrame:
     """``build(profile, arg)`` with its trace text, built once per capability set.
 
-    The key is ``build``, the capability fields the message reads (the MITM
-    wish follows from the IO capability) and ``arg``, or ``arg_key`` when
-    given: a response passes its request's message and the request's text.
+    The key is ``build``, the profile's ``capabilities`` (the fields the
+    message reads) and ``arg``, or ``arg_key`` when given: a response passes
+    its request's message and the request's text.
     """
-    key = (build, profile.io_capability, profile.sc_supported, profile.h7_supported,
-           profile.max_key_size, profile.ctkd_supported, arg if arg_key is None else arg_key)
+    key = (build, profile.capabilities, arg if arg_key is None else arg_key)
     frame = _FRAMES.get(key)
     if frame is None:
         msg = build(profile, arg)
@@ -242,18 +239,15 @@ def honest(build, profile: DeviceProfile, arg, arg_key=None) -> HonestFrame:
 # Trace helpers
 # ---------------------------------------------------------------------------
 
-#: Enum values as the trace writes them, rendered once.
-_TEXT = {m: m.value for enum in (Association, KeyOrigin, PairingRole, RejectionReason) for m in enum}
-
-
 def _emit_message(ctx: SimContext, sender: Device, receiver: Device, transport: str,
                   text: str, opcode: str, tunneled: bool = False, **extra) -> None:
     ctx.trace.emit(sender.address.text, KIND_MSG_SENT, transport=transport, peer=receiver.address.text,
                    frame=text, opcode=opcode, tunneled=tunneled, **extra)
     ctx.trace.emit(receiver.address.text, KIND_MSG_RECEIVED, transport=transport, peer=sender.address.text,
                    frame=text, opcode=opcode, tunneled=tunneled, **extra)
-    sender.note_activity(transport, ctx.trace.clock)
-    receiver.note_activity(transport, ctx.trace.clock)
+    clock = ctx.trace.clock
+    sender.note_activity(transport, clock)
+    receiver.note_activity(transport, clock)
 
 
 def _emit_verdict(ctx, device: Device, *, stage, transport, peer, allow, reason, origin=None):
@@ -264,7 +258,7 @@ def _emit_verdict(ctx, device: Device, *, stage, transport, peer, allow, reason,
         transport=transport,
         peer=peer.text,
         allow=allow,
-        reason=None if reason is None else _TEXT[reason],
+        reason=None if reason is None else reason._value_,
         origin=origin,
     )
 
@@ -273,9 +267,9 @@ def _record_payload(record: KeyRecord, overwrote: bool) -> dict:
     payload = {
         "transport": record.transport,
         "peer": record.peer.text,
-        "origin": _TEXT[record.origin],
-        "association": _TEXT[record.association],
-        "role": _TEXT[record.role_at_pairing],
+        "origin": record.origin._value_,
+        "association": record.association._value_,
+        "role": record.role_at_pairing._value_,
         "strength": record.key.strength,
         "mitm_protected": record.key.mitm_protected,
         "key": record.key.hex(),
@@ -382,7 +376,6 @@ def _agree_key(ctx: SimContext, session: PairingSession, initiator: Device, resp
     kp_r = dh_generate(ctx.rng, ctx.dh_backend)
     n_i = random_nonce(ctx.rng)
     n_r = random_nonce(ctx.rng)
-    session.nonces = (n_i, n_r)
     dk = dh_shared(private_i, kp_r.public)
     key = kdf(dk, initiator.address, responder.address, n_i, n_r, *kdf_args)
     if session.negotiated.association is Association.NUMERIC_COMPARISON:
@@ -407,36 +400,40 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
     before any is committed, so one rejection aborts the run with both
     tables untouched.
     """
-    pending = []  # (device, record, what the verdict needs beyond the stored record)
+    transport = session.transport
+    derived_transport = other_transport(transport)
+    association = session.negotiated.association
+    over_ble = transport == TRANSPORT_BLE
+    pending = []  # (device, record, existing, ctkd_source, prior_direct): all each verdict reads
     for device, peer, peer_role in _sides(initiator, responder):
-        def bond(transport, key, origin):
-            return KeyRecord(
-                peer.address, transport, key, origin, session.negotiated.association, peer_role,
-                extra_keys=peer.key_material if transport == TRANSPORT_BLE else None,
-            )
-        direct = bond(session.transport, direct_key, KeyOrigin.DIRECT_PAIRING)
-        pending.append((device, direct, {}))
+        address = peer.address
+        identity = peer.key_material
+        direct = KeyRecord(address, transport, direct_key, KeyOrigin.DIRECT_PAIRING, association,
+                           peer_role, identity if over_ble else None)
+        # The pairing transport's bond before this run: ``existing`` here, ``prior_direct`` below.
+        prior_direct = device.bonds.lookup(address, transport)
+        pending.append((device, direct, prior_direct, None, None))
         if derived_key is not None:
-            derived = bond(other_transport(session.transport), derived_key, KeyOrigin.CTKD_DERIVED)
-            prior_direct = device.bonds.lookup(peer.address, session.transport)
-            pending.append((device, derived, {"ctkd_source": direct, "prior_direct": prior_direct}))
+            derived = KeyRecord(address, derived_transport, derived_key, KeyOrigin.CTKD_DERIVED, association,
+                                peer_role, None if over_ble else identity)
+            existing = device.bonds.lookup(address, derived_transport)
+            pending.append((device, derived, existing, direct, prior_direct))
 
-    for device, record, context in pending:
-        verdict = evaluate(
-            device.policies, device.bonds.lookup(record.peer, record.transport), record, **context,
-        )
+    for device, record, existing, ctkd_source, prior_direct in pending:
+        verdict = evaluate(device.policies, existing, record, ctkd_source=ctkd_source, prior_direct=prior_direct)
+        origin = record.origin._value_
         _emit_verdict(
             ctx, device, stage="store", transport=record.transport, peer=record.peer,
-            allow=verdict.allow, reason=verdict.reason, origin=_TEXT[record.origin],
+            allow=verdict.allow, reason=verdict.reason, origin=origin,
         )
         if not verdict.allow:
             ctx.trace.emit(
                 device.address.text, KIND_KEY_REJECTED, transport=record.transport,
-                peer=record.peer.text, origin=_TEXT[record.origin], reason=_TEXT[verdict.reason],
+                peer=record.peer.text, origin=origin, reason=verdict.reason._value_,
             )
             session.abort_reason = verdict.reason
             return session
-    for device, record, _ in pending:
+    for device, record, *_ in pending:
         outcome = device.bonds.commit(record)
         ctx.trace.emit(device.address.text, KIND_KEY_STORED, **_record_payload(record, outcome.overwrote))
         if outcome.overwrote:
@@ -549,6 +546,7 @@ def establish_session(
         a.address.text, KIND_SESSION_OK,
         transport=transport, peer=b.address.text, entropy=entropy,
     )
-    a.note_activity(transport, ctx.trace.clock)
-    b.note_activity(transport, ctx.trace.clock)
+    clock = ctx.trace.clock
+    a.note_activity(transport, clock)
+    b.note_activity(transport, clock)
     return SessionResult(SESSION_OK, state)

@@ -9,9 +9,8 @@ zero on decode so malformed attacker frames surface immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from .crypto import Key128, MAX_STRENGTH, MIN_STRENGTH
 
@@ -188,22 +187,18 @@ def decode_bt_auth_req(raw: int) -> tuple[bool, bool]:
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """CSRK/IRK values distributed over an encrypted link during pairing, with their trace text."""
+    """CSRK/IRK values distributed over an encrypted link during pairing, with their trace text (built once)."""
 
     csrk: Key128
     irk: Key128
+    csrk_hex: str = field(init=False, compare=False, repr=False)
+    irk_hex: str = field(init=False, compare=False, repr=False)
+    frame: str = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def csrk_hex(self) -> str:
-        return self.csrk.hex()
-
-    @cached_property
-    def irk_hex(self) -> str:
-        return self.irk.hex()
-
-    @cached_property
-    def frame(self) -> str:
-        return hexdump(self.csrk.value + self.irk.value)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "csrk_hex", self.csrk.hex())
+        object.__setattr__(self, "irk_hex", self.irk.hex())
+        object.__setattr__(self, "frame", hexdump(self.csrk.value + self.irk.value))
 
 
 def hexdump(data: bytes) -> str:

@@ -74,7 +74,9 @@ class TraceRecorder:
         if kind not in _KIND_SET:
             raise ValueError(f"unknown event kind {kind!r}")
         # tuple.__new__ skips the NamedTuple's generated __new__ and its argument binding.
-        event = tuple.__new__(TraceEvent, (len(self.events), str(actor), kind, payload))
+        # Callers pass address text, so ``str`` runs only for another kind of actor.
+        actor = actor if type(actor) is str else str(actor)
+        event = tuple.__new__(TraceEvent, (len(self.events), actor, kind, payload))
         self.events.append(event)
         return event
 

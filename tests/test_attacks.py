@@ -1,15 +1,19 @@
 """The four attacks, their outcomes, and the issue-mapping table."""
 
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import device
 
+from ctkdsim import attacks
 from ctkdsim.attacks import (
     CTI,
     Requirement,
     cti_map,
+    derive_ctis,
     master_impersonation,
     mitm,
     slave_impersonation,
@@ -19,6 +23,10 @@ from ctkdsim.crypto import TRANSPORT_BLE, TRANSPORT_BT
 from ctkdsim.device import Association, KeyOrigin
 from ctkdsim.pairing import SimContext, bt_pair, establish_session
 from ctkdsim.policies import PolicySet, RejectionReason
+from ctkdsim.scenario import load_scenario, run_scenario
+from ctkdsim.trace import emit_trace, read_trace
+
+BUNDLED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*/*.json"))
 
 
 def bonded_victims(ctx, *, alice_policies=None, bob_policies=None, live="BT",
@@ -321,3 +329,33 @@ class TestStandardCompliance:
         alice2, bob2 = bonded_victims(ctx2)
         outcome2 = master_impersonation(ctx2, bob2, alice2)
         assert outcome_satisfies_map(outcome2, "mi")
+
+
+class TestDeriveCtisFromDisk:
+    """``derive_ctis`` on a trace read back from its file equals it on the live events."""
+
+    def test_every_bundled_trace_replays_the_same(self, monkeypatch, tmp_path):
+        starts = []
+
+        def recorded(events, *, target, claimed, attack_start):
+            starts.append(attack_start)
+            return derive_ctis(events, target=target, claimed=claimed, attack_start=attack_start)
+
+        monkeypatch.setattr(attacks, "derive_ctis", recorded)
+        fired = set()
+        for path in BUNDLED:
+            starts.clear()
+            live = run_scenario(load_scenario(path)).trace
+            assert starts, path.name
+            out = tmp_path / f"{path.stem}.jsonl"
+            emit_trace(live, out)
+            on_disk = read_trace(out)
+            assert on_disk == live
+            actors = sorted({event.actor for event in live})
+            for target, claimed in itertools.product(actors, repeat=2):
+                for start in {0, *starts}:
+                    expected = derive_ctis(live, target=target, claimed=claimed, attack_start=start)
+                    assert derive_ctis(on_disk, target=target, claimed=claimed, attack_start=start) \
+                        == expected, (path.name, target, claimed, start)
+                    fired |= expected
+        assert fired == set(CTI)  # the comparison covers every issue firing

@@ -17,8 +17,10 @@ from ctkdsim.device import (
     KeyRecord,
     PairingRole,
 )
+from ctkdsim import pairing
+from ctkdsim.pairing import build_bt_pairing_request, build_pairing_request, build_pairing_response, honest
 from ctkdsim.policies import PolicySet, RejectionReason, evaluate
-from ctkdsim.smp import IoCapability
+from ctkdsim.smp import OPCODE_REQUEST, OPCODE_RESPONSE, IoCapability, encode_pairing, hexdump
 
 
 def record(peer_last=0x99, transport="BT", strength=16, mitm=False,
@@ -77,6 +79,86 @@ class TestDeviceProfile:
         with pytest.raises(ValueError, match="bt_version"):
             DeviceProfile.from_dict(
                 {"address": "02:00:00:00:00:01", "name": "x", "io_capability": "DisplayYesNo"},
+                "test",
+            )
+
+
+def _profile(address=0x01, name="p", bt_version="5.0", io=IoCapability.DISPLAY_YES_NO, **caps):
+    return DeviceProfile(Address(bytes([0x02, 0, 0, 0, 0, address])), name, bt_version, io, **caps)
+
+
+#: One change to each field an honest message reads, from ``_profile()``'s values.
+CAPABILITY_CHANGES = {
+    "io_capability": {"io": IoCapability.KEYBOARD_ONLY},
+    "sc": {"sc_host": False, "sc_controller": False, "ctkd_backported": True},
+    "h7_supported": {"h7_supported": False},
+    "max_key_size": {"max_key_size": 7},
+    "ctkd_supported": {"ctkd_supported": False},
+}
+
+#: Every kind of honest message: (builder, its argument), responses answering ``REQUEST``.
+REQUEST = build_pairing_request(_profile(0x09), True)
+HONEST_MESSAGES = [
+    (build_pairing_request, True, None),
+    (build_pairing_request, False, None),
+    (build_pairing_response, REQUEST, hexdump(encode_pairing(REQUEST))),
+    (build_bt_pairing_request, OPCODE_REQUEST, None),
+    (build_bt_pairing_request, OPCODE_RESPONSE, None),
+]
+
+
+class TestCapabilities:
+    """``DeviceProfile.capabilities`` keys ``pairing.honest``; it is not part of the profile's value."""
+
+    @given(
+        address=st.integers(0, 255),
+        name=st.text(max_size=8),
+        bt_version=st.sampled_from(BT_VERSIONS[1:]),
+        io=st.sampled_from(IoCapability),
+        max_key_size=st.integers(7, 16),
+        h7=st.booleans(),
+    )
+    def test_address_name_and_version_share_one_honest_entry(self, address, name, bt_version, io,
+                                                              max_key_size, h7):
+        caps = {"io": io, "max_key_size": max_key_size, "h7_supported": h7}
+        base = _profile(**caps)
+        other = _profile(address, name, bt_version, **caps)
+        assert other.capabilities == base.capabilities
+        for build, arg, arg_key in HONEST_MESSAGES:
+            first = honest(build, base, arg, arg_key)
+            entries = len(pairing._FRAMES)
+            assert honest(build, other, arg, arg_key) is first
+            assert len(pairing._FRAMES) == entries
+
+    @pytest.mark.parametrize("change", list(CAPABILITY_CHANGES))
+    def test_a_capability_change_gets_its_own_entry(self, change):
+        base = _profile()
+        other = _profile(**CAPABILITY_CHANGES[change])
+        assert other.capabilities != base.capabilities
+        for build, arg, arg_key in HONEST_MESSAGES:
+            assert honest(build, other, arg, arg_key) is not honest(build, base, arg, arg_key)
+            assert honest(build, other, arg, arg_key).msg == build(other, arg)
+        # The in-band request carries every capability field, so its frame differs too.
+        assert honest(build_pairing_request, other, True).text != honest(build_pairing_request, base, True).text
+
+    def test_capabilities_are_not_part_of_the_value(self):
+        profile = _profile()
+        object.__setattr__(profile, "capabilities", "stale")  # only the declared fields may count
+        fresh = _profile()
+        assert profile == fresh and hash(profile) == hash(fresh)
+        assert repr(profile) == repr(fresh) and "capabilities" not in repr(fresh)
+        assert profile != _profile(**CAPABILITY_CHANGES["h7_supported"])
+
+    def test_replace_recomputes_the_capabilities(self):
+        profile = _profile()
+        changed = dataclasses.replace(profile, max_key_size=7)
+        assert changed.capabilities == _profile(max_key_size=7).capabilities != profile.capabilities
+
+    def test_capabilities_are_not_a_scenario_field(self):
+        with pytest.raises(ValueError, match="unknown field"):
+            DeviceProfile.from_dict(
+                {"address": "02:00:00:00:00:01", "name": "x", "bt_version": "5.0",
+                 "io_capability": "DisplayYesNo", "capabilities": [1, True, True, 16, True]},
                 "test",
             )
 

@@ -32,7 +32,7 @@ from ctkdsim.smp import (
     SmpPairingMessage,
     ctkd_requested,
 )
-from ctkdsim.crypto import Key128
+from ctkdsim.crypto import Key128, kdf_le, random_nonce
 
 
 class TestAssociationNegotiation:
@@ -234,10 +234,11 @@ class TestAbortAtomicity:
         assert ble_pair(ctx, a, strict).complete  # NC bond
         # Whoever claims a's address with no input/output forces Just Works.
         claimant = device(ctx, "nc-a-jw", 0x58, io="NoInputNoOutput")
+        rng_state = ctx.rng.getstate()
         session = ble_pair(ctx, claimant, strict)
         assert session.aborted
         assert session.abort_reason is RejectionReason.C4_ASSOCIATION_DOWNGRADE
-        assert session.nonces is None  # aborted before the DH stage
+        assert ctx.rng.getstate() == rng_state  # aborted before any DH or nonce draw
 
 
 class TestStateMachine:
@@ -292,14 +293,25 @@ class TestSessions:
 
 
 class TestNonceFreshness:
-    def test_fresh_nonces_every_run(self, ctx, laptop, headset):
-        seen = set()
-        for _ in range(20):
-            session = ble_pair(ctx, laptop, headset)
-            n_i, n_r = session.nonces
-            assert n_i.value not in seen and n_r.value not in seen
-            seen.add(n_i.value)
-            seen.add(n_r.value)
+    def test_fresh_nonces_every_run(self, monkeypatch, ctx, laptop, headset):
+        drawn, used = [], []
+
+        def recorded(rng):
+            nonce = random_nonce(rng)
+            drawn.append(nonce.value)
+            return nonce
+
+        def kdf(dk, addr_i, addr_r, n_i, n_r, *args):
+            used.extend((n_i.value, n_r.value))
+            return kdf_le(dk, addr_i, addr_r, n_i, n_r, *args)
+
+        monkeypatch.setattr(pairing, "random_nonce", recorded)
+        monkeypatch.setattr(pairing, "kdf_le", kdf)
+        for runs in range(1, 21):
+            assert ble_pair(ctx, laptop, headset).complete
+            assert len(drawn) == 2 * runs  # the initiator's nonce and the responder's
+        assert used == drawn  # each run's key is derived from its own two draws
+        assert len(set(drawn)) == len(drawn)
 
 
 class TestKeyAgreementDraws:

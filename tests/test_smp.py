@@ -5,11 +5,13 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ctkdsim.crypto import Key128
 from ctkdsim.smp import (
     AuthReqBits,
     CodecError,
     IoCapability,
     KeyDistBits,
+    KeyMaterial,
     OPCODE_REQUEST,
     OPCODE_RESPONSE,
     SmpPairingMessage,
@@ -198,3 +200,20 @@ class TestHexdump:
     def test_parse_rejects_anything_but_two_hex_digits_per_octet(self, text):
         with pytest.raises(ValueError):
             parse_hexdump(text)
+
+
+class TestKeyMaterialText:
+    @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
+    def test_text_is_rendered_at_construction(self, csrk, irk):
+        material = KeyMaterial(Key128(csrk), Key128(irk))
+        assert vars(material)["csrk_hex"] == csrk.hex()  # a plain field, not a lazy descriptor
+        assert material.irk_hex == irk.hex()
+        assert material.frame == hexdump(csrk + irk)
+
+    def test_text_is_not_part_of_the_value(self):
+        material = KeyMaterial(Key128(bytes(16)), Key128(bytes([1]) * 16))
+        fresh = KeyMaterial(Key128(bytes(16)), Key128(bytes([1]) * 16))
+        for name in ("csrk_hex", "irk_hex", "frame"):
+            object.__setattr__(material, name, "stale")  # only the keys may count below
+        assert material == fresh and hash(material) == hash(fresh)
+        assert repr(material) == repr(fresh) and "stale" not in repr(material)
