@@ -147,14 +147,13 @@ def derive_ctis(
     sessions: dict[tuple[tuple[str, str], str], bool] = {}
 
     for index, actor, kind, payload in events:
-        in_window = index >= attack_start
-
-        if kind == KIND_MSG_RECEIVED and not payload.get("tunneled", False):
+        if kind == KIND_MSG_RECEIVED:
             if (
-                in_window
-                and payload.get("opcode") == "request"
+                index >= attack_start
                 and actor == target
                 and payload.get("peer") == claimed
+                and payload.get("opcode") == "request"
+                and not payload.get("tunneled", False)
             ):
                 transport = payload["transport"]
                 target_live = any(
@@ -175,7 +174,7 @@ def derive_ctis(
 
         elif kind == KIND_KEY_STORED:
             peer = payload["peer"]
-            if in_window and actor == target and peer == claimed:
+            if index >= attack_start and actor == target and peer == claimed:
                 if payload["origin"] == _CTKD_DERIVED:
                     fired.add(CTI.KEY_TAMPERING)
                 if payload["association"] == _JUST_WORKS:

@@ -193,7 +193,7 @@ class Device:
         # Pairable on both transports from the start; only c1 turns it off.
         self._pairable = {"BT": True, "BLE": True}
         self.sessions: list["SessionState"] = []
-        self.last_activity: dict[str, int] = {t: 0 for t in TRANSPORTS}
+        self.last_activity: dict[str, int] = dict.fromkeys(TRANSPORTS, 0)
 
     @property
     def name(self) -> str:
