@@ -6,11 +6,9 @@ with all five defenses on. Each counted function is rebound in every
 through a name bound by ``from .crypto import ...`` is counted too; the
 three methods are patched on their class.
 
-The numbers are the ones the code had before the pairing hot path was
-rewritten to look up each ``(peer, pairing transport)`` bond once per
-record; only ``BondTable.lookup`` was pinned at its new, lower count.
-A change that adds or drops a crypto computation, an event, a verdict or
-a commit fails here, and so does one that adds a bond lookup.
+A change that adds or drops a crypto computation, an event, a verdict, a
+commit or a bond lookup fails here. Re-pin a number only in a change that
+is meant to move it, and name the move in the change log.
 """
 
 import sys
@@ -40,16 +38,12 @@ EXPECTED = {
     "own": {
         "aes_cmac": 672, "ctkd_ble_to_bt": 48, "ctkd_bt_to_ble": 96, "dh_generate": 144,
         "dh_private": 144, "dh_shared": 144, "kdf_le": 48, "kdf_bt": 96, "session_key": 240,
-        "evaluate": 576, "TraceRecorder.emit": 3008, "BondTable.commit": 576,
-        # 2,176 before: one fewer per derived record (48 + 96 conversions, two records each).
-        "BondTable.lookup": 1888,
+        "evaluate": 576, "TraceRecorder.emit": 3008, "BondTable.commit": 576, "BondTable.lookup": 1888,
     },
     "all": {
         "aes_cmac": 256, "ctkd_ble_to_bt": 0, "ctkd_bt_to_ble": 64, "dh_generate": 64,
         "dh_private": 64, "dh_shared": 64, "kdf_le": 0, "kdf_bt": 64, "session_key": 64,
-        "evaluate": 256, "TraceRecorder.emit": 1536, "BondTable.commit": 256,
-        # 1,312 before: one fewer per derived record (64 conversions, two records each).
-        "BondTable.lookup": 1184,
+        "evaluate": 256, "TraceRecorder.emit": 1536, "BondTable.commit": 256, "BondTable.lookup": 1184,
     },
 }
 

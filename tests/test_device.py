@@ -96,7 +96,7 @@ CAPABILITY_CHANGES = {
     "ctkd_supported": {"ctkd_supported": False},
 }
 
-#: Every kind of honest message: (builder, its argument), responses answering ``REQUEST``.
+#: Every kind of honest message as ``honest``'s (build, arg, arg_key); the response answers ``REQUEST``.
 REQUEST = build_pairing_request(_profile(0x09), True)
 HONEST_MESSAGES = [
     (build_pairing_request, True, None),
