@@ -31,7 +31,7 @@ bob = make_device(ctx, DeviceProfile.from_dict({
 # Honest life: one BT pairing (which also keys BLE via cross-transport
 # derivation) and a live BT session.
 session = bt_pair(ctx, alice, bob)
-assert session.complete
+assert not session.aborted
 establish_session(ctx, alice, bob, "BT")
 print("pre-state: bonded on both transports, BT session live")
 print(f"  bob's BT key for alice : {bob.bonds.lookup(alice.address, 'BT').key.hex()}")

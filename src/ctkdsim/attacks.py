@@ -20,9 +20,8 @@ from .pairing import (
     ble_pair,
     bt_pair,
     establish_session,
-    make_device,
 )
-from .policies import RejectionReason
+from .policies import PolicySet, RejectionReason
 from .smp import IoCapability
 from .trace import (
     KIND_KEY_STORED,
@@ -88,28 +87,22 @@ class AttackOutcome:
             "overwrote_existing": self.overwrote_existing,
             "victim_reconnect": self.victim_reconnect,
             "ctis_used": sorted(int(c) for c in self.ctis_used),
-            "rejection": None if self.rejection is None else self.rejection.value,
+            "rejection": None if self.rejection is None else self.rejection._value_,
         }
 
 
-def _attacker_device(ctx: SimContext, claimed: Address) -> Device:
-    """The attacker under ``claimed``, with the playbook's fixed capability claims.
+#: The playbook's fixed capability claims: no input/output (forcing Just Works),
+#: Secure Connections, cross-transport derivation and the Link Key distribution
+#: flag. Its own address is never shown; each attacker device claims one.
+_ATTACKER = DeviceProfile(address=Address(bytes(6)), name="charlie", bt_version="5.0",
+                          io_capability=IoCapability.NO_INPUT_NO_OUTPUT, sc_host=True, sc_controller=True,
+                          ctkd_supported=True, h7_supported=True)
+_NO_DEFENSES = PolicySet()
 
-    No input/output (forcing Just Works), Secure Connections, cross-transport
-    derivation and the Link Key distribution flag. It is built fresh for each
-    pairing run, so it holds no victim key at the start.
-    """
-    profile = DeviceProfile(
-        address=claimed,
-        name="charlie",
-        bt_version="5.0",
-        io_capability=IoCapability.NO_INPUT_NO_OUTPUT,
-        sc_host=True,
-        sc_controller=True,
-        ctkd_supported=True,
-        h7_supported=True,
-    )
-    return make_device(ctx, profile)
+
+def _attacker_device(ctx: SimContext, claimed: Address) -> Device:
+    """The attacker under ``claimed``, built fresh for each pairing run so it holds no victim key."""
+    return Device(_ATTACKER, _NO_DEFENSES, ctx.rng, claimed)
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,19 @@ def kdf_bt(
     return Key128(aes_cmac(dk.value, msg), MAX_STRENGTH)
 
 
+def check_session_args(transport: str, pairing_key: Key128, negotiated_entropy: int) -> None:
+    """Every argument check of ``session_key``, for a caller that derives the key later."""
+    if transport not in TRANSPORTS:
+        raise ValueError(f"unknown transport {transport!r}")
+    if not MIN_STRENGTH <= negotiated_entropy <= MAX_STRENGTH:
+        raise ValueError(f"entropy {negotiated_entropy} outside {MIN_STRENGTH}..{MAX_STRENGTH}")
+    if transport == TRANSPORT_BLE and negotiated_entropy != pairing_key.strength:
+        raise ValueError(
+            f"BLE session entropy {negotiated_entropy} must equal "
+            f"pairing-key strength {pairing_key.strength}"
+        )
+
+
 def session_key(
     transport: str,
     pairing_key: Key128,
@@ -374,15 +387,7 @@ def session_key(
     BT may negotiate the session-key entropy down; a BLE session key always
     inherits the entropy of its pairing key.
     """
-    if transport not in TRANSPORTS:
-        raise ValueError(f"unknown transport {transport!r}")
-    if not MIN_STRENGTH <= negotiated_entropy <= MAX_STRENGTH:
-        raise ValueError(f"entropy {negotiated_entropy} outside {MIN_STRENGTH}..{MAX_STRENGTH}")
-    if transport == TRANSPORT_BLE and negotiated_entropy != pairing_key.strength:
-        raise ValueError(
-            f"BLE session entropy {negotiated_entropy} must equal "
-            f"pairing-key strength {pairing_key.strength}"
-        )
+    check_session_args(transport, pairing_key, negotiated_entropy)
     msg = b"SK" + transport.encode("ascii") + n_a.value + n_b.value
     tag = aes_cmac(pairing_key.value, msg)
     return Key128(
@@ -393,11 +398,11 @@ def session_key(
 
 
 def random_key128(rng: random.Random, strength: int = MAX_STRENGTH, mitm_protected: bool = False) -> Key128:
-    return Key128(rng.randbytes(16), strength, mitm_protected)
+    return Key128(rng.getrandbits(128).to_bytes(16, "little"), strength, mitm_protected)
 
 
 def random_nonce(rng: random.Random) -> Nonce:
-    return Nonce(rng.randbytes(16))
+    return Nonce(rng.getrandbits(128).to_bytes(16, "little"))
 
 
 def random_address(rng: random.Random) -> Address:

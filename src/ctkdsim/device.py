@@ -163,27 +163,27 @@ class StoreOutcome:
 
 
 class BondTable:
-    """Per-device key store, at most one record per (peer, transport)."""
+    """Per-device key store, at most one record per (peer, transport), keyed by the address bytes."""
 
     def __init__(self) -> None:
-        self.records: dict[tuple[Address, str], KeyRecord] = {}
+        self.records: dict[tuple[bytes, str], KeyRecord] = {}
 
     def lookup(self, peer: Address, transport: str) -> Optional[KeyRecord]:
-        return self.records.get((peer, transport))
+        return self.records.get((peer.value, transport))
 
-    def commit(self, record: KeyRecord) -> StoreOutcome:
-        """Insert or replace the record; the caller has already had its verdict."""
-        previous = self.lookup(record.peer, record.transport)
-        self.records[(record.peer, record.transport)] = record
-        return StoreOutcome(overwrote=previous is not None)
+    def commit(self, record: KeyRecord, existing: Optional[KeyRecord]) -> StoreOutcome:
+        """Insert or replace the record; the caller has had its verdict and looked up ``existing``."""
+        self.records[(record.peer.value, record.transport)] = record
+        return StoreOutcome(overwrote=existing is not None)
 
 
 class Device:
     """A profile plus the mutable state the protocol engine acts on."""
 
-    def __init__(self, profile: DeviceProfile, policies: "PolicySet", rng: random.Random) -> None:
+    def __init__(self, profile: DeviceProfile, policies: "PolicySet", rng: random.Random,
+                 address: Optional[Address] = None) -> None:
         self.profile = profile
-        self.address: Address = profile.address
+        self.address: Address = profile.address if address is None else address
         self.policies = policies
         self.bonds = BondTable()
         # Identity keys this device distributes during pairing; never reassigned.

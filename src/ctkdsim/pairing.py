@@ -22,9 +22,11 @@ from typing import NamedTuple, Optional
 from .crypto import (
     Address,
     Key128,
+    Nonce,
     TRANSPORT_BLE,
     TRANSPORT_BT,
     TRANSPORTS,
+    check_session_args,
     ctkd_ble_to_bt,
     ctkd_bt_to_ble,
     dh_generate,
@@ -106,8 +108,14 @@ class PairingSession:
 class SessionState:
     peers: tuple[Address, Address]
     transport: str
-    session_key: Key128
+    pairing_key: Key128
+    nonces: tuple[Nonce, Nonce]
+    entropy: int
     live: bool = True
+
+    @property
+    def session_key(self) -> Key128:  # derived on read, since no run path reads it
+        return session_key(self.transport, self.pairing_key, *self.nonces, self.entropy)
 
 
 SESSION_OK = "ok"
@@ -433,8 +441,8 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
             )
             session.abort_reason = verdict.reason
             return session
-    for device, record, *_ in pending:
-        outcome = device.bonds.commit(record)
+    for device, record, existing, *_ in pending:
+        outcome = device.bonds.commit(record, existing)
         ctx.trace.emit(device.address.text, KIND_KEY_STORED, **_record_payload(record, outcome.overwrote))
         if outcome.overwrote:
             _invalidate_sessions(device, record.peer, record.transport)
@@ -536,10 +544,9 @@ def establish_session(
         return SessionResult(failure)
 
     entropy = rec_a.key.strength if transport == TRANSPORT_BLE else entropy_proposal
-    n_a = random_nonce(ctx.rng)
-    n_b = random_nonce(ctx.rng)
-    sk = session_key(transport, rec_a.key, n_a, n_b, entropy)
-    state = SessionState(peers=(a.address, b.address), transport=transport, session_key=sk)
+    nonces = (random_nonce(ctx.rng), random_nonce(ctx.rng))
+    check_session_args(transport, rec_a.key, entropy)
+    state = SessionState((a.address, b.address), transport, rec_a.key, nonces, entropy)
     a.sessions.append(state)
     b.sessions.append(state)
     ctx.trace.emit(

@@ -84,6 +84,8 @@ class Scenario:
         name = _typed(data.pop("name", where), str, f"{where}.name")
         try:
             seed = _typed(data.pop("seed"), int, f"{where}.seed")
+            if seed < 0:
+                raise ScenarioError(f"{where}.seed must not be negative, got {seed}")
             device_list = _typed(data.pop("devices"), list, f"{where}.devices")
             attack_raw = dict(_typed(data.pop("attack"), dict, f"{where}.attack"))
         except KeyError as missing:
@@ -250,6 +252,8 @@ def run_scenario(
 ) -> ScenarioResult:
     """Execute pre-state then the attack; fully deterministic under the seed."""
     seed = scenario.seed if seed_override is None else seed_override
+    if seed < 0:  # random.Random drops the sign: -5 would replay seed 5
+        raise ScenarioError(f"{scenario.name}: seed {seed} is negative")
     ctx = SimContext(rng=random.Random(seed))
 
     devices: dict[str, Device] = {}
@@ -279,9 +283,10 @@ def run_scenario(
                 )
 
     # Idle-transport auto-disable fires between normal operation and attack.
+    clock = ctx.trace.clock
     for device in devices.values():
         for transport in TRANSPORTS:
-            c1_tick(device, transport, ctx.trace.clock)
+            c1_tick(device, transport, clock)
 
     outcome = _dispatch_attack(ctx, scenario, devices)
     failures = check_expectations(scenario.expectations, outcome)
@@ -409,7 +414,7 @@ def run_matrix(
                 "attacker_role": scenario.meta.get("attacker_role"),
                 "strategy": scenario.attack.strategy,
                 "succeeded": outcome.succeeded,
-                "rejection": None if outcome.rejection is None else outcome.rejection.value,
+                "rejection": None if outcome.rejection is None else outcome.rejection._value_,
                 "ctis_used": sorted(int(c) for c in outcome.ctis_used),
                 "expectations_ok": result.expectations_ok
                 if policy_override is None

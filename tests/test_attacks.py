@@ -37,7 +37,7 @@ def bonded_victims(ctx, *, alice_policies=None, bob_policies=None, live="BT",
     bob = device(ctx, "bob", 0x0B, io=bob_io, policies=bob_policies,
                  **(bob_overrides or {}))
     session = bt_pair(ctx, alice, bob)
-    assert session.complete
+    assert not session.aborted
     assert establish_session(ctx, alice, bob, live).ok
     return alice, bob
 
@@ -102,7 +102,7 @@ class TestMasterImpersonation:
         # so the attacker's own claim is all that matters.
         alice = device(ctx, "alice", 0x0A, ctkd_supported=False)
         bob = device(ctx, "bob", 0x0B, io="NoInputNoOutput")
-        assert bt_pair(ctx, alice, bob, ctkd=False).complete
+        assert not bt_pair(ctx, alice, bob, ctkd=False).aborted
         assert bob.bonds.lookup(alice.address, TRANSPORT_BLE) is None
         assert establish_session(ctx, alice, bob, TRANSPORT_BT).ok
         outcome = master_impersonation(ctx, bob, alice)

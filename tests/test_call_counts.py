@@ -36,14 +36,14 @@ POLICY_SETS = {"own": None, "all": PolicySet(**{name: True for name in DEFENSES}
 
 EXPECTED = {
     "own": {
-        "aes_cmac": 672, "ctkd_ble_to_bt": 48, "ctkd_bt_to_ble": 96, "dh_generate": 144,
-        "dh_private": 144, "dh_shared": 144, "kdf_le": 48, "kdf_bt": 96, "session_key": 240,
-        "evaluate": 576, "TraceRecorder.emit": 3008, "BondTable.commit": 576, "BondTable.lookup": 1888,
+        "aes_cmac": 432, "ctkd_ble_to_bt": 48, "ctkd_bt_to_ble": 96, "dh_generate": 144,
+        "dh_private": 144, "dh_shared": 144, "kdf_le": 48, "kdf_bt": 96, "session_key": 0,
+        "evaluate": 576, "TraceRecorder.emit": 3008, "BondTable.commit": 576, "BondTable.lookup": 1312,
     },
     "all": {
-        "aes_cmac": 256, "ctkd_ble_to_bt": 0, "ctkd_bt_to_ble": 64, "dh_generate": 64,
-        "dh_private": 64, "dh_shared": 64, "kdf_le": 0, "kdf_bt": 64, "session_key": 64,
-        "evaluate": 256, "TraceRecorder.emit": 1536, "BondTable.commit": 256, "BondTable.lookup": 1184,
+        "aes_cmac": 192, "ctkd_ble_to_bt": 0, "ctkd_bt_to_ble": 64, "dh_generate": 64,
+        "dh_private": 64, "dh_shared": 64, "kdf_le": 0, "kdf_bt": 64, "session_key": 0,
+        "evaluate": 256, "TraceRecorder.emit": 1536, "BondTable.commit": 256, "BondTable.lookup": 928,
     },
 }
 

@@ -42,6 +42,7 @@ from ctkdsim.crypto import (
     dh_shared,
     kdf_bt,
     kdf_le,
+    random_key128,
     random_nonce,
     session_key,
 )
@@ -424,6 +425,16 @@ class TestSessionKey:
         na, nb = random_nonce(rng), random_nonce(rng)
         with pytest.raises(ValueError):
             session_key("UART", key, na, nb, 16)
+
+
+class TestRandomDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 + 3])
+    def test_keys_and_nonces_are_randbytes_draws(self, seed):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert random_nonce(rng).value == reference.randbytes(16)
+            assert random_key128(rng).value == reference.randbytes(16)
+        assert rng.getstate() == reference.getstate()
 
 
 class TestNonce:

@@ -185,18 +185,23 @@ def store_verdict(table, incoming, policy):
     return evaluate(policy, table.lookup(incoming.peer, incoming.transport), incoming)
 
 
+def store(table, incoming):
+    """Commit ``incoming`` as pairing does, with the record it replaces looked up first."""
+    return table.commit(incoming, table.lookup(incoming.peer, incoming.transport))
+
+
 class TestBondTable:
     def test_store_into_empty_table_always_allowed(self):
         table = BondTable()
         rec = record()
         verdict = store_verdict(table, rec, PolicySet(sig51=True, c3=True))
         assert verdict.allow
-        assert not table.commit(rec).overwrote
+        assert not store(table, rec).overwrote
 
     def test_lookup_after_store(self):
         table = BondTable()
         rec = record()
-        table.commit(rec)
+        store(table, rec)
         assert table.lookup(rec.peer, "BT") == rec
         assert table.lookup(rec.peer, "BLE") is None
 
@@ -204,11 +209,11 @@ class TestBondTable:
     def test_lookup_by_an_equal_but_distinct_address(self, value):
         table = BondTable()
         rec = dataclasses.replace(record(), peer=Address(value))
-        table.commit(rec)
+        store(table, rec)
         twin = Address(bytes(rec.peer.value))
         assert twin is not rec.peer
         assert table.lookup(twin, "BT") is rec
-        assert table.commit(dataclasses.replace(rec, peer=twin)).overwrote
+        assert store(table, dataclasses.replace(rec, peer=twin)).overwrote
         assert len(table.records) == 1
 
     def test_unknown_peer_is_none(self):
@@ -218,29 +223,29 @@ class TestBondTable:
         table = BondTable()
         old = record(key_byte=0x41)
         new = record(key_byte=0x42)
-        table.commit(old)
-        assert table.commit(new).overwrote
+        store(table, old)
+        assert store(table, new).overwrote
         assert table.lookup(new.peer, "BT").key.value == bytes([0x42]) * 16
         assert len(table.records) == 1  # (peer, transport) uniqueness
 
     def test_sig51_blocks_mitm_downgrade(self):
         table = BondTable()
-        table.commit(record(mitm=True))
+        store(table, record(mitm=True))
         verdict = store_verdict(table, record(mitm=False, key_byte=0x42), PolicySet(sig51=True))
         assert not verdict.allow
         assert verdict.reason is RejectionReason.MITM_DOWNGRADE
 
     def test_sig51_allows_equal_protection_overwrite(self):
         table = BondTable()
-        table.commit(record(mitm=False))
+        store(table, record(mitm=False))
         new = record(mitm=False, key_byte=0x42)
         assert store_verdict(table, new, PolicySet(sig51=True)).allow
-        assert table.commit(new).overwrote
+        assert store(table, new).overwrote
 
     def test_rejection_leaves_table_unchanged(self):
         table = BondTable()
         old = record(mitm=True)
-        table.commit(old)
+        store(table, old)
         snap = dict(table.records)
         verdict = store_verdict(table, record(mitm=False, key_byte=0x42), PolicySet(sig51=True))
         assert not verdict.allow

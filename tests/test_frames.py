@@ -118,7 +118,7 @@ def _us_attacks(rounds: int, rng: random.Random) -> None:
         if i % 2:
             companion = make_device(ctx, DeviceProfile(random_address(rng), f"c{i}", "5.0",
                                                        IoCapability.NO_INPUT_NO_OUTPUT))
-            assert bt_pair(ctx, companion, victim).complete
+            assert not bt_pair(ctx, companion, victim).aborted
             assert establish_session(ctx, victim, companion, TRANSPORT_BLE).ok
         unintended_session(ctx, victim, companion)
 

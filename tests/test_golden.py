@@ -26,6 +26,7 @@ off, two seeds each. It was recorded with::
 print({k: g.observe_p256(*c) for k, c in g.P256_CASES.items()})"
 """
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -43,6 +44,7 @@ from ctkdsim.trace import trace_digest
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 SCENARIO_FILES = sorted((ROOT / "scenarios").glob("*/*.json"))
+MATRIX_FILES = sorted((ROOT / "scenarios" / "matrix").glob("*.json"))
 POLICY_SETS = {
     "own": None,
     "sig51": PolicySet(sig51=True),
@@ -130,7 +132,7 @@ def observe_p256(first: str, ctkd: bool, h7: bool, seed: int) -> str:
 
     def pair(transport):
         session = (ble_pair if transport == TRANSPORT_BLE else bt_pair)(ctx, a, b)
-        assert session.complete and session.negotiated.association is Association.NUMERIC_COMPARISON
+        assert not session.aborted and session.negotiated.association is Association.NUMERIC_COMPARISON
         return session
 
     second = other_transport(first)
@@ -150,3 +152,34 @@ def test_p256_golden_covers_every_case():
 @pytest.mark.parametrize("case", list(P256_CASES))
 def test_p256_numeric_comparison_digests_match_golden(case):
     assert observe_p256(*P256_CASES[case]) == P256_GOLDEN[case]
+
+
+#: The number of sessions and a SHA-256 over each one's transport and session
+#: key, across the 64 matrix scenarios. Recorded when every session key was
+#: still derived as its session came up, so a key derived later must equal it.
+SESSION_KEY_GOLDEN = {
+    "own": (240, "9954fb2f25cab2bb392391171d6e805850309072045139d5f5640c74651ecba2"),
+    "all": (64, "e5e30e5c5d1be596f58a3f4bb29ff407b6b2d8d064edf8cb8fa2bdbff9782188"),
+}
+
+
+def observe_session_keys(policy_name: str) -> tuple[int, str]:
+    digest = hashlib.sha256()
+    count = 0
+    for path in MATRIX_FILES:
+        result = run_scenario(load_scenario(path), policy_override=POLICY_SETS[policy_name])
+        seen = set()  # both ends of a session hold the same state
+        for device in result.devices.values():
+            for state in device.sessions:
+                if id(state) in seen:
+                    continue
+                seen.add(id(state))
+                key = state.session_key
+                digest.update(f"{state.transport} {key.strength} {key.mitm_protected} {key.hex()}\n".encode())
+                count += 1
+    return count, digest.hexdigest()
+
+
+@pytest.mark.parametrize("policy_name", list(SESSION_KEY_GOLDEN))
+def test_matrix_session_keys_match_golden(policy_name):
+    assert observe_session_keys(policy_name) == SESSION_KEY_GOLDEN[policy_name]

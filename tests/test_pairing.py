@@ -100,7 +100,7 @@ class TestMessageConstruction:
 class TestBlePairing:
     def test_honest_ctkd_pairing_keys_both_transports(self, ctx, laptop, headset):
         session = ble_pair(ctx, laptop, headset)
-        assert session.complete
+        assert not session.aborted
         assert session.negotiated.ctkd
         for dev, peer in ((laptop, headset), (headset, laptop)):
             ble_rec = dev.bonds.lookup(peer.address, TRANSPORT_BLE)
@@ -132,14 +132,14 @@ class TestBlePairing:
     def test_responder_link_key_clear_stores_only_ble(self, ctx, laptop):
         no_ctkd = device(ctx, "plainble", 0x51, ctkd_supported=False)
         session = ble_pair(ctx, laptop, no_ctkd)
-        assert session.complete and not session.negotiated.ctkd
+        assert not session.aborted and not session.negotiated.ctkd
         assert no_ctkd.bonds.lookup(laptop.address, TRANSPORT_BLE) is not None
         assert no_ctkd.bonds.lookup(laptop.address, TRANSPORT_BT) is None
 
     def test_h7_requires_both_sides(self, ctx, laptop):
         legacy = device(ctx, "legacy", 0x52, io="NoInputNoOutput", h7_supported=False)
         session = ble_pair(ctx, laptop, legacy)
-        assert session.complete
+        assert not session.aborted
         assert not session.negotiated.h7
         ble_rec = legacy.bonds.lookup(laptop.address, TRANSPORT_BLE)
         bt_rec = legacy.bonds.lookup(laptop.address, TRANSPORT_BT)
@@ -169,7 +169,7 @@ class TestBlePairing:
 class TestBtPairing:
     def test_honest_ctkd_pairing_keys_both_transports(self, ctx, laptop, headset):
         session = bt_pair(ctx, laptop, headset)
-        assert session.complete and session.negotiated.ctkd
+        assert not session.aborted and session.negotiated.ctkd
         bt_rec = headset.bonds.lookup(laptop.address, TRANSPORT_BT)
         ble_rec = headset.bonds.lookup(laptop.address, TRANSPORT_BLE)
         assert bt_rec.origin is KeyOrigin.DIRECT_PAIRING
@@ -190,7 +190,7 @@ class TestBtPairing:
         bt_pair(ctx, laptop, headset)
         # Role switch: headset comes back as the initiator (master).
         session = bt_pair(ctx, headset, laptop)
-        assert session.complete
+        assert not session.aborted
 
     def test_c2_aborts_role_switched_repairing(self, ctx, laptop):
         guarded = device(ctx, "guarded", 0x56, io="NoInputNoOutput",
@@ -207,7 +207,7 @@ class TestBtPairing:
 
     def test_without_ctkd_only_bt_keyed(self, ctx, laptop, headset):
         session = bt_pair(ctx, laptop, headset, ctkd=False)
-        assert session.complete and not session.negotiated.ctkd
+        assert not session.aborted and not session.negotiated.ctkd
         assert headset.bonds.lookup(laptop.address, TRANSPORT_BT) is not None
         assert headset.bonds.lookup(laptop.address, TRANSPORT_BLE) is None
 
@@ -219,7 +219,7 @@ class TestAbortAtomicity:
         guarded = device(ctx, "fort", 0x57, io="NoInputNoOutput",
                          policies=PolicySet(c3=True))
         first = ble_pair(ctx, laptop, guarded)
-        assert first.complete
+        assert not first.aborted
         snap_guarded = dict(guarded.bonds.records)
         snap_laptop = dict(laptop.bonds.records)
         second = ble_pair(ctx, laptop, guarded)
@@ -231,7 +231,7 @@ class TestAbortAtomicity:
     def test_c4_aborts_before_any_key_work(self, ctx):
         a = device(ctx, "nc-a", 0x58)
         strict = device(ctx, "nc-b", 0x59, policies=PolicySet(c4=True))
-        assert ble_pair(ctx, a, strict).complete  # NC bond
+        assert not ble_pair(ctx, a, strict).aborted  # NC bond
         # Whoever claims a's address with no input/output forces Just Works.
         claimant = device(ctx, "nc-a-jw", 0x58, io="NoInputNoOutput")
         rng_state = ctx.rng.getstate()
@@ -244,7 +244,7 @@ class TestAbortAtomicity:
 class TestStateMachine:
     def test_states_progress_in_order(self, ctx, laptop, headset):
         session = ble_pair(ctx, laptop, headset)
-        assert session.complete
+        assert not session.aborted
 
 
 class TestSessions:
@@ -261,11 +261,7 @@ class TestSessions:
         ble_pair(ctx, laptop, headset)
         # Corrupt one side's record out-of-band to model a poisoned store.
         rec = headset.bonds.lookup(laptop.address, TRANSPORT_BT)
-        from dataclasses import replace
-
-        headset.bonds.records[(laptop.address, TRANSPORT_BT)] = replace(
-            rec, key=Key128(bytes([0xEE]) * 16)
-        )
+        headset.bonds.commit(dataclasses.replace(rec, key=Key128(bytes([0xEE]) * 16)), rec)
         assert establish_session(ctx, laptop, headset, TRANSPORT_BT).outcome == "key_mismatch"
 
     def test_ble_session_inherits_pairing_key_entropy(self, ctx, laptop):
@@ -279,6 +275,19 @@ class TestSessions:
         bt_pair(ctx, laptop, headset)
         result = establish_session(ctx, laptop, headset, TRANSPORT_BT, entropy_proposal=7)
         assert result.ok and result.session.session_key.strength == 7
+
+    @pytest.mark.parametrize("entropy", [6, 17])
+    def test_bt_session_entropy_out_of_range_raises_after_both_nonces(self, ctx, laptop, headset, entropy):
+        bt_pair(ctx, laptop, headset)
+        expected = random.Random()
+        expected.setstate(ctx.rng.getstate())
+        expected.randbytes(16), expected.randbytes(16)
+        events = len(ctx.trace.events)
+        with pytest.raises(ValueError, match="entropy"):
+            establish_session(ctx, laptop, headset, TRANSPORT_BT, entropy_proposal=entropy)
+        assert ctx.rng.getstate() == expected.getstate()  # both nonces were drawn first
+        assert ctx.trace.events[events:] == []  # no session_ok
+        assert not laptop.sessions and not headset.sessions
 
     def test_overwrite_kills_live_session(self, ctx, laptop, headset):
         ble_pair(ctx, laptop, headset)
@@ -308,7 +317,7 @@ class TestNonceFreshness:
         monkeypatch.setattr(pairing, "random_nonce", recorded)
         monkeypatch.setattr(pairing, "kdf_le", kdf)
         for runs in range(1, 21):
-            assert ble_pair(ctx, laptop, headset).complete
+            assert not ble_pair(ctx, laptop, headset).aborted
             assert len(drawn) == 2 * runs  # the initiator's nonce and the responder's
         assert used == drawn  # each run's key is derived from its own two draws
         assert len(set(drawn)) == len(drawn)
@@ -334,5 +343,5 @@ class TestKeyAgreementDraws:
         a = make_device(ctx, make_profile("a", 0x01))
         b = make_device(ctx, make_profile("b", 0x02))
         for runs in (1, 2):  # a first pairing, then a re-pair
-            assert pair(ctx, a, b).complete
+            assert not pair(ctx, a, b).aborted
             assert calls == {"dh_generate": runs, "dh_private": runs}

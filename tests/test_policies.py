@@ -123,8 +123,8 @@ class TestC1Tick:
     def test_live_session_keeps_pairable(self, ctx):
         a = device(ctx, "a", 0x43, policies=PolicySet(c1=True, c1_idle_threshold=1))
         b = device(ctx, "b", 0x44)
-        a.bonds.commit(_bond_for(a, b))
-        b.bonds.commit(_bond_for(b, a))
+        a.bonds.commit(_bond_for(a, b), None)
+        b.bonds.commit(_bond_for(b, a), None)
         assert establish_session(ctx, a, b, "BT").ok
         assert not c1_tick(a, "BT", event_clock=10_000)
         assert a.is_pairable("BT")

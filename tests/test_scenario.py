@@ -404,6 +404,14 @@ class TestCli:
         path.write_text("{not json")
         assert cli_main(["run", str(path)]) == 2
 
+    def test_run_negative_seed_override_exits_2(self, tmp_path, capsys):
+        # random.Random drops the sign, so -5 would silently replay seed 5.
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario_dict()))
+        assert cli_main(["run", str(path), "--seed", "-5"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert cli_main(["run", str(path), "--seed", "0"]) == 0
+
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{}", b"[" * 100_000, b'{"seed": ' + b"9" * 5000 + b"}",
     ], ids=["not-utf8", "nested-too-deep", "integer-too-long"])
@@ -519,6 +527,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("path, value", [
         (("seed",), "abc"),
+        (("seed",), -5),
         (("devices",), 5),
         (("attack",), [1]),
         ((), [1]),
@@ -553,7 +562,7 @@ class TestMalformedInput:
              "responder": "phone", "entropy": 7},
         ]),
     ], ids=[
-        "seed-text", "devices-number", "attack-list", "top-level-list", "expectations-list",
+        "seed-text", "seed-negative", "devices-number", "attack-list", "top-level-list", "expectations-list",
         "device-text", "step-text", "address-number", "max-key-size-text", "c1-threshold-text",
         "attacker-address-unparsable", "duplicate-address", "policy-flag-text", "profile-flag-text",
         "address-0x-prefix", "address-space-sign-underscore", "address-non-ascii-digit",
