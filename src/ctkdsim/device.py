@@ -190,10 +190,10 @@ class Device:
         self.csrk = random_key128(rng)
         self.irk = random_key128(rng)
         self.key_material = KeyMaterial(csrk=self.csrk, irk=self.irk)
-        # Pairable on both transports from the start; only c1 turns it off.
+        # Pairable on both transports from the start; only c1 turns a transport
+        # off, when it has no live session and no directly paired bond.
         self._pairable = {"BT": True, "BLE": True}
         self.sessions: list["SessionState"] = []
-        self.last_activity: dict[str, int] = dict.fromkeys(TRANSPORTS, 0)
 
     @property
     def name(self) -> str:
@@ -204,9 +204,6 @@ class Device:
 
     def set_pairable(self, transport: str, flag: bool) -> None:
         self._pairable[transport] = flag
-
-    def note_activity(self, transport: str, clock: int) -> None:
-        self.last_activity[transport] = clock
 
     def live_sessions(self, transport: Optional[str] = None, peer: Optional[Address] = None):
         for s in self.sessions:

@@ -89,52 +89,25 @@ def _scenario_dict(index: int, victim_index: int, strategy: str) -> dict:
     companion = _companion_profile("headset" if io_cap == "DisplayYesNo" else "laptop")
     peer = companion["name"]
 
-    if strategy == "mi":
+    if strategy in ("mi", "us"):
         # Victim is the slave side; the companion paired into it as master.
-        pre = [
-            {"action": "pair", "transport": "BT", "initiator": peer, "responder": name},
-            {"action": "session", "transport": "BT", "initiator": peer, "responder": name},
-        ]
-        expectations = {
-            "succeeded": True,
-            "overwrote_existing": True,
-            "victim_reconnect": "key_mismatch",
-            "rejection": None,
-        }
-    elif strategy == "si":
+        initiator, responder, live = peer, name, "BT"
+    else:
         # Victim is the master side; attack arrives over BT mid-BLE-session.
-        pre = [
-            {"action": "pair", "transport": "BT", "initiator": name, "responder": peer},
-            {"action": "session", "transport": "BLE", "initiator": name, "responder": peer},
-        ]
-        expectations = {
-            "succeeded": True,
-            "overwrote_existing": True,
-            "victim_reconnect": "key_mismatch",
-            "rejection": None,
-        }
-    elif strategy == "mitm":
-        pre = [
-            {"action": "pair", "transport": "BT", "initiator": name, "responder": peer},
-            {"action": "session", "transport": "BLE", "initiator": name, "responder": peer},
-        ]
-        expectations = {
-            "succeeded": True,
-            "overwrote_existing": True,
-            "victim_reconnect": "key_mismatch",
-            "rejection": None,
-        }
-    else:  # us
-        pre = [
-            {"action": "pair", "transport": "BT", "initiator": peer, "responder": name},
-            {"action": "session", "transport": "BT", "initiator": peer, "responder": name},
-        ]
-        expectations = {
-            "succeeded": True,
-            "overwrote_existing": False,
-            "victim_reconnect": "ok",
-            "rejection": None,
-        }
+        initiator, responder, live = name, peer, "BLE"
+    pre = [
+        {"action": "pair", "transport": "BT", "initiator": initiator, "responder": responder},
+        {"action": "session", "transport": live, "initiator": initiator, "responder": responder},
+    ]
+    # Every attack wins at baseline; only the unintended session leaves the
+    # victim's bonds untouched.
+    us = strategy == "us"
+    expectations = {
+        "succeeded": True,
+        "overwrote_existing": not us,
+        "victim_reconnect": "ok" if us else "key_mismatch",
+        "rejection": None,
+    }
 
     return {
         "name": f"{name}__{strategy}",

@@ -253,9 +253,6 @@ def _emit_message(ctx: SimContext, sender: Device, receiver: Device, transport: 
                    frame=text, opcode=opcode, tunneled=tunneled, **extra)
     ctx.trace.emit(receiver.address.text, KIND_MSG_RECEIVED, transport=transport, peer=sender.address.text,
                    frame=text, opcode=opcode, tunneled=tunneled, **extra)
-    clock = ctx.trace.clock
-    sender.note_activity(transport, clock)
-    receiver.note_activity(transport, clock)
 
 
 def _emit_verdict(ctx, device: Device, *, stage, transport, peer, allow, reason, origin=None):
@@ -311,6 +308,8 @@ def _sides(initiator: Device, responder: Device) -> tuple:
 def _request(ctx: SimContext, initiator: Device, responder: Device, transport: str,
              request: HonestFrame, **extra) -> PairingSession:
     """Send the pairing request; a responder that is not pairable aborts the run."""
+    if initiator is responder:
+        raise ValueError(f"{initiator.name} cannot pair with itself")
     session = PairingSession(initiator.address, responder.address, transport)
     _emit_message(ctx, initiator, responder, transport, request.text, "request", **extra)
     if not responder.is_pairable(transport):
@@ -553,7 +552,4 @@ def establish_session(
         a.address.text, KIND_SESSION_OK,
         transport=transport, peer=b.address.text, entropy=entropy,
     )
-    clock = ctx.trace.clock
-    a.note_activity(transport, clock)
-    b.note_activity(transport, clock)
     return SessionResult(SESSION_OK, state)

@@ -3,7 +3,8 @@
 ``sig51_check`` models the standard's key-overwrite rule (no overwrite by a
 key that is weaker in strength or MITM protection). The four countermeasures:
 
-* C1 auto-disables pairability on idle transports,
+* C1 turns pairability off on each transport the device does not use: one
+  with no live session and no directly paired bond,
 * C2 binds the pairing role per peer and aborts on a mismatch,
 * C3 blocks cross-transport key writes onto an already-keyed transport and
   refuses derivation from a weaker re-pairing key,
@@ -62,8 +63,7 @@ class PolicySet:
     """Independent defense toggles; the baseline is everything off."""
 
     sig51: bool = False  # the Bluetooth 5.1 key-overwrite rule
-    c1: bool = False  # auto-disable pairability on idle transports
-    c1_idle_threshold: int = 10
+    c1: bool = False  # no pairing on a transport without a live session or a direct bond
     c2: bool = False  # bind each peer's pairing role
     c3: bool = False  # no cross-transport overwrite, no derivation from a weaker key
     c4: bool = False  # the association method never weakens
@@ -74,8 +74,6 @@ class PolicySet:
         options = pop_options(cls, data, where)
         if data:
             raise ValueError(f"{where}: unknown policy field(s) {sorted(data)}")
-        if options.get("c1_idle_threshold", 0) < 0:
-            raise ValueError(f"{where}: c1_idle_threshold must not be negative")
         return cls(**options)
 
     def enabled_names(self) -> list[str]:
@@ -161,19 +159,19 @@ def evaluate(
     return ALLOW
 
 
-def c1_tick(device: Device, transport: str, event_clock: int) -> bool:
-    """Auto-disable pairability on an idle, session-less transport.
+def c1_tick(device: Device, transport: str) -> bool:
+    """Turn pairability off on a transport the device does not use.
 
+    A transport is in use when the device has a live session on it or a bond
+    on it made by direct pairing; a bond reached only through CTKD is not use.
     Returns True when this tick turned pairability off.
     """
-    policy = device.policies
-    if not policy.c1:
+    if not device.policies.c1 or not device.is_pairable(transport):
         return False
-    if not device.is_pairable(transport):
+    if device.has_live_session(transport) or any(
+        record.transport == transport and record.origin is KeyOrigin.DIRECT_PAIRING
+        for record in device.bonds.records.values()
+    ):
         return False
-    if device.has_live_session(transport):
-        return False
-    if event_clock - device.last_activity[transport] >= policy.c1_idle_threshold:
-        device.set_pairable(transport, False)
-        return True
-    return False
+    device.set_pairable(transport, False)
+    return True

@@ -267,7 +267,10 @@ def run_scenario(
         transport = step["transport"]
         if step["action"] == "pair":
             pair = ble_pair if transport == TRANSPORT_BLE else bt_pair
-            session = pair(ctx, initiator, responder, step.get("ctkd", True))
+            try:
+                session = pair(ctx, initiator, responder, step.get("ctkd", True))
+            except ValueError as err:  # a self-pairing step, which loading also rejects
+                raise ScenarioError(f"{scenario.name}: pre_state[{i}] {err}") from None
             if session.aborted:
                 raise ScenarioError(
                     f"{scenario.name}: pre_state[{i}] pairing aborted "
@@ -282,11 +285,10 @@ def run_scenario(
                     f"{scenario.name}: pre_state[{i}] session failed ({result.outcome})"
                 )
 
-    # Idle-transport auto-disable fires between normal operation and attack.
-    clock = ctx.trace.clock
+    # c1 turns each unused transport off between normal operation and attack.
     for device in devices.values():
         for transport in TRANSPORTS:
-            c1_tick(device, transport, clock)
+            c1_tick(device, transport)
 
     outcome = _dispatch_attack(ctx, scenario, devices)
     failures = check_expectations(scenario.expectations, outcome)

@@ -254,13 +254,11 @@ class TestUnintendedSession:
         assert outcome.ctis_used == {CTI.EXTENDED_PAIRING, CTI.KEY_TAMPERING}
 
     def test_c1_blocks_when_idle_transport_disabled(self, ctx):
-        alice, bob = bonded_victims(
-            ctx, bob_policies=PolicySet(c1=True, c1_idle_threshold=5)
-        )
+        alice, bob = bonded_victims(ctx, bob_policies=PolicySet(c1=True))
         from ctkdsim.policies import c1_tick
 
         for transport in (TRANSPORT_BT, TRANSPORT_BLE):
-            c1_tick(bob, transport, ctx.trace.clock)
+            c1_tick(bob, transport)
         outcome = unintended_session(ctx, bob, alice)
         assert not outcome.succeeded
         assert outcome.rejection is RejectionReason.NOT_PAIRABLE

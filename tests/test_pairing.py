@@ -241,6 +241,16 @@ class TestAbortAtomicity:
         assert ctx.rng.getstate() == rng_state  # aborted before any DH or nonce draw
 
 
+    @pytest.mark.parametrize("pair", [ble_pair, bt_pair])
+    def test_self_pairing_rejected_before_any_work(self, ctx, laptop, pair):
+        rng_state = ctx.rng.getstate()
+        with pytest.raises(ValueError, match="cannot pair with itself"):
+            pair(ctx, laptop, laptop)
+        assert ctx.trace.events == []
+        assert ctx.rng.getstate() == rng_state
+        assert laptop.bonds.records == {}
+
+
 class TestStateMachine:
     def test_states_progress_in_order(self, ctx, laptop, headset):
         session = ble_pair(ctx, laptop, headset)

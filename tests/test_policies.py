@@ -1,4 +1,6 @@
-"""Defense-policy decision functions and the idle-pairability tick."""
+"""Defense-policy decision functions and the c1 pairability tick."""
+
+from dataclasses import fields
 
 import pytest
 
@@ -8,6 +10,7 @@ from test_device import record
 from ctkdsim.device import Association, KeyOrigin, PairingRole
 from ctkdsim.pairing import establish_session
 from ctkdsim.policies import (
+    DEFENSES,
     PolicySet,
     PolicyVerdict,
     RejectionReason,
@@ -109,33 +112,47 @@ class TestEvaluate:
 
 
 class TestC1Tick:
-    def test_idle_transport_auto_disabled(self, ctx):
-        dev = device(ctx, "idle", 0x41, policies=PolicySet(c1=True, c1_idle_threshold=10))
-        assert c1_tick(dev, "BLE", event_clock=10)
-        assert not dev.is_pairable("BLE")
+    def test_fresh_device_turned_off(self, ctx):
+        dev = device(ctx, "fresh", 0x41, policies=PolicySet(c1=True))
+        assert c1_tick(dev, "BT") and c1_tick(dev, "BLE")
+        assert not dev.is_pairable("BT") and not dev.is_pairable("BLE")
 
-    def test_below_threshold_unchanged(self, ctx):
-        dev = device(ctx, "busy", 0x42, policies=PolicySet(c1=True, c1_idle_threshold=10))
-        dev.note_activity("BLE", 5)
-        assert not c1_tick(dev, "BLE", event_clock=9)
-        assert dev.is_pairable("BLE")
+    def test_direct_bond_keeps_pairable(self, ctx):
+        dev = device(ctx, "bonded", 0x42, policies=PolicySet(c1=True))
+        peer = device(ctx, "peer", 0x47)
+        dev.bonds.commit(_bond_for(dev, peer), None)
+        assert not c1_tick(dev, "BT")
+        assert dev.is_pairable("BT")
+        assert c1_tick(dev, "BLE")
+
+    def test_derived_bond_alone_turned_off(self, ctx):
+        dev = device(ctx, "derived", 0x45, policies=PolicySet(c1=True))
+        peer = device(ctx, "peer", 0x47)
+        dev.bonds.commit(_bond_for(dev, peer, KeyOrigin.CTKD_DERIVED), None)
+        assert c1_tick(dev, "BT")
+        assert not dev.is_pairable("BT")
 
     def test_live_session_keeps_pairable(self, ctx):
-        a = device(ctx, "a", 0x43, policies=PolicySet(c1=True, c1_idle_threshold=1))
+        # Derived bonds on both sides, so only the session counts as use.
+        a = device(ctx, "a", 0x43, policies=PolicySet(c1=True))
         b = device(ctx, "b", 0x44)
-        a.bonds.commit(_bond_for(a, b), None)
-        b.bonds.commit(_bond_for(b, a), None)
+        a.bonds.commit(_bond_for(a, b, KeyOrigin.CTKD_DERIVED), None)
+        b.bonds.commit(_bond_for(b, a, KeyOrigin.CTKD_DERIVED), None)
         assert establish_session(ctx, a, b, "BT").ok
-        assert not c1_tick(a, "BT", event_clock=10_000)
+        assert not c1_tick(a, "BT")
         assert a.is_pairable("BT")
 
     def test_disabled_policy_never_fires(self, ctx):
         dev = device(ctx, "off", 0x46)
-        assert not c1_tick(dev, "BLE", event_clock=10_000)
-        assert dev.is_pairable("BLE")
+        assert not c1_tick(dev, "BT") and not c1_tick(dev, "BLE")
+        assert dev.is_pairable("BT") and dev.is_pairable("BLE")
 
 
-def _bond_for(owner, peer):
+def test_policy_set_fields_are_the_defenses():
+    assert tuple(f.name for f in fields(PolicySet)) == DEFENSES
+
+
+def _bond_for(owner, peer, origin=KeyOrigin.DIRECT_PAIRING):
     from ctkdsim.crypto import Key128
     from ctkdsim.device import KeyRecord
 
@@ -143,7 +160,7 @@ def _bond_for(owner, peer):
         peer=peer.address,
         transport="BT",
         key=Key128(bytes([0x50]) * 16),
-        origin=KeyOrigin.DIRECT_PAIRING,
+        origin=origin,
         association=Association.JUST_WORKS,
         role_at_pairing=PairingRole.MASTER,
     )

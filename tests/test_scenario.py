@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctkdsim.cli import main as cli_main
 from ctkdsim.fixtures import bundled_profiles, matrix_scenarios, write_matrix
-from ctkdsim.policies import DEFENSES, PolicySet
+from ctkdsim.policies import DEFENSES, PolicySet, RejectionReason
 from ctkdsim.scenario import (
     Scenario,
     ScenarioError,
@@ -622,6 +622,41 @@ def _defense_subsets():
             yield frozenset(subset)
 
 
+def _attack_requests_on_unused_transports(result) -> list:
+    """The attack's pairing requests that reach a device on a transport it does not use.
+
+    The attack opens with the first pairing request after the pre-state's
+    pairings. Use is read from the trace before it: a transport is in use by
+    a device with a live session or a direct-pairing bond on it.
+    """
+    requests = [
+        event for event in result.trace
+        if event.kind == "msg_received" and event.payload["opcode"] == "request"
+        and not event.payload["tunneled"]
+    ]
+    attack = requests[sum(step["action"] == "pair" for step in result.scenario.pre_state):]
+    origins, live = {}, {}  # (device, peer, transport) -> origin; (pair, transport) -> live
+    for event in result.trace[:attack[0].index]:
+        payload = event.payload
+        pair = (frozenset((event.actor, payload.get("peer"))), payload.get("transport"))
+        if event.kind == "session_ok":
+            live[pair] = True
+        elif event.kind == "key_stored":
+            origins[(event.actor, payload["peer"], payload["transport"])] = payload["origin"]
+            if payload["overwrote"]:
+                live[pair] = False
+
+    def in_use(device: str, transport: str) -> bool:
+        return any(
+            d == device and t == transport and origin == "direct_pairing"
+            for (d, _peer, t), origin in origins.items()
+        ) or any(
+            is_live and device in pair and t == transport for (pair, t), is_live in live.items()
+        )
+
+    return [event for event in attack if not in_use(event.actor, event.payload["transport"])]
+
+
 @pytest.fixture(scope="module")
 def lattice():
     """Every bundled scenario under each defense subset, run once for the module.
@@ -666,6 +701,17 @@ class TestLatticeInvariants:
                 runs += 1
         assert runs == 32 * 69
         assert checked
+
+    def test_c1_rejects_exactly_the_attacks_that_reach_an_unused_transport(self, lattice):
+        baseline, errors = lattice[frozenset()]
+        assert not errors
+        by_name = {result.scenario.name: result for result in baseline}
+        c1_runs = lattice[frozenset({"c1"})][0]
+        assert len(by_name) == len(c1_runs) == 69
+        rejected = {r.scenario.name for r in c1_runs if r.outcome.rejection is RejectionReason.NOT_PAIRABLE}
+        predicted = {name for name, r in by_name.items() if _attack_requests_on_unused_transports(r)}
+        assert rejected == predicted
+        assert rejected and len(rejected) < 69
 
     def test_outcomes_do_not_depend_on_the_seed(self):
         differ = []
