@@ -15,18 +15,32 @@ KIND_SESSION_OK = "session_ok"
 KIND_SESSION_FAIL = "session_fail"
 KIND_POLICY_VERDICT = "policy_verdict"
 
-KINDS = (
-    KIND_MSG_SENT,
-    KIND_MSG_RECEIVED,
-    KIND_KEY_STORED,
-    KIND_KEY_REJECTED,
-    KIND_SESSION_OK,
-    KIND_SESSION_FAIL,
-    KIND_POLICY_VERDICT,
-)
-_KIND_SET = frozenset(KINDS)
+#: JSON types of payload values, as the README's table of event kinds names them.
+STRING, BOOLEAN, INTEGER, STRING_OR_NULL = "string", "boolean", "integer", "string or null"
+_MESSAGE = {"bt_auth_req": STRING, "frame": STRING, "opcode": STRING, "peer": STRING,
+            "transport": STRING, "tunneled": BOOLEAN}
+#: Each kind's payload keys in sorted order, with the JSON type of each value; a nested
+#: dict is an object with exactly those keys. Emitters write no other payload.
+PAYLOAD_SCHEMAS = {
+    KIND_MSG_SENT: _MESSAGE,
+    KIND_MSG_RECEIVED: _MESSAGE,
+    KIND_KEY_STORED: {
+        "association": STRING, "extra_keys": {"csrk": STRING, "irk": STRING}, "key": STRING,
+        "mitm_protected": BOOLEAN, "origin": STRING, "overwrote": BOOLEAN, "peer": STRING,
+        "role": STRING, "strength": INTEGER, "transport": STRING,
+    },
+    KIND_KEY_REJECTED: {"origin": STRING, "peer": STRING, "reason": STRING, "transport": STRING},
+    KIND_SESSION_OK: {"entropy": INTEGER, "peer": STRING, "transport": STRING},
+    KIND_SESSION_FAIL: {"peer": STRING, "reason": STRING, "transport": STRING},
+    KIND_POLICY_VERDICT: {"allow": BOOLEAN, "origin": STRING_OR_NULL, "peer": STRING,
+                          "reason": STRING_OR_NULL, "stage": STRING, "transport": STRING},
+}
+#: Keys a payload may leave out: only BT pairing messages carry ``bt_auth_req``, and
+#: only the records that keep the peer's identity keys carry ``extra_keys``.
+OPTIONAL_KEYS = frozenset({"bt_auth_req", "extra_keys"})
+KINDS = tuple(PAYLOAD_SCHEMAS)
 
-# One encoder for every event; sort_keys makes the on-disk form byte-stable for hashing.
+# The encoder of every payload no renderer below takes; sort_keys makes the on-disk form byte-stable.
 # JSONEncoder.encode builds a C encoder per call, so one is built here with its settings;
 # without the _json accelerator, the pure-Python encoder writes the same bytes.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -41,6 +55,79 @@ else:
         return "".join(_iterencode(obj, 0))
 
 
+# One renderer per schema writes the payload's keys in sorted order, as _encode does.
+# A payload that does not match the schema exactly makes it return None, or raise
+# KeyError for a missing key, and goes to _encode. ``type(v) is bool`` holds only for
+# True and False; ``type(v) is int`` rejects bools and IntEnums, whose JSON differs.
+_q = encode_basestring_ascii
+
+
+def _render_message(p):
+    frame, opcode, peer, transport, tunneled = p["frame"], p["opcode"], p["peer"], p["transport"], p["tunneled"]
+    if len(p) == 5:
+        auth = ""
+    elif len(p) == 6 and type(auth := p["bt_auth_req"]) is str:
+        auth = f'"bt_auth_req":{_q(auth)},'
+    else:
+        return None
+    if type(frame) is type(opcode) is type(peer) is type(transport) is str and type(tunneled) is bool:
+        return (f'{{{auth}"frame":{_q(frame)},"opcode":{_q(opcode)},"peer":{_q(peer)},'
+                f'"transport":{_q(transport)},"tunneled":{"true" if tunneled else "false"}}}')
+
+
+def _render_key_stored(p):
+    association, key, mitm, origin, overwrote, peer, role, strength, transport = (
+        p["association"], p["key"], p["mitm_protected"], p["origin"], p["overwrote"],
+        p["peer"], p["role"], p["strength"], p["transport"])
+    if len(p) == 9:
+        extra = ""
+    elif len(p) == 10 and type(ek := p["extra_keys"]) is dict and len(ek) == 2 \
+            and type(csrk := ek["csrk"]) is type(irk := ek["irk"]) is str:
+        extra = f'"extra_keys":{{"csrk":{_q(csrk)},"irk":{_q(irk)}}},'
+    else:
+        return None
+    if (type(association) is type(key) is type(origin) is type(peer) is type(role) is type(transport) is str
+            and type(mitm) is type(overwrote) is bool and type(strength) is int):
+        return (f'{{"association":{_q(association)},{extra}"key":{_q(key)},'
+                f'"mitm_protected":{"true" if mitm else "false"},"origin":{_q(origin)},'
+                f'"overwrote":{"true" if overwrote else "false"},"peer":{_q(peer)},"role":{_q(role)},'
+                f'"strength":{strength},"transport":{_q(transport)}}}')
+
+
+def _render_key_rejected(p):
+    origin, peer, reason, transport = p["origin"], p["peer"], p["reason"], p["transport"]
+    if len(p) == 4 and type(origin) is type(peer) is type(reason) is type(transport) is str:
+        return f'{{"origin":{_q(origin)},"peer":{_q(peer)},"reason":{_q(reason)},"transport":{_q(transport)}}}'
+
+
+def _render_session_ok(p):
+    entropy, peer, transport = p["entropy"], p["peer"], p["transport"]
+    if len(p) == 3 and type(entropy) is int and type(peer) is type(transport) is str:
+        return f'{{"entropy":{entropy},"peer":{_q(peer)},"transport":{_q(transport)}}}'
+
+
+def _render_session_fail(p):
+    peer, reason, transport = p["peer"], p["reason"], p["transport"]
+    if len(p) == 3 and type(peer) is type(reason) is type(transport) is str:
+        return f'{{"peer":{_q(peer)},"reason":{_q(reason)},"transport":{_q(transport)}}}'
+
+
+def _render_verdict(p):
+    allow, origin, peer, reason, stage, transport = (
+        p["allow"], p["origin"], p["peer"], p["reason"], p["stage"], p["transport"])
+    if (len(p) == 6 and type(allow) is bool and type(peer) is type(stage) is type(transport) is str
+            and (origin is None or type(origin) is str) and (reason is None or type(reason) is str)):
+        return (f'{{"allow":{"true" if allow else "false"},"origin":{"null" if origin is None else _q(origin)},'
+                f'"peer":{_q(peer)},"reason":{"null" if reason is None else _q(reason)},'
+                f'"stage":{_q(stage)},"transport":{_q(transport)}}}')
+
+
+_RENDERERS = {KIND_MSG_SENT: _render_message, KIND_MSG_RECEIVED: _render_message,
+              KIND_KEY_STORED: _render_key_stored, KIND_KEY_REJECTED: _render_key_rejected,
+              KIND_SESSION_OK: _render_session_ok, KIND_SESSION_FAIL: _render_session_fail,
+              KIND_POLICY_VERDICT: _render_verdict}
+
+
 class TraceEvent(NamedTuple):
     index: int
     actor: str  # rendered device address
@@ -48,10 +135,18 @@ class TraceEvent(NamedTuple):
     payload: dict
 
     def to_json(self) -> str:
-        # The envelope's keys are written in sorted order; only the payload needs the encoder.
+        # The envelope's keys are written in sorted order; the payload by its kind's
+        # renderer, or by _encode when the payload does not match the kind's schema.
+        payload = self.payload
+        try:
+            text = _RENDERERS[self.kind](payload) if type(payload) is dict else None
+        except KeyError:  # a kind without a renderer, or a payload that lacks a key of its schema
+            text = None
+        if text is None:
+            text = _encode(payload)
         return (
             f'{{"actor":{encode_basestring_ascii(self.actor)},"index":{self.index},'
-            f'"kind":{encode_basestring_ascii(self.kind)},"payload":{_encode(self.payload)}}}'
+            f'"kind":{encode_basestring_ascii(self.kind)},"payload":{text}}}'
         )
 
     @classmethod
@@ -71,7 +166,7 @@ class TraceRecorder:
         return len(self.events)
 
     def emit(self, actor, kind: str, **payload) -> TraceEvent:
-        if kind not in _KIND_SET:
+        if kind not in PAYLOAD_SCHEMAS:
             raise ValueError(f"unknown event kind {kind!r}")
         # tuple.__new__ skips the NamedTuple's generated __new__ and its argument binding.
         # Callers pass address text, so ``str`` runs only for another kind of actor.

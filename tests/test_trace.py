@@ -1,15 +1,33 @@
-"""Trace records, JSONL round-trips, and trace-level invariants."""
+"""Trace records, JSONL round-trips, and trace-level invariants.
+
+README's table of event kinds is generated from ``trace.PAYLOAD_SCHEMAS``; after
+a schema change, paste the output of::
+
+    PYTHONPATH=src:tests python -c "import test_trace; print(test_trace.schema_table(), end='')"
+"""
 
 import hashlib
+import itertools
 import json
+from enum import IntEnum
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import test_golden
 from ctkdsim import trace
 from ctkdsim.pairing import ble_pair
+from ctkdsim.policies import DEFENSES, PolicySet
 from ctkdsim.scenario import load_scenario, run_scenario
 from ctkdsim.trace import (
+    BOOLEAN,
+    INTEGER,
+    OPTIONAL_KEYS,
+    PAYLOAD_SCHEMAS,
+    STRING,
+    STRING_OR_NULL,
     TraceEvent,
     TraceRecorder,
     emit_trace,
@@ -70,7 +88,8 @@ class TestJsonl:
         assert trace_digest(ctx.trace.events) == trace_digest(ctx.trace.events)
 
 
-BUNDLED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*/*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+BUNDLED = sorted((ROOT / "scenarios").glob("*/*.json"))
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +97,29 @@ def bundled_traces():
     return [run_scenario(load_scenario(path)).trace for path in BUNDLED]
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _pure_python():
+    """The encoder the module binds when the interpreter has no C encoder."""
+    return mock.patch.object(trace, "_encode", trace._ENCODER.encode)
+
+
+@pytest.fixture(params=["rendered", "generic-c", "generic-python"])
+def serialiser(request, monkeypatch):
+    """Each way a payload becomes text: its kind's renderer, or either generic encoder.
+
+    The generic paths empty the renderer table, so every payload reaches ``_encode``.
+    """
+    if request.param != "rendered":
+        monkeypatch.setattr(trace, "_RENDERERS", {})
+    if request.param == "generic-python":
+        monkeypatch.setattr(trace, "_encode", trace._ENCODER.encode)
+
+
 class TestSerialisedBytes:
-    """The bytes of a trace are those of the public ``json`` API, whichever encoder runs."""
+    """The bytes of a trace are those of the public ``json`` API, whichever path runs."""
 
     def _check(self, traces, tmp_path):
         assert len(traces) == 69
@@ -94,12 +134,7 @@ class TestSerialisedBytes:
             emit_trace(events, path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_digest(events)
 
-    def test_bundled_traces(self, bundled_traces, tmp_path):
-        self._check(bundled_traces, tmp_path)
-
-    def test_bundled_traces_with_the_pure_python_encoder(self, bundled_traces, tmp_path, monkeypatch):
-        # What the module binds when the interpreter has no C encoder.
-        monkeypatch.setattr(trace, "_encode", trace._ENCODER.encode)
+    def test_bundled_traces(self, serialiser, bundled_traces, tmp_path):
         self._check(bundled_traces, tmp_path)
 
     def test_unserialisable_payload_is_a_type_error(self):
@@ -128,17 +163,12 @@ _NESTED = {"z": [1, {"b": None, "a": "\u00e9"}], "a": {"y": True, "x": -2.5}, ""
 
 
 class TestEnvelope:
-    """Hand-built events serialise exactly as the public ``json`` API, with either encoder."""
-
-    @pytest.fixture(params=["c", "python"])
-    def encoder(self, request, monkeypatch):
-        if request.param == "python":
-            monkeypatch.setattr(trace, "_encode", trace._ENCODER.encode)
+    """Hand-built events serialise exactly as the public ``json`` API, whichever path runs."""
 
     @pytest.mark.parametrize("actor", _EDGE_TEXTS)
     @pytest.mark.parametrize("index", [0, 2**70])
     @pytest.mark.parametrize("payload", [{}, _NESTED], ids=["empty", "nested"])
-    def test_matches_json_dumps(self, encoder, actor, index, payload):
+    def test_matches_json_dumps(self, serialiser, actor, index, payload):
         kind = actor[::-1]
         event = TraceEvent(index, actor, kind, payload)
         assert event.to_json() == json.dumps(
@@ -169,3 +199,228 @@ class TestTraceInvariants:
                 pending[key] -= 1
                 stores += 1
         assert stores == 4  # two records per side
+
+
+# ---------------------------------------------------------------------------
+# Per-kind payload schemas and their renderers
+# ---------------------------------------------------------------------------
+
+_IS = {
+    STRING: lambda v: type(v) is str,
+    BOOLEAN: lambda v: type(v) is bool,
+    INTEGER: lambda v: type(v) is int,
+    STRING_OR_NULL: lambda v: v is None or type(v) is str,
+}
+
+
+def conforms(schema: dict, payload) -> bool:
+    """Whether ``payload`` has exactly the schema's keys, optional ones aside, each of its type."""
+    if type(payload) is not dict:
+        return False
+    required = {key for key in schema if key not in OPTIONAL_KEYS}
+    if not required <= payload.keys() <= schema.keys():
+        return False
+    return all(
+        conforms(schema[key], value) if isinstance(schema[key], dict) else _IS[schema[key]](value)
+        for key, value in payload.items()
+    )
+
+
+def rendered(kind: str, payload):
+    """What ``kind``'s renderer makes of ``payload``; None when it leaves it to ``_encode``."""
+    try:
+        return trace._RENDERERS[kind](payload)
+    except KeyError:
+        return None
+
+
+def _fell_back(payload):
+    raise AssertionError(f"a simulator payload reached the generic encoder: {payload!r}")
+
+
+def schema_table() -> str:
+    """README's table of event kinds, from ``PAYLOAD_SCHEMAS`` and ``OPTIONAL_KEYS``."""
+
+    def keys(schema):
+        return ", ".join(
+            f"`{key}`: {'optional ' if key in OPTIONAL_KEYS else ''}"
+            f"{'object {' + keys(kind) + '}' if isinstance(kind, dict) else kind}"
+            for key, kind in schema.items()
+        )
+
+    rows = ["| kind | payload keys, in sorted order, and JSON types |", "| --- | --- |"]
+    rows += [f"| `{kind}` | {keys(schema)} |" for kind, schema in PAYLOAD_SCHEMAS.items()]
+    return "\n".join(rows) + "\n"
+
+
+class TestSchemas:
+    def test_schemas_name_every_kind_in_sorted_key_order(self):
+        assert set(PAYLOAD_SCHEMAS) == set(trace.KINDS) == set(trace._RENDERERS)
+        assert len(PAYLOAD_SCHEMAS) == 7
+        for schema in PAYLOAD_SCHEMAS.values():
+            assert list(schema) == sorted(schema)
+            for nested in (t for t in schema.values() if isinstance(t, dict)):
+                assert list(nested) == sorted(nested)
+        assert all(any(key in s for s in PAYLOAD_SCHEMAS.values()) for key in OPTIONAL_KEYS)
+
+    def test_readme_table_matches_the_schemas(self):
+        table = schema_table()
+        assert table in (ROOT / "README.md").read_text(encoding="utf-8"), (
+            "README's table of event kinds differs from trace.PAYLOAD_SCHEMAS; it should read:\n" + table
+        )
+
+
+class _Small(IntEnum):
+    ONE = 1
+
+
+#: Texts a renderer must quote as ``json.dumps`` does: quotes, backslashes,
+#: control characters, and non-ASCII inside and outside the BMP.
+_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\x7f\u00e9\u2603\U0001f600') | st.characters(), max_size=6)
+_RIGHT = {
+    STRING: _TEXT,
+    BOOLEAN: st.booleans(),
+    INTEGER: st.integers() | st.sampled_from([0, 7, 16, 2**70, -1]),
+    STRING_OR_NULL: st.none() | _TEXT,
+}
+#: Values of another type, which the generic encoder must write: ``0``/``1`` for a
+#: bool; ``True``, a float or an IntEnum for an int; ``None`` in a non-optional slot.
+_WRONG = {
+    STRING: [None, 0, True, 1.5, _Small.ONE, [], {}],
+    BOOLEAN: [0, 1, None, 1.0, "true"],
+    INTEGER: [True, False, 16.0, _Small.ONE, None, "16"],
+    STRING_OR_NULL: [0, False, 1.5, _Small.ONE, []],
+}
+_NOT_AN_OBJECT = [None, "csrk", [], ["csrk", "irk"], 0]
+_EXTRA_KEYS = ["", "a", "zz", "peer_", "frame2", "\u00e9"]
+
+
+def _valid(schema: dict, optional: bool = True) -> dict:
+    """A fixed payload that matches ``schema``, with or without its optional keys."""
+    samples = {STRING: 'q"\\\u00e9\U0001f600', BOOLEAN: True, INTEGER: 16, STRING_OR_NULL: None}
+    return {
+        key: _valid(kind) if isinstance(kind, dict) else samples[kind]
+        for key, kind in schema.items()
+        if optional or key not in OPTIONAL_KEYS
+    }
+
+
+def _one_step_off(schema: dict, base: dict):
+    """``base``, then every payload one step from it: a key dropped or added, or one value of another type."""
+    yield base
+    for key, value in base.items():
+        yield {k: v for k, v in base.items() if k != key}
+        kind = schema[key]
+        others = _NOT_AN_OBJECT + list(_one_step_off(kind, value)) if isinstance(kind, dict) else _WRONG[kind]
+        for other in others:
+            yield {**base, key: other}
+    for extra in _EXTRA_KEYS:
+        yield {**base, extra: "x"}
+
+
+def _check_to_json(kind: str, payload) -> None:
+    """``to_json`` writes ``json.dumps``'s bytes with either encoder; the renderer takes exactly the matches."""
+    event = TraceEvent(5, "02:00:00:00:00:01", kind, payload)
+    expected = _dumps({"index": 5, "actor": event.actor, "kind": kind, "payload": payload})
+    assert event.to_json() == expected
+    with _pure_python():
+        assert event.to_json() == expected
+    text = rendered(kind, payload)
+    assert (text is not None) == conforms(PAYLOAD_SCHEMAS[kind], payload), payload
+    assert text is None or text == _dumps(payload)
+
+
+@st.composite
+def _matching(draw, schema: dict) -> dict:
+    """Payloads that match ``schema``, with or without each optional key."""
+    return {
+        key: draw(_matching(kind) if isinstance(kind, dict) else _RIGHT[kind])
+        for key, kind in schema.items()
+        if key not in OPTIONAL_KEYS or draw(st.booleans())
+    }
+
+
+class TestRenderers:
+    """Each kind's renderer writes the bytes of ``json.dumps``, or leaves the payload to ``_encode``."""
+
+    @pytest.mark.parametrize("kind", trace.KINDS)
+    def test_every_payload_one_step_off_the_schema(self, kind):
+        schema = PAYLOAD_SCHEMAS[kind]
+        payloads = [*_one_step_off(schema, _valid(schema)), *_one_step_off(schema, _valid(schema, optional=False))]
+        for payload in payloads:
+            _check_to_json(kind, payload)
+        assert sum(conforms(schema, p) for p in payloads) >= 2
+
+    @pytest.mark.parametrize("kind", trace.KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_to_json_equals_json_dumps_with_either_encoder(self, kind, data):
+        schema = PAYLOAD_SCHEMAS[kind]
+        base = data.draw(_matching(schema))
+        for payload in _one_step_off(schema, base):
+            _check_to_json(kind, payload)
+        _check_to_json(kind, {**base, data.draw(_TEXT): data.draw(_TEXT)})
+
+    @pytest.mark.parametrize("kind", trace.KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), bad=st.sampled_from([b"\x00", object()]))
+    def test_an_unserialisable_value_is_still_a_type_error(self, kind, data, bad):
+        payload = data.draw(_matching(PAYLOAD_SCHEMAS[kind]))
+        payload[data.draw(st.sampled_from(sorted(payload)))] = bad
+        event = TraceEvent(0, "02:00:00:00:00:01", kind, payload)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            event.to_json()
+        with _pure_python(), pytest.raises(TypeError, match="not JSON serializable"):
+            event.to_json()
+
+
+def _defense_subsets():
+    for r in range(len(DEFENSES) + 1):
+        for subset in itertools.combinations(DEFENSES, r):
+            yield PolicySet.from_dict({name: True for name in subset})
+
+
+class TestFastPath:
+    """Every event the simulator emits matches its kind's schema, so it never reaches ``_encode``."""
+
+    def _check(self, events):
+        for event in events:
+            assert conforms(PAYLOAD_SCHEMAS[event.kind], event.payload), event
+            assert rendered(event.kind, event.payload) == _dumps(event.payload), event
+
+    def test_bundled_scenarios_under_own_policies_and_every_defense_subset(self, monkeypatch):
+        scenarios = [load_scenario(path) for path in BUNDLED]
+        assert len(scenarios) == 69
+        monkeypatch.setattr(trace, "_encode", _fell_back)
+        runs = 0
+        for override in [None, *_defense_subsets()]:
+            for scenario in scenarios:
+                result = run_scenario(scenario, policy_override=override)
+                self._check(result.trace)
+                trace_digest(result.trace)
+                runs += 1
+        assert runs == 69 * 33
+
+    def test_p256_numeric_comparison_golden_runs(self, monkeypatch):
+        traces = []
+
+        def recording_digest(events):
+            traces.append(events)
+            return trace_digest(events)
+
+        monkeypatch.setattr(trace, "_encode", _fell_back)
+        monkeypatch.setattr(test_golden, "trace_digest", recording_digest)
+        for case, args in test_golden.P256_CASES.items():
+            assert test_golden.observe_p256(*args) == test_golden.P256_GOLDEN[case]
+        assert len(traces) == 16
+        for events in traces:
+            self._check(events)
+
+    def test_read_back_traces_render_the_same_bytes(self, bundled_traces, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace, "_encode", _fell_back)
+        path = tmp_path / "run.jsonl"
+        for events in bundled_traces:
+            emit_trace(events, path)
+            read_back = read_trace(path)
+            self._check(read_back)
+            assert trace_digest(read_back) == trace_digest(events)
