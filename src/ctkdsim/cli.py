@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .policies import PolicySet
+from .policies import DEFENSES, PolicySet
 from .scenario import ScenarioError, load_scenario, run_matrix, run_scenario
 from .trace import emit_trace
 from .vectors import run_selftest
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_p.add_argument("directory", help="directory of scenario JSON files")
     matrix_p.add_argument(
         "--policies",
-        help="force these defenses on every device (comma list: sig51,c1,c2,c3,c4)",
+        help=f"force these defenses on every device (comma list: {','.join(DEFENSES)})",
     )
     matrix_p.add_argument("--report", help="write a JSON report here")
     matrix_p.set_defaults(func=_cmd_matrix)

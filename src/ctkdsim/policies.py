@@ -80,6 +80,13 @@ class PolicySet:
         return [name for name in DEFENSES if getattr(self, name)]
 
 
+#: The defense lattice: all 32 subsets of ``DEFENSES``. Bit ``i`` of an index turns on ``DEFENSES[i]``.
+DEFENSE_SUBSETS = tuple(
+    PolicySet(**{name: True for bit, name in enumerate(DEFENSES) if mask >> bit & 1})
+    for mask in range(1 << len(DEFENSES))
+)
+
+
 def sig51_check(existing: Optional[KeyRecord], incoming: KeyRecord) -> PolicyVerdict:
     """Reject an overwrite by a key weaker in strength or MITM protection.
 

@@ -28,7 +28,7 @@ from .attacks import (
 from .crypto import MAX_STRENGTH, MIN_STRENGTH, TRANSPORT_BLE, TRANSPORTS, Address
 from .device import Device, DeviceProfile
 from .pairing import SimContext, ble_pair, bt_pair, establish_session, make_device
-from .policies import PolicySet, c1_tick
+from .policies import DEFENSE_SUBSETS, PolicySet, c1_tick
 from .trace import TraceEvent, trace_digest
 
 
@@ -392,6 +392,15 @@ class MatrixReport:
         return "\n".join(lines) + "\n"
 
 
+def _results(scenarios: list[Scenario], policy_override: Optional[PolicySet], errors: list[str]):
+    """Each scenario's result; a scenario error is appended to ``errors`` and never aborts the rest."""
+    for scenario in scenarios:
+        try:
+            yield run_scenario(scenario, policy_override=policy_override)
+        except ScenarioError as err:
+            errors.append(str(err))
+
+
 def run_matrix(
     scenarios: list[Scenario],
     policy_override: Optional[PolicySet] = None,
@@ -399,13 +408,8 @@ def run_matrix(
     """Run every scenario; per-scenario failures never abort the matrix."""
     rows = []
     errors = []
-    for scenario in scenarios:
-        try:
-            result = run_scenario(scenario, policy_override=policy_override)
-        except ScenarioError as err:
-            errors.append(str(err))
-            continue
-        outcome = result.outcome
+    for result in _results(scenarios, policy_override, errors):
+        scenario, outcome = result.scenario, result.outcome
         rows.append(
             {
                 "scenario": scenario.name,
@@ -424,3 +428,27 @@ def run_matrix(
             }
         )
     return MatrixReport(rows, policy_override, errors)
+
+
+def run_lattice(scenarios: list[Scenario]) -> dict[PolicySet, tuple[list[ScenarioResult], list[str]]]:
+    """Every scenario under each set of ``DEFENSE_SUBSETS``: per set, the results and the errors."""
+    lattice = {}
+    for policies in DEFENSE_SUBSETS:
+        errors: list[str] = []
+        lattice[policies] = (list(_results(scenarios, policies, errors)), errors)
+    return lattice
+
+
+def minimal_blocking_sets(lattice: dict) -> dict[str, list[PolicySet]]:
+    """Per attack strategy, the defense sets under which none of its scenarios succeeds,
+    without any set that holds a smaller such set."""
+    names = {policies: set(policies.enabled_names()) for policies in lattice}
+    blocking: dict[str, list[PolicySet]] = {}
+    for policies, (results, _errors) in lattice.items():
+        succeeded = {r.scenario.attack.strategy for r in results if r.outcome.succeeded}
+        for strategy in dict.fromkeys(r.scenario.attack.strategy for r in results):
+            sets = blocking.setdefault(strategy, [])
+            if strategy not in succeeded:
+                sets.append(policies)
+    return {strategy: [p for p in sets if not any(names[q] < names[p] for q in sets)]
+            for strategy, sets in blocking.items()}

@@ -136,16 +136,19 @@ class TraceEvent(NamedTuple):
 
     def to_json(self) -> str:
         # The envelope's keys are written in sorted order; the payload by its kind's
-        # renderer, or by _encode when the payload does not match the kind's schema.
-        payload = self.payload
+        # renderer, or by _encode when the payload does not match the kind's schema,
+        # and the index by _encode when it is not exactly an int (a bool, say).
+        index, payload = self.index, self.payload
         try:
             text = _RENDERERS[self.kind](payload) if type(payload) is dict else None
         except KeyError:  # a kind without a renderer, or a payload that lacks a key of its schema
             text = None
         if text is None:
             text = _encode(payload)
+        if type(index) is not int:
+            index = _encode(index)
         return (
-            f'{{"actor":{encode_basestring_ascii(self.actor)},"index":{self.index},'
+            f'{{"actor":{encode_basestring_ascii(self.actor)},"index":{index},'
             f'"kind":{encode_basestring_ascii(self.kind)},"payload":{text}}}'
         )
 

@@ -1,10 +1,14 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from ctkdsim.device import DeviceProfile
 from ctkdsim.pairing import SimContext, make_device
 from ctkdsim.policies import PolicySet
+from ctkdsim.scenario import load_scenario, run_lattice
+
+BUNDLED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*/*.json"))
 
 
 def make_profile(name: str, last_byte: int, io: str = "DisplayYesNo", **overrides) -> DeviceProfile:
@@ -36,3 +40,10 @@ def headset(ctx):
 def device(ctx, name, last_byte, io="DisplayYesNo", policies=None, **overrides):
     return make_device(ctx, make_profile(name, last_byte, io, **overrides),
                        policies if policies is not None else PolicySet())
+
+
+@pytest.fixture(scope="session")
+def lattice():
+    """The 69 bundled scenarios under each of the 32 defense subsets, run once per test session."""
+    assert len(BUNDLED) == 69
+    return run_lattice([load_scenario(path) for path in BUNDLED])

@@ -19,7 +19,7 @@ import pytest
 
 from ctkdsim import crypto, policies
 from ctkdsim.device import BondTable
-from ctkdsim.policies import DEFENSES, PolicySet
+from ctkdsim.policies import DEFENSE_SUBSETS
 from ctkdsim.scenario import load_scenario, run_scenario
 from ctkdsim.trace import TraceRecorder
 
@@ -32,7 +32,7 @@ FUNCTIONS = {
 }
 METHODS = ((TraceRecorder, "emit"), (BondTable, "commit"), (BondTable, "lookup"))
 
-POLICY_SETS = {"own": None, "all": PolicySet(**{name: True for name in DEFENSES})}
+POLICY_SETS = {"own": None, "all": DEFENSE_SUBSETS[-1]}
 
 EXPECTED = {
     "own": {

@@ -37,7 +37,7 @@ from conftest import make_profile
 from ctkdsim.crypto import TRANSPORT_BLE, TRANSPORT_BT, TRANSPORTS, other_transport
 from ctkdsim.device import Association
 from ctkdsim.pairing import SimContext, ble_pair, bt_pair, establish_session, make_device
-from ctkdsim.policies import PolicySet
+from ctkdsim.policies import DEFENSE_SUBSETS, DEFENSES
 from ctkdsim.scenario import load_scenario, run_scenario
 from ctkdsim.trace import trace_digest
 
@@ -45,14 +45,11 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 SCENARIO_FILES = sorted((ROOT / "scenarios").glob("*/*.json"))
 MATRIX_FILES = sorted((ROOT / "scenarios" / "matrix").glob("*.json"))
+#: The scenarios' own policies, each defense alone, and all five together.
 POLICY_SETS = {
     "own": None,
-    "sig51": PolicySet(sig51=True),
-    "c1": PolicySet(c1=True),
-    "c2": PolicySet(c2=True),
-    "c3": PolicySet(c3=True),
-    "c4": PolicySet(c4=True),
-    "all": PolicySet.from_dict({name: True for name in ("sig51", "c1", "c2", "c3", "c4")}),
+    **{name: DEFENSE_SUBSETS[1 << bit] for bit, name in enumerate(DEFENSES)},
+    "all": DEFENSE_SUBSETS[-1],
 }
 
 

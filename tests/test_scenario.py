@@ -12,21 +12,23 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import BUNDLED
 
 from ctkdsim.cli import main as cli_main
 from ctkdsim.fixtures import bundled_profiles, matrix_scenarios, write_matrix
-from ctkdsim.policies import DEFENSES, PolicySet, RejectionReason
+from ctkdsim.policies import DEFENSE_SUBSETS, PolicySet, RejectionReason
 from ctkdsim.scenario import (
     Scenario,
     ScenarioError,
     load_scenario,
+    minimal_blocking_sets,
+    run_lattice,
     run_matrix,
     run_scenario,
 )
 from ctkdsim.trace import read_trace
 
 ROOT = Path(__file__).resolve().parent.parent
-BUNDLED = sorted((ROOT / "scenarios").glob("*/*.json"))
 
 
 def scenario_dict(**overrides):
@@ -293,13 +295,14 @@ def baseline():
 
 
 class TestCorpusInvariants:
-    def test_sig51_strictly_weaker_than_c3_on_attack_corpus(self):
+    def test_sig51_strictly_weaker_than_c3_on_attack_corpus(self, lattice):
         """Whatever the overwrite rule blocks, c3 blocks too; not vice versa."""
-        scenarios = matrix_scenarios()
-        sig51 = run_matrix(scenarios, policy_override=PolicySet(sig51=True))
-        c3 = run_matrix(scenarios, policy_override=PolicySet(c3=True))
-        blocked_sig51 = {r["scenario"] for r in sig51.rows if not r["succeeded"]}
-        blocked_c3 = {r["scenario"] for r in c3.rows if not r["succeeded"]}
+        matrix = _matrix_part(lattice)
+        blocked_sig51, blocked_c3 = (
+            {r.scenario.name for r in matrix[policies][0] if not r.outcome.succeeded}
+            for policies in (PolicySet(sig51=True), PolicySet(c3=True))
+        )
+        assert len(matrix[PolicySet()][0]) == 64
         assert blocked_sig51 <= blocked_c3
         assert blocked_c3 - blocked_sig51  # converse fails: equal-protection overwrites
 
@@ -616,12 +619,6 @@ def _scalars(value):
         yield from _scalars(child)
 
 
-def _defense_subsets():
-    for r in range(len(DEFENSES) + 1):
-        for subset in itertools.combinations(DEFENSES, r):
-            yield frozenset(subset)
-
-
 def _attack_requests_on_unused_transports(result) -> list:
     """The attack's pairing requests that reach a device on a transport it does not use.
 
@@ -657,39 +654,98 @@ def _attack_requests_on_unused_transports(result) -> list:
     return [event for event in attack if not in_use(event.actor, event.payload["transport"])]
 
 
-@pytest.fixture(scope="module")
-def lattice():
-    """Every bundled scenario under each defense subset, run once for the module.
+def _matrix_part(lattice) -> dict:
+    """The lattice's runs of the 64 matrix scenarios, leaving out the bundled extras."""
+    names = {scenario.name for scenario in matrix_scenarios()}
+    return {policies: ([r for r in results if r.scenario.name in names], errors)
+            for policies, (results, errors) in lattice.items()}
 
-    Maps each subset to the results of the scenarios that ran and the
-    errors of those that did not.
+
+def _outcome_row(row: dict) -> list:
+    """The outcome fields of a ``run_matrix`` row or an ``AttackOutcome.to_dict()``, as
+    ``bench/reference/lattice_rows.json`` holds them."""
+    return [row["succeeded"], row["rejection"], row["ctis_used"]]
+
+
+def countermeasure_table(lattice=None) -> str:
+    """README's per-attack table of minimal blocking defense sets over the 64 matrix scenarios.
+
+    After a change that moves it, paste the output of::
+
+        PYTHONPATH=src:tests python -c "import test_scenario; print(test_scenario.countermeasure_table(), end='')"
     """
-    scenarios = [load_scenario(p) for p in BUNDLED]
-    runs = {}
-    for subset in _defense_subsets():
-        override = PolicySet.from_dict({name: True for name in subset})
-        results, errors = runs[subset] = [], []
-        for scenario in scenarios:
-            try:
-                results.append(run_scenario(scenario, policy_override=override))
-            except ScenarioError as err:
-                errors.append(str(err))
-    return runs
+    minimal = minimal_blocking_sets(run_lattice(matrix_scenarios()) if lattice is None else lattice)
+    rows = ["| attack | minimal defense sets that block it on every matrix scenario |", "| --- | --- |"]
+    rows += [f"| `{strategy}` | {' or '.join('`{' + ','.join(p.enabled_names()) + '}`' for p in sets) or 'none'} |"
+             for strategy, sets in minimal.items()]
+    return "\n".join(rows) + "\n"
+
+
+class TestLattice:
+    """``DEFENSE_SUBSETS``, ``run_lattice`` and ``minimal_blocking_sets``."""
+
+    def test_subsets_are_in_the_bench_lattice_reference_order(self):
+        rows = json.loads((ROOT / "bench" / "reference" / "lattice_rows.json").read_text())["rows"]
+        assert [",".join(p.enabled_names()) or "none" for p in DEFENSE_SUBSETS] == list(rows)
+
+    def test_outcomes_equal_the_recorded_run_matrix_rows(self, lattice):
+        reference = json.loads((ROOT / "bench" / "reference" / "lattice_rows.json").read_text())
+        for policies, (results, errors) in _matrix_part(lattice).items():
+            assert not errors
+            got = [_outcome_row(r.outcome.to_dict()) for r in results]
+            assert [r.scenario.name for r in results] == reference["scenarios"]
+            assert got == reference["rows"][",".join(policies.enabled_names()) or "none"]
+
+    def test_outcomes_equal_run_matrix_rows_under_every_set(self, lattice):
+        """Live ``run_matrix`` rows, on every extra scenario and on one matrix profile's four attacks."""
+        scenarios = [load_scenario(p) for p in BUNDLED if p.parent.name == "extra"] + matrix_scenarios()[:4]
+        assert {s.attack.strategy for s in scenarios[-4:]} == {"mi", "si", "mitm", "us"}
+        for policies, (results, errors) in lattice.items():
+            report = run_matrix(scenarios, policy_override=policies)
+            assert errors == report.errors == []
+            by_name = {r.scenario.name: r for r in results}
+            assert [_outcome_row(row) for row in report.rows] == [
+                _outcome_row(r.outcome.to_dict())
+                for r in (by_name[s.name] for s in scenarios)
+            ]
+
+    def test_a_scenario_error_is_kept_and_the_sweep_goes_on(self):
+        good = Scenario.from_dict(scenario_dict())
+        bad = Scenario.from_dict(scenario_dict(name="bad"))
+        bad.pre_state[0]["initiator"] = "bob"  # self-pairing will fail
+        lattice = run_lattice([bad, good])
+        assert list(lattice) == list(DEFENSE_SUBSETS)
+        for results, errors in lattice.values():
+            assert [r.scenario.name for r in results] == ["mini"]
+            assert len(errors) == 1 and errors[0].startswith("bad: pre_state[0]")
+
+    def test_minimal_blocking_sets_over_the_matrix(self, lattice):
+        minimal = minimal_blocking_sets(_matrix_part(lattice))
+        assert {strategy: [p.enabled_names() for p in sets] for strategy, sets in minimal.items()} == {
+            "mi": [["c1"], ["c3"]], "si": [["c2"], ["c3"]], "mitm": [["c2"], ["c3"]], "us": [["c1"]],
+        }
+
+    def test_readme_countermeasure_table_matches_the_lattice(self, lattice):
+        table = countermeasure_table(_matrix_part(lattice))
+        assert table in (ROOT / "README.md").read_text(encoding="utf-8"), (
+            "README's countermeasure table differs from minimal_blocking_sets; it should read:\n" + table
+        )
 
 
 class TestLatticeInvariants:
     """Properties over every bundled scenario and the whole 32-subset lattice."""
 
     def test_a_superset_of_defenses_blocks_whatever_a_subset_blocks(self, lattice):
-        blocked = {}
-        for subset, (results, errors) in lattice.items():
-            assert not errors, (sorted(subset), errors[:3])
-            blocked[subset] = {r.scenario.name for r in results if not r.outcome.succeeded}
+        blocked, names = {}, {}
+        for policies, (results, errors) in lattice.items():
+            names[policies] = set(policies.enabled_names())
+            assert not errors, (names[policies], errors[:3])
+            blocked[policies] = {r.scenario.name for r in results if not r.outcome.succeeded}
         assert len(blocked) == 32
         violations = [
-            (sorted(small), sorted(big), sorted(blocked[small] - blocked[big])[:3])
+            (names[small], names[big], sorted(blocked[small] - blocked[big])[:3])
             for small, big in itertools.product(blocked, repeat=2)
-            if small < big and not blocked[small] <= blocked[big]
+            if names[small] < names[big] and not blocked[small] <= blocked[big]
         ]
         assert not violations
 
@@ -703,10 +759,10 @@ class TestLatticeInvariants:
         assert checked
 
     def test_c1_rejects_exactly_the_attacks_that_reach_an_unused_transport(self, lattice):
-        baseline, errors = lattice[frozenset()]
+        baseline, errors = lattice[PolicySet()]
         assert not errors
         by_name = {result.scenario.name: result for result in baseline}
-        c1_runs = lattice[frozenset({"c1"})][0]
+        c1_runs = lattice[PolicySet(c1=True)][0]
         assert len(by_name) == len(c1_runs) == 69
         rejected = {r.scenario.name for r in c1_runs if r.outcome.rejection is RejectionReason.NOT_PAIRABLE}
         predicted = {name for name, r in by_name.items() if _attack_requests_on_unused_transports(r)}

@@ -7,7 +7,6 @@ a schema change, paste the output of::
 """
 
 import hashlib
-import itertools
 import json
 from enum import IntEnum
 from pathlib import Path
@@ -15,11 +14,11 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import BUNDLED
 
 import test_golden
 from ctkdsim import trace
 from ctkdsim.pairing import ble_pair
-from ctkdsim.policies import DEFENSES, PolicySet
 from ctkdsim.scenario import load_scenario, run_scenario
 from ctkdsim.trace import (
     BOOLEAN,
@@ -51,6 +50,13 @@ class TestJsonl:
     def test_event_round_trip(self):
         event = TraceEvent(3, "02:00:00:00:00:01", "key_stored", {"transport": "BT", "overwrote": False})
         assert TraceEvent.from_json(event.to_json()) == event
+
+    @pytest.mark.parametrize("index", [True, False])
+    def test_a_bool_index_is_written_as_json_and_round_trips(self, index):
+        event = TraceEvent(index, "a", "k", {})
+        assert event.to_json() == _dumps({"actor": "a", "index": index, "kind": "k", "payload": {}})
+        read_back = TraceEvent.from_json(event.to_json())
+        assert read_back == event and type(read_back.index) is bool
 
     def test_empty_trace_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -89,7 +95,6 @@ class TestJsonl:
 
 
 ROOT = Path(__file__).resolve().parent.parent
-BUNDLED = sorted((ROOT / "scenarios").glob("*/*.json"))
 
 
 @pytest.fixture(scope="module")
@@ -374,12 +379,6 @@ class TestRenderers:
             event.to_json()
 
 
-def _defense_subsets():
-    for r in range(len(DEFENSES) + 1):
-        for subset in itertools.combinations(DEFENSES, r):
-            yield PolicySet.from_dict({name: True for name in subset})
-
-
 class TestFastPath:
     """Every event the simulator emits matches its kind's schema, so it never reaches ``_encode``."""
 
@@ -388,18 +387,14 @@ class TestFastPath:
             assert conforms(PAYLOAD_SCHEMAS[event.kind], event.payload), event
             assert rendered(event.kind, event.payload) == _dumps(event.payload), event
 
-    def test_bundled_scenarios_under_own_policies_and_every_defense_subset(self, monkeypatch):
-        scenarios = [load_scenario(path) for path in BUNDLED]
-        assert len(scenarios) == 69
+    def test_bundled_scenarios_under_own_policies_and_every_defense_subset(
+            self, bundled_traces, lattice, monkeypatch):
+        traces = [*bundled_traces, *(r.trace for results, _errors in lattice.values() for r in results)]
+        assert len(traces) == 69 * 33
         monkeypatch.setattr(trace, "_encode", _fell_back)
-        runs = 0
-        for override in [None, *_defense_subsets()]:
-            for scenario in scenarios:
-                result = run_scenario(scenario, policy_override=override)
-                self._check(result.trace)
-                trace_digest(result.trace)
-                runs += 1
-        assert runs == 69 * 33
+        for events in traces:
+            self._check(events)
+            trace_digest(events)
 
     def test_p256_numeric_comparison_golden_runs(self, monkeypatch):
         traces = []
