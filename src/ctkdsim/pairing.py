@@ -88,8 +88,6 @@ class Negotiated:
 
 @dataclass
 class PairingSession:
-    initiator: Address
-    responder: Address
     transport: str
     negotiated: Negotiated = field(default_factory=Negotiated)
     abort_reason: Optional[RejectionReason] = None
@@ -310,7 +308,7 @@ def _request(ctx: SimContext, initiator: Device, responder: Device, transport: s
     """Send the pairing request; a responder that is not pairable aborts the run."""
     if initiator is responder:
         raise ValueError(f"{initiator.name} cannot pair with itself")
-    session = PairingSession(initiator.address, responder.address, transport)
+    session = PairingSession(transport)
     _emit_message(ctx, initiator, responder, transport, request.text, "request", **extra)
     if not responder.is_pairable(transport):
         _emit_verdict(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -40,92 +40,68 @@ PAYLOAD_SCHEMAS = {
 OPTIONAL_KEYS = frozenset({"bt_auth_req", "extra_keys"})
 KINDS = tuple(PAYLOAD_SCHEMAS)
 
-# The encoder of every payload no renderer below takes; sort_keys makes the on-disk form byte-stable.
-# JSONEncoder.encode builds a C encoder per call, so one is built here with its settings;
-# without the _json accelerator, the pure-Python encoder writes the same bytes.
+# The encoder of every payload no renderer below takes; sort_keys makes the on-disk form
+# byte-stable. It is the C encoder when the interpreter has the _json accelerator, and
+# the pure-Python one, which writes the same bytes, when it has not.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-if c_make_encoder is None:
-    _encode = _ENCODER.encode
-else:
-    _iterencode = c_make_encoder(
-        None, _ENCODER.default, encode_basestring_ascii, None, ":", ",", True, False, True
-    )
-
-    def _encode(obj) -> str:
-        return "".join(_iterencode(obj, 0))
-
-
-# One renderer per schema writes the payload's keys in sorted order, as _encode does.
-# A payload that does not match the schema exactly makes it return None, or raise
-# KeyError for a missing key, and goes to _encode. ``type(v) is bool`` holds only for
-# True and False; ``type(v) is int`` rejects bools and IntEnums, whose JSON differs.
+_encode = _ENCODER.encode
 _q = encode_basestring_ascii
 
-
-def _render_message(p):
-    frame, opcode, peer, transport, tunneled = p["frame"], p["opcode"], p["peer"], p["transport"], p["tunneled"]
-    if len(p) == 5:
-        auth = ""
-    elif len(p) == 6 and type(auth := p["bt_auth_req"]) is str:
-        auth = f'"bt_auth_req":{_q(auth)},'
-    else:
-        return None
-    if type(frame) is type(opcode) is type(peer) is type(transport) is str and type(tunneled) is bool:
-        return (f'{{{auth}"frame":{_q(frame)},"opcode":{_q(opcode)},"peer":{_q(peer)},'
-                f'"transport":{_q(transport)},"tunneled":{"true" if tunneled else "false"}}}')
+# What a renderer checks and writes for a value of each JSON type; ``bind`` is the value's
+# first mention, which may bind its name ``v``. ``type(v) is bool`` holds only for True and
+# False; ``type(v) is int`` rejects bools and IntEnums, whose JSON differs. No field holds a
+# single quote, so Python 3.10 parses the single-quoted f-string that holds them.
+_CHECK = {STRING: "type({bind}) is str", BOOLEAN: "type({bind}) is bool", INTEGER: "type({bind}) is int",
+          STRING_OR_NULL: "({bind} is None or type({v}) is str)"}
+_FIELD = {STRING: "{{_q({v})}}", BOOLEAN: '{{"true" if {v} else "false"}}', INTEGER: "{{{v}}}",
+          STRING_OR_NULL: '{{"null" if {v} is None else _q({v})}}'}
 
 
-def _render_key_stored(p):
-    association, key, mitm, origin, overwrote, peer, role, strength, transport = (
-        p["association"], p["key"], p["mitm_protected"], p["origin"], p["overwrote"],
-        p["peer"], p["role"], p["strength"], p["transport"])
-    if len(p) == 9:
-        extra = ""
-    elif len(p) == 10 and type(ek := p["extra_keys"]) is dict and len(ek) == 2 \
-            and type(csrk := ek["csrk"]) is type(irk := ek["irk"]) is str:
-        extra = f'"extra_keys":{{"csrk":{_q(csrk)},"irk":{_q(irk)}}},'
-    else:
-        return None
-    if (type(association) is type(key) is type(origin) is type(peer) is type(role) is type(transport) is str
-            and type(mitm) is type(overwrote) is bool and type(strength) is int):
-        return (f'{{"association":{_q(association)},{extra}"key":{_q(key)},'
-                f'"mitm_protected":{"true" if mitm else "false"},"origin":{_q(origin)},'
-                f'"overwrote":{"true" if overwrote else "false"},"peer":{_q(peer)},"role":{_q(role)},'
-                f'"strength":{strength},"transport":{_q(transport)}}}')
+def _value(kind, v: str, bind: str) -> tuple[str, str]:
+    """The check and the f-string field of a value of JSON type ``kind``, or of a nested
+    object with exactly its keys. Keys are identifiers, whose JSON text needs no escaping."""
+    if not isinstance(kind, dict):
+        return _CHECK[kind].format(bind=bind, v=v), _FIELD[kind].format(v=v)
+    keys = sorted(kind)
+    parts = [_value(kind[key], f"{v}_{i}", f"({v}_{i} := {v}[{key!r}])") for i, key in enumerate(keys)]
+    checks = [f"type({bind}) is dict and len({v}) == {len(keys)}", *(check for check, _ in parts)]
+    return " and ".join(checks), "{{" + ",".join(f"{_q(key)}:{f}" for key, (_, f) in zip(keys, parts)) + "}}"
 
 
-def _render_key_rejected(p):
-    origin, peer, reason, transport = p["origin"], p["peer"], p["reason"], p["transport"]
-    if len(p) == 4 and type(origin) is type(peer) is type(reason) is type(transport) is str:
-        return f'{{"origin":{_q(origin)},"peer":{_q(peer)},"reason":{_q(reason)},"transport":{_q(transport)}}}'
+def _compile(kind: str, schema: dict):
+    """``kind``'s renderer, generated from its schema as ``dataclasses`` generates ``__init__``.
+
+    It writes the payload's keys in sorted order, as _encode does, with one f-string. A
+    payload that does not match the schema exactly makes it return None, or raise
+    KeyError for a missing key, and goes to _encode.
+    """
+    keys = sorted(schema)
+    required = [key for key in keys if key not in OPTIONAL_KEYS]
+    names = {key: f"v{i}" for i, key in enumerate(keys)}
+    # Every required key is read first, so n counts them and then each optional key present.
+    lines = [f"def _render_{kind}(p):", f"    n = {len(required)}",
+             f"    {', '.join(names[k] for k in required)}, = {', '.join(f'p[{k!r}]' for k in required)},"]
+    checks, fields, pending = ["len(p) == n"], [], ""
+    for key in keys:
+        v = names[key]
+        if key in OPTIONAL_KEYS:  # its field carries the comma between it and a neighbour
+            check, field = _value(schema[key], v, f"({v} := p[{key!r}])")
+            field = f"{_q(key)}:{field}," if key < required[-1] else f",{_q(key)}:{field}"
+            lines += [f"    if len(p) == {len(required)} or {key!r} not in p:", f"        {v} = ''",
+                      f"    elif {check}:", f"        {v}, n = f'{field}', n + 1", "    else:", "        return None"]
+            pending += f"{{{v}}}"
+        else:
+            check, field = _value(schema[key], v, v)
+            checks.append(check)
+            fields.append(f"{pending}{_q(key)}:{field}")
+            pending = ""
+    lines += [f"    if {' and '.join(checks)}:", f"        return f'{{{{{','.join(fields)}{pending}}}}}'"]
+    namespace = {"_q": _q}
+    exec(compile("\n".join(lines), f"<trace renderer {kind}>", "exec"), namespace)
+    return namespace[f"_render_{kind}"]
 
 
-def _render_session_ok(p):
-    entropy, peer, transport = p["entropy"], p["peer"], p["transport"]
-    if len(p) == 3 and type(entropy) is int and type(peer) is type(transport) is str:
-        return f'{{"entropy":{entropy},"peer":{_q(peer)},"transport":{_q(transport)}}}'
-
-
-def _render_session_fail(p):
-    peer, reason, transport = p["peer"], p["reason"], p["transport"]
-    if len(p) == 3 and type(peer) is type(reason) is type(transport) is str:
-        return f'{{"peer":{_q(peer)},"reason":{_q(reason)},"transport":{_q(transport)}}}'
-
-
-def _render_verdict(p):
-    allow, origin, peer, reason, stage, transport = (
-        p["allow"], p["origin"], p["peer"], p["reason"], p["stage"], p["transport"])
-    if (len(p) == 6 and type(allow) is bool and type(peer) is type(stage) is type(transport) is str
-            and (origin is None or type(origin) is str) and (reason is None or type(reason) is str)):
-        return (f'{{"allow":{"true" if allow else "false"},"origin":{"null" if origin is None else _q(origin)},'
-                f'"peer":{_q(peer)},"reason":{"null" if reason is None else _q(reason)},'
-                f'"stage":{_q(stage)},"transport":{_q(transport)}}}')
-
-
-_RENDERERS = {KIND_MSG_SENT: _render_message, KIND_MSG_RECEIVED: _render_message,
-              KIND_KEY_STORED: _render_key_stored, KIND_KEY_REJECTED: _render_key_rejected,
-              KIND_SESSION_OK: _render_session_ok, KIND_SESSION_FAIL: _render_session_fail,
-              KIND_POLICY_VERDICT: _render_verdict}
+_RENDERERS = {kind: _compile(kind, schema) for kind, schema in PAYLOAD_SCHEMAS.items()}
 
 
 class TraceEvent(NamedTuple):
@@ -147,10 +123,7 @@ class TraceEvent(NamedTuple):
             text = _encode(payload)
         if type(index) is not int:
             index = _encode(index)
-        return (
-            f'{{"actor":{encode_basestring_ascii(self.actor)},"index":{index},'
-            f'"kind":{encode_basestring_ascii(self.kind)},"payload":{text}}}'
-        )
+        return f'{{"actor":{_q(self.actor)},"index":{index},"kind":{_q(self.kind)},"payload":{text}}}'
 
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":

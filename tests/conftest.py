@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 
 from ctkdsim.device import DeviceProfile
+from ctkdsim.fixtures import matrix_scenarios
 from ctkdsim.pairing import SimContext, make_device
 from ctkdsim.policies import PolicySet
-from ctkdsim.scenario import load_scenario, run_lattice
+from ctkdsim.scenario import load_scenario, run_lattice, run_scenario
 
 BUNDLED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*/*.json"))
 
@@ -47,3 +48,9 @@ def lattice():
     """The 69 bundled scenarios under each of the 32 defense subsets, run once per test session."""
     assert len(BUNDLED) == 69
     return run_lattice([load_scenario(path) for path in BUNDLED])
+
+
+@pytest.fixture(scope="session")
+def baseline():
+    """The 64 matrix scenarios under their own policies, run once per test session."""
+    return [run_scenario(scenario) for scenario in matrix_scenarios()]

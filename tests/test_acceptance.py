@@ -8,8 +8,6 @@ import hashlib
 import random
 import time
 
-import pytest
-
 from reference import ref_ble_to_bt, ref_bt_to_ble
 
 from ctkdsim.attacks import Requirement, cti_map
@@ -21,11 +19,6 @@ from ctkdsim.smp import AuthReqBits, decode_pairing, encode_pairing
 from ctkdsim.trace import emit_trace
 from ctkdsim.vectors import load_ctkd_vectors
 from test_smp import _random_message
-
-
-@pytest.fixture(scope="module")
-def baseline_results():
-    return [run_scenario(s) for s in matrix_scenarios()]
 
 
 def _report(criterion: int, text: str) -> None:
@@ -52,7 +45,7 @@ def test_criterion_1_kdf_oracle_equivalence():
     _report(1, f"{checked} oracle comparisons + fixture vectors in {elapsed:.2f}s")
 
 
-def test_criterion_2_baseline_matrix_64_of_64(baseline_results):
+def test_criterion_2_baseline_matrix_64_of_64(baseline):
     """Every profile falls to every attack under the baseline policy."""
     start = time.perf_counter()
     report = run_matrix(matrix_scenarios())
@@ -95,10 +88,10 @@ def test_criterion_4_countermeasures_block():
     _report(4, "c3: 0/48 impersonation+MitM succeed; c1+c3: 0/64 overall")
 
 
-def test_criterion_5_cti_mapping_holds(baseline_results):
+def test_criterion_5_cti_mapping_holds(baseline):
     """Trace-derived issue usage matches the per-strategy requirement row."""
     strategies_seen = set()
-    for result in baseline_results:
+    for result in baseline:
         outcome = result.outcome
         strategy = result.scenario.attack.strategy
         assert outcome.succeeded
@@ -113,11 +106,11 @@ def test_criterion_5_cti_mapping_holds(baseline_results):
     _report(5, "64 runs consistent with the issue-requirement table, all 4 strategies")
 
 
-def test_criterion_6_victim_lockout(baseline_results):
+def test_criterion_6_victim_lockout(baseline):
     """Impersonation ends with the victim locked out and the attacker keyed
     on both transports."""
     checked = 0
-    for result in baseline_results:
+    for result in baseline:
         strategy = result.scenario.attack.strategy
         if strategy not in ("mi", "si", "mitm"):
             continue
@@ -147,10 +140,10 @@ def test_criterion_6_victim_lockout(baseline_results):
     _report(6, "48/48 impersonation runs: victim locked out, attacker on both transports")
 
 
-def test_criterion_7_unintended_session_stealth(baseline_results):
+def test_criterion_7_unintended_session_stealth(baseline):
     """A silent bond leaves existing records untouched and leaks CSRK/IRK."""
     checked = 0
-    for result in baseline_results:
+    for result in baseline:
         if result.scenario.attack.strategy != "us":
             continue
         outcome = result.outcome

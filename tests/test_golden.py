@@ -32,7 +32,7 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import make_profile
+from conftest import BUNDLED, make_profile
 
 from ctkdsim.crypto import TRANSPORT_BLE, TRANSPORT_BT, TRANSPORTS, other_transport
 from ctkdsim.device import Association
@@ -41,10 +41,8 @@ from ctkdsim.policies import DEFENSE_SUBSETS, DEFENSES
 from ctkdsim.scenario import load_scenario, run_scenario
 from ctkdsim.trace import trace_digest
 
-ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
-SCENARIO_FILES = sorted((ROOT / "scenarios").glob("*/*.json"))
-MATRIX_FILES = sorted((ROOT / "scenarios" / "matrix").glob("*.json"))
+MATRIX_FILES = [path for path in BUNDLED if path.parent.name == "matrix"]
 #: The scenarios' own policies, each defense alone, and all five together.
 POLICY_SETS = {
     "own": None,
@@ -57,17 +55,28 @@ def _key(path: Path, policy_name: str) -> str:
     return f"{path.parent.name}/{path.stem}|{policy_name}"
 
 
-def observe(path: Path, policy_name: str) -> dict:
-    result = run_scenario(load_scenario(path), policy_override=POLICY_SETS[policy_name])
+def _observed(result) -> dict:
     return {"digest": result.trace_digest(), "outcome": result.outcome.to_dict()}
+
+
+def observe(path: Path, policy_name: str) -> dict:
+    return _observed(run_scenario(load_scenario(path), policy_override=POLICY_SETS[policy_name]))
 
 
 def observe_all() -> dict:
     return {
         _key(path, name): observe(path, name)
-        for path in SCENARIO_FILES
+        for path in BUNDLED
         for name in POLICY_SETS
     }
+
+
+def _lattice_runs(lattice, policy_name: str) -> dict:
+    """Each bundled scenario's run under ``policy_name`` from the session ``lattice``
+    fixture, which holds every set here but the scenarios' own policies."""
+    results, errors = lattice[POLICY_SETS[policy_name]]
+    assert not errors and len(results) == len(BUNDLED)
+    return dict(zip(BUNDLED, results))
 
 
 @pytest.fixture(scope="module")
@@ -76,17 +85,17 @@ def golden():
 
 
 def test_golden_covers_every_bundled_scenario_and_policy_set(golden):
-    assert len(SCENARIO_FILES) == 69
-    assert set(golden) == {_key(p, n) for p in SCENARIO_FILES for n in POLICY_SETS}
+    assert len(BUNDLED) == 69
+    assert set(golden) == {_key(p, n) for p in BUNDLED for n in POLICY_SETS}
 
 
 @pytest.mark.parametrize("policy_name", list(POLICY_SETS))
-def test_digests_and_outcomes_match_golden(golden, policy_name):
-    mismatches = [
-        path.name
-        for path in SCENARIO_FILES
-        if observe(path, policy_name) != golden[_key(path, policy_name)]
-    ]
+def test_digests_and_outcomes_match_golden(golden, lattice, policy_name):
+    if policy_name == "own":
+        observed = {path: observe(path, policy_name) for path in BUNDLED}
+    else:
+        observed = {path: _observed(result) for path, result in _lattice_runs(lattice, policy_name).items()}
+    mismatches = [path.name for path, seen in observed.items() if seen != golden[_key(path, policy_name)]]
     assert not mismatches, f"{len(mismatches)} runs differ under {policy_name}: {mismatches[:5]}"
 
 
@@ -160,11 +169,10 @@ SESSION_KEY_GOLDEN = {
 }
 
 
-def observe_session_keys(policy_name: str) -> tuple[int, str]:
+def _session_keys(results) -> tuple[int, str]:
     digest = hashlib.sha256()
     count = 0
-    for path in MATRIX_FILES:
-        result = run_scenario(load_scenario(path), policy_override=POLICY_SETS[policy_name])
+    for result in results:
         seen = set()  # both ends of a session hold the same state
         for device in result.devices.values():
             for state in device.sessions:
@@ -177,6 +185,16 @@ def observe_session_keys(policy_name: str) -> tuple[int, str]:
     return count, digest.hexdigest()
 
 
+def observe_session_keys(policy_name: str) -> tuple[int, str]:
+    return _session_keys(run_scenario(load_scenario(path), policy_override=POLICY_SETS[policy_name])
+                         for path in MATRIX_FILES)
+
+
 @pytest.mark.parametrize("policy_name", list(SESSION_KEY_GOLDEN))
-def test_matrix_session_keys_match_golden(policy_name):
-    assert observe_session_keys(policy_name) == SESSION_KEY_GOLDEN[policy_name]
+def test_matrix_session_keys_match_golden(lattice, policy_name):
+    if policy_name == "own":
+        observed = observe_session_keys(policy_name)
+    else:
+        runs = _lattice_runs(lattice, policy_name)
+        observed = _session_keys(runs[path] for path in MATRIX_FILES)
+    assert observed == SESSION_KEY_GOLDEN[policy_name]

@@ -289,11 +289,6 @@ class TestRunMatrix:
         assert "Master" in text
 
 
-@pytest.fixture(scope="module")
-def baseline():
-    return [run_scenario(s) for s in matrix_scenarios()]
-
-
 class TestCorpusInvariants:
     def test_sig51_strictly_weaker_than_c3_on_attack_corpus(self, lattice):
         """Whatever the overwrite rule blocks, c3 blocks too; not vice versa."""
