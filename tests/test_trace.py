@@ -9,7 +9,9 @@ a schema change, paste the output of::
 import hashlib
 import json
 from enum import IntEnum
+from json import encoder as json_encoder
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,14 +107,29 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-@pytest.fixture(params=["rendered", "generic"])
-def serialiser(request, monkeypatch):
-    """Each way a payload becomes text: its kind's renderer, or the generic encoder.
+def _pure_python():
+    """Run ``_encode`` as on an interpreter without the ``_json`` accelerator.
 
-    The generic path empties the renderer table, so every payload reaches ``_encode``.
+    ``JSONEncoder.encode`` looks up the C hooks in ``json.encoder`` at each call, so
+    patching them out there sends ``_encode`` down the pure-Python path.
     """
-    if request.param == "generic":
+    return mock.patch.multiple(json_encoder, c_make_encoder=None,
+                               encode_basestring_ascii=json_encoder.py_encode_basestring_ascii)
+
+
+@pytest.fixture(params=["rendered", "generic-c", "generic-python"])
+def serialiser(request, monkeypatch):
+    """Each way a payload becomes text: its kind's renderer, or either generic encoder.
+
+    The generic paths empty the renderer table, so every payload reaches ``_encode``.
+    """
+    if request.param != "rendered":
         monkeypatch.setattr(trace, "_RENDERERS", {})
+    if request.param == "generic-python":
+        with _pure_python():
+            yield
+    else:
+        yield
 
 
 class TestSerialisedBytes:
@@ -319,9 +336,12 @@ def _one_step_off(schema: dict, base: dict):
 
 
 def _check_to_json(kind: str, payload) -> None:
-    """``to_json`` writes ``json.dumps``'s bytes; the renderer takes exactly the matches."""
+    """``to_json`` writes ``json.dumps``'s bytes with either encoder; the renderer takes exactly the matches."""
     event = TraceEvent(5, "02:00:00:00:00:01", kind, payload)
-    assert event.to_json() == _dumps({"index": 5, "actor": event.actor, "kind": kind, "payload": payload})
+    expected = _dumps({"index": 5, "actor": event.actor, "kind": kind, "payload": payload})
+    assert event.to_json() == expected
+    with _pure_python():
+        assert event.to_json() == expected
     text = rendered(kind, payload)
     assert (text is not None) == conforms(PAYLOAD_SCHEMAS[kind], payload), payload
     assert text is None or text == _dumps(payload)
@@ -378,6 +398,8 @@ class TestRenderers:
         payload[data.draw(st.sampled_from(sorted(payload)))] = bad
         event = TraceEvent(0, "02:00:00:00:00:01", kind, payload)
         with pytest.raises(TypeError, match="not JSON serializable"):
+            event.to_json()
+        with _pure_python(), pytest.raises(TypeError, match="not JSON serializable"):
             event.to_json()
 
 
