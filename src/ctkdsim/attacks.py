@@ -71,7 +71,7 @@ def cti_map(strategy: str) -> dict[CTI, Requirement]:
     return dict(zip(CTI, row))
 
 
-@dataclass
+@dataclass(slots=True)
 class AttackOutcome:
     succeeded: bool
     keys_written: list[tuple[str, str, str]] = field(default_factory=list)

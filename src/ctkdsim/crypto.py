@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
 from cryptography.hazmat.primitives.cmac import CMAC
@@ -67,19 +68,31 @@ class Address:
         return hash(self.value)
 
 
-@dataclass(frozen=True)
-class Key128:
+class Checked:
+    """Base of an immutable value: a ``NamedTuple`` whose ``__new__`` checks its fields.
+
+    ``_make``, and so ``_replace``, construct through that ``__new__`` too. A value
+    equals a plain tuple of the same fields.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class Key128(Checked, NamedTuple("Key128", [("value", bytes), ("strength", int), ("mitm_protected", bool)])):
     """16-byte key with a declared entropy (in bytes) and MITM-protection flag."""
 
-    value: bytes
-    strength: int = MAX_STRENGTH
-    mitm_protected: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.value) != 16:
+    def __new__(cls, value: bytes, strength: int = MAX_STRENGTH, mitm_protected: bool = False) -> "Key128":
+        if len(value) != 16:
             raise ValueError("key must be 16 bytes")
-        if not MIN_STRENGTH <= self.strength <= MAX_STRENGTH:
-            raise ValueError(f"strength {self.strength} outside {MIN_STRENGTH}..{MAX_STRENGTH}")
+        if not MIN_STRENGTH <= strength <= MAX_STRENGTH:
+            raise ValueError(f"strength {strength} outside {MIN_STRENGTH}..{MAX_STRENGTH}")
+        return tuple.__new__(cls, (value, strength, mitm_protected))
 
     @classmethod
     def from_hex(cls, text: str, strength: int = MAX_STRENGTH, mitm_protected: bool = False) -> "Key128":
@@ -119,26 +132,26 @@ TAG_LEBR = TagString("lebr")
 TAG_BRLE = TagString("brle")
 
 
-@dataclass(frozen=True)
-class Nonce:
+class Nonce(Checked, NamedTuple("Nonce", [("value", bytes)])):
     """Fresh 16-byte per-run value."""
 
-    value: bytes
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.value) != 16:
+    def __new__(cls, value: bytes) -> "Nonce":
+        if len(value) != 16:
             raise ValueError("nonce must be 16 bytes")
+        return tuple.__new__(cls, (value,))
 
 
-@dataclass(frozen=True)
-class SharedSecret:
+class SharedSecret(Checked, NamedTuple("SharedSecret", [("value", bytes)])):
     """16-byte Diffie-Hellman shared secret."""
 
-    value: bytes
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.value) != 16:
+    def __new__(cls, value: bytes) -> "SharedSecret":
+        if len(value) != 16:
             raise ValueError("shared secret must be 16 bytes")
+        return tuple.__new__(cls, (value,))
 
 
 def aes_cmac(key: bytes, message: bytes) -> bytes:
@@ -176,8 +189,7 @@ def ctkd_bt_to_ble(k_bt: Key128, h7_supported: bool) -> Key128:
 # Diffie-Hellman backends
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DhPrivate:
+class DhPrivate(NamedTuple):
     """The private half of a keypair, or a private value drawn alone.
 
     ``value`` is the integer exponent for toy-modp and the
@@ -205,8 +217,7 @@ class DhPublic:
     key: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class DhKeyPair:
+class DhKeyPair(NamedTuple):
     private: DhPrivate
     public: DhPublic
 

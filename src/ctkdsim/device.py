@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .crypto import Address, Key128, TRANSPORTS, random_key128
+from .crypto import Address, Checked, Key128, TRANSPORTS, random_key128
 from .smp import CONFIRM_CAPABLE, IoCapability, KeyMaterial
 
 if TYPE_CHECKING:
@@ -138,23 +138,22 @@ class DeviceProfile:
             raise ValueError(f"{where}: {err}") from None
 
 
-@dataclass(frozen=True)
-class KeyRecord:
+class KeyRecord(Checked, NamedTuple("KeyRecord", [
+    ("peer", Address), ("transport", str), ("key", Key128), ("origin", KeyOrigin), ("association", Association),
+    ("role_at_pairing", PairingRole),  # the peer's role when this bond was made
+    ("extra_keys", Optional[KeyMaterial]),
+])):
     """One stored bond: key material plus how it came to exist."""
 
-    peer: Address
-    transport: str
-    key: Key128
-    origin: KeyOrigin
-    association: Association
-    role_at_pairing: PairingRole  # the peer's role when this bond was made
-    extra_keys: Optional[KeyMaterial] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {self.transport!r}")
-        if self.key.mitm_protected != (self.association is Association.NUMERIC_COMPARISON):
+    def __new__(cls, peer: Address, transport: str, key: Key128, origin: KeyOrigin, association: Association,
+                role_at_pairing: PairingRole, extra_keys: Optional[KeyMaterial] = None) -> "KeyRecord":
+        if transport not in TRANSPORTS:
+            raise ValueError(f"unknown transport {transport!r}")
+        if key.mitm_protected != (association is Association.NUMERIC_COMPARISON):
             raise ValueError("mitm_protected flag must mirror the association method")
+        return tuple.__new__(cls, (peer, transport, key, origin, association, role_at_pairing, extra_keys))
 
 
 @dataclass

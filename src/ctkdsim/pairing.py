@@ -78,7 +78,7 @@ def make_device(ctx: SimContext, profile: DeviceProfile, policies: Optional[Poli
     return Device(profile, policies if policies is not None else PolicySet(), ctx.rng)
 
 
-@dataclass
+@dataclass(slots=True)
 class Negotiated:
     association: Optional[Association] = None
     ctkd: bool = False
@@ -86,7 +86,7 @@ class Negotiated:
     key_strength: int = 16
 
 
-@dataclass
+@dataclass(slots=True)
 class PairingSession:
     transport: str
     negotiated: Negotiated = field(default_factory=Negotiated)
@@ -102,7 +102,7 @@ class PairingSession:
         return self.abort_reason is None
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionState:
     peers: tuple[Address, Address]
     transport: str
@@ -121,7 +121,7 @@ SESSION_KEY_MISMATCH = "key_mismatch"
 SESSION_NO_BOND = "no_bond"
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionResult:
     outcome: str
     session: Optional[SessionState] = None
@@ -264,23 +264,6 @@ def _emit_verdict(ctx, device: Device, *, stage, transport, peer, allow, reason,
         reason=None if reason is None else reason._value_,
         origin=origin,
     )
-
-
-def _record_payload(record: KeyRecord, overwrote: bool) -> dict:
-    payload = {
-        "transport": record.transport,
-        "peer": record.peer.text,
-        "origin": record.origin._value_,
-        "association": record.association._value_,
-        "role": record.role_at_pairing._value_,
-        "strength": record.key.strength,
-        "mitm_protected": record.key.mitm_protected,
-        "key": record.key.hex(),
-        "overwrote": overwrote,
-    }
-    if record.extra_keys is not None:
-        payload["extra_keys"] = {"csrk": record.extra_keys.csrk_hex, "irk": record.extra_keys.irk_hex}
-    return payload
 
 
 def _invalidate_sessions(device: Device, peer: Address, transport: str) -> None:
@@ -439,10 +422,14 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
             session.abort_reason = verdict.reason
             return session
     for device, record, existing, *_ in pending:
-        outcome = device.bonds.commit(record, existing)
-        ctx.trace.emit(device.address.text, KIND_KEY_STORED, **_record_payload(record, outcome.overwrote))
-        if outcome.overwrote:
-            _invalidate_sessions(device, record.peer, record.transport)
+        overwrote = device.bonds.commit(record, existing).overwrote
+        peer, transport, key, origin, association, role, extra = record
+        ctx.trace.emit(device.address.text, KIND_KEY_STORED, transport=transport, peer=peer.text,
+                       origin=origin._value_, association=association._value_, role=role._value_,
+                       strength=key.strength, mitm_protected=key.mitm_protected, key=key.hex(), overwrote=overwrote,
+                       **({} if extra is None else {"extra_keys": {"csrk": extra.csrk_hex, "irk": extra.irk_hex}}))
+        if overwrote:
+            _invalidate_sessions(device, peer, transport)
     return session
 
 

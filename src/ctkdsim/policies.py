@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from .crypto import Checked
 from .device import (
     Association,
     Device,
@@ -42,14 +43,13 @@ class RejectionReason(Enum):
     NOT_PAIRABLE = "not_pairable"
 
 
-@dataclass(frozen=True)
-class PolicyVerdict:
-    allow: bool
-    reason: Optional[RejectionReason] = None
+class PolicyVerdict(Checked, NamedTuple("PolicyVerdict", [("allow", bool), ("reason", Optional[RejectionReason])])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.allow and self.reason is None:
+    def __new__(cls, allow: bool, reason: Optional[RejectionReason] = None) -> "PolicyVerdict":
+        if not allow and reason is None:
             raise ValueError("a rejecting verdict needs a reason")
+        return tuple.__new__(cls, (allow, reason))
 
 
 ALLOW = PolicyVerdict(True)

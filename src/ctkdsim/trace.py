@@ -71,17 +71,20 @@ def _value(kind, v: str, bind: str) -> tuple[str, str]:
 def _compile(kind: str, schema: dict):
     """``kind``'s renderer, generated from its schema as ``dataclasses`` generates ``__init__``.
 
-    It writes the payload's keys in sorted order, as _encode does, with one f-string. A
-    payload that does not match the schema exactly makes it return None, or raise
-    KeyError for a missing key, and goes to _encode.
+    ``_render_KIND(index, actor, payload)`` writes an event's whole JSONL line with one
+    f-string: the envelope's keys and the payload's in sorted order, as _encode does, with
+    the kind's quoted name as a constant. An int index, a str actor and a payload that
+    matches the schema exactly are all it takes; for any other event it returns None, or
+    raises KeyError for a missing key, and the event goes to _encode.
     """
     keys = sorted(schema)
     required = [key for key in keys if key not in OPTIONAL_KEYS]
     names = {key: f"v{i}" for i, key in enumerate(keys)}
     # Every required key is read first, so n counts them and then each optional key present.
-    lines = [f"def _render_{kind}(p):", f"    n = {len(required)}",
+    lines = [f"def _render_{kind}(i, a, p):", "    if type(p) is not dict:", "        return None",
+             f"    n = {len(required)}",
              f"    {', '.join(names[k] for k in required)}, = {', '.join(f'p[{k!r}]' for k in required)},"]
-    checks, fields, pending = ["len(p) == n"], [], ""
+    checks, fields, pending = ["type(i) is int and type(a) is str and len(p) == n"], [], ""
     for key in keys:
         v = names[key]
         if key in OPTIONAL_KEYS:  # its field carries the comma between it and a neighbour
@@ -95,7 +98,8 @@ def _compile(kind: str, schema: dict):
             checks.append(check)
             fields.append(f"{pending}{_q(key)}:{field}")
             pending = ""
-    lines += [f"    if {' and '.join(checks)}:", f"        return f'{{{{{','.join(fields)}{pending}}}}}'"]
+    envelope = f'{{{{"actor":{{_q(a)}},"index":{{i}},"kind":{_q(kind)},"payload":'
+    lines += [f"    if {' and '.join(checks)}:", f"        return f'{envelope}{{{{{','.join(fields)}{pending}}}}}}}}}'"]
     namespace = {"_q": _q}
     exec(compile("\n".join(lines), f"<trace renderer {kind}>", "exec"), namespace)
     return namespace[f"_render_{kind}"]
@@ -111,19 +115,21 @@ class TraceEvent(NamedTuple):
     payload: dict
 
     def to_json(self) -> str:
-        # The envelope's keys are written in sorted order; the payload by its kind's
-        # renderer, or by _encode when the payload does not match the kind's schema,
-        # and the index by _encode when it is not exactly an int (a bool, say).
-        index, payload = self.index, self.payload
+        # The whole line from the kind's renderer. Any event it does not take (a payload off
+        # the schema, or an index that is not exactly an int, such as a bool) is written
+        # with _encode, the envelope's keys in sorted order; an actor that is not a str is
+        # a TypeError.
+        index, actor, kind, payload = self
         try:
-            text = _RENDERERS[self.kind](payload) if type(payload) is dict else None
+            line = _RENDERERS[kind](index, actor, payload)
         except KeyError:  # a kind without a renderer, or a payload that lacks a key of its schema
-            text = None
-        if text is None:
-            text = _encode(payload)
+            line = None
+        if line is not None:
+            return line
+        text = _encode(payload)
         if type(index) is not int:
             index = _encode(index)
-        return f'{{"actor":{_q(self.actor)},"index":{index},"kind":{_q(self.kind)},"payload":{text}}}'
+        return f'{{"actor":{_q(actor)},"index":{index},"kind":{_q(kind)},"payload":{text}}}'
 
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":

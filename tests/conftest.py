@@ -51,6 +51,14 @@ def lattice():
 
 
 @pytest.fixture(scope="session")
+def own():
+    """Each of the 69 bundled scenarios under its own policies, in ``BUNDLED`` order, run once per
+    test session. Tests read the results and must not change them."""
+    assert len(BUNDLED) == 69
+    return [run_scenario(load_scenario(path)) for path in BUNDLED]
+
+
+@pytest.fixture(scope="session")
 def baseline():
     """The 64 matrix scenarios under their own policies, run once per test session."""
     return [run_scenario(scenario) for scenario in matrix_scenarios()]

@@ -2,11 +2,10 @@
 
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
-from conftest import device
+from conftest import BUNDLED, device
 
 from ctkdsim import attacks
 from ctkdsim.attacks import (
@@ -25,8 +24,6 @@ from ctkdsim.pairing import SimContext, bt_pair, establish_session
 from ctkdsim.policies import PolicySet, RejectionReason
 from ctkdsim.scenario import load_scenario, run_scenario
 from ctkdsim.trace import emit_trace, read_trace
-
-BUNDLED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*/*.json"))
 
 
 def bonded_victims(ctx, *, alice_policies=None, bob_policies=None, live="BT",

@@ -208,12 +208,12 @@ class TestBondTable:
     @given(st.binary(min_size=6, max_size=6))
     def test_lookup_by_an_equal_but_distinct_address(self, value):
         table = BondTable()
-        rec = dataclasses.replace(record(), peer=Address(value))
+        rec = record()._replace(peer=Address(value))
         store(table, rec)
         twin = Address(bytes(rec.peer.value))
         assert twin is not rec.peer
         assert table.lookup(twin, "BT") is rec
-        assert store(table, dataclasses.replace(rec, peer=twin)).overwrote
+        assert store(table, rec._replace(peer=twin)).overwrote
         assert len(table.records) == 1
 
     def test_unknown_peer_is_none(self):

@@ -71,9 +71,11 @@ def observe_all() -> dict:
     }
 
 
-def _lattice_runs(lattice, policy_name: str) -> dict:
-    """Each bundled scenario's run under ``policy_name`` from the session ``lattice``
-    fixture, which holds every set here but the scenarios' own policies."""
+def _runs(own, lattice, policy_name: str) -> dict:
+    """Each bundled scenario's run under ``policy_name``, from the session fixtures:
+    ``own`` for the scenarios' own policies, ``lattice`` for every other set here."""
+    if policy_name == "own":
+        return dict(zip(BUNDLED, own))
     results, errors = lattice[POLICY_SETS[policy_name]]
     assert not errors and len(results) == len(BUNDLED)
     return dict(zip(BUNDLED, results))
@@ -90,11 +92,8 @@ def test_golden_covers_every_bundled_scenario_and_policy_set(golden):
 
 
 @pytest.mark.parametrize("policy_name", list(POLICY_SETS))
-def test_digests_and_outcomes_match_golden(golden, lattice, policy_name):
-    if policy_name == "own":
-        observed = {path: observe(path, policy_name) for path in BUNDLED}
-    else:
-        observed = {path: _observed(result) for path, result in _lattice_runs(lattice, policy_name).items()}
+def test_digests_and_outcomes_match_golden(golden, own, lattice, policy_name):
+    observed = {path: _observed(result) for path, result in _runs(own, lattice, policy_name).items()}
     mismatches = [path.name for path, seen in observed.items() if seen != golden[_key(path, policy_name)]]
     assert not mismatches, f"{len(mismatches)} runs differ under {policy_name}: {mismatches[:5]}"
 
@@ -185,16 +184,7 @@ def _session_keys(results) -> tuple[int, str]:
     return count, digest.hexdigest()
 
 
-def observe_session_keys(policy_name: str) -> tuple[int, str]:
-    return _session_keys(run_scenario(load_scenario(path), policy_override=POLICY_SETS[policy_name])
-                         for path in MATRIX_FILES)
-
-
 @pytest.mark.parametrize("policy_name", list(SESSION_KEY_GOLDEN))
-def test_matrix_session_keys_match_golden(lattice, policy_name):
-    if policy_name == "own":
-        observed = observe_session_keys(policy_name)
-    else:
-        runs = _lattice_runs(lattice, policy_name)
-        observed = _session_keys(runs[path] for path in MATRIX_FILES)
-    assert observed == SESSION_KEY_GOLDEN[policy_name]
+def test_matrix_session_keys_match_golden(own, lattice, policy_name):
+    runs = _runs(own, lattice, policy_name)
+    assert _session_keys(runs[path] for path in MATRIX_FILES) == SESSION_KEY_GOLDEN[policy_name]

@@ -271,7 +271,7 @@ class TestSessions:
         ble_pair(ctx, laptop, headset)
         # Corrupt one side's record out-of-band to model a poisoned store.
         rec = headset.bonds.lookup(laptop.address, TRANSPORT_BT)
-        headset.bonds.commit(dataclasses.replace(rec, key=Key128(bytes([0xEE]) * 16)), rec)
+        headset.bonds.commit(rec._replace(key=Key128(bytes([0xEE]) * 16)), rec)
         assert establish_session(ctx, laptop, headset, TRANSPORT_BT).outcome == "key_mismatch"
 
     def test_ble_session_inherits_pairing_key_entropy(self, ctx, laptop):

@@ -369,14 +369,10 @@ def _paired_h7(events, near_index: int) -> bool:
 
 
 class TestExtraScenarios:
-    def test_bundled_edge_cases_meet_expectations(self):
-        import pathlib
-
-        extra_dir = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "extra"
-        paths = sorted(extra_dir.glob("*.json"))
-        assert len(paths) == 5
-        for path in paths:
-            result = run_scenario(load_scenario(path))
+    def test_bundled_edge_cases_meet_expectations(self, own):
+        extra = [(path, result) for path, result in zip(BUNDLED, own) if path.parent.name == "extra"]
+        assert len(extra) == 5
+        for path, result in extra:
             assert result.expectations_ok, (path.name, result.expectation_failures)
 
 

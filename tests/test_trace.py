@@ -8,6 +8,7 @@ a schema change, paste the output of::
 
 import hashlib
 import json
+from collections import OrderedDict
 from enum import IntEnum
 from json import encoder as json_encoder
 from pathlib import Path
@@ -15,12 +16,10 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import BUNDLED
 
 import test_golden
 from ctkdsim import trace
 from ctkdsim.pairing import ble_pair
-from ctkdsim.scenario import load_scenario, run_scenario
 from ctkdsim.trace import (
     BOOLEAN,
     INTEGER,
@@ -99,8 +98,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
-def bundled_traces():
-    return [run_scenario(load_scenario(path)).trace for path in BUNDLED]
+def bundled_traces(own):
+    return [result.trace for result in own]
 
 
 def _dumps(obj) -> str:
@@ -240,12 +239,17 @@ def conforms(schema: dict, payload) -> bool:
     )
 
 
-def rendered(kind: str, payload):
-    """What ``kind``'s renderer makes of ``payload``; None when it leaves it to ``_encode``."""
+def rendered(event: TraceEvent):
+    """The line ``event``'s kind's renderer writes for it; None when it leaves it to ``_encode``."""
     try:
-        return trace._RENDERERS[kind](payload)
+        return trace._RENDERERS[event.kind](event.index, event.actor, event.payload)
     except KeyError:
         return None
+
+
+def _envelope(event: TraceEvent) -> str:
+    """``json.dumps`` of the whole event: the line ``to_json`` must write."""
+    return _dumps(event._asdict())
 
 
 def _fell_back(payload):
@@ -338,13 +342,13 @@ def _one_step_off(schema: dict, base: dict):
 def _check_to_json(kind: str, payload) -> None:
     """``to_json`` writes ``json.dumps``'s bytes with either encoder; the renderer takes exactly the matches."""
     event = TraceEvent(5, "02:00:00:00:00:01", kind, payload)
-    expected = _dumps({"index": 5, "actor": event.actor, "kind": kind, "payload": payload})
+    expected = _envelope(event)
     assert event.to_json() == expected
     with _pure_python():
         assert event.to_json() == expected
-    text = rendered(kind, payload)
+    text = rendered(event)
     assert (text is not None) == conforms(PAYLOAD_SCHEMAS[kind], payload), payload
-    assert text is None or text == _dumps(payload)
+    assert text is None or text == expected
 
 
 @st.composite
@@ -374,11 +378,43 @@ class TestRenderers:
         render = trace._compile("probe", schema)
         for payload in [*_one_step_off(schema, _valid(schema)), *_one_step_off(schema, _valid(schema, optional=False))]:
             try:
-                text = render(payload)
+                text = render(5, "02:00:00:00:00:01", payload)
             except KeyError:
                 text = None
             assert (text is not None) == conforms(schema, payload), payload
-            assert text is None or text == _dumps(payload)
+            assert text is None or text == _envelope(TraceEvent(5, "02:00:00:00:00:01", "probe", payload))
+
+    @pytest.mark.parametrize("kind", trace.KINDS)
+    @pytest.mark.parametrize("index", [0, 2**70, True, False, _Small.ONE], ids=repr)
+    @pytest.mark.parametrize("actor", _EDGE_TEXTS)
+    def test_the_renderer_takes_only_an_int_index_and_a_str_actor(self, kind, index, actor):
+        event = TraceEvent(index, actor, kind, _valid(PAYLOAD_SCHEMAS[kind]))
+        expected = _envelope(event)
+        assert event.to_json() == expected
+        with _pure_python():
+            assert event.to_json() == expected
+        assert rendered(event) == (expected if type(index) is int else None)
+
+    @pytest.mark.parametrize("kind", trace.KINDS)
+    @pytest.mark.parametrize("payload", [None, 0, "x", [], ["peer", 1], "dict subclass"], ids=repr)
+    def test_a_payload_that_is_not_a_dict_goes_to_encode(self, kind, payload):
+        if payload == "dict subclass":
+            payload = OrderedDict(reversed(_valid(PAYLOAD_SCHEMAS[kind]).items()))
+        event = TraceEvent(0, "02:00:00:00:00:01", kind, payload)
+        assert rendered(event) is None
+        assert event.to_json() == _envelope(event)
+        with _pure_python():
+            assert event.to_json() == _envelope(event)
+
+    @pytest.mark.parametrize("kind", trace.KINDS)
+    @pytest.mark.parametrize("actor", [None, 1, b"02:00:00:00:00:01", ["a"]], ids=repr)
+    def test_an_actor_that_is_not_a_str_is_still_a_type_error(self, kind, actor):
+        event = TraceEvent(0, actor, kind, _valid(PAYLOAD_SCHEMAS[kind]))
+        assert rendered(event) is None
+        with pytest.raises(TypeError):
+            event.to_json()
+        with _pure_python(), pytest.raises(TypeError):
+            event.to_json()
 
     @pytest.mark.parametrize("kind", trace.KINDS)
     @settings(max_examples=60, deadline=None)
@@ -409,7 +445,7 @@ class TestFastPath:
     def _check(self, events):
         for event in events:
             assert conforms(PAYLOAD_SCHEMAS[event.kind], event.payload), event
-            assert rendered(event.kind, event.payload) == _dumps(event.payload), event
+            assert rendered(event) == _envelope(event), event
 
     def test_bundled_scenarios_under_own_policies_and_every_defense_subset(
             self, bundled_traces, lattice, monkeypatch):
