@@ -246,24 +246,21 @@ def honest(build, profile: DeviceProfile, arg, arg_key=None) -> HonestFrame:
 # ---------------------------------------------------------------------------
 
 def _emit_message(ctx: SimContext, sender: Device, receiver: Device, transport: str,
-                  text: str, opcode: str, tunneled: bool = False, **extra) -> None:
-    ctx.trace.emit(sender.address.text, KIND_MSG_SENT, transport=transport, peer=receiver.address.text,
-                   frame=text, opcode=opcode, tunneled=tunneled, **extra)
-    ctx.trace.emit(receiver.address.text, KIND_MSG_RECEIVED, transport=transport, peer=sender.address.text,
-                   frame=text, opcode=opcode, tunneled=tunneled, **extra)
+                  text: str, opcode: str, tunneled: bool = False, bt_auth_req: Optional[str] = None) -> None:
+    sender_text, receiver_text = sender.address.text, receiver.address.text
+    sent = {"transport": transport, "peer": receiver_text, "frame": text, "opcode": opcode, "tunneled": tunneled}
+    received = {"transport": transport, "peer": sender_text, "frame": text, "opcode": opcode, "tunneled": tunneled}
+    if bt_auth_req is not None:
+        sent["bt_auth_req"] = received["bt_auth_req"] = bt_auth_req
+    ctx.trace.emit(sender_text, KIND_MSG_SENT, sent)
+    ctx.trace.emit(receiver_text, KIND_MSG_RECEIVED, received)
 
 
 def _emit_verdict(ctx, device: Device, *, stage, transport, peer, allow, reason, origin=None):
-    ctx.trace.emit(
-        device.address.text,
-        KIND_POLICY_VERDICT,
-        stage=stage,
-        transport=transport,
-        peer=peer.text,
-        allow=allow,
-        reason=None if reason is None else reason._value_,
-        origin=origin,
-    )
+    ctx.trace.emit(device.address.text, KIND_POLICY_VERDICT, {
+        "stage": stage, "transport": transport, "peer": peer.text, "allow": allow,
+        "reason": None if reason is None else reason._value_, "origin": origin,
+    })
 
 
 def _invalidate_sessions(device: Device, peer: Address, transport: str) -> None:
@@ -287,12 +284,12 @@ def _sides(initiator: Device, responder: Device) -> tuple:
 
 
 def _request(ctx: SimContext, initiator: Device, responder: Device, transport: str,
-             request: HonestFrame, **extra) -> PairingSession:
+             request: HonestFrame, bt_auth_req: Optional[str] = None) -> PairingSession:
     """Send the pairing request; a responder that is not pairable aborts the run."""
     if initiator is responder:
         raise ValueError(f"{initiator.name} cannot pair with itself")
     session = PairingSession(transport)
-    _emit_message(ctx, initiator, responder, transport, request.text, "request", **extra)
+    _emit_message(ctx, initiator, responder, transport, request.text, "request", bt_auth_req=bt_auth_req)
     if not responder.is_pairable(transport):
         _emit_verdict(
             ctx, responder, stage="pairing_request", transport=transport,
@@ -303,9 +300,10 @@ def _request(ctx: SimContext, initiator: Device, responder: Device, transport: s
 
 
 def _respond(ctx: SimContext, session: PairingSession, initiator: Device, responder: Device,
-             request: SmpPairingMessage, response: HonestFrame, **extra) -> None:
+             request: SmpPairingMessage, response: HonestFrame, bt_auth_req: Optional[str] = None) -> None:
     """Send the response and settle the association method from both messages."""
-    _emit_message(ctx, responder, initiator, session.transport, response.text, "response", **extra)
+    _emit_message(ctx, responder, initiator, session.transport, response.text, "response",
+                  bt_auth_req=bt_auth_req)
     session.negotiated.association = negotiate_association(
         request.io_capability, response.msg.io_capability,
         request.auth_req.mitm, response.msg.auth_req.mitm,
@@ -415,19 +413,19 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
             allow=verdict.allow, reason=verdict.reason, origin=origin,
         )
         if not verdict.allow:
-            ctx.trace.emit(
-                device.address.text, KIND_KEY_REJECTED, transport=record.transport,
-                peer=record.peer.text, origin=origin, reason=verdict.reason._value_,
-            )
+            ctx.trace.emit(device.address.text, KIND_KEY_REJECTED, {"transport": record.transport,
+                           "peer": record.peer.text, "origin": origin, "reason": verdict.reason._value_})
             session.abort_reason = verdict.reason
             return session
     for device, record, existing, *_ in pending:
         overwrote = device.bonds.commit(record, existing).overwrote
         peer, transport, key, origin, association, role, extra = record
-        ctx.trace.emit(device.address.text, KIND_KEY_STORED, transport=transport, peer=peer.text,
-                       origin=origin._value_, association=association._value_, role=role._value_,
-                       strength=key.strength, mitm_protected=key.mitm_protected, key=key.hex(), overwrote=overwrote,
-                       **({} if extra is None else {"extra_keys": {"csrk": extra.csrk_hex, "irk": extra.irk_hex}}))
+        stored = {"transport": transport, "peer": peer.text, "origin": origin._value_,
+                  "association": association._value_, "role": role._value_, "strength": key.strength,
+                  "mitm_protected": key.mitm_protected, "key": key.hex(), "overwrote": overwrote}
+        if extra is not None:
+            stored["extra_keys"] = {"csrk": extra.csrk_hex, "irk": extra.irk_hex}
+        ctx.trace.emit(device.address.text, KIND_KEY_STORED, stored)
         if overwrote:
             _invalidate_sessions(device, peer, transport)
     return session
@@ -524,7 +522,8 @@ def establish_session(
     rec_b = b.bonds.lookup(a.address, transport)
     if rec_a is None or rec_b is None or rec_a.key.value != rec_b.key.value:
         failure = SESSION_NO_BOND if rec_a is None or rec_b is None else SESSION_KEY_MISMATCH
-        ctx.trace.emit(a.address.text, KIND_SESSION_FAIL, transport=transport, peer=b.address.text, reason=failure)
+        ctx.trace.emit(a.address.text, KIND_SESSION_FAIL,
+                       {"transport": transport, "peer": b.address.text, "reason": failure})
         return SessionResult(failure)
 
     entropy = rec_a.key.strength if transport == TRANSPORT_BLE else entropy_proposal
@@ -533,8 +532,6 @@ def establish_session(
     state = SessionState((a.address, b.address), transport, rec_a.key, nonces, entropy)
     a.sessions.append(state)
     b.sessions.append(state)
-    ctx.trace.emit(
-        a.address.text, KIND_SESSION_OK,
-        transport=transport, peer=b.address.text, entropy=entropy,
-    )
+    ctx.trace.emit(a.address.text, KIND_SESSION_OK,
+                   {"transport": transport, "peer": b.address.text, "entropy": entropy})
     return SessionResult(SESSION_OK, state)

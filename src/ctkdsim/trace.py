@@ -147,11 +147,12 @@ class TraceRecorder:
     def clock(self) -> int:
         return len(self.events)
 
-    def emit(self, actor, kind: str, **payload) -> TraceEvent:
+    def emit(self, actor, kind: str, payload: dict) -> TraceEvent:
         if kind not in PAYLOAD_SCHEMAS:
             raise ValueError(f"unknown event kind {kind!r}")
-        # tuple.__new__ skips the NamedTuple's generated __new__ and its argument binding.
-        # Callers pass address text, so ``str`` runs only for another kind of actor.
+        # The caller's dict is stored as is, one per event. tuple.__new__ skips the NamedTuple's
+        # generated __new__ and its argument binding. Callers pass address text, so ``str``
+        # runs only for another kind of actor.
         actor = actor if type(actor) is str else str(actor)
         event = tuple.__new__(TraceEvent, (len(self.events), actor, kind, payload))
         self.events.append(event)

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from ctkdsim.device import DeviceProfile
-from ctkdsim.fixtures import matrix_scenarios
 from ctkdsim.pairing import SimContext, make_device
 from ctkdsim.policies import PolicySet
 from ctkdsim.scenario import load_scenario, run_lattice, run_scenario
@@ -58,7 +57,13 @@ def own():
     return [run_scenario(load_scenario(path)) for path in BUNDLED]
 
 
+def matrix_runs(results: list) -> list:
+    """The runs of the 64 matrix scenarios among ``results``, which are in ``BUNDLED`` order."""
+    assert len(results) == len(BUNDLED)
+    return [result for path, result in zip(BUNDLED, results) if path.parent.name == "matrix"]
+
+
 @pytest.fixture(scope="session")
-def baseline():
-    """The 64 matrix scenarios under their own policies, run once per test session."""
-    return [run_scenario(scenario) for scenario in matrix_scenarios()]
+def baseline(own):
+    """The 64 matrix scenarios under their own policies: ``own``'s ``matrix/`` entries."""
+    return matrix_runs(own)

@@ -8,12 +8,13 @@ import hashlib
 import random
 import time
 
+from conftest import matrix_runs
 from reference import ref_ble_to_bt, ref_bt_to_ble
 
 from ctkdsim.attacks import Requirement, cti_map
 from ctkdsim.crypto import Key128, TRANSPORT_BLE, TRANSPORT_BT, ctkd_ble_to_bt, ctkd_bt_to_ble
 from ctkdsim.fixtures import matrix_scenarios
-from ctkdsim.policies import PolicySet
+from ctkdsim.policies import PolicySet, RejectionReason
 from ctkdsim.scenario import run_matrix, run_scenario
 from ctkdsim.smp import AuthReqBits, decode_pairing, encode_pairing
 from ctkdsim.trace import emit_trace
@@ -59,32 +60,33 @@ def test_criterion_2_baseline_matrix_64_of_64(baseline):
     _report(2, f"64/64 attack runs succeeded in {elapsed:.2f}s")
 
 
-def test_criterion_3_overwrite_rule_is_ineffective():
+def _matrix_under(lattice, policies: PolicySet) -> list:
+    """The 64 matrix runs under ``policies``, from the session's defense lattice."""
+    results, errors = lattice[policies]
+    assert not errors
+    return matrix_runs(results)
+
+
+def test_criterion_3_overwrite_rule_is_ineffective(lattice):
     """The 5.1 key-overwrite rule blocks nothing at equal strength/protection."""
-    report = run_matrix(matrix_scenarios(), policy_override=PolicySet(sig51=True))
-    assert report.total == 64
-    assert report.succeeded == 64, [r for r in report.rows if not r["succeeded"]]
+    results = _matrix_under(lattice, PolicySet(sig51=True))
+    assert len(results) == 64
+    assert all(r.outcome.succeeded for r in results), [r.scenario.name for r in results if not r.outcome.succeeded]
     _report(3, "64/64 still succeed with the overwrite rule enforced everywhere")
 
 
-def test_criterion_4_countermeasures_block():
+def test_criterion_4_countermeasures_block(lattice):
     """C3 stops impersonation and MitM; C1+C3 stop everything."""
-    c3_report = run_matrix(
-        matrix_scenarios(), policy_override=PolicySet(c3=True)
-    )
-    imp_rows = [r for r in c3_report.rows if r["strategy"] in ("mi", "si", "mitm")]
-    assert len(imp_rows) == 48
-    assert all(not r["succeeded"] for r in imp_rows)
-    assert all(
-        r["rejection"] in ("c3_overwrite_block", "c3_weak_input_block") for r in imp_rows
-    ), {r["rejection"] for r in imp_rows}
+    c3 = _matrix_under(lattice, PolicySet(c3=True))
+    imp = [r for r in c3 if r.scenario.attack.strategy in ("mi", "si", "mitm")]
+    assert len(imp) == 48
+    assert all(not r.outcome.succeeded for r in imp)
+    rejections = {r.outcome.rejection for r in imp}
+    assert rejections <= {RejectionReason.C3_OVERWRITE_BLOCK, RejectionReason.C3_WEAK_INPUT_BLOCK}, rejections
 
-    both_report = run_matrix(
-        matrix_scenarios(),
-        policy_override=PolicySet(c1=True, c3=True),
-    )
-    assert both_report.total == 64
-    assert both_report.succeeded == 0, [r for r in both_report.rows if r["succeeded"]]
+    both = _matrix_under(lattice, PolicySet(c1=True, c3=True))
+    assert len(both) == 64
+    assert not any(r.outcome.succeeded for r in both), [r.scenario.name for r in both if r.outcome.succeeded]
     _report(4, "c3: 0/48 impersonation+MitM succeed; c1+c3: 0/64 overall")
 
 

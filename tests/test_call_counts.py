@@ -6,6 +6,7 @@ with all five defenses on. Each counted function is rebound in every
 through a name bound by ``from .crypto import ...`` is counted too; the
 three methods are patched on their class. Constructions of the four value
 types built on every run are counted through each type's ``__new__``.
+Every event a run records must have come through ``TraceRecorder.emit``.
 
 A change that adds or drops a crypto computation, an event, a verdict, a
 commit, a bond lookup or a key, nonce, secret or record fails here. Re-pin
@@ -82,6 +83,9 @@ def test_matrix_call_counts(monkeypatch, policy_name):
     scenarios = [load_scenario(path) for path in MATRIX]
     calls = Counter()
     _install(monkeypatch, calls)
+    events = 0
     for scenario in scenarios:
-        run_scenario(scenario, policy_override=POLICY_SETS[policy_name])
+        events += len(run_scenario(scenario, policy_override=POLICY_SETS[policy_name]).trace)
     assert {name: calls[name] for name in EXPECTED[policy_name]} == EXPECTED[policy_name]
+    # Every event goes through TraceRecorder.emit, the method bench/tracer.py counts events by.
+    assert calls["TraceRecorder.emit"] == events

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import BUNDLED
+from conftest import BUNDLED, matrix_runs
 
 from ctkdsim.cli import main as cli_main
 from ctkdsim.fixtures import bundled_profiles, matrix_scenarios, write_matrix
@@ -647,9 +647,7 @@ def _attack_requests_on_unused_transports(result) -> list:
 
 def _matrix_part(lattice) -> dict:
     """The lattice's runs of the 64 matrix scenarios, leaving out the bundled extras."""
-    names = {scenario.name for scenario in matrix_scenarios()}
-    return {policies: ([r for r in results if r.scenario.name in names], errors)
-            for policies, (results, errors) in lattice.items()}
+    return {policies: (matrix_runs(results), errors) for policies, (results, errors) in lattice.items()}
 
 
 def _outcome_row(row: dict) -> list:

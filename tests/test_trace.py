@@ -38,12 +38,12 @@ from ctkdsim.trace import (
 class TestRecorder:
     def test_indices_strictly_increase(self):
         rec = TraceRecorder()
-        events = [rec.emit("02:00:00:00:00:01", "msg_sent", transport="BT") for _ in range(5)]
+        events = [rec.emit("02:00:00:00:00:01", "msg_sent", {"transport": "BT"}) for _ in range(5)]
         assert [e.index for e in events] == [0, 1, 2, 3, 4]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            TraceRecorder().emit("02:00:00:00:00:01", "telepathy")
+            TraceRecorder().emit("02:00:00:00:00:01", "telepathy", {})
 
 
 class TestJsonl:
@@ -191,7 +191,7 @@ class TestEnvelope:
         assert TraceEvent.from_json(event.to_json()) == event
 
     def test_emitted_event_equals_a_constructed_one(self):
-        event = TraceRecorder().emit("02:00:00:00:00:01", "key_stored", transport="BT")
+        event = TraceRecorder().emit("02:00:00:00:00:01", "key_stored", {"transport": "BT"})
         assert type(event) is TraceEvent
         assert event == TraceEvent(0, "02:00:00:00:00:01", "key_stored", {"transport": "BT"})
         assert event.payload == {"transport": "BT"}
@@ -447,14 +447,23 @@ class TestFastPath:
             assert conforms(PAYLOAD_SCHEMAS[event.kind], event.payload), event
             assert rendered(event) == _envelope(event), event
 
-    def test_bundled_scenarios_under_own_policies_and_every_defense_subset(
-            self, bundled_traces, lattice, monkeypatch):
+    @staticmethod
+    def _traces(bundled_traces, lattice) -> list:
         traces = [*bundled_traces, *(r.trace for results, _errors in lattice.values() for r in results)]
         assert len(traces) == 69 * 33
+        return traces
+
+    def test_bundled_scenarios_under_own_policies_and_every_defense_subset(
+            self, bundled_traces, lattice, monkeypatch):
         monkeypatch.setattr(trace, "_encode", _fell_back)
-        for events in traces:
+        for events in self._traces(bundled_traces, lattice):
             self._check(events)
             trace_digest(events)
+
+    def test_no_two_events_of_a_trace_share_a_payload(self, bundled_traces, lattice):
+        """``emit`` stores the caller's dict as is, so an emitter that reused one would alias events."""
+        for events in self._traces(bundled_traces, lattice):
+            assert len({id(event.payload) for event in events}) == len(events)
 
     def test_p256_numeric_comparison_golden_runs(self, monkeypatch):
         traces = []
