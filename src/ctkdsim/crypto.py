@@ -190,11 +190,10 @@ def ctkd_bt_to_ble(k_bt: Key128, h7_supported: bool) -> Key128:
 # ---------------------------------------------------------------------------
 
 class DhPrivate(NamedTuple):
-    """The private half of a keypair, or a private value drawn alone.
+    """The private half of a keypair.
 
     ``value`` is the integer exponent for toy-modp and the
-    ``EllipticCurvePrivateKey`` for p256. ``dh_private`` draws it exactly
-    as ``dh_generate`` does, without the public half a caller would not read.
+    ``EllipticCurvePrivateKey`` for p256.
     """
 
     value: object
@@ -238,15 +237,16 @@ class ToyModPBackend:
 
     def generate(self, rng: random.Random) -> DhKeyPair:
         private = self.private(rng)
-        # generator**exponent as one table entry per exponent byte.
-        public = 1
-        for row, byte in zip(_toy_generator_table(), private.value.to_bytes(16, "little")):
-            if byte:
-                public = public * row[byte] % self.prime
-        return DhKeyPair(private, DhPublic(public, self.name))
+        return DhKeyPair(private, DhPublic(_toy_power(private.value), self.name))
 
     def shared(self, private: DhPrivate, public: DhPublic) -> bytes:
         return pow(public.value, private.value, self.prime).to_bytes(16, "big")
+
+    def agree(self, rng: random.Random) -> bytes:
+        # (g**b)**a == g**(a*b mod p-1), since the group order divides p - 1.
+        a, b = self.private(rng).value, self.private(rng).value
+        return _toy_power(a * b % (self.prime - 1)).to_bytes(16, "big")
+
 
 @functools.cache
 def _toy_generator_table() -> tuple[tuple[int, ...], ...]:
@@ -261,6 +261,15 @@ def _toy_generator_table() -> tuple[tuple[int, ...], ...]:
         rows.append(tuple(row))
         base = row[-1] * base % prime
     return tuple(rows)
+
+
+def _toy_power(exponent: int) -> int:
+    """generator**exponent % prime, as one table entry per exponent byte."""
+    prime, power = ToyModPBackend.prime, 1
+    for row, byte in zip(_toy_generator_table(), exponent.to_bytes(16, "little")):
+        if byte:
+            power = power * row[byte] % prime
+    return power
 
 
 class P256Backend:
@@ -296,6 +305,10 @@ class P256Backend:
             peer = self._ec.EllipticCurvePublicKey.from_encoded_point(self._curve, public.value)
         return private.value.exchange(self._ecdh, peer)[:16]
 
+    def agree(self, rng: random.Random) -> bytes:
+        a, b = self.private(rng).value, self.private(rng).value
+        return a.exchange(self._ecdh, b.public_key())[:16]
+
 _BACKENDS = {
     ToyModPBackend.name: ToyModPBackend(),
 }
@@ -315,12 +328,12 @@ def dh_generate(rng: random.Random, backend: str = ToyModPBackend.name) -> DhKey
     return get_backend(backend).generate(rng)
 
 
-def dh_private(rng: random.Random, backend: str = ToyModPBackend.name) -> DhPrivate:
-    """Draw a private value as ``dh_generate`` would, leaving the rng in the same state.
+def dh_agree(rng: random.Random, backend: str = ToyModPBackend.name) -> SharedSecret:
+    """The secret both ends of one key agreement compute, with no public value built.
 
-    For the side of a key agreement whose public value nobody reads.
+    Draws the initiator's private value, then the responder's, as ``dh_generate`` would.
     """
-    return get_backend(backend).private(rng)
+    return SharedSecret(get_backend(backend).agree(rng))
 
 
 def dh_shared(private: DhPrivate, public: DhPublic) -> SharedSecret:

@@ -29,9 +29,7 @@ from .crypto import (
     check_session_args,
     ctkd_ble_to_bt,
     ctkd_bt_to_ble,
-    dh_generate,
-    dh_private,
-    dh_shared,
+    dh_agree,
     kdf_bt,
     kdf_le,
     other_transport,
@@ -349,20 +347,15 @@ def _negotiate_ctkd(session: PairingSession, request: SmpPairingMessage,
 
 def _agree_key(ctx: SimContext, session: PairingSession, initiator: Device, responder: Device,
                kdf, *kdf_args) -> Key128:
-    """DH and nonces, drawn as private i, keypair r, nonce i, nonce r; then ``kdf``.
-
-    The initiator's private value is drawn as a keypair would be, so the rng
-    state is as if both drew keypairs; its public half would go unread.
+    """DH and nonces, drawn as private i, private r, nonce i, nonce r; then ``kdf``.
 
     Under Numeric Comparison honest users confirm when both screens show the
     same value, which in a lossless simulation they always do, so the key is
     MITM-protected.
     """
-    private_i = dh_private(ctx.rng, ctx.dh_backend)
-    kp_r = dh_generate(ctx.rng, ctx.dh_backend)
+    dk = dh_agree(ctx.rng, ctx.dh_backend)
     n_i = random_nonce(ctx.rng)
     n_r = random_nonce(ctx.rng)
-    dk = dh_shared(private_i, kp_r.public)
     key = kdf(dk, initiator.address, responder.address, n_i, n_r, *kdf_args)
     if session.negotiated.association is Association.NUMERIC_COMPARISON:
         key = Key128(key.value, key.strength, True)

@@ -17,6 +17,7 @@ from .crypto import (
     aes_cmac,
     ctkd_ble_to_bt,
     ctkd_bt_to_ble,
+    dh_agree,
     dh_generate,
     dh_shared,
 )
@@ -118,6 +119,14 @@ def run_selftest() -> list[SelftestCheck]:
         for a, b in pairs
     )
     checks.append(SelftestCheck("dh-symmetry", symmetric, "32 pairs"))
+
+    # One agreement draws as two keypairs in a row do.
+    agree_rng, pair_rng = random.Random(2025), random.Random(2025)
+    agrees = all(
+        dh_agree(agree_rng, b) == dh_shared(dh_generate(pair_rng, b).private, dh_generate(pair_rng, b).public)
+        for b in ["toy-modp"] * 32 + ["p256"] * 2
+    ) and agree_rng.getrandbits(64) == pair_rng.getrandbits(64)
+    checks.append(SelftestCheck("dh-agree-matches-exchange", agrees, "32 toy-modp, 2 p256 draws"))
 
     try:
         toy = dh_generate(rng)

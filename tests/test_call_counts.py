@@ -30,7 +30,7 @@ from ctkdsim.trace import TraceRecorder
 MATRIX = sorted((Path(__file__).resolve().parent.parent / "scenarios" / "matrix").glob("*.json"))
 
 FUNCTIONS = {
-    crypto: ("aes_cmac", "ctkd_ble_to_bt", "ctkd_bt_to_ble", "dh_generate", "dh_private",
+    crypto: ("aes_cmac", "ctkd_ble_to_bt", "ctkd_bt_to_ble", "dh_agree", "dh_generate",
              "dh_shared", "kdf_le", "kdf_bt", "session_key"),
     policies: ("evaluate",),
 }
@@ -41,14 +41,14 @@ POLICY_SETS = {"own": None, "all": DEFENSE_SUBSETS[-1]}
 
 EXPECTED = {
     "own": {
-        "aes_cmac": 432, "ctkd_ble_to_bt": 48, "ctkd_bt_to_ble": 96, "dh_generate": 144,
-        "dh_private": 144, "dh_shared": 144, "kdf_le": 48, "kdf_bt": 96, "session_key": 0,
+        "aes_cmac": 432, "ctkd_ble_to_bt": 48, "ctkd_bt_to_ble": 96, "dh_agree": 144,
+        "dh_generate": 0, "dh_shared": 0, "kdf_le": 48, "kdf_bt": 96, "session_key": 0,
         "evaluate": 576, "TraceRecorder.emit": 3008, "BondTable.commit": 576, "BondTable.lookup": 1312,
         "Key128": 704, "Nonce": 768, "SharedSecret": 144, "KeyRecord": 576,
     },
     "all": {
-        "aes_cmac": 192, "ctkd_ble_to_bt": 0, "ctkd_bt_to_ble": 64, "dh_generate": 64,
-        "dh_private": 64, "dh_shared": 64, "kdf_le": 0, "kdf_bt": 64, "session_key": 0,
+        "aes_cmac": 192, "ctkd_ble_to_bt": 0, "ctkd_bt_to_ble": 64, "dh_agree": 64,
+        "dh_generate": 0, "dh_shared": 0, "kdf_le": 0, "kdf_bt": 64, "session_key": 0,
         "evaluate": 256, "TraceRecorder.emit": 1536, "BondTable.commit": 256, "BondTable.lookup": 928,
         "Key128": 512, "Nonce": 256, "SharedSecret": 64, "KeyRecord": 256,
     },

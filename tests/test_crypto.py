@@ -23,6 +23,7 @@ from reference import (
 from ctkdsim.crypto import (
     Address,
     BackendMismatchError,
+    DhPrivate,
     DhPublic,
     Key128,
     Nonce,
@@ -37,9 +38,10 @@ from ctkdsim.crypto import (
     aes_cmac,
     ctkd_ble_to_bt,
     ctkd_bt_to_ble,
+    dh_agree,
     dh_generate,
-    dh_private,
     dh_shared,
+    get_backend,
     kdf_bt,
     kdf_le,
     random_key128,
@@ -218,19 +220,15 @@ class TestCtkdConversion:
 
 
 class _FixedDraw:
-    """Stands in for the simulation RNG: ``randrange`` returns one chosen value."""
+    """Stands in for the simulation RNG: ``randrange`` returns the chosen values in turn."""
 
-    def __init__(self, value: int) -> None:
-        self.value = value
+    def __init__(self, *values: int) -> None:
+        self.values = list(values)
 
     def randrange(self, start: int, stop: int) -> int:
-        assert start <= self.value < stop
-        return self.value
-
-
-def _private_value(private) -> int:
-    value = private.value
-    return value if isinstance(value, int) else value.private_numbers().private_value
+        value = self.values.pop(0)
+        assert start <= value < stop
+        return value
 
 
 class TestDiffieHellman:
@@ -278,15 +276,33 @@ class TestDiffieHellman:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), backend=st.sampled_from(["toy-modp", "p256"]))
-    def test_private_draws_exactly_as_generate_does(self, seed, backend):
+    def test_agree_draws_and_computes_as_the_two_party_exchange(self, seed, backend):
         rng_a, rng_b = random.Random(seed), random.Random(seed)
-        private = dh_private(rng_a, backend)
-        pair = dh_generate(rng_b, backend)
-        assert private.backend == pair.private.backend == pair.public.backend
-        assert _private_value(private) == _private_value(pair.private)
+        secret = dh_agree(rng_a, backend)
+        private = get_backend(backend).private(rng_b)
+        assert secret == dh_shared(private, dh_generate(rng_b, backend).public)
         assert rng_a.getrandbits(64) == rng_b.getrandbits(64)
-        peer = dh_generate(random.Random(seed + 1), backend).public
-        assert dh_shared(private, peer) == dh_shared(pair.private, peer)
+
+    def test_toy_agree_matches_reference_group_law_for_seeded_draws(self):
+        rng_a, rng_b = _rng(16), _rng(16)
+        prime = ToyModPBackend.prime
+        for _ in range(500):
+            a = dh_generate(rng_b).private.value
+            public_b = pow(ToyModPBackend.generator, dh_generate(rng_b).private.value, prime)
+            assert dh_agree(rng_a).value == ref_toy_dh_shared(a, public_b, prime)
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (2, (ToyModPBackend.prime - 1) // 2),
+                                      (ToyModPBackend.prime - 2, ToyModPBackend.prime - 2),
+                                      (255, 256), (2**120, 2**120 + 1)],
+                             ids=["2,2", "2,(p-1)/2", "prime-2,prime-2", "255,256", "2^120,2^120+1"])
+    def test_toy_agree_at_edge_exponent_pairs(self, a, b):
+        prime = ToyModPBackend.prime
+        draws = _FixedDraw(a, b)
+        secret = dh_agree(draws)
+        assert draws.values == []  # the initiator's draw, then the responder's
+        assert secret.value == pow(5, a * b, prime).to_bytes(16, "big")  # 1 when p-1 divides a*b
+        assert secret.value == ref_toy_dh_shared(a, pow(5, b, prime), prime)
+        assert secret == dh_shared(DhPrivate(a, "toy-modp"), dh_generate(_FixedDraw(b)).public)
 
     def test_same_seed_same_keypair(self):
         a = dh_generate(random.Random(42))
