@@ -186,9 +186,7 @@ class Device:
         self.policies = policies
         self.bonds = BondTable()
         # Identity keys this device distributes during pairing; never reassigned.
-        self.csrk = random_key128(rng)
-        self.irk = random_key128(rng)
-        self.key_material = KeyMaterial(csrk=self.csrk, irk=self.irk)
+        self.key_material = KeyMaterial(random_key128(rng), random_key128(rng))
         # Pairable on both transports from the start; only c1 turns a transport
         # off, when it has no live session and no directly paired bond.
         self._pairable = {"BT": True, "BLE": True}

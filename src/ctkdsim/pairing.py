@@ -137,8 +137,9 @@ def negotiate_association(
 ) -> Association:
     """Numeric Comparison only when both ends can confirm and both ask for MITM.
 
-    Nothing authenticates this negotiation: either side may simply claim to
-    have no input/output and force Just Works.
+    Only Just Works and Numeric Comparison are modelled; Passkey Entry and OOB
+    are not. Nothing authenticates this negotiation: either side may simply
+    claim to have no input/output and force Just Works.
     """
     if mitm_i and mitm_r and io_i in CONFIRM_CAPABLE and io_r in CONFIRM_CAPABLE:
         return Association.NUMERIC_COMPARISON

@@ -292,7 +292,7 @@ def run_scenario(
 
     outcome = _dispatch_attack(ctx, scenario, devices)
     failures = check_expectations(scenario.expectations, outcome)
-    return ScenarioResult(scenario, outcome, list(ctx.trace.events), devices, failures)
+    return ScenarioResult(scenario, outcome, ctx.trace.events, devices, failures)
 
 
 def _dispatch_attack(ctx: SimContext, scenario: Scenario, devices: dict[str, Device]) -> AttackOutcome:
@@ -392,24 +392,20 @@ class MatrixReport:
         return "\n".join(lines) + "\n"
 
 
-def _results(scenarios: list[Scenario], policy_override: Optional[PolicySet], errors: list[str]):
-    """Each scenario's result; a scenario error is appended to ``errors`` and never aborts the rest."""
-    for scenario in scenarios:
-        try:
-            yield run_scenario(scenario, policy_override=policy_override)
-        except ScenarioError as err:
-            errors.append(str(err))
-
-
 def run_matrix(
     scenarios: list[Scenario],
     policy_override: Optional[PolicySet] = None,
 ) -> MatrixReport:
-    """Run every scenario; per-scenario failures never abort the matrix."""
+    """Run every scenario; a scenario error goes into ``errors`` and never aborts the rest."""
     rows = []
     errors = []
-    for result in _results(scenarios, policy_override, errors):
-        scenario, outcome = result.scenario, result.outcome
+    for scenario in scenarios:
+        try:
+            result = run_scenario(scenario, policy_override=policy_override)
+        except ScenarioError as err:
+            errors.append(str(err))
+            continue
+        outcome = result.outcome
         rows.append(
             {
                 "scenario": scenario.name,
@@ -430,23 +426,19 @@ def run_matrix(
     return MatrixReport(rows, policy_override, errors)
 
 
-def run_lattice(scenarios: list[Scenario]) -> dict[PolicySet, tuple[list[ScenarioResult], list[str]]]:
-    """Every scenario under each set of ``DEFENSE_SUBSETS``: per set, the results and the errors."""
-    lattice = {}
-    for policies in DEFENSE_SUBSETS:
-        errors: list[str] = []
-        lattice[policies] = (list(_results(scenarios, policies, errors)), errors)
-    return lattice
+def run_lattice(scenarios: list[Scenario]) -> dict[PolicySet, MatrixReport]:
+    """``run_matrix`` under each set of ``DEFENSE_SUBSETS``; no run's ``ScenarioResult`` is kept."""
+    return {policies: run_matrix(scenarios, policies) for policies in DEFENSE_SUBSETS}
 
 
-def minimal_blocking_sets(lattice: dict) -> dict[str, list[PolicySet]]:
+def minimal_blocking_sets(lattice: dict[PolicySet, MatrixReport]) -> dict[str, list[PolicySet]]:
     """Per attack strategy, the defense sets under which none of its scenarios succeeds,
     without any set that holds a smaller such set."""
     names = {policies: set(policies.enabled_names()) for policies in lattice}
     blocking: dict[str, list[PolicySet]] = {}
-    for policies, (results, _errors) in lattice.items():
-        succeeded = {r.scenario.attack.strategy for r in results if r.outcome.succeeded}
-        for strategy in dict.fromkeys(r.scenario.attack.strategy for r in results):
+    for policies, report in lattice.items():
+        succeeded = {row["strategy"] for row in report.rows if row["succeeded"]}
+        for strategy in dict.fromkeys(row["strategy"] for row in report.rows):
             sets = blocking.setdefault(strategy, [])
             if strategy not in succeeded:
                 sets.append(policies)

@@ -5,7 +5,7 @@ import pytest
 
 from ctkdsim.device import DeviceProfile
 from ctkdsim.pairing import SimContext, make_device
-from ctkdsim.policies import PolicySet
+from ctkdsim.policies import DEFENSE_SUBSETS, PolicySet
 from ctkdsim.scenario import load_scenario, run_lattice, run_scenario
 
 BUNDLED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*/*.json"))
@@ -44,7 +44,18 @@ def device(ctx, name, last_byte, io="DisplayYesNo", policies=None, **overrides):
 
 @pytest.fixture(scope="session")
 def lattice():
-    """The 69 bundled scenarios under each of the 32 defense subsets, run once per test session."""
+    """Each of the 69 bundled scenarios under each of the 32 defense subsets, run once per test
+    session: per set, the full ``ScenarioResult``s in ``BUNDLED`` order, for the tests that read
+    traces, devices or session keys. Tests must not change them."""
+    assert len(BUNDLED) == 69
+    bundled = [load_scenario(path) for path in BUNDLED]
+    return {p: [run_scenario(s, policy_override=p) for s in bundled] for p in DEFENSE_SUBSETS}
+
+
+@pytest.fixture(scope="session")
+def lattice_rows():
+    """``run_lattice`` over the 69 bundled scenarios, once per test session: per defense subset,
+    the ``MatrixReport`` whose rows are in ``BUNDLED`` order. No run's ``ScenarioResult`` is kept."""
     assert len(BUNDLED) == 69
     return run_lattice([load_scenario(path) for path in BUNDLED])
 
@@ -58,7 +69,7 @@ def own():
 
 
 def matrix_runs(results: list) -> list:
-    """The runs of the 64 matrix scenarios among ``results``, which are in ``BUNDLED`` order."""
+    """The runs (or rows) of the 64 matrix scenarios among ``results``, which are in ``BUNDLED`` order."""
     assert len(results) == len(BUNDLED)
     return [result for path, result in zip(BUNDLED, results) if path.parent.name == "matrix"]
 

@@ -62,9 +62,7 @@ def test_criterion_2_baseline_matrix_64_of_64(baseline):
 
 def _matrix_under(lattice, policies: PolicySet) -> list:
     """The 64 matrix runs under ``policies``, from the session's defense lattice."""
-    results, errors = lattice[policies]
-    assert not errors
-    return matrix_runs(results)
+    return matrix_runs(lattice[policies])
 
 
 def test_criterion_3_overwrite_rule_is_ineffective(lattice):
@@ -191,8 +189,8 @@ def test_criterion_7_unintended_session_stealth(baseline):
             and e.payload["transport"] == TRANSPORT_BLE
         )
         assert attacker_store.payload["extra_keys"] == {
-            "csrk": victim.csrk.hex(),
-            "irk": victim.irk.hex(),
+            "csrk": victim.key_material.csrk.hex(),
+            "irk": victim.key_material.irk.hex(),
         }
         checked += 1
     assert checked == 16

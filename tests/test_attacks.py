@@ -236,7 +236,7 @@ class TestUnintendedSession:
         ]
         assert len(stored) == 1
         assert stored[0]["peer"] == str(bob.address)
-        assert stored[0]["extra_keys"] == {"csrk": bob.csrk.hex(), "irk": bob.irk.hex()}
+        assert stored[0]["extra_keys"] == {"csrk": bob.key_material.csrk.hex(), "irk": bob.key_material.irk.hex()}
 
     def test_claiming_a_bonded_identity_overwrites_and_fails(self, ctx):
         # The victim's BLE bond for alice is replaced, so its bonds are not untouched.

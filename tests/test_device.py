@@ -266,5 +266,5 @@ class TestPairability:
     def test_identity_keys_are_distinct_per_device(self, ctx):
         a = device(ctx, "a", 0x34)
         b = device(ctx, "b", 0x35)
-        assert a.csrk.value != b.csrk.value
-        assert a.irk.value != b.irk.value
+        assert a.key_material.csrk.value != b.key_material.csrk.value
+        assert a.key_material.irk.value != b.key_material.irk.value

@@ -76,8 +76,8 @@ def _runs(own, lattice, policy_name: str) -> dict:
     ``own`` for the scenarios' own policies, ``lattice`` for every other set here."""
     if policy_name == "own":
         return dict(zip(BUNDLED, own))
-    results, errors = lattice[POLICY_SETS[policy_name]]
-    assert not errors and len(results) == len(BUNDLED)
+    results = lattice[POLICY_SETS[policy_name]]
+    assert len(results) == len(BUNDLED)
     return dict(zip(BUNDLED, results))
 
 

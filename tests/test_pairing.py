@@ -28,11 +28,20 @@ from ctkdsim.smp import (
     AuthReqBits,
     IoCapability,
     KeyDistBits,
-    KeyMaterial,
     SmpPairingMessage,
     ctkd_requested,
 )
 from ctkdsim.crypto import Key128, kdf_le, random_nonce
+
+
+#: The only cells of the 5 x 5 IO capability x 2 x 2 MITM table that negotiate Numeric
+#: Comparison: both ends confirm-capable and both asking for MITM. Every other cell is Just Works.
+_NUMERIC_COMPARISON_CELLS = {
+    (IoCapability.DISPLAY_YES_NO, IoCapability.DISPLAY_YES_NO, True, True),
+    (IoCapability.DISPLAY_YES_NO, IoCapability.KEYBOARD_DISPLAY, True, True),
+    (IoCapability.KEYBOARD_DISPLAY, IoCapability.DISPLAY_YES_NO, True, True),
+    (IoCapability.KEYBOARD_DISPLAY, IoCapability.KEYBOARD_DISPLAY, True, True),
+}
 
 
 class TestAssociationNegotiation:
@@ -53,6 +62,17 @@ class TestAssociationNegotiation:
                     IoCapability.NO_INPUT_NO_OUTPUT, IoCapability.NO_INPUT_NO_OUTPUT,
                     mitm_i, mitm_r,
                 ) is Association.JUST_WORKS
+
+    def test_the_whole_association_table(self):
+        cells = list(itertools.product(IoCapability, IoCapability, (False, True), (False, True)))
+        assert len(cells) == 100
+        wrong = [
+            cell for cell in cells
+            if negotiate_association(*cell) is not (
+                Association.NUMERIC_COMPARISON if cell in _NUMERIC_COMPARISON_CELLS
+                else Association.JUST_WORKS)
+        ]
+        assert not wrong
 
 
 _IO_NAMES = ["DisplayOnly", "DisplayYesNo", "KeyboardOnly", "NoInputNoOutput", "KeyboardDisplay"]
@@ -162,8 +182,8 @@ class TestBlePairing:
 
     def test_identity_keys_distributed_both_ways(self, ctx, laptop, headset):
         ble_pair(ctx, laptop, headset)
-        assert laptop.bonds.lookup(headset.address, TRANSPORT_BLE).extra_keys.irk == headset.irk
-        assert headset.bonds.lookup(laptop.address, TRANSPORT_BLE).extra_keys.csrk == laptop.csrk
+        assert laptop.bonds.lookup(headset.address, TRANSPORT_BLE).extra_keys.irk == headset.key_material.irk
+        assert headset.bonds.lookup(laptop.address, TRANSPORT_BLE).extra_keys.csrk == laptop.key_material.csrk
 
 
 class TestBtPairing:
@@ -183,7 +203,7 @@ class TestBtPairing:
     def test_tunnel_carries_identity_keys(self, ctx, laptop, headset):
         bt_pair(ctx, laptop, headset)
         ble_rec = laptop.bonds.lookup(headset.address, TRANSPORT_BLE)
-        assert ble_rec.extra_keys == KeyMaterial(headset.csrk, headset.irk)
+        assert ble_rec.extra_keys == headset.key_material
 
     def test_repair_as_master_after_slave_bond_without_c2(self, ctx, laptop, headset):
         # First pairing: laptop initiates, headset records it as master.

@@ -1,5 +1,6 @@
 """Scenario loading, deterministic execution, matrix aggregation, CLI."""
 
+import gc
 import io
 import itertools
 import json
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,10 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from conftest import BUNDLED, matrix_runs
 
+from ctkdsim import scenario as scenario_module
 from ctkdsim.cli import main as cli_main
 from ctkdsim.fixtures import bundled_profiles, matrix_scenarios, write_matrix
 from ctkdsim.policies import DEFENSE_SUBSETS, PolicySet, RejectionReason
 from ctkdsim.scenario import (
+    MatrixReport,
     Scenario,
     ScenarioError,
     load_scenario,
@@ -290,14 +294,14 @@ class TestRunMatrix:
 
 
 class TestCorpusInvariants:
-    def test_sig51_strictly_weaker_than_c3_on_attack_corpus(self, lattice):
+    def test_sig51_strictly_weaker_than_c3_on_attack_corpus(self, lattice_rows):
         """Whatever the overwrite rule blocks, c3 blocks too; not vice versa."""
-        matrix = _matrix_part(lattice)
+        matrix = _matrix_part(lattice_rows)
         blocked_sig51, blocked_c3 = (
-            {r.scenario.name for r in matrix[policies][0] if not r.outcome.succeeded}
+            {row["scenario"] for row in matrix[policies].rows if not row["succeeded"]}
             for policies in (PolicySet(sig51=True), PolicySet(c3=True))
         )
-        assert len(matrix[PolicySet()][0]) == 64
+        assert matrix[PolicySet()].total == 64
         assert blocked_sig51 <= blocked_c3
         assert blocked_c3 - blocked_sig51  # converse fails: equal-protection overwrites
 
@@ -645,15 +649,32 @@ def _attack_requests_on_unused_transports(result) -> list:
     return [event for event in attack if not in_use(event.actor, event.payload["transport"])]
 
 
-def _matrix_part(lattice) -> dict:
-    """The lattice's runs of the 64 matrix scenarios, leaving out the bundled extras."""
-    return {policies: (matrix_runs(results), errors) for policies, (results, errors) in lattice.items()}
+def _matrix_part(lattice_rows) -> dict:
+    """The sweep's reports cut to the rows of the 64 matrix scenarios, leaving out the bundled extras."""
+    return {policies: MatrixReport(matrix_runs(report.rows), policies, report.errors)
+            for policies, report in lattice_rows.items()}
 
 
 def _outcome_row(row: dict) -> list:
     """The outcome fields of a ``run_matrix`` row or an ``AttackOutcome.to_dict()``, as
     ``bench/reference/lattice_rows.json`` holds them."""
     return [row["succeeded"], row["rejection"], row["ctis_used"]]
+
+
+def _row(result) -> dict:
+    """The ``run_matrix`` row of a run under a defense set, rebuilt from its ``ScenarioResult``."""
+    scenario, outcome = result.scenario, result.outcome.to_dict()
+    return {
+        "scenario": scenario.name,
+        "device": scenario.meta.get("device", scenario.name),
+        "version": scenario.meta.get("bt_version"),
+        "attacker_role": scenario.meta.get("attacker_role"),
+        "strategy": scenario.attack.strategy,
+        "succeeded": outcome["succeeded"],
+        "rejection": outcome["rejection"],
+        "ctis_used": outcome["ctis_used"],
+        "expectations_ok": None,
+    }
 
 
 def countermeasure_table(lattice=None) -> str:
@@ -677,26 +698,36 @@ class TestLattice:
         rows = json.loads((ROOT / "bench" / "reference" / "lattice_rows.json").read_text())["rows"]
         assert [",".join(p.enabled_names()) or "none" for p in DEFENSE_SUBSETS] == list(rows)
 
-    def test_outcomes_equal_the_recorded_run_matrix_rows(self, lattice):
+    def test_outcomes_equal_the_recorded_run_matrix_rows(self, lattice_rows):
         reference = json.loads((ROOT / "bench" / "reference" / "lattice_rows.json").read_text())
-        for policies, (results, errors) in _matrix_part(lattice).items():
-            assert not errors
-            got = [_outcome_row(r.outcome.to_dict()) for r in results]
-            assert [r.scenario.name for r in results] == reference["scenarios"]
+        for policies, report in _matrix_part(lattice_rows).items():
+            assert not report.errors
+            assert [row["scenario"] for row in report.rows] == reference["scenarios"]
+            got = [_outcome_row(row) for row in report.rows]
             assert got == reference["rows"][",".join(policies.enabled_names()) or "none"]
 
-    def test_outcomes_equal_run_matrix_rows_under_every_set(self, lattice):
-        """Live ``run_matrix`` rows, on every extra scenario and on one matrix profile's four attacks."""
-        scenarios = [load_scenario(p) for p in BUNDLED if p.parent.name == "extra"] + matrix_scenarios()[:4]
-        assert {s.attack.strategy for s in scenarios[-4:]} == {"mi", "si", "mitm", "us"}
-        for policies, (results, errors) in lattice.items():
-            report = run_matrix(scenarios, policy_override=policies)
-            assert errors == report.errors == []
-            by_name = {r.scenario.name: r for r in results}
-            assert [_outcome_row(row) for row in report.rows] == [
-                _outcome_row(r.outcome.to_dict())
-                for r in (by_name[s.name] for s in scenarios)
-            ]
+    def test_rows_equal_the_full_runs_under_every_set(self, lattice_rows, lattice):
+        """Every row of the sweep is the row of the same scenario's full run under the same set."""
+        assert list(lattice_rows) == list(lattice) == list(DEFENSE_SUBSETS)
+        for policies, report in lattice_rows.items():
+            assert report.policy_override == policies and report.errors == []
+            assert report.rows == [_row(result) for result in lattice[policies]]
+
+    def test_a_sweep_keeps_no_scenario_result(self, monkeypatch):
+        """While the sweep's reports are alive, no run's ``ScenarioResult`` is."""
+        refs = []
+
+        def recorded(*args, **kwargs):
+            result = run_scenario(*args, **kwargs)
+            refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(scenario_module, "run_scenario", recorded)
+        lattice = run_lattice(matrix_scenarios()[:4])
+        gc.collect()
+        assert len(refs) == 4 * len(DEFENSE_SUBSETS)
+        assert not [ref for ref in refs if ref() is not None]
+        assert sum(report.total for report in lattice.values()) == len(refs)
 
     def test_a_scenario_error_is_kept_and_the_sweep_goes_on(self):
         good = Scenario.from_dict(scenario_dict())
@@ -704,18 +735,19 @@ class TestLattice:
         bad.pre_state[0]["initiator"] = "bob"  # self-pairing will fail
         lattice = run_lattice([bad, good])
         assert list(lattice) == list(DEFENSE_SUBSETS)
-        for results, errors in lattice.values():
-            assert [r.scenario.name for r in results] == ["mini"]
-            assert len(errors) == 1 and errors[0].startswith("bad: pre_state[0]")
+        for policies, report in lattice.items():
+            assert report.policy_override == policies
+            assert [row["scenario"] for row in report.rows] == ["mini"]
+            assert len(report.errors) == 1 and report.errors[0].startswith("bad: pre_state[0]")
 
-    def test_minimal_blocking_sets_over_the_matrix(self, lattice):
-        minimal = minimal_blocking_sets(_matrix_part(lattice))
+    def test_minimal_blocking_sets_over_the_matrix(self, lattice_rows):
+        minimal = minimal_blocking_sets(_matrix_part(lattice_rows))
         assert {strategy: [p.enabled_names() for p in sets] for strategy, sets in minimal.items()} == {
             "mi": [["c1"], ["c3"]], "si": [["c2"], ["c3"]], "mitm": [["c2"], ["c3"]], "us": [["c1"]],
         }
 
-    def test_readme_countermeasure_table_matches_the_lattice(self, lattice):
-        table = countermeasure_table(_matrix_part(lattice))
+    def test_readme_countermeasure_table_matches_the_lattice(self, lattice_rows):
+        table = countermeasure_table(_matrix_part(lattice_rows))
         assert table in (ROOT / "README.md").read_text(encoding="utf-8"), (
             "README's countermeasure table differs from minimal_blocking_sets; it should read:\n" + table
         )
@@ -726,9 +758,8 @@ class TestLatticeInvariants:
 
     def test_a_superset_of_defenses_blocks_whatever_a_subset_blocks(self, lattice):
         blocked, names = {}, {}
-        for policies, (results, errors) in lattice.items():
+        for policies, results in lattice.items():
             names[policies] = set(policies.enabled_names())
-            assert not errors, (names[policies], errors[:3])
             blocked[policies] = {r.scenario.name for r in results if not r.outcome.succeeded}
         assert len(blocked) == 32
         violations = [
@@ -740,7 +771,7 @@ class TestLatticeInvariants:
 
     def test_a_verdict_before_every_store_under_every_defense_subset(self, lattice):
         runs = checked = 0
-        for results, _errors in lattice.values():
+        for results in lattice.values():
             for result in results:
                 checked += _assert_a_verdict_before_every_store(result)
                 runs += 1
@@ -748,10 +779,8 @@ class TestLatticeInvariants:
         assert checked
 
     def test_c1_rejects_exactly_the_attacks_that_reach_an_unused_transport(self, lattice):
-        baseline, errors = lattice[PolicySet()]
-        assert not errors
-        by_name = {result.scenario.name: result for result in baseline}
-        c1_runs = lattice[PolicySet(c1=True)][0]
+        by_name = {result.scenario.name: result for result in lattice[PolicySet()]}
+        c1_runs = lattice[PolicySet(c1=True)]
         assert len(by_name) == len(c1_runs) == 69
         rejected = {r.scenario.name for r in c1_runs if r.outcome.rejection is RejectionReason.NOT_PAIRABLE}
         predicted = {name for name, r in by_name.items() if _attack_requests_on_unused_transports(r)}

@@ -449,7 +449,7 @@ class TestFastPath:
 
     @staticmethod
     def _traces(bundled_traces, lattice) -> list:
-        traces = [*bundled_traces, *(r.trace for results, _errors in lattice.values() for r in results)]
+        traces = [*bundled_traces, *(r.trace for results in lattice.values() for r in results)]
         assert len(traces) == 69 * 33
         return traces
 
