@@ -9,9 +9,8 @@ them against :func:`cti_map` is a real check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .crypto import Address, TRANSPORT_BLE, TRANSPORT_BT, TRANSPORTS, random_address
 from .device import Association, Device, DeviceProfile, KeyOrigin, PairingRole
@@ -71,14 +70,13 @@ def cti_map(strategy: str) -> dict[CTI, Requirement]:
     return dict(zip(CTI, row))
 
 
-@dataclass(slots=True)
-class AttackOutcome:
+class AttackOutcome(NamedTuple):
     succeeded: bool
-    keys_written: list[tuple[str, str, str]] = field(default_factory=list)
-    overwrote_existing: bool = False
-    victim_reconnect: str = RECONNECT_NOT_ATTEMPTED
-    ctis_used: frozenset[CTI] = frozenset()
-    rejection: Optional[RejectionReason] = None
+    keys_written: list[tuple[str, str, str]]
+    overwrote_existing: bool
+    victim_reconnect: str
+    ctis_used: frozenset[CTI]
+    rejection: Optional[RejectionReason]
 
     def to_dict(self) -> dict:
         return {
@@ -98,11 +96,6 @@ _ATTACKER = DeviceProfile(address=Address(bytes(6)), name="charlie", bt_version=
                           io_capability=IoCapability.NO_INPUT_NO_OUTPUT, sc_host=True, sc_controller=True,
                           ctkd_supported=True, h7_supported=True)
 _NO_DEFENSES = PolicySet()
-
-
-def _attacker_device(ctx: SimContext, claimed: Address) -> Device:
-    """The attacker under ``claimed``, built fresh for each pairing run so it holds no victim key."""
-    return Device(_ATTACKER, _NO_DEFENSES, ctx.rng, claimed)
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +176,6 @@ def derive_ctis(
     return frozenset(fired)
 
 
-def _keys_written(events: list[TraceEvent], victim: str, since: int) -> tuple[list, bool]:
-    written = []
-    overwrote = False
-    for event in events[since:]:
-        if event.kind == KIND_KEY_STORED and event.actor == victim:
-            written.append((event.actor, event.payload["transport"], event.payload["origin"]))
-            overwrote = overwrote or bool(event.payload.get("overwrote"))
-    return written, overwrote
-
-
 def _victim_reconnect(ctx: SimContext, victim: Device, peer: Device) -> str:
     """The impersonated device tries to come back; BT first, then BLE."""
     for transport in (TRANSPORT_BT, TRANSPORT_BLE):
@@ -202,33 +185,45 @@ def _victim_reconnect(ctx: SimContext, victim: Device, peer: Device) -> str:
     return RECONNECT_NOT_ATTEMPTED
 
 
-def _attack(ctx: SimContext, claimed: Address, target: Device, transport: str,
-            reconnect: Optional[tuple[Device, Device]] = None) -> AttackOutcome:
-    """Pair with ``target`` as ``claimed``, take over both transports, and judge.
+def _attack(ctx: SimContext, legs: list[tuple], comeback: Optional[tuple[Device, Device]] = None,
+            silent: bool = False) -> AttackOutcome:
+    """Run ``legs`` in order until one fails, and judge them as one attack.
 
-    The attacker always initiates, through the same pairing entry points an
-    honest device uses. Both takeover sessions are always attempted, so the
-    trace shows each of them. ``reconnect`` names the device that comes back
-    and the peer it comes back to. The outcome reads only the pairing
-    session, the takeover results and the trace.
+    A leg ``(claimed, target, transport, reconnect)`` is a fresh attacker,
+    holding no victim key, that claims ``claimed`` and pairs with ``target``
+    over ``transport`` through the entry points an honest device uses. Both
+    takeover sessions are always attempted, so the trace shows each of them;
+    then ``reconnect``, if given, names the device that comes back and the
+    peer it comes back to. ``comeback`` is one more such return, made only
+    once every leg succeeded, and a ``silent`` attack fails if it overwrote
+    any record. The outcome reads only the pairing sessions, the takeover
+    results and the trace.
     """
-    start = ctx.trace.clock
-    charlie = _attacker_device(ctx, claimed)
-    pair = ble_pair if transport == TRANSPORT_BLE else bt_pair
-    session = pair(ctx, charlie, target)
     events = ctx.trace.events
-    victim = target.address.text
-    outcome = AttackOutcome(succeeded=False, rejection=session.abort_reason)
-    if not session.aborted:
-        outcome.keys_written, outcome.overwrote_existing = _keys_written(events, victim, start)
-        takeovers = [
-            establish_session(ctx, charlie, target, t) for t in (TRANSPORT_BT, TRANSPORT_BLE)
-        ]
-        if reconnect is not None:
-            outcome.victim_reconnect = _victim_reconnect(ctx, *reconnect)
-        outcome.succeeded = all(t.ok for t in takeovers)
-    outcome.ctis_used = derive_ctis(events, target=victim, claimed=claimed.text, attack_start=start)
-    return outcome
+    keys_written: list[tuple[str, str, str]] = []
+    overwrote = False
+    ctis: frozenset[CTI] = frozenset()
+    for claimed, target, transport, reconnect in legs:
+        start = ctx.trace.clock
+        charlie = Device(_ATTACKER, _NO_DEFENSES, ctx.rng, claimed)
+        session = (ble_pair if transport == TRANSPORT_BLE else bt_pair)(ctx, charlie, target)
+        victim = target.address.text
+        succeeded, victim_reconnect = False, RECONNECT_NOT_ATTEMPTED
+        if not session.aborted:
+            stored = [e.payload for e in events[start:] if e.kind == KIND_KEY_STORED and e.actor == victim]
+            keys_written += [(victim, p["transport"], p["origin"]) for p in stored]
+            overwrote = overwrote or any(p.get("overwrote") for p in stored)
+            takeovers = [establish_session(ctx, charlie, target, t) for t in (TRANSPORT_BT, TRANSPORT_BLE)]
+            if reconnect is not None:
+                victim_reconnect = _victim_reconnect(ctx, *reconnect)
+            succeeded = all(t.ok for t in takeovers)
+        ctis |= derive_ctis(events, target=victim, claimed=claimed.text, attack_start=start)
+        if not succeeded:
+            break
+    if comeback is not None:
+        victim_reconnect = _victim_reconnect(ctx, *comeback) if succeeded else RECONNECT_NOT_ATTEMPTED
+    return AttackOutcome(succeeded and not (silent and overwrote), keys_written, overwrote,
+                         victim_reconnect, ctis, session.abort_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +237,13 @@ def master_impersonation(ctx: SimContext, bob: Device, alice: Device) -> AttackO
     table under ``alice``'s address; the real ``alice`` can no longer
     connect back.
     """
-    return _attack(ctx, alice.address, bob, TRANSPORT_BLE, reconnect=(alice, bob))
+    return _attack(ctx, [(alice.address, bob, TRANSPORT_BLE, (alice, bob))])
 
 
 def slave_impersonation(ctx: SimContext, alice: Device, bob: Device) -> AttackOutcome:
     """Claim the slave's identity over BT (after a role switch) and re-key
     the master's store; the derived key lands on BLE via the tunnel."""
-    return _attack(ctx, bob.address, alice, TRANSPORT_BT, reconnect=(bob, alice))
+    return _attack(ctx, [(bob.address, alice, TRANSPORT_BT, (bob, alice))])
 
 
 def mitm(ctx: SimContext, alice: Device, bob: Device) -> AttackOutcome:
@@ -258,32 +253,10 @@ def mitm(ctx: SimContext, alice: Device, bob: Device) -> AttackOutcome:
     otherwise the master leg opens. The second leg targets the victim the
     first one impersonated, and runs only if the first one succeeded.
     """
-    if alice.has_live_session(TRANSPORT_BLE, peer=bob.address):
-        legs = ("si", "mi")
-    else:
-        legs = ("mi", "si")
-
-    outcomes: list[AttackOutcome] = []
-    for leg in legs:
-        if leg == "si":
-            outcome = slave_impersonation(ctx, alice, bob)
-        else:
-            outcome = master_impersonation(ctx, bob, alice)
-        outcomes.append(outcome)
-        if not outcome.succeeded:
-            break
-
-    succeeded = outcomes[-1].succeeded  # a failed leg ends the loop
-    return AttackOutcome(
-        succeeded=succeeded,
-        keys_written=[k for o in outcomes for k in o.keys_written],
-        overwrote_existing=any(o.overwrote_existing for o in outcomes),
-        victim_reconnect=(
-            _victim_reconnect(ctx, alice, bob) if succeeded else RECONNECT_NOT_ATTEMPTED
-        ),
-        ctis_used=frozenset().union(*(o.ctis_used for o in outcomes)),
-        rejection=outcomes[-1].rejection,
-    )
+    master = (alice.address, bob, TRANSPORT_BLE, (alice, bob))
+    slave = (bob.address, alice, TRANSPORT_BT, (bob, alice))
+    legs = [slave, master] if alice.has_live_session(TRANSPORT_BLE, peer=bob.address) else [master, slave]
+    return _attack(ctx, legs, comeback=(alice, bob))
 
 
 def unintended_session(
@@ -304,6 +277,4 @@ def unintended_session(
     claimed = identity or random_address(ctx.rng)
     transport = TRANSPORT_BT if victim.has_live_session(TRANSPORT_BLE) else TRANSPORT_BLE
     reconnect = None if bonded_peer is None else (victim, bonded_peer)
-    outcome = _attack(ctx, claimed, victim, transport, reconnect)
-    outcome.succeeded = outcome.succeeded and not outcome.overwrote_existing
-    return outcome
+    return _attack(ctx, [(claimed, victim, transport, reconnect)], silent=True)

@@ -421,8 +421,8 @@ def session_key(
     )
 
 
-def random_key128(rng: random.Random, strength: int = MAX_STRENGTH, mitm_protected: bool = False) -> Key128:
-    return Key128(rng.getrandbits(128).to_bytes(16, "little"), strength, mitm_protected)
+def random_key128(rng: random.Random) -> Key128:
+    return Key128(rng.getrandbits(128).to_bytes(16, "little"))
 
 
 def random_nonce(rng: random.Random) -> Nonce:

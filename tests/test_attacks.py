@@ -127,6 +127,21 @@ class TestMasterImpersonation:
         ]
         assert outcome.victim_reconnect == "ok"
 
+    def test_no_comeback_when_the_claimed_peer_never_bonded(self, ctx):
+        # Bob never bonded with alice: the attack writes fresh records, and the
+        # real alice has no bond to come back with.
+        alice = device(ctx, "alice", 0x0A)
+        bob = device(ctx, "bob", 0x0B, io="NoInputNoOutput")
+        outcome = master_impersonation(ctx, bob, alice)
+        assert outcome.succeeded
+        assert not outcome.overwrote_existing
+        assert outcome.victim_reconnect == "not_attempted"
+        assert outcome.ctis_used == {CTI.EXTENDED_PAIRING, CTI.KEY_TAMPERING}
+        assert outcome.keys_written == [
+            (str(bob.address), TRANSPORT_BLE, "direct_pairing"),
+            (str(bob.address), TRANSPORT_BT, "ctkd_derived"),
+        ]
+
 
 class TestSlaveImpersonation:
     def test_baseline_takeover(self, ctx):
@@ -192,6 +207,19 @@ class TestMitm:
         outcome = mitm(ctx, alice, bob)
         assert not outcome.succeeded
         assert outcome.rejection is RejectionReason.NOT_PAIRABLE
+        # The outcome merges the legs that ran: only the first leg's two writes on
+        # alice, the issues both legs fired, and no comeback after a failed leg.
+        assert outcome.to_dict() == {
+            "succeeded": False,
+            "keys_written": [
+                [str(alice.address), TRANSPORT_BT, "direct_pairing"],
+                [str(alice.address), TRANSPORT_BLE, "ctkd_derived"],
+            ],
+            "overwrote_existing": True,
+            "victim_reconnect": "not_attempted",
+            "ctis_used": [1, 2, 3],
+            "rejection": "not_pairable",
+        }
 
     def test_leg_order_follows_live_transport(self, ctx):
         # BT session live: the master leg opens, so the first attack message
