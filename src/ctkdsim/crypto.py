@@ -273,7 +273,13 @@ def _toy_power(exponent: int) -> int:
 
 
 class P256Backend:
-    """Real NIST P-256 ECDH behind the same interface (seeded deterministically)."""
+    """NIST P-256 behind the same interface (seeded deterministically).
+
+    ``generate`` and ``shared`` are the two-party ECDH exchange: each side's point, then one
+    side's scalar times the other's point. ``agree`` computes the same secret with one
+    fixed-base multiplication: a*(b*G) == (a*b mod n)*G, so it takes the x-coordinate of
+    the product's public point.
+    """
 
     name = "p256"
     # Order of the P-256 base point.
@@ -288,6 +294,8 @@ class P256Backend:
         self._curve = ec.SECP256R1()
         self._ecdh = ec.ECDH()
         self._format = (Encoding.X962, PublicFormat.UncompressedPoint)
+        # One tag byte, then the x-coordinate as 32 big-endian bytes.
+        self._compressed = (Encoding.X962, PublicFormat.CompressedPoint)
 
     def private(self, rng: random.Random) -> DhPrivate:
         scalar = rng.randrange(1, self._order)
@@ -306,8 +314,11 @@ class P256Backend:
         return private.value.exchange(self._ecdh, peer)[:16]
 
     def agree(self, rng: random.Random) -> bytes:
-        a, b = self.private(rng).value, self.private(rng).value
-        return a.exchange(self._ecdh, b.public_key())[:16]
+        # n is prime and both scalars lie in [1, n-1], so the reduced product is never 0.
+        a, b = rng.randrange(1, self._order), rng.randrange(1, self._order)
+        point = self._ec.derive_private_key(a * b % self._order, self._curve).public_key()
+        return point.public_bytes(*self._compressed)[1:17]
+
 
 _BACKENDS = {
     ToyModPBackend.name: ToyModPBackend(),

@@ -9,10 +9,11 @@ zero on decode so malformed attacker frames surface immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .crypto import Key128, MAX_STRENGTH, MIN_STRENGTH
+from .crypto import Checked, Key128, MAX_STRENGTH, MIN_STRENGTH
 
 MESSAGE_LEN = 7
 
@@ -185,20 +186,32 @@ def decode_bt_auth_req(raw: int) -> tuple[bool, bool]:
 # Identity-key material and the trace's frame convention
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KeyMaterial:
-    """CSRK/IRK values distributed over an encrypted link during pairing, with their trace text (built once)."""
+class KeyMaterial(Checked, NamedTuple("KeyMaterial", [("csrk", Key128), ("irk", Key128), ("csrk_hex", str),
+                                                       ("irk_hex", str), ("frame", str)])):
+    """CSRK/IRK values distributed over an encrypted link during pairing, with their trace text.
 
-    csrk: Key128
-    irk: Key128
-    csrk_hex: str = field(init=False, compare=False, repr=False)
-    irk_hex: str = field(init=False, compare=False, repr=False)
-    frame: str = field(init=False, compare=False, repr=False)
+    Built from the two keys; the three texts are rendered from them once, at construction,
+    so they compare as the keys do. ``_replace`` takes new keys only and renders the texts again.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "csrk_hex", self.csrk.hex())
-        object.__setattr__(self, "irk_hex", self.irk.hex())
-        object.__setattr__(self, "frame", hexdump(self.csrk.value + self.irk.value))
+    __slots__ = ()
+
+    def __new__(cls, csrk: Key128, irk: Key128) -> "KeyMaterial":
+        return tuple.__new__(cls, (csrk, irk, csrk.hex(), irk.hex(), hexdump(csrk.value + irk.value)))
+
+    @classmethod
+    def _make(cls, fields):
+        csrk, irk, *_texts = fields
+        return cls(csrk, irk)
+
+    def _replace(self, **keys) -> "KeyMaterial":
+        return KeyMaterial(keys.pop("csrk", self.csrk), keys.pop("irk", self.irk), **keys)
+
+    def __getnewargs__(self):
+        return self.csrk, self.irk
+
+    def __repr__(self) -> str:
+        return f"KeyMaterial(csrk={self.csrk!r}, irk={self.irk!r})"
 
 
 def hexdump(data: bytes) -> str:

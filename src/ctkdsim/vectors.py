@@ -121,13 +121,14 @@ def run_selftest() -> list[SelftestCheck]:
     )
     checks.append(SelftestCheck("dh-symmetry", symmetric, "32 pairs"))
 
-    # One agreement draws as two keypairs in a row do.
+    # One agreement draws as two keypairs in a row do, and reaches their exchange's secret by
+    # another route: one fixed-base multiplication of the product of the two draws.
     agree_rng, pair_rng = random.Random(2025), random.Random(2025)
     agrees = all(
         dh_agree(agree_rng, b) == dh_shared(dh_generate(pair_rng, b).private, dh_generate(pair_rng, b).public)
-        for b in ["toy-modp"] * 32 + ["p256"] * 2
+        for b in ["toy-modp"] * 32 + ["p256"] * 16
     ) and agree_rng.getrandbits(64) == pair_rng.getrandbits(64)
-    checks.append(SelftestCheck("dh-agree-matches-exchange", agrees, "32 toy-modp, 2 p256 draws"))
+    checks.append(SelftestCheck("dh-agree-matches-exchange", agrees, "32 toy-modp, 16 p256 draws"))
 
     try:
         toy = dh_generate(rng)

@@ -231,6 +231,10 @@ class _FixedDraw:
         return value
 
 
+#: The order n of the P-256 base point: a scalar lies in [1, n-1].
+_N = P256Backend._order
+
+
 class TestDiffieHellman:
     @pytest.mark.parametrize("exponent", [2, 255, 256, 2**120, ToyModPBackend.prime - 2],
                              ids=["2", "255", "256", "2^120", "prime-2"])
@@ -303,6 +307,19 @@ class TestDiffieHellman:
         assert secret.value == pow(5, a * b, prime).to_bytes(16, "big")  # 1 when p-1 divides a*b
         assert secret.value == ref_toy_dh_shared(a, pow(5, b, prime), prime)
         assert secret == dh_shared(DhPrivate(a, "toy-modp"), dh_generate(_FixedDraw(b)).public)
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (_N - 1, _N - 1), (2, (_N + 1) // 2), (1, _N - 1), (_N - 1, 2),
+                                      (2**255, 3)],
+                             ids=["1,1", "n-1,n-1", "2,(n+1)/2", "1,n-1", "n-1,2", "2^255,3"])
+    def test_p256_agree_at_edge_scalar_pairs(self, a, b):
+        draws = _FixedDraw(a, b)
+        secret = dh_agree(draws, "p256")
+        assert draws.values == []  # the initiator's draw, then the responder's
+        curve = ec.SECP256R1()
+        peer = ec.derive_private_key(b, curve).public_key()
+        assert secret.value == ec.derive_private_key(a, curve).exchange(ec.ECDH(), peer)[:16]
+        p256 = get_backend("p256")
+        assert secret == dh_shared(p256.private(_FixedDraw(a)), dh_generate(_FixedDraw(b), "p256").public)
 
     def test_same_seed_same_keypair(self):
         a = dh_generate(random.Random(42))

@@ -31,7 +31,7 @@ from ctkdsim.smp import (
     SmpPairingMessage,
     ctkd_requested,
 )
-from ctkdsim.crypto import Key128, kdf_le, random_nonce
+from ctkdsim.crypto import Key128, dh_agree, get_backend, kdf_le, random_nonce
 
 
 #: The only cells of the 5 x 5 IO capability x 2 x 2 MITM table that negotiate Numeric
@@ -353,6 +353,33 @@ class TestNonceFreshness:
         assert len(set(drawn)) == len(drawn)
 
 
+class _CountingEc:
+    """Stands in for the P-256 backend's ``ec`` module: counts scalar multiplications, that is
+    ``derive_private_key`` calls (b*G) and ``exchange`` calls on the keys it returns (a*P)."""
+
+    def __init__(self, ec, calls: dict) -> None:
+        self._ec, self._calls = ec, calls
+
+    def __getattr__(self, name):
+        return getattr(self._ec, name)
+
+    def derive_private_key(self, scalar, curve):
+        self._calls["derive_private_key"] += 1
+        return _CountingKey(self._ec.derive_private_key(scalar, curve), self._calls)
+
+
+class _CountingKey:
+    def __init__(self, key, calls: dict) -> None:
+        self._key, self._calls = key, calls
+
+    def __getattr__(self, name):
+        return getattr(self._key, name)
+
+    def exchange(self, algorithm, peer):
+        self._calls["exchange"] += 1
+        return self._key.exchange(algorithm, peer)
+
+
 class TestKeyAgreementDraws:
     @pytest.mark.parametrize("backend", ["toy-modp", "p256"])
     @pytest.mark.parametrize("pair", [ble_pair, bt_pair])
@@ -375,3 +402,23 @@ class TestKeyAgreementDraws:
         for runs in (1, 2):  # a first pairing, then a re-pair
             assert not pair(ctx, a, b).aborted
             assert calls == {"dh_agree": runs}
+
+    @pytest.fixture
+    def p256_calls(self, monkeypatch):
+        backend = get_backend("p256")
+        calls = {"derive_private_key": 0, "exchange": 0}
+        monkeypatch.setattr(backend, "_ec", _CountingEc(backend._ec, calls))
+        return calls
+
+    def test_p256_agreement_is_one_scalar_multiplication(self, p256_calls):
+        for seed in range(4):
+            dh_agree(random.Random(seed), "p256")
+            assert p256_calls == {"derive_private_key": seed + 1, "exchange": 0}
+
+    @pytest.mark.parametrize("pair", [ble_pair, bt_pair])
+    def test_p256_pairing_is_one_scalar_multiplication(self, p256_calls, pair):
+        ctx = SimContext(rng=random.Random(5), dh_backend="p256")
+        a = make_device(ctx, make_profile("a", 0x01))
+        b = make_device(ctx, make_profile("b", 0x02))
+        assert not pair(ctx, a, b).aborted
+        assert p256_calls == {"derive_private_key": 1, "exchange": 0}

@@ -1,5 +1,6 @@
 """Scenario loading, deterministic execution, matrix aggregation, CLI."""
 
+import functools
 import gc
 import io
 import itertools
@@ -19,6 +20,7 @@ from conftest import BUNDLED, matrix_runs
 from ctkdsim import scenario as scenario_module
 from ctkdsim.cli import main as cli_main
 from ctkdsim.fixtures import bundled_profiles, matrix_scenarios, write_matrix
+from ctkdsim.pairing import SimContext
 from ctkdsim.policies import DEFENSE_SUBSETS, PolicySet, RejectionReason
 from ctkdsim.scenario import (
     MatrixReport,
@@ -786,6 +788,24 @@ class TestLatticeInvariants:
         predicted = {name for name, r in by_name.items() if _attack_requests_on_unused_transports(r)}
         assert rejected == predicted
         assert rejected and len(rejected) < 69
+
+    def test_outcomes_do_not_depend_on_the_dh_backend(self, monkeypatch, own, lattice):
+        """Each bundled scenario on P-256, under its own policies and under every defense subset,
+        ends as on the toy group; only the secrets, and so the key bytes in the trace, differ."""
+        monkeypatch.setattr(scenario_module, "SimContext", functools.partial(SimContext, dh_backend="p256"))
+        scenarios = [load_scenario(path) for path in BUNDLED]
+        differ, runs, digests_differ = [], 0, False
+        for policies, toy_results in {None: own, **lattice}.items():
+            for scenario, toy in zip(scenarios, toy_results, strict=True):
+                result = run_scenario(scenario, policy_override=policies)
+                runs += 1
+                if result.outcome.to_dict() != toy.outcome.to_dict():
+                    differ.append((scenario.name, policies))
+                if policies is None:
+                    digests_differ |= result.trace_digest() != toy.trace_digest()
+        assert runs == 33 * 69
+        assert not differ
+        assert digests_differ  # the runs took the P-256 path
 
     def test_outcomes_do_not_depend_on_the_seed(self):
         differ = []

@@ -7,7 +7,10 @@ values from positional, keyword and default arguments, and ``_replace`` rejects 
 ``dataclasses.replace`` did.
 """
 
+import copy
 import dataclasses
+import itertools
+import pickle
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -28,7 +31,7 @@ from ctkdsim.crypto import (
 )
 from ctkdsim.device import Association, KeyOrigin, KeyRecord, PairingRole
 from ctkdsim.policies import PolicyVerdict, RejectionReason
-from ctkdsim.smp import KeyMaterial
+from ctkdsim.smp import KeyMaterial, hexdump
 
 
 class Old:
@@ -77,6 +80,19 @@ class Old:
                 raise ValueError(f"unknown transport {self.transport!r}")
             if self.key.mitm_protected != (self.association is Association.NUMERIC_COMPARISON):
                 raise ValueError("mitm_protected flag must mirror the association method")
+
+    @dataclass(frozen=True)
+    class KeyMaterial:
+        csrk: Key128
+        irk: Key128
+        csrk_hex: str = dataclasses.field(init=False, compare=False, repr=False)
+        irk_hex: str = dataclasses.field(init=False, compare=False, repr=False)
+        frame: str = dataclasses.field(init=False, compare=False, repr=False)
+
+        def __post_init__(self) -> None:
+            object.__setattr__(self, "csrk_hex", self.csrk.hex())
+            object.__setattr__(self, "irk_hex", self.irk.hex())
+            object.__setattr__(self, "frame", hexdump(self.csrk.value + self.irk.value))
 
     @dataclass(frozen=True)
     class PolicyVerdict:
@@ -208,3 +224,56 @@ class TestValueObjects:
             assert _outcome(value._replace, (), change) == _outcome(dataclasses.replace, (old,), change), change
         assert {_outcome(value._replace, (), change)[0] for change in changes} >= \
             ({"built"} if cls in (DhPrivate, DhKeyPair) else {"built", ValueError})
+
+
+#: Keys that differ in value, in strength alone, and in the MITM flag alone.
+MATERIAL_KEYS = [Key128(bytes(16)), Key128(K16), Key128(K16, 7), Key128(K16, 16, True)]
+
+
+class TestKeyMaterial:
+    """``KeyMaterial`` takes two keys and stores three texts, so it is checked apart from ``CASES``."""
+
+    def test_accepts_and_rejects_what_the_dataclass_did(self):
+        cases = [
+            _call(JW_KEY, NC_KEY), _call(csrk=JW_KEY, irk=NC_KEY), _call(JW_KEY), _call(),
+            _call(JW_KEY, NC_KEY, "00"), _call(JW_KEY, NC_KEY, frame="00"), _call(None, NC_KEY),
+            _call(JW_KEY, None), _call(JW_KEY, irk=NC_KEY, colour=1),
+        ]
+        outcomes = [_outcome(KeyMaterial, args, kwargs) for args, kwargs in cases]
+        assert outcomes == [_outcome(Old.KeyMaterial, args, kwargs) for args, kwargs in cases]
+        assert {kind for kind, _ in outcomes} == {"built", TypeError, AttributeError}
+
+    def test_fields_texts_and_repr_are_the_dataclass_ones(self):
+        assert KeyMaterial._fields == tuple(f.name for f in dataclasses.fields(Old.KeyMaterial))
+        for csrk, irk in itertools.product(MATERIAL_KEYS, repeat=2):
+            new, old = KeyMaterial(csrk, irk), Old.KeyMaterial(csrk, irk)
+            assert (new.csrk_hex, new.irk_hex, new.frame) == (old.csrk_hex, old.irk_hex, old.frame)
+            assert repr(new) == repr(old).removeprefix("Old.")
+
+    def test_equal_and_hashed_as_the_dataclass(self):
+        pairs = list(itertools.product(MATERIAL_KEYS, repeat=2))
+        for a, b in itertools.product(pairs, repeat=2):
+            new_a, new_b = KeyMaterial(*a), KeyMaterial(*b)
+            assert (new_a == new_b) == (Old.KeyMaterial(*a) == Old.KeyMaterial(*b))
+            if new_a == new_b:
+                assert hash(new_a) == hash(new_b)
+        assert MATERIAL == tuple(MATERIAL) and KeyMaterial._make(MATERIAL) == MATERIAL
+
+    def test_fields_cannot_be_assigned(self):
+        old = Old.KeyMaterial(*MATERIAL[:2])
+        for name in (*KeyMaterial._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(MATERIAL, name, None)
+            with pytest.raises(AttributeError):
+                setattr(old, name, None)
+        with pytest.raises(TypeError):
+            vars(MATERIAL)
+
+    def test_replace_and_copies_are_the_dataclass_ones(self):
+        old = Old.KeyMaterial(*MATERIAL[:2])
+        for change in ({"csrk": NC_KEY}, {"irk": JW_KEY}, {"csrk": JW_KEY, "irk": NC_KEY}, {}):
+            assert tuple(MATERIAL._replace(**change)) == _outcome(dataclasses.replace, (old,), change)[1]
+        with pytest.raises(TypeError):
+            MATERIAL._replace(frame="00")  # the texts follow the keys; dataclasses.replace raised ValueError
+        for duplicate in (copy.copy(MATERIAL), copy.deepcopy(MATERIAL), pickle.loads(pickle.dumps(MATERIAL))):
+            assert duplicate == MATERIAL and type(duplicate) is KeyMaterial
