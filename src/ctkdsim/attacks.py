@@ -3,8 +3,8 @@
 Every attack goes through the exact same public pairing entry points an
 honest device uses; agents never read a victim's private key, shared
 secret, or bond table. The cross-transport issues a run exploited are
-derived afterwards by inspecting the trace, not hardcoded, so asserting
-them against :func:`cti_map` is a real check.
+derived afterwards from the trace and the attack's start alone, not
+hardcoded, so asserting them against :func:`cti_map` is a real check.
 """
 
 from __future__ import annotations
@@ -106,17 +106,12 @@ _MASTER, _CTKD_DERIVED = PairingRole.MASTER.value, KeyOrigin.CTKD_DERIVED.value 
 _JUST_WORKS, _NUMERIC_COMPARISON = Association.JUST_WORKS.value, Association.NUMERIC_COMPARISON.value
 
 
-def derive_ctis(
-    events: list[TraceEvent],
-    *,
-    target: str,
-    claimed: str,
-    attack_start: int,
-) -> frozenset[CTI]:
+def derive_ctis(events: list[TraceEvent], *, attack_start: int) -> frozenset[CTI]:
     """Replay the trace and record which issue predicates fired.
 
-    ``target`` is the attacked device's address and ``claimed`` the
-    identity the attacker paired under, both as text.
+    Every non-tunneled pairing request received at or after
+    ``attack_start`` is an attack pairing: its receiver is the target and
+    its sender the claimed identity, until the next such request.
 
     * extended pairing: the attack pairing landed on a transport where the
       target had no live session at that moment;
@@ -131,16 +126,12 @@ def derive_ctis(
     # live session keys are (sorted peer pair, transport).
     bonds: dict[tuple[str, str, str], dict] = {}
     sessions: dict[tuple[tuple[str, str], str], bool] = {}
+    target = claimed = None
 
     for index, actor, kind, payload in events:
         if kind == KIND_MSG_RECEIVED:
-            if (
-                index >= attack_start
-                and actor == target
-                and payload.get("peer") == claimed
-                and payload.get("opcode") == "request"
-                and not payload.get("tunneled", False)
-            ):
+            if index >= attack_start and payload.get("opcode") == "request" and not payload.get("tunneled", False):
+                target, claimed = actor, payload["peer"]
                 transport = payload["transport"]
                 target_live = any(
                     live and transport == t and actor in pair
@@ -160,7 +151,7 @@ def derive_ctis(
 
         elif kind == KIND_KEY_STORED:
             peer = payload["peer"]
-            if index >= attack_start and actor == target and peer == claimed:
+            if actor == target and peer == claimed:
                 if payload["origin"] == _CTKD_DERIVED:
                     fired.add(CTI.KEY_TAMPERING)
                 if payload["association"] == _JUST_WORKS:
@@ -200,9 +191,9 @@ def _attack(ctx: SimContext, legs: list[tuple], comeback: Optional[tuple[Device,
     results and the trace.
     """
     events = ctx.trace.events
+    attack_start = ctx.trace.clock
     keys_written: list[tuple[str, str, str]] = []
     overwrote = False
-    ctis: frozenset[CTI] = frozenset()
     for claimed, target, transport, reconnect in legs:
         start = ctx.trace.clock
         charlie = Device(_ATTACKER, _NO_DEFENSES, ctx.rng, claimed)
@@ -217,13 +208,12 @@ def _attack(ctx: SimContext, legs: list[tuple], comeback: Optional[tuple[Device,
             if reconnect is not None:
                 victim_reconnect = _victim_reconnect(ctx, *reconnect)
             succeeded = all(t.ok for t in takeovers)
-        ctis |= derive_ctis(events, target=victim, claimed=claimed.text, attack_start=start)
         if not succeeded:
             break
     if comeback is not None:
         victim_reconnect = _victim_reconnect(ctx, *comeback) if succeeded else RECONNECT_NOT_ATTEMPTED
-    return AttackOutcome(succeeded and not (silent and overwrote), keys_written, overwrote,
-                         victim_reconnect, ctis, session.abort_reason)
+    return AttackOutcome(succeeded and not (silent and overwrote), keys_written, overwrote, victim_reconnect,
+                         derive_ctis(events, attack_start=attack_start), session.abort_reason)
 
 
 # ---------------------------------------------------------------------------

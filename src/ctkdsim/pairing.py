@@ -384,7 +384,7 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
     derived_transport = other_transport(transport)
     association = session.negotiated.association
     over_ble = transport == TRANSPORT_BLE
-    pending = []  # (device, record, existing, ctkd_source, prior_direct): all each verdict reads
+    pending = []  # (device, record, existing, prior_direct): all each verdict reads
     for device, peer, peer_role in _sides(initiator, responder):
         address = peer.address
         identity = peer.key_material
@@ -392,15 +392,15 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
                            peer_role, identity if over_ble else None)
         # The pairing transport's bond before this run: ``existing`` here, ``prior_direct`` below.
         prior_direct = device.bonds.lookup(address, transport)
-        pending.append((device, direct, prior_direct, None, None))
+        pending.append((device, direct, prior_direct, None))
         if derived_key is not None:
             derived = KeyRecord(address, derived_transport, derived_key, KeyOrigin.CTKD_DERIVED, association,
                                 peer_role, None if over_ble else identity)
             existing = device.bonds.lookup(address, derived_transport)
-            pending.append((device, derived, existing, direct, prior_direct))
+            pending.append((device, derived, existing, prior_direct))
 
-    for device, record, existing, ctkd_source, prior_direct in pending:
-        verdict = evaluate(device.policies, existing, record, ctkd_source=ctkd_source, prior_direct=prior_direct)
+    for device, record, existing, prior_direct in pending:
+        verdict = evaluate(device.policies, existing, record, prior_direct)
         origin = record.origin._value_
         _emit_verdict(
             ctx, device, stage="store", transport=record.transport, peer=record.peer,

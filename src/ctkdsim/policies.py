@@ -116,23 +116,21 @@ def _weaker(candidate: KeyRecord, baseline: KeyRecord) -> bool:
     )
 
 
-def c3_check(
-    existing: Optional[KeyRecord],
-    incoming: KeyRecord,
-    ctkd_source: Optional[KeyRecord] = None,
-    prior_direct: Optional[KeyRecord] = None,
-) -> PolicyVerdict:
+def c3_check(existing: Optional[KeyRecord], incoming: KeyRecord,
+             prior_direct: Optional[KeyRecord] = None) -> PolicyVerdict:
     """Gate cross-transport writes; direct (explicit) re-pairing stays allowed.
 
     A derived key may not land on a transport that already has a pairing key,
-    and derivation is refused outright when the direct key feeding it is
-    weaker than what that transport held before the run.
+    and derivation is refused outright when the run's key is weaker than
+    ``prior_direct``, what the pairing transport held before the run. A
+    derived record has the strength and association of the direct record it
+    came from, so ``incoming`` stands for that record.
     """
     if incoming.origin is not KeyOrigin.CTKD_DERIVED:
         return ALLOW
     if existing is not None:
         return PolicyVerdict(False, RejectionReason.C3_OVERWRITE_BLOCK)
-    if ctkd_source is not None and prior_direct is not None and _weaker(ctkd_source, prior_direct):
+    if prior_direct is not None and _weaker(incoming, prior_direct):
         return PolicyVerdict(False, RejectionReason.C3_WEAK_INPUT_BLOCK)
     return ALLOW
 
@@ -144,25 +142,19 @@ def c4_check(existing: Optional[KeyRecord], incoming_association: Association) -
     return ALLOW
 
 
-def evaluate(
-    policy: PolicySet,
-    existing: Optional[KeyRecord],
-    incoming: KeyRecord,
-    *,
-    ctkd_source: Optional[KeyRecord] = None,
-    prior_direct: Optional[KeyRecord] = None,
-) -> PolicyVerdict:
+def evaluate(policy: PolicySet, existing: Optional[KeyRecord], incoming: KeyRecord,
+             prior_direct: Optional[KeyRecord] = None) -> PolicyVerdict:
     """The verdict on writing ``incoming`` over ``existing``: sig51, then c3.
 
-    ``ctkd_source`` and ``prior_direct`` only matter for a derived record:
-    the direct record of the same run, and what its transport held before.
+    ``prior_direct`` only matters for a derived record: what the run's
+    pairing transport held before the run.
     """
     if policy.sig51:
         verdict = sig51_check(existing, incoming)
         if not verdict.allow:
             return verdict
     if policy.c3:
-        return c3_check(existing, incoming, ctkd_source, prior_direct)
+        return c3_check(existing, incoming, prior_direct)
     return ALLOW
 
 

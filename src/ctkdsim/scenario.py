@@ -296,6 +296,7 @@ def run_scenario(
 
 
 def _dispatch_attack(ctx: SimContext, scenario: Scenario, devices: dict[str, Device]) -> AttackOutcome:
+    # Each attack is called through its module name: bench/tracer.py rebinds those names by identity.
     attack = scenario.attack
     target = devices[attack.target]
     peer = devices[attack.peer] if attack.peer else None

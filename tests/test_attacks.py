@@ -1,6 +1,5 @@
 """The four attacks, their outcomes, and the issue-mapping table."""
 
-import itertools
 import random
 
 import pytest
@@ -23,7 +22,7 @@ from ctkdsim.device import Association, KeyOrigin
 from ctkdsim.pairing import SimContext, bt_pair, establish_session
 from ctkdsim.policies import PolicySet, RejectionReason
 from ctkdsim.scenario import load_scenario, run_scenario
-from ctkdsim.trace import emit_trace, read_trace
+from ctkdsim.trace import TraceEvent, emit_trace, read_trace
 
 
 def bonded_victims(ctx, *, alice_policies=None, bob_policies=None, live="BT",
@@ -360,25 +359,57 @@ class TestDeriveCtisFromDisk:
     def test_every_bundled_trace_replays_the_same(self, monkeypatch, tmp_path):
         starts = []
 
-        def recorded(events, *, target, claimed, attack_start):
+        def recorded(events, *, attack_start):
             starts.append(attack_start)
-            return derive_ctis(events, target=target, claimed=claimed, attack_start=attack_start)
+            return derive_ctis(events, attack_start=attack_start)
 
         monkeypatch.setattr(attacks, "derive_ctis", recorded)
         fired = set()
         for path in BUNDLED:
             starts.clear()
-            live = run_scenario(load_scenario(path)).trace
-            assert starts, path.name
+            result = run_scenario(load_scenario(path))
+            assert len(starts) == 1, path.name  # one replay per attack
+            live = result.trace
             out = tmp_path / f"{path.stem}.jsonl"
             emit_trace(live, out)
             on_disk = read_trace(out)
             assert on_disk == live
-            actors = sorted({event.actor for event in live})
-            for target, claimed in itertools.product(actors, repeat=2):
-                for start in {0, *starts}:
-                    expected = derive_ctis(live, target=target, claimed=claimed, attack_start=start)
-                    assert derive_ctis(on_disk, target=target, claimed=claimed, attack_start=start) \
-                        == expected, (path.name, target, claimed, start)
-                    fired |= expected
+            replays = {start: derive_ctis(live, attack_start=start) for start in (starts[0], 0)}
+            assert {start: derive_ctis(on_disk, attack_start=start) for start in replays} == replays, path.name
+            assert replays[starts[0]] == result.outcome.ctis_used, path.name
+            fired |= result.outcome.ctis_used
         assert fired == set(CTI)  # the comparison covers every issue firing
+
+    def test_nothing_before_the_first_attack_request_counts(self, own):
+        # Every pre-state but mi-peer-without-ctkd's stores CTKD-derived keys; none of them counts.
+        for path, result in zip(BUNDLED, own):
+            assert derive_ctis(result.trace, attack_start=len(result.trace)) == frozenset(), path.name
+
+
+def _request(index, receiver, sender, tunneled=False):
+    return TraceEvent(index, receiver, "msg_received", {"transport": TRANSPORT_BT, "peer": sender, "frame": "",
+                                                        "opcode": "request", "tunneled": tunneled})
+
+
+def _derived(index, owner, peer):
+    return TraceEvent(index, owner, "key_stored", {"transport": TRANSPORT_BLE, "peer": peer, "origin": "ctkd_derived",
+                                                   "association": "just_works", "role": "master", "overwrote": False})
+
+
+class TestDeriveCtisAttackPairings:
+    """The latest non-tunneled request at or after the start names the target and the claimed identity."""
+
+    def test_only_the_target_storing_under_the_claimed_identity_counts(self):
+        events = [_request(0, "target", "claimed"), _derived(1, "claimed", "target"), _derived(2, "target", "other")]
+        assert derive_ctis(events, attack_start=0) == {CTI.EXTENDED_PAIRING}
+        assert derive_ctis(events + [_derived(3, "target", "claimed")], attack_start=0) \
+            == {CTI.EXTENDED_PAIRING, CTI.KEY_TAMPERING}
+
+    def test_the_next_request_moves_the_target(self):
+        events = [_request(0, "first", "a"), _request(1, "second", "b"), _derived(2, "first", "a")]
+        assert CTI.KEY_TAMPERING not in derive_ctis(events, attack_start=0)
+
+    def test_tunneled_and_earlier_requests_name_no_target(self):
+        events = [_request(0, "target", "claimed"), _request(1, "target", "claimed", tunneled=True),
+                  _derived(2, "target", "claimed")]
+        assert derive_ctis(events, attack_start=1) == frozenset()

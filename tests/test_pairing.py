@@ -248,6 +248,26 @@ class TestAbortAtomicity:
         assert guarded.bonds.records == snap_guarded
         assert laptop.bonds.records == snap_laptop
 
+    @pytest.mark.parametrize("guarded_io, claimant", [
+        ("NoInputNoOutput", {"max_key_size": 7}),  # a 7-byte key over a 16-byte bond
+        ("DisplayYesNo", {"io": "NoInputNoOutput"}),  # Just Works over a Numeric Comparison bond
+    ])
+    def test_c3_refuses_derivation_from_a_weaker_repairing(self, ctx, guarded_io, claimant):
+        # The guarded end holds only a BLE bond, so the derived BT record lands on an empty
+        # transport and the weak-input rule, not the overwrite rule, decides.
+        guarded = device(ctx, "fort", 0x5B, io=guarded_io, policies=PolicySet(c3=True))
+        first = ble_pair(ctx, device(ctx, "peer", 0x5C), guarded, ctkd=False)
+        assert not first.aborted and not first.negotiated.ctkd
+        assert [record.transport for record in guarded.bonds.records.values()] == [TRANSPORT_BLE]
+        snapshot = dict(guarded.bonds.records)
+        session = ble_pair(ctx, device(ctx, "peer-again", 0x5C, **claimant), guarded)
+        assert session.aborted and session.negotiated.ctkd
+        assert session.abort_reason is RejectionReason.C3_WEAK_INPUT_BLOCK
+        rejected = [e.payload for e in ctx.trace.events if e.kind == "key_rejected"]
+        assert rejected == [{"transport": TRANSPORT_BT, "peer": "02:aa:00:00:00:5c", "origin": "ctkd_derived",
+                             "reason": "c3_weak_input_block"}]
+        assert guarded.bonds.records == snapshot
+
     def test_c4_aborts_before_any_key_work(self, ctx):
         a = device(ctx, "nc-a", 0x58)
         strict = device(ctx, "nc-b", 0x59, policies=PolicySet(c4=True))

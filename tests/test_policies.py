@@ -62,10 +62,13 @@ class TestC3:
 
     def test_weak_repairing_input_disables_derivation(self):
         prior_direct = record(transport="BLE", mitm=True)
-        incoming = record(transport="BT", origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
-        source = record(transport="BLE", mitm=False, key_byte=0x42)
-        verdict = c3_check(None, incoming, ctkd_source=source, prior_direct=prior_direct)
+        incoming = record(transport="BT", mitm=False, origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
+        verdict = c3_check(None, incoming, prior_direct)
         assert not verdict.allow and verdict.reason is RejectionReason.C3_WEAK_INPUT_BLOCK
+
+    def test_equal_repairing_key_derives(self):
+        incoming = record(transport="BT", origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
+        assert c3_check(None, incoming, record(transport="BLE")).allow
 
     def test_fresh_peer_allowed(self):
         assert c3_check(None, record(origin=KeyOrigin.CTKD_DERIVED)).allow
