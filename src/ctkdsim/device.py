@@ -192,6 +192,22 @@ class Device:
         self._pairable = {"BT": True, "BLE": True}
         self.sessions: list["SessionState"] = []
 
+    @classmethod
+    def restore(cls, profile: DeviceProfile, policies: "PolicySet", key_material: KeyMaterial,
+                records: tuple[KeyRecord, ...], pairable: tuple[bool, bool]) -> "Device":
+        """A device at its profile's address that holds ``key_material``, the bonds ``records``
+        and ``pairable`` (on BT, on BLE) and no sessions; nothing is drawn from an rng."""
+        device = cls.__new__(cls)
+        device.profile = profile
+        device.address = profile.address
+        device.policies = policies
+        device.bonds = BondTable()
+        device.bonds.records = {(record.peer.value, record.transport): record for record in records}
+        device.key_material = key_material
+        device._pairable = dict(zip(TRANSPORTS, pairable))
+        device.sessions = []
+        return device
+
     @property
     def name(self) -> str:
         return self.profile.name

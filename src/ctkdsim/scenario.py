@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .attacks import (
     STRATEGIES,
@@ -27,9 +27,9 @@ from .attacks import (
 )
 from .crypto import MAX_STRENGTH, MIN_STRENGTH, TRANSPORT_BLE, TRANSPORTS, Address
 from .device import Device, DeviceProfile
-from .pairing import SimContext, ble_pair, bt_pair, establish_session, make_device
+from .pairing import SessionState, SimContext, ble_pair, bt_pair, establish_session, make_device
 from .policies import DEFENSE_SUBSETS, PolicySet, c1_tick
-from .trace import TraceEvent, trace_digest
+from .trace import PAYLOAD_SCHEMAS, TraceEvent, trace_digest
 
 
 class ScenarioError(ValueError):
@@ -76,6 +76,8 @@ class Scenario:
     attack: AttackSpec
     expectations: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    #: Per (seed, DH backend), the pre-state snapshot that override runs fork, or None (see run_scenario).
+    _snapshots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, raw: dict, where: str = "scenario") -> "Scenario":
@@ -250,17 +252,47 @@ def run_scenario(
     policy_override: Optional[PolicySet] = None,
     seed_override: Optional[int] = None,
 ) -> ScenarioResult:
-    """Execute pre-state then the attack; fully deterministic under the seed."""
+    """Execute pre-state then the attack; fully deterministic under the seed.
+
+    A run under the scenario's own policies runs its pre-state, ticks c1 and
+    runs the attack: this is the reference path. A run under
+    ``policy_override`` (every run of ``run_lattice``, and of ``run_matrix``
+    given a set) forks instead. Its scenario's first override run at a seed
+    runs the pre-state once with all five defenses on and keeps what it left
+    as values on the Scenario (``_snapshot``); every override run at that
+    seed copies them, gives each device the override set, ticks c1 and runs
+    the attack. The trace bytes are those of a full run under the set:
+
+    * a defense can only add denials;
+    * the ``c2``/``c4`` early checks emit a verdict only on a deny;
+    * every store verdict is emitted with ``allow: true`` and names no policy;
+    * c1 acts only at the tick after the pre-state.
+
+    So a pre-state that passes with all five on writes the same bytes and
+    leaves the same state under every subset. A seed whose all-defenses
+    pre-state aborts or raises keeps no snapshot: each of its override runs
+    takes the reference path, so a pre-state error still names its
+    ``pre_state[i]`` under the set in force. The snapshot is kept per seed
+    (and DH backend), so a Scenario must not be changed after its first
+    override run; ``load_scenario`` and ``dataclasses.replace`` give fresh
+    ones.
+    """
     seed = scenario.seed if seed_override is None else seed_override
     if seed < 0:  # random.Random drops the sign: -5 would replay seed 5
         raise ScenarioError(f"{scenario.name}: seed {seed} is negative")
+    if policy_override is not None:
+        forked = _fork(scenario, seed, policy_override)
+        if forked is not None:
+            return _run_attack(scenario, *forked)
     ctx = SimContext(rng=random.Random(seed))
+    devices = {spec.profile.name: make_device(
+        ctx, spec.profile, spec.policies if policy_override is None else policy_override,
+    ) for spec in scenario.devices}
+    _run_pre_state(ctx, scenario, devices)
+    return _run_attack(scenario, ctx, devices)
 
-    devices: dict[str, Device] = {}
-    for spec in scenario.devices:
-        policies = policy_override if policy_override is not None else spec.policies
-        devices[spec.profile.name] = make_device(ctx, spec.profile, policies)
 
+def _run_pre_state(ctx: SimContext, scenario: Scenario, devices: dict[str, Device]) -> None:
     for i, step in enumerate(scenario.pre_state):
         initiator = devices[step["initiator"]]
         responder = devices[step["responder"]]
@@ -285,6 +317,8 @@ def run_scenario(
                     f"{scenario.name}: pre_state[{i}] session failed ({result.outcome})"
                 )
 
+
+def _run_attack(scenario: Scenario, ctx: SimContext, devices: dict[str, Device]) -> ScenarioResult:
     # c1 turns each unused transport off between normal operation and attack.
     for device in devices.values():
         for transport in TRANSPORTS:
@@ -307,6 +341,105 @@ def _dispatch_attack(ctx: SimContext, scenario: Scenario, devices: dict[str, Dev
     if attack.strategy == STRATEGY_MITM:
         return mitm(ctx, target, peer)
     return unintended_session(ctx, target, peer, attack.attacker_address)
+
+
+# ---------------------------------------------------------------------------
+# Pre-state snapshots for override runs
+# ---------------------------------------------------------------------------
+
+#: Each distinct event layout once, shared by every snapshot: (kind, payload keys, those of the
+#: keys whose value is an object), keyed by its first two fields. The emitters fix each kind's
+#: keys, so it holds a few entries whatever the traffic.
+_LAYOUTS: dict[tuple, tuple] = {}
+_NESTED = frozenset(key for schema in PAYLOAD_SCHEMAS.values() for key, kind in schema.items()
+                    if isinstance(kind, dict))
+_SESSION_FIELDS = tuple(f.name for f in fields(SessionState))
+#: MT19937 draws in blocks of 624 words; a pre-state that draws more blocks than this keeps no snapshot.
+_MT_BLOCK, _MAX_BLOCKS = 624, 64
+
+
+class _Snapshot(NamedTuple):
+    """What a scenario's all-defenses pre-state left at one seed, as values; ``_fork`` copies it."""
+
+    words: int  # 32-bit words the pre-state drew from random.Random(seed)
+    events: tuple  # (*payload values, actor, layout) per event, which is the smallest form
+    devices: tuple  # (key material, bond records, pairability, session indexes), per DeviceSpec
+    sessions: tuple  # the field values of each SessionState; both ends index the same one
+
+
+def _snapshot(ctx: SimContext, scenario: Scenario, seed: int) -> Optional[_Snapshot]:
+    """Run the pre-state on ``ctx`` with all five defenses on and keep what it left,
+    or None when it aborts or raises."""
+    devices = [make_device(ctx, spec.profile, DEFENSE_SUBSETS[-1]) for spec in scenario.devices]
+    try:
+        _run_pre_state(ctx, scenario, {device.name: device for device in devices})
+    except ScenarioError:
+        return None
+    words = _words_drawn(ctx.rng, seed)
+    if words is None:
+        return None
+    events = []
+    for _, actor, kind, payload in ctx.trace.events:
+        keys = tuple(payload)
+        layout = _LAYOUTS.get((kind, keys))
+        if layout is None:
+            layout = _LAYOUTS[kind, keys] = (kind, keys, tuple(key for key in keys if key in _NESTED))
+        events.append((*payload.values(), actor, layout))
+    indexes: dict[int, int] = {}  # id(SessionState) -> its position in ``sessions``
+    sessions, states = [], []
+    for device in devices:
+        for state in device.sessions:
+            if id(state) not in indexes:
+                indexes[id(state)] = len(sessions)
+                sessions.append(tuple(getattr(state, name) for name in _SESSION_FIELDS))
+        states.append((device.key_material, tuple(device.bonds.records.values()),
+                       tuple(device.is_pairable(transport) for transport in TRANSPORTS),
+                       tuple(indexes[id(state)] for state in device.sessions)))
+    return _Snapshot(words, tuple(events), tuple(states), tuple(sessions))
+
+
+def _words_drawn(rng: random.Random, seed: int) -> Optional[int]:
+    """How many 32-bit words ``rng`` has drawn since it was ``random.Random(seed)``: every draw
+    takes whole words, so seeding and one ``getrandbits(32 * words)`` reach the same state."""
+    state = rng.getstate()
+    probe = random.Random(seed)
+    words = step = state[1][-1]  # the position within the current block
+    for _ in range(_MAX_BLOCKS):
+        probe.getrandbits(32 * step)
+        if probe.getstate() == state:
+            return words
+        step = _MT_BLOCK
+        words += step
+    return None
+
+
+def _fork(scenario: Scenario, seed: int, policies: PolicySet) -> Optional[tuple[SimContext, dict[str, Device]]]:
+    """A context and devices in the state the pre-state leaves under ``policies``, copied from
+    the scenario's snapshot at ``seed``, taken first if it has none; None when it keeps none."""
+    ctx = SimContext(rng=random.Random(seed))
+    key = (seed, ctx.dh_backend)
+    if key not in scenario._snapshots:
+        scenario._snapshots[key] = _snapshot(ctx, scenario, seed)
+        ctx = SimContext(rng=random.Random(seed), dh_backend=ctx.dh_backend)
+    snapshot = scenario._snapshots[key]
+    if snapshot is None:
+        return None
+    if snapshot.words:
+        ctx.rng.getrandbits(32 * snapshot.words)
+    # Every payload dict is the fork's own, an object inside it too, as emit's callers give them.
+    events = ctx.trace.events
+    for index, event in enumerate(snapshot.events):
+        kind, keys, nested = event[-1]
+        payload = dict(zip(keys, event))  # the values come first, and zip stops after the last key
+        for name in nested:
+            payload[name] = dict(payload[name])
+        events.append(tuple.__new__(TraceEvent, (index, event[-2], kind, payload)))
+    sessions = [SessionState(*values) for values in snapshot.sessions]
+    devices = {}
+    for spec, (key_material, records, pairable, indexes) in zip(scenario.devices, snapshot.devices):
+        device = devices[spec.profile.name] = Device.restore(spec.profile, policies, key_material, records, pairable)
+        device.sessions = [sessions[i] for i in indexes]
+    return ctx, devices
 
 
 # ---------------------------------------------------------------------------

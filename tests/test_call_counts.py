@@ -1,12 +1,16 @@
 """Per-layer call counts over the matrix, pinned so hot-path rewrites keep call-count parity.
 
-One pass runs the 64 matrix scenarios under their own policies and again
-with all five defenses on. Each counted function is rebound in every
-``ctkdsim`` module that holds it, as ``bench/tracer.py`` does, so a call
-through a name bound by ``from .crypto import ...`` is counted too; the
-three methods are patched on their class. Constructions of the four value
-types built on every run are counted through each type's ``__new__``.
-Every event a run records must have come through ``TraceRecorder.emit``.
+One pass runs the 64 freshly loaded matrix scenarios under their own
+policies, and another with all five defenses on; a second pass with all
+five on, over the same Scenario objects, forks each pre-state from the
+snapshot the first one kept (``run_scenario``), so it runs no pre-state
+computation at all. Each counted function is rebound in every ``ctkdsim``
+module that holds it, as ``bench/tracer.py`` does, so a call through a
+name bound by ``from .crypto import ...`` is counted too; the three
+methods are patched on their class. Constructions of the four value types
+built on every run are counted through each type's ``__new__``. Every
+event a run records was emitted once, by the run or by the snapshot it
+copies, through ``TraceRecorder.emit``.
 
 A change that adds or drops a crypto computation, an event, a verdict, a
 commit, a bond lookup, a trace replay by ``derive_ctis`` (one per attack)
@@ -43,6 +47,10 @@ VALUES = (Key128, Nonce, SharedSecret, KeyRecord)
 
 POLICY_SETS = {"own": None, "all": DEFENSE_SUBSETS[-1]}
 
+#: Events of each matrix scenario's pre-state: one CTKD pairing (12 messages, 4 verdicts,
+#: 4 stored keys) and one session.
+PRE_STATE_EVENTS = 21
+
 #: The matrix runs each attack once per profile, under either set.
 ATTACKS = {"master_impersonation": 16, "slave_impersonation": 16, "mitm": 16, "unintended_session": 16}
 
@@ -61,17 +69,30 @@ EXPECTED = {
         "Key128": 512, "Nonce": 256, "SharedSecret": 64, "KeyRecord": 256,
         **ATTACKS,
     },
+    # A second pass with all five on runs no pre-state: only the c1 tick and the attacks, each
+    # blocked before its keys (the attacker device's two identity keys, c2's bond lookups).
+    "all, second pass": {
+        "aes_cmac": 0, "ctkd_ble_to_bt": 0, "ctkd_bt_to_ble": 0, "dh_agree": 0,
+        "dh_generate": 0, "dh_shared": 0, "kdf_le": 0, "kdf_bt": 0, "session_key": 0,
+        "evaluate": 0, "derive_ctis": 64, "TraceRecorder.emit": 192, "BondTable.commit": 0, "BondTable.lookup": 32,
+        "Key128": 128, "Nonce": 0, "SharedSecret": 0, "KeyRecord": 0,
+        **ATTACKS,
+    },
 }
 
 
-def _counting(calls: Counter, name: str, fn):
+def _counting(calls: Counter, name: str, fn, returned=None):
     def wrapper(*args, **kwargs):
         calls[name] += 1
-        return fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
+        if returned is not None:
+            returned.append(result)
+        return result
     return wrapper
 
 
-def _install(monkeypatch, calls: Counter) -> None:
+def _install(monkeypatch, calls: Counter, emitted: list) -> None:
+    """Count every call in ``calls``; keep each event ``TraceRecorder.emit`` returns in ``emitted``."""
     modules = [m for n, m in list(sys.modules.items()) if n == "ctkdsim" or n.startswith("ctkdsim.")]
     for owner, names in FUNCTIONS.items():
         for name in names:
@@ -81,20 +102,52 @@ def _install(monkeypatch, calls: Counter) -> None:
             for module, attr in bound:
                 monkeypatch.setattr(module, attr, wrapper)
     for cls, name in METHODS:
-        monkeypatch.setattr(cls, name, _counting(calls, f"{cls.__name__}.{name}", vars(cls)[name]))
+        returned = emitted if (cls, name) == (TraceRecorder, "emit") else None
+        monkeypatch.setattr(cls, name, _counting(calls, f"{cls.__name__}.{name}", vars(cls)[name], returned))
     for cls in VALUES:
         monkeypatch.setattr(cls, "__new__", staticmethod(_counting(calls, cls.__name__, cls.__new__)))
+
+
+def _one_pass(scenarios: list, policies, calls: Counter, emitted: list) -> list:
+    """Each scenario's trace. A trace is a prefix copied from a snapshot, then the events that
+    ``emit`` returned during its run; a run that took the snapshot emitted that prefix first."""
+    calls.clear()
+    traces = []
+    for scenario in scenarios:
+        emitted.clear()
+        trace = run_scenario(scenario, policy_override=policies).trace
+        own = 0
+        while own < min(len(trace), len(emitted)) and trace[-1 - own] is emitted[-1 - own]:
+            own += 1
+        copied, uncopied = len(trace) - own, len(emitted) - own
+        assert uncopied in (0, copied) and emitted[:uncopied] == trace[:uncopied], scenario.name
+        traces.append(trace)
+    return traces
 
 
 @pytest.mark.parametrize("policy_name", list(POLICY_SETS))
 def test_matrix_call_counts(monkeypatch, policy_name):
     assert len(MATRIX) == 64
     scenarios = [load_scenario(path) for path in MATRIX]
-    calls = Counter()
-    _install(monkeypatch, calls)
-    events = 0
-    for scenario in scenarios:
-        events += len(run_scenario(scenario, policy_override=POLICY_SETS[policy_name]).trace)
+    calls, emitted = Counter(), []
+    _install(monkeypatch, calls, emitted)
+    traces = _one_pass(scenarios, POLICY_SETS[policy_name], calls, emitted)
     assert {name: calls[name] for name in EXPECTED[policy_name]} == EXPECTED[policy_name]
-    # Every event goes through TraceRecorder.emit, the method bench/tracer.py counts events by.
-    assert calls["TraceRecorder.emit"] == events
+    # Every event was emitted once, by the run or by the snapshot it copies, through
+    # TraceRecorder.emit, the method bench/tracer.py counts events by: over fresh scenarios,
+    # as many calls as events.
+    assert calls["TraceRecorder.emit"] == sum(map(len, traces))
+
+
+def test_a_second_override_pass_forks_every_pre_state(monkeypatch):
+    scenarios = [load_scenario(path) for path in MATRIX]
+    calls, emitted = Counter(), []
+    _install(monkeypatch, calls, emitted)
+    first = _one_pass(scenarios, POLICY_SETS["all"], calls, emitted)
+    assert {name: calls[name] for name in EXPECTED["all"]} == EXPECTED["all"]
+    second = _one_pass(scenarios, POLICY_SETS["all"], calls, emitted)
+    expected = EXPECTED["all, second pass"]
+    assert {name: calls[name] for name in expected} == expected
+    # The same events; each pre-state's are copied from its snapshot, not emitted again.
+    assert second == first
+    assert calls["TraceRecorder.emit"] == sum(map(len, second)) - len(MATRIX) * PRE_STATE_EVENTS

@@ -35,6 +35,7 @@ from ctkdsim.pairing import (
     honest,
     make_device,
 )
+from ctkdsim.policies import PolicySet
 from ctkdsim.scenario import load_scenario, run_scenario
 from ctkdsim.smp import (
     OPCODE_REQUEST,
@@ -123,6 +124,10 @@ def _us_attacks(rounds: int, rng: random.Random) -> None:
         unintended_session(ctx, victim, companion)
 
 
+#: The scenarios' own policies (the reference path), and an override that forks a snapshot.
+OVERRIDES, OVERRIDE_IDS = [None, PolicySet()], ["own", "override"]
+
+
 class TestBoundedMemory:
     def test_frames_grow_with_capability_sets_not_with_traffic(self):
         rng = random.Random(3)
@@ -136,12 +141,14 @@ class TestBoundedMemory:
         _us_attacks(10 * len(CAPABILITY_SETS), rng)
         assert set(pairing._FRAMES) == before | first
 
-    def test_matrix_passes_retain_nothing_after_the_first(self):
+    @pytest.mark.parametrize("policies", OVERRIDES, ids=OVERRIDE_IDS)
+    def test_matrix_passes_retain_nothing_after_the_first(self, policies):
+        # Under an override the first pass keeps each scenario's pre-state snapshot; later passes fork it.
         scenarios = [load_scenario(path) for path in MATRIX]
 
         def one_pass():
             for scenario in scenarios:
-                run_scenario(scenario)
+                run_scenario(scenario, policy_override=policies)
             gc.collect()
 
         only_src = [tracemalloc.Filter(True, str(SRC / "*"))]
@@ -157,9 +164,11 @@ class TestBoundedMemory:
         grown = [s for s in after_third.compare_to(after_first, "lineno") if s.size_diff > 0]
         assert not grown, grown[:5]
 
-    def test_each_key_stored_event_owns_its_extra_keys(self):
+    @pytest.mark.parametrize("policies", OVERRIDES, ids=OVERRIDE_IDS)
+    def test_each_key_stored_event_owns_its_extra_keys(self, policies):
+        # Under an override both runs fork one snapshot, so each fork must copy every payload dict.
         scenario = load_scenario(MATRIX[3])  # an us attack: the attacker keeps the victim's keys
-        result = run_scenario(scenario)
+        result = run_scenario(scenario, policy_override=policies)
         digest = result.trace_digest()
         dicts = [e.payload["extra_keys"] for e in result.trace
                  if e.kind == KIND_KEY_STORED and "extra_keys" in e.payload]
@@ -169,7 +178,7 @@ class TestBoundedMemory:
         dicts[0]["csrk"] = "00" * 16
         dicts[0]["extra"] = True
         assert [dict(d) for d in dicts[1:]] == others
-        assert run_scenario(scenario).trace_digest() == digest
+        assert run_scenario(scenario, policy_override=policies).trace_digest() == digest
 
 
 #: One scenario per attack strategy, and the one Numeric Comparison pre-bond.

@@ -1,5 +1,6 @@
 """Scenario loading, deterministic execution, matrix aggregation, CLI."""
 
+import dataclasses
 import functools
 import gc
 import io
@@ -23,6 +24,7 @@ from ctkdsim.fixtures import bundled_profiles, matrix_scenarios, write_matrix
 from ctkdsim.pairing import SimContext
 from ctkdsim.policies import DEFENSE_SUBSETS, PolicySet, RejectionReason
 from ctkdsim.scenario import (
+    DeviceSpec,
     MatrixReport,
     Scenario,
     ScenarioError,
@@ -753,6 +755,92 @@ class TestLattice:
         assert table in (ROOT / "README.md").read_text(encoding="utf-8"), (
             "README's countermeasure table differs from minimal_blocking_sets; it should read:\n" + table
         )
+
+
+def _direct(scenario: Scenario, policies: PolicySet) -> Scenario:
+    """A copy of ``scenario`` whose every device carries ``policies``: it runs on the reference
+    path, with ``policy_override=None``, what an override run of ``scenario`` forks."""
+    return dataclasses.replace(scenario, devices=[DeviceSpec(spec.profile, policies) for spec in scenario.devices])
+
+
+def _device_state(result) -> dict:
+    """Per device: its bond records, its pairability, and per session the live flag and which
+    distinct session object it is, in first-seen order, so a session both ends share shows."""
+    order: dict[int, int] = {}
+    state = {}
+    for name, device in result.devices.items():
+        sessions = [(order.setdefault(id(s), len(order)), s.peers, s.transport, s.live) for s in device.sessions]
+        state[name] = (dict(device.bonds.records), [device.is_pairable(t) for t in ("BT", "BLE")], sessions)
+    return state
+
+
+class TestFork:
+    """An override run forks its scenario's all-defenses pre-state (``run_scenario``'s docstring)."""
+
+    def test_a_fork_equals_the_full_run_of_every_bundled_scenario_under_every_set(self):
+        """2,208 pairs of runs, each compared as it finishes; no ``ScenarioResult`` is kept."""
+        assert len(BUNDLED) == 69
+        runs = 0
+        for path in BUNDLED:
+            scenario = load_scenario(path)
+            for policies in DEFENSE_SUBSETS:
+                forked = run_scenario(scenario, policy_override=policies)
+                full = run_scenario(_direct(scenario, policies))
+                where = (scenario.name, policies.enabled_names())
+                assert forked.trace_digest() == full.trace_digest(), where
+                assert forked.outcome.to_dict() == full.outcome.to_dict(), where
+                assert _device_state(forked) == _device_state(full), where
+                runs += 1
+        assert runs == 69 * 32
+
+    def test_a_pre_state_that_aborts_with_every_defense_on_takes_the_reference_path(self):
+        # The second CTKD pairing between the same two devices writes a derived key onto a
+        # keyed transport, which c3 refuses: with all five defenses on, pre_state[1] aborts.
+        step = {"action": "pair", "transport": "BT", "initiator": "alice", "responder": "bob"}
+        raw = scenario_dict(pre_state=[step, {**step, "transport": "BLE"}], expectations={})
+        scenario = Scenario.from_dict(raw)
+        with pytest.raises(ScenarioError, match=r"^mini: pre_state\[1\] pairing aborted \(c3_overwrite_block\)"):
+            run_scenario(_direct(scenario, DEFENSE_SUBSETS[-1]))
+        none = PolicySet()
+        expected = run_scenario(_direct(scenario, none)).trace_digest()
+        for _ in range(2):
+            assert run_scenario(scenario, policy_override=none).trace_digest() == expected
+            with pytest.raises(ScenarioError, match=r"^mini: pre_state\[1\] pairing aborted \(c3_overwrite_block\)"):
+                run_scenario(scenario, policy_override=PolicySet(c3=True))
+
+    def test_a_fork_shares_no_session_with_the_snapshot_or_another_fork(self):
+        """A successful mitm invalidates the pre-state's sessions; a second run forks them live."""
+        scenario = load_scenario(ROOT / "scenarios" / "matrix" / "02__cypress-cyw920819evb02__mitm.json")
+        policies = DEFENSE_SUBSETS[1]  # {sig51}: a set, under which the mitm still succeeds
+        expected = run_scenario(_direct(scenario, policies))
+        first = run_scenario(scenario, policy_override=policies)
+        assert first.outcome.succeeded
+        assert [s for d in first.devices.values() for s in d.sessions if not s.live]
+        second = run_scenario(scenario, policy_override=policies)
+        assert first.trace_digest() == second.trace_digest() == expected.trace_digest()
+        assert _device_state(first) == _device_state(second) == _device_state(expected)
+        sessions = [{id(s) for d in r.devices.values() for s in d.sessions} for r in (first, second)]
+        assert sessions[0] and not sessions[0] & sessions[1]
+
+    def test_seeds_and_dataclasses_replace_fork_apart(self):
+        scenario = Scenario.from_dict(scenario_dict())
+        policies = PolicySet(sig51=True)
+        for seed in (1, 2, 1):
+            full = run_scenario(_direct(scenario, policies), seed_override=seed)
+            assert run_scenario(scenario, policy_override=policies, seed_override=seed).trace_digest() \
+                == full.trace_digest()
+        renamed = dataclasses.replace(scenario, seed=99)
+        assert run_scenario(renamed, policy_override=policies).trace_digest() \
+            == run_scenario(_direct(renamed, policies)).trace_digest()
+
+    def test_each_dh_backend_forks_a_snapshot_of_its_own(self, monkeypatch):
+        scenario = Scenario.from_dict(scenario_dict())
+        policies = PolicySet(sig51=True)
+        toy = run_scenario(scenario, policy_override=policies).trace_digest()
+        monkeypatch.setattr(scenario_module, "SimContext", functools.partial(SimContext, dh_backend="p256"))
+        p256 = run_scenario(scenario, policy_override=policies).trace_digest()
+        assert p256 != toy
+        assert p256 == run_scenario(_direct(scenario, policies)).trace_digest()
 
 
 class TestLatticeInvariants:
