@@ -214,11 +214,14 @@ class ScenarioResult:
     outcome: AttackOutcome
     trace: list[TraceEvent]
     devices: dict[str, Device]
-    expectation_failures: list[str]
+    #: The scenario's expectations that the outcome missed; None under a policy override,
+    #: which checks none, since they describe the scenario's own policies.
+    expectation_failures: Optional[list[str]]
 
     @property
-    def expectations_ok(self) -> bool:
-        return not self.expectation_failures
+    def expectations_ok(self) -> Optional[bool]:
+        """Whether the outcome met every expectation; None when none was checked."""
+        return None if self.expectation_failures is None else not self.expectation_failures
 
     def trace_digest(self) -> str:
         return trace_digest(self.trace)
@@ -254,14 +257,17 @@ def run_scenario(
 ) -> ScenarioResult:
     """Execute pre-state then the attack; fully deterministic under the seed.
 
-    A run under the scenario's own policies runs its pre-state, ticks c1 and
-    runs the attack: this is the reference path. A run under
-    ``policy_override`` (every run of ``run_lattice``, and of ``run_matrix``
-    given a set) forks instead. Its scenario's first override run at a seed
-    runs the pre-state once with all five defenses on and keeps what it left
-    as values on the Scenario (``_snapshot``); every override run at that
-    seed copies them, gives each device the override set, ticks c1 and runs
-    the attack. The trace bytes are those of a full run under the set:
+    A run under the scenario's own policies runs its pre-state, ticks c1,
+    runs the attack and checks the scenario's expectations: this is the
+    reference path. A run under ``policy_override`` (every run of
+    ``run_lattice``, and of ``run_matrix`` given a set) checks no
+    expectation, since they describe the scenario's own policies: its
+    ``expectation_failures`` and ``expectations_ok`` are None. It forks
+    instead of running the pre-state. Its scenario's first override run at a
+    seed runs the pre-state once with all five defenses on and keeps what it
+    left on the Scenario (``_snapshot``); every override run at that seed
+    copies it, gives each device the override set, ticks c1 and runs the
+    attack. The trace bytes are those of a full run under the set:
 
     * a defense can only add denials;
     * the ``c2``/``c4`` early checks emit a verdict only on a deny;
@@ -280,16 +286,18 @@ def run_scenario(
     seed = scenario.seed if seed_override is None else seed_override
     if seed < 0:  # random.Random drops the sign: -5 would replay seed 5
         raise ScenarioError(f"{scenario.name}: seed {seed} is negative")
-    if policy_override is not None:
-        forked = _fork(scenario, seed, policy_override)
-        if forked is not None:
-            return _run_attack(scenario, *forked)
-    ctx = SimContext(rng=random.Random(seed))
-    devices = {spec.profile.name: make_device(
-        ctx, spec.profile, spec.policies if policy_override is None else policy_override,
-    ) for spec in scenario.devices}
-    _run_pre_state(ctx, scenario, devices)
-    return _run_attack(scenario, ctx, devices)
+    forked = None if policy_override is None else _fork(scenario, seed, policy_override)
+    if forked is None:
+        ctx = SimContext(rng=random.Random(seed))
+        devices = {spec.profile.name: make_device(
+            ctx, spec.profile, spec.policies if policy_override is None else policy_override,
+        ) for spec in scenario.devices}
+        _run_pre_state(ctx, scenario, devices)
+    else:
+        ctx, devices = forked
+    outcome = _run_attack(ctx, scenario, devices)
+    failures = check_expectations(scenario.expectations, outcome) if policy_override is None else None
+    return ScenarioResult(scenario, outcome, ctx.trace.events, devices, failures)
 
 
 def _run_pre_state(ctx: SimContext, scenario: Scenario, devices: dict[str, Device]) -> None:
@@ -318,18 +326,11 @@ def _run_pre_state(ctx: SimContext, scenario: Scenario, devices: dict[str, Devic
                 )
 
 
-def _run_attack(scenario: Scenario, ctx: SimContext, devices: dict[str, Device]) -> ScenarioResult:
+def _run_attack(ctx: SimContext, scenario: Scenario, devices: dict[str, Device]) -> AttackOutcome:
     # c1 turns each unused transport off between normal operation and attack.
     for device in devices.values():
         for transport in TRANSPORTS:
             c1_tick(device, transport)
-
-    outcome = _dispatch_attack(ctx, scenario, devices)
-    failures = check_expectations(scenario.expectations, outcome)
-    return ScenarioResult(scenario, outcome, ctx.trace.events, devices, failures)
-
-
-def _dispatch_attack(ctx: SimContext, scenario: Scenario, devices: dict[str, Device]) -> AttackOutcome:
     # Each attack is called through its module name: bench/tracer.py rebinds those names by identity.
     attack = scenario.attack
     target = devices[attack.target]
@@ -347,10 +348,7 @@ def _dispatch_attack(ctx: SimContext, scenario: Scenario, devices: dict[str, Dev
 # Pre-state snapshots for override runs
 # ---------------------------------------------------------------------------
 
-#: Each distinct event layout once, shared by every snapshot: (kind, payload keys, those of the
-#: keys whose value is an object), keyed by its first two fields. The emitters fix each kind's
-#: keys, so it holds a few entries whatever the traffic.
-_LAYOUTS: dict[tuple, tuple] = {}
+#: The payload keys whose value is an object, which a fork copies too.
 _NESTED = frozenset(key for schema in PAYLOAD_SCHEMAS.values() for key, kind in schema.items()
                     if isinstance(kind, dict))
 _SESSION_FIELDS = tuple(f.name for f in fields(SessionState))
@@ -359,10 +357,14 @@ _MT_BLOCK, _MAX_BLOCKS = 624, 64
 
 
 class _Snapshot(NamedTuple):
-    """What a scenario's all-defenses pre-state left at one seed, as values; ``_fork`` copies it."""
+    """What a scenario's all-defenses pre-state left at one seed; ``_fork`` copies it.
+
+    The rng is kept as a word count, not as ``rng.getstate()``, whose 625-int tuple
+    would take more memory than the rest of the snapshot.
+    """
 
     words: int  # 32-bit words the pre-state drew from random.Random(seed)
-    events: tuple  # (*payload values, actor, layout) per event, which is the smallest form
+    events: tuple  # its TraceEvents as recorded; each fork copies their payload dicts
     devices: tuple  # (key material, bond records, pairability, session indexes), per DeviceSpec
     sessions: tuple  # the field values of each SessionState; both ends index the same one
 
@@ -378,13 +380,6 @@ def _snapshot(ctx: SimContext, scenario: Scenario, seed: int) -> Optional[_Snaps
     words = _words_drawn(ctx.rng, seed)
     if words is None:
         return None
-    events = []
-    for _, actor, kind, payload in ctx.trace.events:
-        keys = tuple(payload)
-        layout = _LAYOUTS.get((kind, keys))
-        if layout is None:
-            layout = _LAYOUTS[kind, keys] = (kind, keys, tuple(key for key in keys if key in _NESTED))
-        events.append((*payload.values(), actor, layout))
     indexes: dict[int, int] = {}  # id(SessionState) -> its position in ``sessions``
     sessions, states = [], []
     for device in devices:
@@ -395,21 +390,21 @@ def _snapshot(ctx: SimContext, scenario: Scenario, seed: int) -> Optional[_Snaps
         states.append((device.key_material, tuple(device.bonds.records.values()),
                        tuple(device.is_pairable(transport) for transport in TRANSPORTS),
                        tuple(indexes[id(state)] for state in device.sessions)))
-    return _Snapshot(words, tuple(events), tuple(states), tuple(sessions))
+    return _Snapshot(words, tuple(ctx.trace.events), tuple(states), tuple(sessions))
 
 
 def _words_drawn(rng: random.Random, seed: int) -> Optional[int]:
     """How many 32-bit words ``rng`` has drawn since it was ``random.Random(seed)``: every draw
-    takes whole words, so seeding and one ``getrandbits(32 * words)`` reach the same state."""
+    takes whole words, so seeding and one ``getrandbits(32 * words)`` reach the same state.
+    A fresh generator sits at the end of a block, as after 624 words, so 0 is tried first."""
     state = rng.getstate()
     probe = random.Random(seed)
-    words = step = state[1][-1]  # the position within the current block
-    for _ in range(_MAX_BLOCKS):
-        probe.getrandbits(32 * step)
+    words, step = 0, state[1][-1]  # the position within the current block
+    for _ in range(_MAX_BLOCKS + 1):
         if probe.getstate() == state:
             return words
-        step = _MT_BLOCK
-        words += step
+        probe.getrandbits(32 * step)
+        words, step = words + step, _MT_BLOCK
     return None
 
 
@@ -428,12 +423,12 @@ def _fork(scenario: Scenario, seed: int, policies: PolicySet) -> Optional[tuple[
         ctx.rng.getrandbits(32 * snapshot.words)
     # Every payload dict is the fork's own, an object inside it too, as emit's callers give them.
     events = ctx.trace.events
-    for index, event in enumerate(snapshot.events):
-        kind, keys, nested = event[-1]
-        payload = dict(zip(keys, event))  # the values come first, and zip stops after the last key
-        for name in nested:
-            payload[name] = dict(payload[name])
-        events.append(tuple.__new__(TraceEvent, (index, event[-2], kind, payload)))
+    for index, actor, kind, payload in snapshot.events:
+        payload = payload.copy()
+        for name in _NESTED:
+            if name in payload:
+                payload[name] = payload[name].copy()
+        events.append(tuple.__new__(TraceEvent, (index, actor, kind, payload)))
     sessions = [SessionState(*values) for values in snapshot.sessions]
     devices = {}
     for spec, (key_material, records, pairable, indexes) in zip(scenario.devices, snapshot.devices):
@@ -552,9 +547,7 @@ def run_matrix(
                 "succeeded": outcome.succeeded,
                 "rejection": None if outcome.rejection is None else outcome.rejection._value_,
                 "ctis_used": sorted(int(c) for c in outcome.ctis_used),
-                "expectations_ok": result.expectations_ok
-                if policy_override is None
-                else None,
+                "expectations_ok": result.expectations_ok,
             }
         )
     return MatrixReport(rows, policy_override, errors)

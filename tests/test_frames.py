@@ -8,6 +8,7 @@ so the golden digests alone cannot catch a cache key that drops a field:
 the Hypothesis tests here cover the whole capability space.
 """
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -36,7 +37,7 @@ from ctkdsim.pairing import (
     make_device,
 )
 from ctkdsim.policies import PolicySet
-from ctkdsim.scenario import load_scenario, run_scenario
+from ctkdsim.scenario import DeviceSpec, load_scenario, run_scenario
 from ctkdsim.smp import (
     OPCODE_REQUEST,
     OPCODE_RESPONSE,
@@ -179,6 +180,22 @@ class TestBoundedMemory:
         dicts[0]["extra"] = True
         assert [dict(d) for d in dicts[1:]] == others
         assert run_scenario(scenario, policy_override=policies).trace_digest() == digest
+
+    def test_a_fork_owns_every_payload_dict_and_every_dict_inside_one(self):
+        # Two forks of one snapshot: wrecking every payload of the first leaves the second a full run.
+        scenario = load_scenario(MATRIX[3])  # an us attack: its pre-state stores identity keys
+        policies = PolicySet(sig51=True)
+        full = run_scenario(dataclasses.replace(
+            scenario, devices=[DeviceSpec(spec.profile, policies) for spec in scenario.devices]))
+        first = run_scenario(scenario, policy_override=policies)
+        nested = [value for event in first.trace for value in event.payload.values() if type(value) is dict]
+        assert nested
+        for payload in [*nested, *(event.payload for event in first.trace)]:
+            payload.clear()
+            payload["wrecked"] = True
+        second = run_scenario(scenario, policy_override=policies)
+        assert second.trace_digest() == full.trace_digest()
+        assert second.outcome.to_dict() == full.outcome.to_dict()
 
 
 #: One scenario per attack strategy, and the one Numeric Comparison pre-bond.

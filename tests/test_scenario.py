@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -161,6 +162,21 @@ class TestRunScenario:
         result = run_scenario(Scenario.from_dict(raw))
         assert not result.expectations_ok
         assert any("succeeded" in f for f in result.expectation_failures)
+
+    @pytest.mark.parametrize("pre_state", [None, "aborts with every defense on"], ids=["fork", "reference"])
+    def test_an_override_run_checks_no_expectation(self, pre_state):
+        raw = scenario_dict()
+        raw["expectations"]["succeeded"] = False  # a mismatch under the scenario's own policies
+        if pre_state:  # a second CTKD pairing of the same two devices, which c3 refuses
+            step = {"action": "pair", "transport": "BT", "initiator": "alice", "responder": "bob"}
+            raw["pre_state"] = [step, {**step, "transport": "BLE"}]
+        scenario = Scenario.from_dict(raw)
+        assert run_scenario(scenario).expectations_ok is False
+        for _ in range(2):  # the first override run takes the snapshot, the second forks it
+            result = run_scenario(scenario, policy_override=PolicySet())
+            assert result.expectation_failures is None
+            assert result.expectations_ok is None
+        assert run_scenario(scenario).expectations_ok is False
 
     @pytest.mark.parametrize("field, expected", [
         ("ctis_used", 5), ("ctis_used", [[1]]), ("keys_written", [1]),
@@ -436,6 +452,17 @@ class TestCli:
         assert data["summary"]["succeeded"] == 0
         assert data["policies"] == ["c1", "c3"]
 
+    def test_matrix_with_policies_checks_no_expectation(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        assert cli_main(["matrix", str(ROOT / "scenarios" / "matrix"), "--policies", "c1",
+                         "--report", str(report_path)]) == 0
+        rows = json.loads(report_path.read_text())["rows"]
+        assert len(rows) == 64
+        assert {row["expectations_ok"] for row in rows} == {None}
+        # Checked, the bundled expectations would fail: c1 blocks attacks they expect to succeed.
+        expected = {s.name: s.expectations["succeeded"] for s in matrix_scenarios()}
+        assert any(row["succeeded"] != expected[row["scenario"]] for row in rows)
+
     def test_matrix_policies_long_defense_name_is_unknown_exits_2(self, capsys):
         code = cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--policies", "c1,c1_auto_pairable"])
         assert code == 2
@@ -677,7 +704,7 @@ def _row(result) -> dict:
         "succeeded": outcome["succeeded"],
         "rejection": outcome["rejection"],
         "ctis_used": outcome["ctis_used"],
-        "expectations_ok": None,
+        "expectations_ok": result.expectations_ok,
     }
 
 
@@ -841,6 +868,13 @@ class TestFork:
         p256 = run_scenario(scenario, policy_override=policies).trace_digest()
         assert p256 != toy
         assert p256 == run_scenario(_direct(scenario, policies)).trace_digest()
+
+    @pytest.mark.parametrize("words", [0, 1, 623, 624, 625, 624 * 64, 624 * 64 + 1])
+    def test_words_drawn_counts_up_to_64_generator_blocks(self, words):
+        rng = random.Random(7)
+        for _ in range(words):
+            rng.getrandbits(32)
+        assert scenario_module._words_drawn(rng, 7) == (words if words <= 624 * 64 else None)
 
 
 class TestLatticeInvariants:
