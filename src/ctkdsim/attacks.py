@@ -19,6 +19,7 @@ from .pairing import (
     ble_pair,
     bt_pair,
     establish_session,
+    make_device,
 )
 from .policies import PolicySet, RejectionReason
 from .smp import IoCapability
@@ -196,7 +197,7 @@ def _attack(ctx: SimContext, legs: list[tuple], comeback: Optional[tuple[Device,
     overwrote = False
     for claimed, target, transport, reconnect in legs:
         start = ctx.trace.clock
-        charlie = Device(_ATTACKER, _NO_DEFENSES, ctx.rng, claimed)
+        charlie = make_device(ctx, _ATTACKER, _NO_DEFENSES, claimed)
         session = (ble_pair if transport == TRANSPORT_BLE else bt_pair)(ctx, charlie, target)
         victim = target.address.text
         succeeded, victim_reconnect = False, RECONNECT_NOT_ATTEMPTED

@@ -8,12 +8,11 @@ scenarios assert on when a defense blocks a write.
 
 from __future__ import annotations
 
-import random
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .crypto import Address, Checked, Key128, TRANSPORTS, random_key128
+from .crypto import Address, Checked, Key128, TRANSPORTS
 from .smp import CONFIRM_CAPABLE, IoCapability, KeyMaterial
 
 if TYPE_CHECKING:
@@ -179,34 +178,18 @@ class BondTable:
 class Device:
     """A profile plus the mutable state the protocol engine acts on."""
 
-    def __init__(self, profile: DeviceProfile, policies: "PolicySet", rng: random.Random,
+    def __init__(self, profile: DeviceProfile, policies: "PolicySet", key_material: KeyMaterial,
                  address: Optional[Address] = None) -> None:
         self.profile = profile
         self.address: Address = profile.address if address is None else address
         self.policies = policies
         self.bonds = BondTable()
         # Identity keys this device distributes during pairing; never reassigned.
-        self.key_material = KeyMaterial(random_key128(rng), random_key128(rng))
+        self.key_material = key_material
         # Pairable on both transports from the start; only c1 turns a transport
         # off, when it has no live session and no directly paired bond.
         self._pairable = {"BT": True, "BLE": True}
         self.sessions: list["SessionState"] = []
-
-    @classmethod
-    def restore(cls, profile: DeviceProfile, policies: "PolicySet", key_material: KeyMaterial,
-                records: tuple[KeyRecord, ...], pairable: tuple[bool, bool]) -> "Device":
-        """A device at its profile's address that holds ``key_material``, the bonds ``records``
-        and ``pairable`` (on BT, on BLE) and no sessions; nothing is drawn from an rng."""
-        device = cls.__new__(cls)
-        device.profile = profile
-        device.address = profile.address
-        device.policies = policies
-        device.bonds = BondTable()
-        device.bonds.records = {(record.peer.value, record.transport): record for record in records}
-        device.key_material = key_material
-        device._pairable = dict(zip(TRANSPORTS, pairable))
-        device.sessions = []
-        return device
 
     @property
     def name(self) -> str:

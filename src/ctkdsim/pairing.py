@@ -33,6 +33,7 @@ from .crypto import (
     kdf_bt,
     kdf_le,
     other_transport,
+    random_key128,
     random_nonce,
     session_key,
 )
@@ -43,6 +44,7 @@ from .smp import (
     AuthReqBits,
     IoCapability,
     KeyDistBits,
+    KeyMaterial,
     OPCODE_REQUEST,
     OPCODE_RESPONSE,
     SmpPairingMessage,
@@ -72,8 +74,11 @@ class SimContext:
     dh_backend: str = "toy-modp"
 
 
-def make_device(ctx: SimContext, profile: DeviceProfile, policies: Optional[PolicySet] = None) -> Device:
-    return Device(profile, policies if policies is not None else PolicySet(), ctx.rng)
+def make_device(ctx: SimContext, profile: DeviceProfile, policies: Optional[PolicySet] = None,
+                address: Optional[Address] = None) -> Device:
+    """A device whose identity keys are drawn from ``ctx.rng``: the CSRK, then the IRK."""
+    key_material = KeyMaterial(random_key128(ctx.rng), random_key128(ctx.rng))
+    return Device(profile, policies if policies is not None else PolicySet(), key_material, address)
 
 
 @dataclass(slots=True)

@@ -76,7 +76,7 @@ class Scenario:
     attack: AttackSpec
     expectations: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    #: Per (seed, DH backend), the pre-state snapshot that override runs fork, or None (see run_scenario).
+    #: Per (seed, DH backend), the pre-state snapshot that every run forks, or None (see run_scenario).
     _snapshots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -257,17 +257,19 @@ def run_scenario(
 ) -> ScenarioResult:
     """Execute pre-state then the attack; fully deterministic under the seed.
 
-    A run under the scenario's own policies runs its pre-state, ticks c1,
-    runs the attack and checks the scenario's expectations: this is the
-    reference path. A run under ``policy_override`` (every run of
-    ``run_lattice``, and of ``run_matrix`` given a set) checks no
-    expectation, since they describe the scenario's own policies: its
-    ``expectation_failures`` and ``expectations_ok`` are None. It forks
-    instead of running the pre-state. Its scenario's first override run at a
-    seed runs the pre-state once with all five defenses on and keeps what it
-    left on the Scenario (``_snapshot``); every override run at that seed
-    copies it, gives each device the override set, ticks c1 and runs the
-    attack. The trace bytes are those of a full run under the set:
+    Each device runs under its own policies, or every device under
+    ``policy_override`` (every run of ``run_lattice``, and of ``run_matrix``
+    given a set). Only a run under the scenario's own policies checks the
+    scenario's expectations, which describe those policies: under an
+    override ``expectation_failures`` and ``expectations_ok`` are None.
+
+    Every run forks. The scenario's first run at a seed runs the pre-state
+    once with all five defenses on and keeps what it left on the Scenario
+    (``_snapshot``); every run at that seed copies it, gives each device its
+    policies, ticks c1 and runs the attack. The trace bytes are those of the
+    reference path (``_pre_state``, then the attack) under the same
+    policies, since a device's checks read only its own policies, each of
+    which is a subset of all five, and:
 
     * a defense can only add denials;
     * the ``c2``/``c4`` early checks emit a verdict only on a deny;
@@ -276,31 +278,33 @@ def run_scenario(
 
     So a pre-state that passes with all five on writes the same bytes and
     leaves the same state under every subset. A seed whose all-defenses
-    pre-state aborts or raises keeps no snapshot: each of its override runs
-    takes the reference path, so a pre-state error still names its
-    ``pre_state[i]`` under the set in force. The snapshot is kept per seed
-    (and DH backend), so a Scenario must not be changed after its first
-    override run; ``load_scenario`` and ``dataclasses.replace`` give fresh
-    ones.
+    pre-state aborts or raises keeps no snapshot: each of its runs takes the
+    reference path, so a pre-state error still names its ``pre_state[i]``
+    under the policies in force. The snapshot is kept per seed (and DH
+    backend), so a Scenario must not be changed after its first run;
+    ``load_scenario`` and ``dataclasses.replace`` give fresh ones.
+
+    The fork pays only when one Scenario object runs a seed again: the run
+    that takes the snapshot costs more than the reference path would (the
+    all-defenses pre-state, ``_words_drawn`` and a copy), each later run
+    less. ``ctkdsim run`` and ``ctkdsim matrix`` run each fresh Scenario once.
     """
     seed = scenario.seed if seed_override is None else seed_override
     if seed < 0:  # random.Random drops the sign: -5 would replay seed 5
         raise ScenarioError(f"{scenario.name}: seed {seed} is negative")
-    forked = None if policy_override is None else _fork(scenario, seed, policy_override)
-    if forked is None:
-        ctx = SimContext(rng=random.Random(seed))
-        devices = {spec.profile.name: make_device(
-            ctx, spec.profile, spec.policies if policy_override is None else policy_override,
-        ) for spec in scenario.devices}
-        _run_pre_state(ctx, scenario, devices)
-    else:
-        ctx, devices = forked
+    policies = [spec.policies if policy_override is None else policy_override for spec in scenario.devices]
+    ctx, devices = _fork(scenario, seed, policies)
     outcome = _run_attack(ctx, scenario, devices)
     failures = check_expectations(scenario.expectations, outcome) if policy_override is None else None
     return ScenarioResult(scenario, outcome, ctx.trace.events, devices, failures)
 
 
-def _run_pre_state(ctx: SimContext, scenario: Scenario, devices: dict[str, Device]) -> None:
+def _pre_state(scenario: Scenario, seed: int, policies: list[PolicySet]) -> tuple[SimContext, dict[str, Device]]:
+    """The reference path up to the attack: a fresh context at ``seed``, each device built under
+    its ``policies`` (in ``scenario.devices`` order), and every pre-state step run on them."""
+    ctx = SimContext(rng=random.Random(seed))
+    devices = {spec.profile.name: make_device(ctx, spec.profile, device_policies)
+               for spec, device_policies in zip(scenario.devices, policies)}
     for i, step in enumerate(scenario.pre_state):
         initiator = devices[step["initiator"]]
         responder = devices[step["responder"]]
@@ -324,6 +328,7 @@ def _run_pre_state(ctx: SimContext, scenario: Scenario, devices: dict[str, Devic
                 raise ScenarioError(
                     f"{scenario.name}: pre_state[{i}] session failed ({result.outcome})"
                 )
+    return ctx, devices
 
 
 def _run_attack(ctx: SimContext, scenario: Scenario, devices: dict[str, Device]) -> AttackOutcome:
@@ -345,7 +350,7 @@ def _run_attack(ctx: SimContext, scenario: Scenario, devices: dict[str, Device])
 
 
 # ---------------------------------------------------------------------------
-# Pre-state snapshots for override runs
+# Pre-state snapshots, which every run forks
 # ---------------------------------------------------------------------------
 
 #: The payload keys whose value is an object, which a fork copies too.
@@ -359,22 +364,24 @@ _MT_BLOCK, _MAX_BLOCKS = 624, 64
 class _Snapshot(NamedTuple):
     """What a scenario's all-defenses pre-state left at one seed; ``_fork`` copies it.
 
-    The rng is kept as a word count, not as ``rng.getstate()``, whose 625-int tuple
-    would take more memory than the rest of the snapshot.
+    The rng is kept as a word count: a fork seeds ``random.Random`` and skips the words with one
+    ``getrandbits`` (about 9 us), where ``setstate`` from a kept ``rng.getstate()`` takes about
+    29 us and a ``copy.copy`` of the generator about 30 us, and the state's 625-int tuple would
+    take more memory than the rest of the snapshot. No pre-state step changes a device's
+    pairability (only the c1 tick after it does), so a fork's devices start pairable, as built.
     """
 
     words: int  # 32-bit words the pre-state drew from random.Random(seed)
     events: tuple  # its TraceEvents as recorded; each fork copies their payload dicts
-    devices: tuple  # (key material, bond records, pairability, session indexes), per DeviceSpec
+    devices: tuple  # (key material, bond records dict, session indexes), per DeviceSpec
     sessions: tuple  # the field values of each SessionState; both ends index the same one
 
 
-def _snapshot(ctx: SimContext, scenario: Scenario, seed: int) -> Optional[_Snapshot]:
-    """Run the pre-state on ``ctx`` with all five defenses on and keep what it left,
-    or None when it aborts or raises."""
-    devices = [make_device(ctx, spec.profile, DEFENSE_SUBSETS[-1]) for spec in scenario.devices]
+def _snapshot(scenario: Scenario, seed: int) -> Optional[_Snapshot]:
+    """What the pre-state leaves at ``seed`` with all five defenses on, or None when it aborts
+    or raises."""
     try:
-        _run_pre_state(ctx, scenario, {device.name: device for device in devices})
+        ctx, devices = _pre_state(scenario, seed, [DEFENSE_SUBSETS[-1]] * len(scenario.devices))
     except ScenarioError:
         return None
     words = _words_drawn(ctx.rng, seed)
@@ -382,13 +389,12 @@ def _snapshot(ctx: SimContext, scenario: Scenario, seed: int) -> Optional[_Snaps
         return None
     indexes: dict[int, int] = {}  # id(SessionState) -> its position in ``sessions``
     sessions, states = [], []
-    for device in devices:
+    for device in devices.values():
         for state in device.sessions:
             if id(state) not in indexes:
                 indexes[id(state)] = len(sessions)
                 sessions.append(tuple(getattr(state, name) for name in _SESSION_FIELDS))
-        states.append((device.key_material, tuple(device.bonds.records.values()),
-                       tuple(device.is_pairable(transport) for transport in TRANSPORTS),
+        states.append((device.key_material, device.bonds.records,
                        tuple(indexes[id(state)] for state in device.sessions)))
     return _Snapshot(words, tuple(ctx.trace.events), tuple(states), tuple(sessions))
 
@@ -408,17 +414,17 @@ def _words_drawn(rng: random.Random, seed: int) -> Optional[int]:
     return None
 
 
-def _fork(scenario: Scenario, seed: int, policies: PolicySet) -> Optional[tuple[SimContext, dict[str, Device]]]:
-    """A context and devices in the state the pre-state leaves under ``policies``, copied from
-    the scenario's snapshot at ``seed``, taken first if it has none; None when it keeps none."""
+def _fork(scenario: Scenario, seed: int, policies: list[PolicySet]) -> tuple[SimContext, dict[str, Device]]:
+    """A context and devices in the state the pre-state leaves with each device under its
+    ``policies``: a copy of the scenario's snapshot at ``seed``, taken first if it has none, or
+    the reference path's when it keeps none."""
     ctx = SimContext(rng=random.Random(seed))
     key = (seed, ctx.dh_backend)
     if key not in scenario._snapshots:
-        scenario._snapshots[key] = _snapshot(ctx, scenario, seed)
-        ctx = SimContext(rng=random.Random(seed), dh_backend=ctx.dh_backend)
+        scenario._snapshots[key] = _snapshot(scenario, seed)
     snapshot = scenario._snapshots[key]
     if snapshot is None:
-        return None
+        return _pre_state(scenario, seed, policies)
     if snapshot.words:
         ctx.rng.getrandbits(32 * snapshot.words)
     # Every payload dict is the fork's own, an object inside it too, as emit's callers give them.
@@ -431,8 +437,9 @@ def _fork(scenario: Scenario, seed: int, policies: PolicySet) -> Optional[tuple[
         events.append(tuple.__new__(TraceEvent, (index, actor, kind, payload)))
     sessions = [SessionState(*values) for values in snapshot.sessions]
     devices = {}
-    for spec, (key_material, records, pairable, indexes) in zip(scenario.devices, snapshot.devices):
-        device = devices[spec.profile.name] = Device.restore(spec.profile, policies, key_material, records, pairable)
+    for spec, device_policies, (key_material, records, indexes) in zip(scenario.devices, policies, snapshot.devices):
+        device = devices[spec.profile.name] = Device(spec.profile, device_policies, key_material)
+        device.bonds.records = records.copy()
         device.sessions = [sessions[i] for i in indexes]
     return ctx, devices
 

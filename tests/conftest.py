@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from ctkdsim import scenario as scenario_module
 from ctkdsim.device import DeviceProfile
 from ctkdsim.pairing import SimContext, make_device
 from ctkdsim.policies import DEFENSE_SUBSETS, PolicySet
-from ctkdsim.scenario import load_scenario, run_lattice, run_scenario
+from ctkdsim.scenario import ScenarioResult, check_expectations, load_scenario, run_lattice, run_scenario
 
 BUNDLED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*/*.json"))
 
@@ -78,3 +79,14 @@ def matrix_runs(results: list) -> list:
 def baseline(own):
     """The 64 matrix scenarios under their own policies: ``own``'s ``matrix/`` entries."""
     return matrix_runs(own)
+
+
+def reference_run(scenario, policy_override=None, seed_override=None) -> ScenarioResult:
+    """``run_scenario`` on the reference path: the pre-state run afresh under the policies in
+    force, never forked from a snapshot, then the attack; the guard every fork is checked by."""
+    seed = scenario.seed if seed_override is None else seed_override
+    policies = [spec.policies if policy_override is None else policy_override for spec in scenario.devices]
+    ctx, devices = scenario_module._pre_state(scenario, seed, policies)
+    outcome = scenario_module._run_attack(ctx, scenario, devices)
+    failures = check_expectations(scenario.expectations, outcome) if policy_override is None else None
+    return ScenarioResult(scenario, outcome, ctx.trace.events, devices, failures)

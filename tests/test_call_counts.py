@@ -1,16 +1,19 @@
 """Per-layer call counts over the matrix, pinned so hot-path rewrites keep call-count parity.
 
 One pass runs the 64 freshly loaded matrix scenarios under their own
-policies, and another with all five defenses on; a second pass with all
-five on, over the same Scenario objects, forks each pre-state from the
-snapshot the first one kept (``run_scenario``), so it runs no pre-state
-computation at all. Each counted function is rebound in every ``ctkdsim``
-module that holds it, as ``bench/tracer.py`` does, so a call through a
-name bound by ``from .crypto import ...`` is counted too; the three
-methods are patched on their class. Constructions of the four value types
-built on every run are counted through each type's ``__new__``. Every
-event a run records was emitted once, by the run or by the snapshot it
-copies, through ``TraceRecorder.emit``.
+policies, and another with all five defenses on. Every run forks its
+scenario's pre-state snapshot (``run_scenario``), and the first run of
+each Scenario takes it, running the pre-state with all five on, so the
+first pass under the scenarios' own policies looks bonds up as c2 and c4
+do. A second pass under either, over the same Scenario objects, forks
+each pre-state from the snapshot the first one kept, so it runs no
+pre-state computation at all. Each counted function is rebound in every
+``ctkdsim`` module that holds it, as ``bench/tracer.py`` does, so a call
+through a name bound by ``from .crypto import ...`` is counted too; the
+three methods are patched on their class. Constructions of the four
+value types built on every run are counted through each type's
+``__new__``. Every event a run records was emitted once, by the run or
+by the snapshot it copies, through ``TraceRecorder.emit``.
 
 A change that adds or drops a crypto computation, an event, a verdict, a
 commit, a bond lookup, a trace replay by ``derive_ctis`` (one per attack)
@@ -58,7 +61,7 @@ EXPECTED = {
     "own": {
         "aes_cmac": 432, "ctkd_ble_to_bt": 48, "ctkd_bt_to_ble": 96, "dh_agree": 144,
         "dh_generate": 0, "dh_shared": 0, "kdf_le": 48, "kdf_bt": 96, "session_key": 0,
-        "evaluate": 576, "derive_ctis": 64, "TraceRecorder.emit": 3008, "BondTable.commit": 576, "BondTable.lookup": 1312,
+        "evaluate": 576, "derive_ctis": 64, "TraceRecorder.emit": 3008, "BondTable.commit": 576, "BondTable.lookup": 1824,
         "Key128": 704, "Nonce": 768, "SharedSecret": 144, "KeyRecord": 576,
         **ATTACKS,
     },
@@ -67,6 +70,15 @@ EXPECTED = {
         "dh_generate": 0, "dh_shared": 0, "kdf_le": 0, "kdf_bt": 64, "session_key": 0,
         "evaluate": 256, "derive_ctis": 64, "TraceRecorder.emit": 1536, "BondTable.commit": 256, "BondTable.lookup": 928,
         "Key128": 512, "Nonce": 256, "SharedSecret": 64, "KeyRecord": 256,
+        **ATTACKS,
+    },
+    # A second pass under their own policies is the first without its pre-state work, the
+    # snapshot's, which runs with all five on: the attacks alone, most of them successful.
+    "own, second pass": {
+        "aes_cmac": 240, "ctkd_ble_to_bt": 48, "ctkd_bt_to_ble": 32, "dh_agree": 80,
+        "dh_generate": 0, "dh_shared": 0, "kdf_le": 48, "kdf_bt": 32, "session_key": 0,
+        "evaluate": 320, "derive_ctis": 64, "TraceRecorder.emit": 1664, "BondTable.commit": 320, "BondTable.lookup": 928,
+        "Key128": 320, "Nonce": 512, "SharedSecret": 80, "KeyRecord": 320,
         **ATTACKS,
     },
     # A second pass with all five on runs no pre-state: only the c1 tick and the attacks, each
@@ -139,14 +151,15 @@ def test_matrix_call_counts(monkeypatch, policy_name):
     assert calls["TraceRecorder.emit"] == sum(map(len, traces))
 
 
-def test_a_second_override_pass_forks_every_pre_state(monkeypatch):
+@pytest.mark.parametrize("policy_name", list(POLICY_SETS))
+def test_a_second_pass_forks_every_pre_state(monkeypatch, policy_name):
     scenarios = [load_scenario(path) for path in MATRIX]
     calls, emitted = Counter(), []
     _install(monkeypatch, calls, emitted)
-    first = _one_pass(scenarios, POLICY_SETS["all"], calls, emitted)
-    assert {name: calls[name] for name in EXPECTED["all"]} == EXPECTED["all"]
-    second = _one_pass(scenarios, POLICY_SETS["all"], calls, emitted)
-    expected = EXPECTED["all, second pass"]
+    first = _one_pass(scenarios, POLICY_SETS[policy_name], calls, emitted)
+    assert {name: calls[name] for name in EXPECTED[policy_name]} == EXPECTED[policy_name]
+    second = _one_pass(scenarios, POLICY_SETS[policy_name], calls, emitted)
+    expected = EXPECTED[f"{policy_name}, second pass"]
     assert {name: calls[name] for name in expected} == expected
     # The same events; each pre-state's are copied from its snapshot, not emitted again.
     assert second == first

@@ -8,7 +8,6 @@ so the golden digests alone cannot catch a cache key that drops a field:
 the Hypothesis tests here cover the whole capability space.
 """
 
-import dataclasses
 import gc
 import hashlib
 import json
@@ -21,6 +20,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from conftest import reference_run
 
 from ctkdsim import pairing
 from ctkdsim.attacks import unintended_session
@@ -37,7 +37,7 @@ from ctkdsim.pairing import (
     make_device,
 )
 from ctkdsim.policies import PolicySet
-from ctkdsim.scenario import DeviceSpec, load_scenario, run_scenario
+from ctkdsim.scenario import load_scenario, run_scenario
 from ctkdsim.smp import (
     OPCODE_REQUEST,
     OPCODE_RESPONSE,
@@ -125,7 +125,7 @@ def _us_attacks(rounds: int, rng: random.Random) -> None:
         unintended_session(ctx, victim, companion)
 
 
-#: The scenarios' own policies (the reference path), and an override that forks a snapshot.
+#: The scenarios' own policies, and an override; under either every run forks a snapshot.
 OVERRIDES, OVERRIDE_IDS = [None, PolicySet()], ["own", "override"]
 
 
@@ -144,7 +144,7 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("policies", OVERRIDES, ids=OVERRIDE_IDS)
     def test_matrix_passes_retain_nothing_after_the_first(self, policies):
-        # Under an override the first pass keeps each scenario's pre-state snapshot; later passes fork it.
+        # The first pass keeps each scenario's pre-state snapshot; later passes fork it.
         scenarios = [load_scenario(path) for path in MATRIX]
 
         def one_pass():
@@ -167,7 +167,7 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("policies", OVERRIDES, ids=OVERRIDE_IDS)
     def test_each_key_stored_event_owns_its_extra_keys(self, policies):
-        # Under an override both runs fork one snapshot, so each fork must copy every payload dict.
+        # Both runs fork one snapshot, so each fork must copy every payload dict.
         scenario = load_scenario(MATRIX[3])  # an us attack: the attacker keeps the victim's keys
         result = run_scenario(scenario, policy_override=policies)
         digest = result.trace_digest()
@@ -184,18 +184,17 @@ class TestBoundedMemory:
     def test_a_fork_owns_every_payload_dict_and_every_dict_inside_one(self):
         # Two forks of one snapshot: wrecking every payload of the first leaves the second a full run.
         scenario = load_scenario(MATRIX[3])  # an us attack: its pre-state stores identity keys
-        policies = PolicySet(sig51=True)
-        full = run_scenario(dataclasses.replace(
-            scenario, devices=[DeviceSpec(spec.profile, policies) for spec in scenario.devices]))
-        first = run_scenario(scenario, policy_override=policies)
-        nested = [value for event in first.trace for value in event.payload.values() if type(value) is dict]
-        assert nested
-        for payload in [*nested, *(event.payload for event in first.trace)]:
-            payload.clear()
-            payload["wrecked"] = True
-        second = run_scenario(scenario, policy_override=policies)
-        assert second.trace_digest() == full.trace_digest()
-        assert second.outcome.to_dict() == full.outcome.to_dict()
+        for policies in (None, PolicySet(sig51=True)):
+            full = reference_run(scenario, policies)
+            first = run_scenario(scenario, policy_override=policies)
+            nested = [value for event in first.trace for value in event.payload.values() if type(value) is dict]
+            assert nested
+            for payload in [*nested, *(event.payload for event in first.trace)]:
+                payload.clear()
+                payload["wrecked"] = True
+            second = run_scenario(scenario, policy_override=policies)
+            assert second.trace_digest() == full.trace_digest()
+            assert second.outcome.to_dict() == full.outcome.to_dict()
 
 
 #: One scenario per attack strategy, and the one Numeric Comparison pre-bond.

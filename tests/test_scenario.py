@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import BUNDLED, matrix_runs
+from conftest import BUNDLED, matrix_runs, reference_run
 
 from ctkdsim import scenario as scenario_module
 from ctkdsim.cli import main as cli_main
@@ -25,7 +25,6 @@ from ctkdsim.fixtures import bundled_profiles, matrix_scenarios, write_matrix
 from ctkdsim.pairing import SimContext
 from ctkdsim.policies import DEFENSE_SUBSETS, PolicySet, RejectionReason
 from ctkdsim.scenario import (
-    DeviceSpec,
     MatrixReport,
     Scenario,
     ScenarioError,
@@ -172,7 +171,7 @@ class TestRunScenario:
             raw["pre_state"] = [step, {**step, "transport": "BLE"}]
         scenario = Scenario.from_dict(raw)
         assert run_scenario(scenario).expectations_ok is False
-        for _ in range(2):  # the first override run takes the snapshot, the second forks it
+        for _ in range(2):  # both fork the snapshot the first run took, or both take the reference path
             result = run_scenario(scenario, policy_override=PolicySet())
             assert result.expectation_failures is None
             assert result.expectations_ok is None
@@ -784,12 +783,6 @@ class TestLattice:
         )
 
 
-def _direct(scenario: Scenario, policies: PolicySet) -> Scenario:
-    """A copy of ``scenario`` whose every device carries ``policies``: it runs on the reference
-    path, with ``policy_override=None``, what an override run of ``scenario`` forks."""
-    return dataclasses.replace(scenario, devices=[DeviceSpec(spec.profile, policies) for spec in scenario.devices])
-
-
 def _device_state(result) -> dict:
     """Per device: its bond records, its pairability, and per session the live flag and which
     distinct session object it is, in first-seen order, so a session both ends share shows."""
@@ -801,73 +794,100 @@ def _device_state(result) -> dict:
     return state
 
 
-class TestFork:
-    """An override run forks its scenario's all-defenses pre-state (``run_scenario``'s docstring)."""
+#: The run of ``scenario_dict`` whose second pairing c3 aborts: a second CTKD pairing between the
+#: same two devices writes a derived key onto a keyed transport.
+C3_ABORT = r"^mini: pre_state\[1\] pairing aborted \(c3_overwrite_block\)"
 
-    def test_a_fork_equals_the_full_run_of_every_bundled_scenario_under_every_set(self):
-        """2,208 pairs of runs, each compared as it finishes; no ``ScenarioResult`` is kept."""
+
+def _aborts_under_c3(**overrides) -> dict:
+    step = {"action": "pair", "transport": "BT", "initiator": "alice", "responder": "bob"}
+    return scenario_dict(pre_state=[step, {**step, "transport": "BLE"}], expectations={}, **overrides)
+
+
+class TestFork:
+    """Every run forks its scenario's all-defenses pre-state (``run_scenario``'s docstring)."""
+
+    def test_a_fork_equals_the_reference_path_of_every_bundled_scenario(self):
+        """Every bundled scenario under its own policies and under every set: 69 + 2,208 pairs of
+        runs, each compared as it finishes; no ``ScenarioResult`` is kept."""
         assert len(BUNDLED) == 69
         runs = 0
         for path in BUNDLED:
             scenario = load_scenario(path)
-            for policies in DEFENSE_SUBSETS:
+            for policies in (None, *DEFENSE_SUBSETS):
                 forked = run_scenario(scenario, policy_override=policies)
-                full = run_scenario(_direct(scenario, policies))
-                where = (scenario.name, policies.enabled_names())
+                full = reference_run(scenario, policies)
+                where = (scenario.name, policies and policies.enabled_names())
                 assert forked.trace_digest() == full.trace_digest(), where
                 assert forked.outcome.to_dict() == full.outcome.to_dict(), where
+                assert forked.expectation_failures == full.expectation_failures, where
                 assert _device_state(forked) == _device_state(full), where
                 runs += 1
-        assert runs == 69 * 32
+            # One snapshot served all 33 forks; no bundled pre-state aborts with every defense on.
+            assert list(scenario._snapshots) == [(scenario.seed, "toy-modp")], scenario.name
+            assert None not in scenario._snapshots.values(), scenario.name
+        assert runs == 69 * 33
 
-    def test_a_pre_state_that_aborts_with_every_defense_on_takes_the_reference_path(self):
-        # The second CTKD pairing between the same two devices writes a derived key onto a
-        # keyed transport, which c3 refuses: with all five defenses on, pre_state[1] aborts.
-        step = {"action": "pair", "transport": "BT", "initiator": "alice", "responder": "bob"}
-        raw = scenario_dict(pre_state=[step, {**step, "transport": "BLE"}], expectations={})
-        scenario = Scenario.from_dict(raw)
-        with pytest.raises(ScenarioError, match=r"^mini: pre_state\[1\] pairing aborted \(c3_overwrite_block\)"):
-            run_scenario(_direct(scenario, DEFENSE_SUBSETS[-1]))
+    def test_a_pre_state_that_aborts_with_every_defense_on_takes_the_reference_path(self, tmp_path, capsys):
+        scenario = Scenario.from_dict(_aborts_under_c3())
+        with pytest.raises(ScenarioError, match=C3_ABORT):
+            reference_run(scenario, DEFENSE_SUBSETS[-1])
         none = PolicySet()
-        expected = run_scenario(_direct(scenario, none)).trace_digest()
+        expected = reference_run(scenario, none).trace_digest()
         for _ in range(2):
             assert run_scenario(scenario, policy_override=none).trace_digest() == expected
-            with pytest.raises(ScenarioError, match=r"^mini: pre_state\[1\] pairing aborted \(c3_overwrite_block\)"):
+            with pytest.raises(ScenarioError, match=C3_ABORT):
                 run_scenario(scenario, policy_override=PolicySet(c3=True))
+            # Under its own policies, which turn no defense on, the run takes the reference path too.
+            own = run_scenario(scenario)
+            assert own.trace_digest() == expected
+            assert own.expectation_failures == reference_run(scenario).expectation_failures == []
+        assert scenario._snapshots == {(scenario.seed, "toy-modp"): None}
+        # With c3 as a device's own policy, the pre-state error is a config error naming its step.
+        raw = _aborts_under_c3()
+        raw["devices"][1]["policies"] = {"c3": True}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(raw))
+        for _ in range(2):
+            assert cli_main(["run", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "pre_state[1] pairing aborted (c3_overwrite_block)" in err
 
     def test_a_fork_shares_no_session_with_the_snapshot_or_another_fork(self):
         """A successful mitm invalidates the pre-state's sessions; a second run forks them live."""
         scenario = load_scenario(ROOT / "scenarios" / "matrix" / "02__cypress-cyw920819evb02__mitm.json")
-        policies = DEFENSE_SUBSETS[1]  # {sig51}: a set, under which the mitm still succeeds
-        expected = run_scenario(_direct(scenario, policies))
-        first = run_scenario(scenario, policy_override=policies)
-        assert first.outcome.succeeded
-        assert [s for d in first.devices.values() for s in d.sessions if not s.live]
-        second = run_scenario(scenario, policy_override=policies)
-        assert first.trace_digest() == second.trace_digest() == expected.trace_digest()
-        assert _device_state(first) == _device_state(second) == _device_state(expected)
-        sessions = [{id(s) for d in r.devices.values() for s in d.sessions} for r in (first, second)]
-        assert sessions[0] and not sessions[0] & sessions[1]
+        for policies in (None, DEFENSE_SUBSETS[1]):  # own, and {sig51}: under both the mitm succeeds
+            expected = reference_run(scenario, policies)
+            first = run_scenario(scenario, policy_override=policies)
+            assert first.outcome.succeeded
+            assert [s for d in first.devices.values() for s in d.sessions if not s.live]
+            second = run_scenario(scenario, policy_override=policies)
+            assert first.trace_digest() == second.trace_digest() == expected.trace_digest()
+            assert _device_state(first) == _device_state(second) == _device_state(expected)
+            sessions = [{id(s) for d in r.devices.values() for s in d.sessions} for r in (first, second)]
+            assert sessions[0] and not sessions[0] & sessions[1]
 
     def test_seeds_and_dataclasses_replace_fork_apart(self):
         scenario = Scenario.from_dict(scenario_dict())
-        policies = PolicySet(sig51=True)
-        for seed in (1, 2, 1):
-            full = run_scenario(_direct(scenario, policies), seed_override=seed)
-            assert run_scenario(scenario, policy_override=policies, seed_override=seed).trace_digest() \
-                == full.trace_digest()
         renamed = dataclasses.replace(scenario, seed=99)
-        assert run_scenario(renamed, policy_override=policies).trace_digest() \
-            == run_scenario(_direct(renamed, policies)).trace_digest()
+        for policies in (None, PolicySet(sig51=True)):
+            for seed in (1, 2, 1):
+                full = reference_run(scenario, policies, seed)
+                assert run_scenario(scenario, policy_override=policies, seed_override=seed).trace_digest() \
+                    == full.trace_digest()
+            assert run_scenario(renamed, policy_override=policies).trace_digest() \
+                == reference_run(renamed, policies).trace_digest()
 
     def test_each_dh_backend_forks_a_snapshot_of_its_own(self, monkeypatch):
         scenario = Scenario.from_dict(scenario_dict())
-        policies = PolicySet(sig51=True)
-        toy = run_scenario(scenario, policy_override=policies).trace_digest()
+        every = (None, PolicySet(sig51=True))
+        toy = [run_scenario(scenario, policy_override=policies).trace_digest() for policies in every]
         monkeypatch.setattr(scenario_module, "SimContext", functools.partial(SimContext, dh_backend="p256"))
-        p256 = run_scenario(scenario, policy_override=policies).trace_digest()
-        assert p256 != toy
-        assert p256 == run_scenario(_direct(scenario, policies)).trace_digest()
+        for policies, toy_digest in zip(every, toy):
+            p256 = run_scenario(scenario, policy_override=policies).trace_digest()
+            assert p256 != toy_digest
+            assert p256 == reference_run(scenario, policies).trace_digest()
+        assert list(scenario._snapshots) == [(scenario.seed, "toy-modp"), (scenario.seed, "p256")]
 
     @pytest.mark.parametrize("words", [0, 1, 623, 624, 625, 624 * 64, 624 * 64 + 1])
     def test_words_drawn_counts_up_to_64_generator_blocks(self, words):
