@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -286,8 +286,8 @@ def run_scenario(
 
     The fork pays only when one Scenario object runs a seed again: the run
     that takes the snapshot costs more than the reference path would (the
-    all-defenses pre-state, ``_words_drawn`` and a copy), each later run
-    less. ``ctkdsim run`` and ``ctkdsim matrix`` run each fresh Scenario once.
+    all-defenses pre-state and a copy), each later run less. ``ctkdsim run``
+    and ``ctkdsim matrix`` run each fresh Scenario once.
     """
     seed = scenario.seed if seed_override is None else seed_override
     if seed < 0:  # random.Random drops the sign: -5 would replay seed 5
@@ -299,10 +299,9 @@ def run_scenario(
     return ScenarioResult(scenario, outcome, ctx.trace.events, devices, failures)
 
 
-def _pre_state(scenario: Scenario, seed: int, policies: list[PolicySet]) -> tuple[SimContext, dict[str, Device]]:
-    """The reference path up to the attack: a fresh context at ``seed``, each device built under
-    its ``policies`` (in ``scenario.devices`` order), and every pre-state step run on them."""
-    ctx = SimContext(rng=random.Random(seed))
+def _pre_state(scenario: Scenario, ctx: SimContext, policies: list[PolicySet]) -> dict[str, Device]:
+    """The reference path up to the attack on a fresh ``ctx``: each device built under its
+    ``policies`` (in ``scenario.devices`` order), and every pre-state step run on them."""
     devices = {spec.profile.name: make_device(ctx, spec.profile, device_policies)
                for spec, device_policies in zip(scenario.devices, policies)}
     for i, step in enumerate(scenario.pre_state):
@@ -328,7 +327,7 @@ def _pre_state(scenario: Scenario, seed: int, policies: list[PolicySet]) -> tupl
                 raise ScenarioError(
                     f"{scenario.name}: pre_state[{i}] session failed ({result.outcome})"
                 )
-    return ctx, devices
+    return devices
 
 
 def _run_attack(ctx: SimContext, scenario: Scenario, devices: dict[str, Device]) -> AttackOutcome:
@@ -356,62 +355,46 @@ def _run_attack(ctx: SimContext, scenario: Scenario, devices: dict[str, Device])
 #: The payload keys whose value is an object, which a fork copies too.
 _NESTED = frozenset(key for schema in PAYLOAD_SCHEMAS.values() for key, kind in schema.items()
                     if isinstance(kind, dict))
-_SESSION_FIELDS = tuple(f.name for f in fields(SessionState))
-#: MT19937 draws in blocks of 624 words; a pre-state that draws more blocks than this keeps no snapshot.
-_MT_BLOCK, _MAX_BLOCKS = 624, 64
+
+
+class _Counted(random.Random):
+    """A generator that counts the 32-bit words its draws take. Every draw the simulator makes,
+    ``randrange`` and ``randbytes`` included, goes through ``getrandbits``, and ``getrandbits(k)``
+    takes ``ceil(k / 32)`` words, so seeding and one ``getrandbits(32 * words)`` reach its state."""
+
+    words = 0
+
+    def getrandbits(self, k: int) -> int:
+        self.words += -(-k // 32)
+        return super().getrandbits(k)
 
 
 class _Snapshot(NamedTuple):
     """What a scenario's all-defenses pre-state left at one seed; ``_fork`` copies it.
 
-    The rng is kept as a word count: a fork seeds ``random.Random`` and skips the words with one
-    ``getrandbits`` (about 9 us), where ``setstate`` from a kept ``rng.getstate()`` takes about
-    29 us and a ``copy.copy`` of the generator about 30 us, and the state's 625-int tuple would
-    take more memory than the rest of the snapshot. No pre-state step changes a device's
-    pairability (only the c1 tick after it does), so a fork's devices start pairable, as built.
+    The rng is kept as a word count, counted as the pre-state drew: a fork seeds
+    ``random.Random`` and skips the words with one ``getrandbits`` (about 9 us), where
+    ``setstate`` from a kept ``rng.getstate()`` takes about 29 us and a ``copy.copy`` of the
+    generator about 30 us. The devices are the pre-state's own, under all five defenses; a fork
+    builds its own under its policies from their identity keys, and copies their bonds and
+    sessions. No pre-state step changes a device's pairability (only the c1 tick after it does),
+    so a fork's devices start pairable, as built.
     """
 
-    words: int  # 32-bit words the pre-state drew from random.Random(seed)
+    words: int  # 32-bit words the pre-state drew from its seeded generator
     events: tuple  # its TraceEvents as recorded; each fork copies their payload dicts
-    devices: tuple  # (key material, bond records dict, session indexes), per DeviceSpec
-    sessions: tuple  # the field values of each SessionState; both ends index the same one
+    devices: tuple  # its Devices, in DeviceSpec order; no fork changes them
 
 
-def _snapshot(scenario: Scenario, seed: int) -> Optional[_Snapshot]:
+def _snapshot(scenario: Scenario, seed: int, dh_backend: str) -> Optional[_Snapshot]:
     """What the pre-state leaves at ``seed`` with all five defenses on, or None when it aborts
     or raises."""
+    ctx = SimContext(rng=_Counted(seed), dh_backend=dh_backend)
     try:
-        ctx, devices = _pre_state(scenario, seed, [DEFENSE_SUBSETS[-1]] * len(scenario.devices))
+        devices = _pre_state(scenario, ctx, [DEFENSE_SUBSETS[-1]] * len(scenario.devices))
     except ScenarioError:
         return None
-    words = _words_drawn(ctx.rng, seed)
-    if words is None:
-        return None
-    indexes: dict[int, int] = {}  # id(SessionState) -> its position in ``sessions``
-    sessions, states = [], []
-    for device in devices.values():
-        for state in device.sessions:
-            if id(state) not in indexes:
-                indexes[id(state)] = len(sessions)
-                sessions.append(tuple(getattr(state, name) for name in _SESSION_FIELDS))
-        states.append((device.key_material, device.bonds.records,
-                       tuple(indexes[id(state)] for state in device.sessions)))
-    return _Snapshot(words, tuple(ctx.trace.events), tuple(states), tuple(sessions))
-
-
-def _words_drawn(rng: random.Random, seed: int) -> Optional[int]:
-    """How many 32-bit words ``rng`` has drawn since it was ``random.Random(seed)``: every draw
-    takes whole words, so seeding and one ``getrandbits(32 * words)`` reach the same state.
-    A fresh generator sits at the end of a block, as after 624 words, so 0 is tried first."""
-    state = rng.getstate()
-    probe = random.Random(seed)
-    words, step = 0, state[1][-1]  # the position within the current block
-    for _ in range(_MAX_BLOCKS + 1):
-        if probe.getstate() == state:
-            return words
-        probe.getrandbits(32 * step)
-        words, step = words + step, _MT_BLOCK
-    return None
+    return _Snapshot(ctx.rng.words, tuple(ctx.trace.events), tuple(devices.values()))
 
 
 def _fork(scenario: Scenario, seed: int, policies: list[PolicySet]) -> tuple[SimContext, dict[str, Device]]:
@@ -421,12 +404,11 @@ def _fork(scenario: Scenario, seed: int, policies: list[PolicySet]) -> tuple[Sim
     ctx = SimContext(rng=random.Random(seed))
     key = (seed, ctx.dh_backend)
     if key not in scenario._snapshots:
-        scenario._snapshots[key] = _snapshot(scenario, seed)
+        scenario._snapshots[key] = _snapshot(scenario, seed, ctx.dh_backend)
     snapshot = scenario._snapshots[key]
     if snapshot is None:
-        return _pre_state(scenario, seed, policies)
-    if snapshot.words:
-        ctx.rng.getrandbits(32 * snapshot.words)
+        return ctx, _pre_state(scenario, ctx, policies)
+    ctx.rng.getrandbits(32 * snapshot.words)
     # Every payload dict is the fork's own, an object inside it too, as emit's callers give them.
     events = ctx.trace.events
     for index, actor, kind, payload in snapshot.events:
@@ -435,12 +417,15 @@ def _fork(scenario: Scenario, seed: int, policies: list[PolicySet]) -> tuple[Sim
             if name in payload:
                 payload[name] = payload[name].copy()
         events.append(tuple.__new__(TraceEvent, (index, actor, kind, payload)))
-    sessions = [SessionState(*values) for values in snapshot.sessions]
+    copies: dict[int, SessionState] = {}  # id(kept session) -> its copy, which both ends share
     devices = {}
-    for spec, device_policies, (key_material, records, indexes) in zip(scenario.devices, policies, snapshot.devices):
-        device = devices[spec.profile.name] = Device(spec.profile, device_policies, key_material)
-        device.bonds.records = records.copy()
-        device.sessions = [sessions[i] for i in indexes]
+    for device_policies, kept in zip(policies, snapshot.devices):
+        device = devices[kept.name] = Device(kept.profile, device_policies, kept.key_material)
+        device.bonds.records = kept.bonds.records.copy()
+        for s in kept.sessions:
+            if id(s) not in copies:
+                copies[id(s)] = SessionState(s.peers, s.transport, s.pairing_key, s.nonces, s.entropy, s.live)
+            device.sessions.append(copies[id(s)])
     return ctx, devices
 
 

@@ -21,6 +21,7 @@ from conftest import BUNDLED, matrix_runs, reference_run
 
 from ctkdsim import scenario as scenario_module
 from ctkdsim.cli import main as cli_main
+from ctkdsim.crypto import get_backend, random_address, random_nonce
 from ctkdsim.fixtures import bundled_profiles, matrix_scenarios, write_matrix
 from ctkdsim.pairing import SimContext
 from ctkdsim.policies import DEFENSE_SUBSETS, PolicySet, RejectionReason
@@ -784,12 +785,12 @@ class TestLattice:
 
 
 def _device_state(result) -> dict:
-    """Per device: its bond records, its pairability, and per session the live flag and which
+    """Per device: its bond records, its pairability, and per session every field and which
     distinct session object it is, in first-seen order, so a session both ends share shows."""
     order: dict[int, int] = {}
     state = {}
     for name, device in result.devices.items():
-        sessions = [(order.setdefault(id(s), len(order)), s.peers, s.transport, s.live) for s in device.sessions]
+        sessions = [(order.setdefault(id(s), len(order)), dataclasses.astuple(s)) for s in device.sessions]
         state[name] = (dict(device.bonds.records), [device.is_pairable(t) for t in ("BT", "BLE")], sessions)
     return state
 
@@ -890,11 +891,26 @@ class TestFork:
         assert list(scenario._snapshots) == [(scenario.seed, "toy-modp"), (scenario.seed, "p256")]
 
     @pytest.mark.parametrize("words", [0, 1, 623, 624, 625, 624 * 64, 624 * 64 + 1])
-    def test_words_drawn_counts_up_to_64_generator_blocks(self, words):
-        rng = random.Random(7)
+    def test_a_counted_generator_counts_every_word_it_draws(self, words):
+        """Seeding and one ``getrandbits(32 * rng.words)`` reach a counted generator's state after
+        any number of words, past 64 generator blocks too, and after each kind of draw the
+        simulator makes."""
+        def reached(rng) -> bool:
+            replay = random.Random(7)
+            replay.getrandbits(32 * rng.words)
+            return replay.getstate() == rng.getstate()
+
+        rng = scenario_module._Counted(7)
         for _ in range(words):
             rng.getrandbits(32)
-        assert scenario_module._words_drawn(rng, 7) == (words if words <= 624 * 64 else None)
+        assert rng.words == words and reached(rng)
+        for draw in (random_nonce,  # getrandbits(128), as for every key and nonce
+                     get_backend("toy-modp").private,  # randrange(2, 2**127 - 2)
+                     get_backend("p256").private,  # randrange(1, the P-256 group order)
+                     random_address,  # randbytes(5)
+                     lambda rng: rng.getrandbits(0)):
+            draw(rng)
+            assert reached(rng), draw
 
 
 class TestLatticeInvariants:
