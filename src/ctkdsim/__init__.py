@@ -51,7 +51,6 @@ from .pairing import (
 )
 from .policies import (
     PolicySet,
-    PolicyVerdict,
     RejectionReason,
     c1_tick,
     c2_check,

@@ -260,11 +260,19 @@ def _emit_message(ctx: SimContext, sender: Device, receiver: Device, transport: 
     ctx.trace.emit(receiver_text, KIND_MSG_RECEIVED, received)
 
 
-def _emit_verdict(ctx, device: Device, *, stage, transport, peer, allow, reason, origin=None):
+def _emit_verdict(ctx, device: Device, stage, transport, peer, reason, origin=None):
+    """A verdict allows exactly when it names no reason."""
     ctx.trace.emit(device.address.text, KIND_POLICY_VERDICT, {
-        "stage": stage, "transport": transport, "peer": peer.text, "allow": allow,
+        "stage": stage, "transport": transport, "peer": peer.text, "allow": reason is None,
         "reason": None if reason is None else reason._value_, "origin": origin,
     })
+
+
+def _abort(ctx, session: PairingSession, device: Device, stage: str, peer: Address,
+           reason: RejectionReason) -> None:
+    """Deny before any key work: the verdict on the run's transport, then the abort."""
+    _emit_verdict(ctx, device, stage, session.transport, peer, reason)
+    session.abort_reason = reason
 
 
 def _invalidate_sessions(device: Device, peer: Address, transport: str) -> None:
@@ -295,11 +303,7 @@ def _request(ctx: SimContext, initiator: Device, responder: Device, transport: s
     session = PairingSession(transport)
     _emit_message(ctx, initiator, responder, transport, request.text, "request", bt_auth_req=bt_auth_req)
     if not responder.is_pairable(transport):
-        _emit_verdict(
-            ctx, responder, stage="pairing_request", transport=transport,
-            peer=initiator.address, allow=False, reason=RejectionReason.NOT_PAIRABLE,
-        )
-        session.abort_reason = RejectionReason.NOT_PAIRABLE
+        _abort(ctx, session, responder, "pairing_request", initiator.address, RejectionReason.NOT_PAIRABLE)
     return session
 
 
@@ -329,15 +333,11 @@ def _early_check(ctx, session: PairingSession, initiator: Device, responder: Dev
         for transport in TRANSPORTS:
             existing = device.bonds.lookup(peer.address, transport)
             if role_stage:
-                verdict = c2_check(existing, peer_role)
+                reason = c2_check(existing, peer_role)
             else:
-                verdict = c4_check(existing, session.negotiated.association)
-            if not verdict.allow:
-                _emit_verdict(
-                    ctx, device, stage=stage, transport=session.transport,
-                    peer=peer.address, allow=False, reason=verdict.reason,
-                )
-                session.abort_reason = verdict.reason
+                reason = c4_check(existing, session.negotiated.association)
+            if reason is not None:
+                _abort(ctx, session, device, stage, peer.address, reason)
                 return False
     return True
 
@@ -405,16 +405,13 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
             pending.append((device, derived, existing, prior_direct))
 
     for device, record, existing, prior_direct in pending:
-        verdict = evaluate(device.policies, existing, record, prior_direct)
+        reason = evaluate(device.policies, existing, record, prior_direct)
         origin = record.origin._value_
-        _emit_verdict(
-            ctx, device, stage="store", transport=record.transport, peer=record.peer,
-            allow=verdict.allow, reason=verdict.reason, origin=origin,
-        )
-        if not verdict.allow:
+        _emit_verdict(ctx, device, "store", record.transport, record.peer, reason, origin)
+        if reason is not None:
             ctx.trace.emit(device.address.text, KIND_KEY_REJECTED, {"transport": record.transport,
-                           "peer": record.peer.text, "origin": origin, "reason": verdict.reason._value_})
-            session.abort_reason = verdict.reason
+                           "peer": record.peer.text, "origin": origin, "reason": reason._value_})
+            session.abort_reason = reason
             return session
     for device, record, existing, *_ in pending:
         overwrote = device.bonds.commit(record, existing).overwrote

@@ -10,19 +10,19 @@ key that is weaker in strength or MITM protection). The four countermeasures:
   refuses derivation from a weaker re-pairing key,
 * C4 never lets the association method weaken across re-pairings.
 
-All checks are pure, and each runs at exactly one stage: C2 when the
-pairing request arrives and C4 once the association method is settled
-(both in ``pairing._early_check``), C1 on the idle tick, and the overwrite
-rule and C3 on each key-store write (``evaluate``).
+The checks are pure and return the ``RejectionReason`` that denies, or
+None to allow. Each defense runs at exactly one stage: C2 when the pairing
+request arrives and C4 once the association method is settled (both in
+``pairing._early_check``), C1 on the idle tick, and the overwrite rule and
+C3 on each key-store write (``evaluate``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .crypto import Checked
 from .device import (
     Association,
     Device,
@@ -42,17 +42,6 @@ class RejectionReason(Enum):
     C4_ASSOCIATION_DOWNGRADE = "c4_association_downgrade"
     NOT_PAIRABLE = "not_pairable"
 
-
-class PolicyVerdict(Checked, NamedTuple("PolicyVerdict", [("allow", bool), ("reason", Optional[RejectionReason])])):
-    __slots__ = ()
-
-    def __new__(cls, allow: bool, reason: Optional[RejectionReason] = None) -> "PolicyVerdict":
-        if not allow and reason is None:
-            raise ValueError("a rejecting verdict needs a reason")
-        return tuple.__new__(cls, (allow, reason))
-
-
-ALLOW = PolicyVerdict(True)
 
 #: The defenses, in the order ``enabled_names`` lists them.
 DEFENSES = ("sig51", "c1", "c2", "c3", "c4")
@@ -87,26 +76,26 @@ DEFENSE_SUBSETS = tuple(
 )
 
 
-def sig51_check(existing: Optional[KeyRecord], incoming: KeyRecord) -> PolicyVerdict:
+def sig51_check(existing: Optional[KeyRecord], incoming: KeyRecord) -> Optional[RejectionReason]:
     """Reject an overwrite by a key weaker in strength or MITM protection.
 
     Equal strength and protection passes: that is the whole gap the
     equal-protection overwrite attacks drive through.
     """
     if existing is None:
-        return ALLOW
+        return None
     if incoming.key.strength < existing.key.strength:
-        return PolicyVerdict(False, RejectionReason.STRENGTH_DOWNGRADE)
+        return RejectionReason.STRENGTH_DOWNGRADE
     if existing.key.mitm_protected and not incoming.key.mitm_protected:
-        return PolicyVerdict(False, RejectionReason.MITM_DOWNGRADE)
-    return ALLOW
+        return RejectionReason.MITM_DOWNGRADE
+    return None
 
 
-def c2_check(existing: Optional[KeyRecord], incoming_role: PairingRole) -> PolicyVerdict:
+def c2_check(existing: Optional[KeyRecord], incoming_role: PairingRole) -> Optional[RejectionReason]:
     """Reject when a stored bond for the peer was made with a different role."""
     if existing is not None and existing.role_at_pairing != incoming_role:
-        return PolicyVerdict(False, RejectionReason.C2_ROLE_MISMATCH)
-    return ALLOW
+        return RejectionReason.C2_ROLE_MISMATCH
+    return None
 
 
 def _weaker(candidate: KeyRecord, baseline: KeyRecord) -> bool:
@@ -117,7 +106,7 @@ def _weaker(candidate: KeyRecord, baseline: KeyRecord) -> bool:
 
 
 def c3_check(existing: Optional[KeyRecord], incoming: KeyRecord,
-             prior_direct: Optional[KeyRecord] = None) -> PolicyVerdict:
+             prior_direct: Optional[KeyRecord] = None) -> Optional[RejectionReason]:
     """Gate cross-transport writes; direct (explicit) re-pairing stays allowed.
 
     A derived key may not land on a transport that already has a pairing key,
@@ -127,35 +116,35 @@ def c3_check(existing: Optional[KeyRecord], incoming: KeyRecord,
     came from, so ``incoming`` stands for that record.
     """
     if incoming.origin is not KeyOrigin.CTKD_DERIVED:
-        return ALLOW
+        return None
     if existing is not None:
-        return PolicyVerdict(False, RejectionReason.C3_OVERWRITE_BLOCK)
+        return RejectionReason.C3_OVERWRITE_BLOCK
     if prior_direct is not None and _weaker(incoming, prior_direct):
-        return PolicyVerdict(False, RejectionReason.C3_WEAK_INPUT_BLOCK)
-    return ALLOW
+        return RejectionReason.C3_WEAK_INPUT_BLOCK
+    return None
 
 
-def c4_check(existing: Optional[KeyRecord], incoming_association: Association) -> PolicyVerdict:
+def c4_check(existing: Optional[KeyRecord], incoming_association: Association) -> Optional[RejectionReason]:
     """Association strength may never go down relative to any stored bond."""
     if existing is not None and incoming_association.rank < existing.association.rank:
-        return PolicyVerdict(False, RejectionReason.C4_ASSOCIATION_DOWNGRADE)
-    return ALLOW
+        return RejectionReason.C4_ASSOCIATION_DOWNGRADE
+    return None
 
 
 def evaluate(policy: PolicySet, existing: Optional[KeyRecord], incoming: KeyRecord,
-             prior_direct: Optional[KeyRecord] = None) -> PolicyVerdict:
+             prior_direct: Optional[KeyRecord] = None) -> Optional[RejectionReason]:
     """The verdict on writing ``incoming`` over ``existing``: sig51, then c3.
 
     ``prior_direct`` only matters for a derived record: what the run's
     pairing transport held before the run.
     """
     if policy.sig51:
-        verdict = sig51_check(existing, incoming)
-        if not verdict.allow:
-            return verdict
+        reason = sig51_check(existing, incoming)
+        if reason is not None:
+            return reason
     if policy.c3:
         return c3_check(existing, incoming, prior_direct)
-    return ALLOW
+    return None
 
 
 def c1_tick(device: Device, transport: str) -> bool:

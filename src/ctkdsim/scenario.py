@@ -272,8 +272,10 @@ def run_scenario(
     which is a subset of all five, and:
 
     * a defense can only add denials;
-    * the ``c2``/``c4`` early checks emit a verdict only on a deny;
-    * every store verdict is emitted with ``allow: true`` and names no policy;
+    * an early-stage verdict is emitted only by ``pairing._abort``, so only
+      on a deny;
+    * every store verdict is emitted with ``allow: true`` and names no policy
+      (``_emit_verdict`` computes ``allow`` from the reason);
     * c1 acts only at the tick after the pre-state.
 
     So a pre-state that passes with all five on writes the same bytes and

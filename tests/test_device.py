@@ -181,7 +181,7 @@ class TestKeyRecord:
 
 
 def store_verdict(table, incoming, policy):
-    """The policy verdict on writing ``incoming`` into ``table``."""
+    """The reason that denies writing ``incoming`` into ``table``, or None."""
     return evaluate(policy, table.lookup(incoming.peer, incoming.transport), incoming)
 
 
@@ -194,8 +194,7 @@ class TestBondTable:
     def test_store_into_empty_table_always_allowed(self):
         table = BondTable()
         rec = record()
-        verdict = store_verdict(table, rec, PolicySet(sig51=True, c3=True))
-        assert verdict.allow
+        assert store_verdict(table, rec, PolicySet(sig51=True, c3=True)) is None
         assert not store(table, rec).overwrote
 
     def test_lookup_after_store(self):
@@ -231,15 +230,14 @@ class TestBondTable:
     def test_sig51_blocks_mitm_downgrade(self):
         table = BondTable()
         store(table, record(mitm=True))
-        verdict = store_verdict(table, record(mitm=False, key_byte=0x42), PolicySet(sig51=True))
-        assert not verdict.allow
-        assert verdict.reason is RejectionReason.MITM_DOWNGRADE
+        reason = store_verdict(table, record(mitm=False, key_byte=0x42), PolicySet(sig51=True))
+        assert reason is RejectionReason.MITM_DOWNGRADE
 
     def test_sig51_allows_equal_protection_overwrite(self):
         table = BondTable()
         store(table, record(mitm=False))
         new = record(mitm=False, key_byte=0x42)
-        assert store_verdict(table, new, PolicySet(sig51=True)).allow
+        assert store_verdict(table, new, PolicySet(sig51=True)) is None
         assert store(table, new).overwrote
 
     def test_rejection_leaves_table_unchanged(self):
@@ -247,8 +245,7 @@ class TestBondTable:
         old = record(mitm=True)
         store(table, old)
         snap = dict(table.records)
-        verdict = store_verdict(table, record(mitm=False, key_byte=0x42), PolicySet(sig51=True))
-        assert not verdict.allow
+        assert store_verdict(table, record(mitm=False, key_byte=0x42), PolicySet(sig51=True)) is not None
         assert table.records == snap
 
 

@@ -268,18 +268,61 @@ class TestAbortAtomicity:
                              "reason": "c3_weak_input_block"}]
         assert guarded.bonds.records == snapshot
 
-    def test_c4_aborts_before_any_key_work(self, ctx):
+    def test_sig51_refuses_a_shorter_key(self, ctx):
+        a = device(ctx, "nc-a", 0x5D)
+        guarded = device(ctx, "nc-b", 0x5E, policies=PolicySet(sig51=True))
+        assert not ble_pair(ctx, a, guarded).aborted  # a 16-byte NC bond
+        snapshot = dict(guarded.bonds.records)
+        claimant = device(ctx, "nc-a-short", 0x5D, max_key_size=7)
+        session = ble_pair(ctx, claimant, guarded)
+        assert session.aborted
+        assert session.abort_reason is RejectionReason.STRENGTH_DOWNGRADE
+        rejected = [e.payload for e in ctx.trace.events if e.kind == "key_rejected"]
+        assert rejected == [{"transport": TRANSPORT_BLE, "peer": "02:aa:00:00:00:5d", "origin": "direct_pairing",
+                             "reason": "strength_downgrade"}]
+        assert guarded.bonds.records == snapshot
+
+    @pytest.mark.parametrize("pair", [ble_pair, bt_pair])
+    def test_c4_aborts_before_any_key_work(self, ctx, pair):
         a = device(ctx, "nc-a", 0x58)
         strict = device(ctx, "nc-b", 0x59, policies=PolicySet(c4=True))
-        assert not ble_pair(ctx, a, strict).aborted  # NC bond
+        session = pair(ctx, a, strict)
+        assert not session.aborted
+        assert strict.bonds.lookup(a.address, session.transport).association is Association.NUMERIC_COMPARISON
         # Whoever claims a's address with no input/output forces Just Works.
         claimant = device(ctx, "nc-a-jw", 0x58, io="NoInputNoOutput")
         rng_state = ctx.rng.getstate()
-        session = ble_pair(ctx, claimant, strict)
+        session = pair(ctx, claimant, strict)
         assert session.aborted
         assert session.abort_reason is RejectionReason.C4_ASSOCIATION_DOWNGRADE
+        denied = [(e.payload["stage"], e.payload["transport"], e.payload["reason"])
+                  for e in ctx.trace.events if e.kind == "policy_verdict" and not e.payload["allow"]]
+        assert denied == [("association", session.transport, "c4_association_downgrade")]
         assert ctx.rng.getstate() == rng_state  # aborted before any DH or nonce draw
 
+    @pytest.mark.parametrize("pair", [ble_pair, bt_pair])
+    def test_not_pairable_denies_at_the_request(self, ctx, laptop, headset, pair):
+        rng_state = ctx.rng.getstate()
+        headset.set_pairable(TRANSPORT_BLE, False)
+        headset.set_pairable(TRANSPORT_BT, False)
+        session = pair(ctx, laptop, headset)
+        assert session.aborted
+        assert session.abort_reason is RejectionReason.NOT_PAIRABLE
+        verdicts = [(e.actor, e.payload) for e in ctx.trace.events if e.kind == "policy_verdict"]
+        assert verdicts == [(headset.address.text, {
+            "stage": "pairing_request", "transport": session.transport, "peer": laptop.address.text,
+            "allow": False, "reason": "not_pairable", "origin": None,
+        })]
+        assert ctx.rng.getstate() == rng_state
+        assert not headset.bonds.records and not laptop.bonds.records
+
+    def test_a_verdict_allows_exactly_when_it_names_no_reason(self, ctx, laptop, headset):
+        reasons = [None, *RejectionReason]
+        for reason in reasons:
+            pairing._emit_verdict(ctx, headset, "store", TRANSPORT_BLE, laptop.address, reason)
+        payloads = [e.payload for e in ctx.trace.events]
+        assert [p["allow"] for p in payloads] == [reason is None for reason in reasons]
+        assert [p["reason"] for p in payloads] == [None if r is None else r.value for r in reasons]
 
     @pytest.mark.parametrize("pair", [ble_pair, bt_pair])
     def test_self_pairing_rejected_before_any_work(self, ctx, laptop, pair):

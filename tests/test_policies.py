@@ -2,8 +2,6 @@
 
 from dataclasses import fields
 
-import pytest
-
 from conftest import device
 from test_device import record
 
@@ -12,7 +10,6 @@ from ctkdsim.pairing import establish_session
 from ctkdsim.policies import (
     DEFENSES,
     PolicySet,
-    PolicyVerdict,
     RejectionReason,
     c1_tick,
     c2_check,
@@ -25,93 +22,82 @@ from ctkdsim.policies import (
 
 class TestSig51:
     def test_mitm_downgrade_rejected(self):
-        verdict = sig51_check(record(mitm=True), record(mitm=False, key_byte=0x42))
-        assert not verdict.allow and verdict.reason is RejectionReason.MITM_DOWNGRADE
+        assert sig51_check(record(mitm=True), record(mitm=False, key_byte=0x42)) is RejectionReason.MITM_DOWNGRADE
 
     def test_strength_downgrade_rejected(self):
-        verdict = sig51_check(record(strength=16), record(strength=7, key_byte=0x42))
-        assert not verdict.allow and verdict.reason is RejectionReason.STRENGTH_DOWNGRADE
+        assert sig51_check(record(strength=16), record(strength=7, key_byte=0x42)) is RejectionReason.STRENGTH_DOWNGRADE
 
     def test_equal_protection_allowed(self):
-        assert sig51_check(record(mitm=False), record(mitm=False, key_byte=0x42)).allow
+        assert sig51_check(record(mitm=False), record(mitm=False, key_byte=0x42)) is None
 
     def test_upgrade_allowed(self):
-        assert sig51_check(record(mitm=False), record(mitm=True, key_byte=0x42)).allow
+        assert sig51_check(record(mitm=False), record(mitm=True, key_byte=0x42)) is None
 
     def test_no_existing_key_allowed(self):
-        assert sig51_check(None, record()).allow
+        assert sig51_check(None, record()) is None
 
 
 class TestC2:
     def test_prior_slave_incoming_master_rejected(self):
-        verdict = c2_check(record(role=PairingRole.SLAVE), PairingRole.MASTER)
-        assert not verdict.allow and verdict.reason is RejectionReason.C2_ROLE_MISMATCH
+        assert c2_check(record(role=PairingRole.SLAVE), PairingRole.MASTER) is RejectionReason.C2_ROLE_MISMATCH
 
     def test_no_prior_bond_allowed(self):
-        assert c2_check(None, PairingRole.MASTER).allow
+        assert c2_check(None, PairingRole.MASTER) is None
 
     def test_matching_role_allowed(self):
-        assert c2_check(record(role=PairingRole.MASTER), PairingRole.MASTER).allow
+        assert c2_check(record(role=PairingRole.MASTER), PairingRole.MASTER) is None
 
 
 class TestC3:
     def test_derived_key_onto_keyed_transport_rejected(self):
         incoming = record(transport="BT", origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
-        verdict = c3_check(record(transport="BT"), incoming)
-        assert not verdict.allow and verdict.reason is RejectionReason.C3_OVERWRITE_BLOCK
+        assert c3_check(record(transport="BT"), incoming) is RejectionReason.C3_OVERWRITE_BLOCK
 
     def test_weak_repairing_input_disables_derivation(self):
         prior_direct = record(transport="BLE", mitm=True)
         incoming = record(transport="BT", mitm=False, origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
-        verdict = c3_check(None, incoming, prior_direct)
-        assert not verdict.allow and verdict.reason is RejectionReason.C3_WEAK_INPUT_BLOCK
+        assert c3_check(None, incoming, prior_direct) is RejectionReason.C3_WEAK_INPUT_BLOCK
 
     def test_equal_repairing_key_derives(self):
         incoming = record(transport="BT", origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
-        assert c3_check(None, incoming, record(transport="BLE")).allow
+        assert c3_check(None, incoming, record(transport="BLE")) is None
 
     def test_fresh_peer_allowed(self):
-        assert c3_check(None, record(origin=KeyOrigin.CTKD_DERIVED)).allow
+        assert c3_check(None, record(origin=KeyOrigin.CTKD_DERIVED)) is None
 
     def test_direct_repairing_not_gated(self):
-        assert c3_check(record(transport="BT"), record(transport="BT", key_byte=0x42)).allow
+        assert c3_check(record(transport="BT"), record(transport="BT", key_byte=0x42)) is None
 
 
 class TestC4:
     def test_stored_nc_incoming_jw_rejected(self):
-        verdict = c4_check(record(mitm=True), Association.JUST_WORKS)
-        assert not verdict.allow and verdict.reason is RejectionReason.C4_ASSOCIATION_DOWNGRADE
+        assert c4_check(record(mitm=True), Association.JUST_WORKS) is RejectionReason.C4_ASSOCIATION_DOWNGRADE
 
     def test_upgrade_allowed(self):
-        assert c4_check(record(mitm=False), Association.NUMERIC_COMPARISON).allow
+        assert c4_check(record(mitm=False), Association.NUMERIC_COMPARISON) is None
 
     def test_no_history_allowed(self):
-        assert c4_check(None, Association.JUST_WORKS).allow
+        assert c4_check(None, Association.JUST_WORKS) is None
 
 
 class TestEvaluate:
     def test_baseline_never_rejects(self):
         incoming = record(mitm=False, origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
-        assert evaluate(PolicySet(), record(mitm=True), incoming).allow
+        assert evaluate(PolicySet(), record(mitm=True), incoming) is None
 
     def test_sig51_allows_equal_protection_attack_write(self):
         incoming = record(mitm=False, key_byte=0x42)
-        assert evaluate(PolicySet(sig51=True), record(mitm=False), incoming).allow
+        assert evaluate(PolicySet(sig51=True), record(mitm=False), incoming) is None
 
     def test_c3_rejects_the_same_equal_protection_write(self):
         incoming = record(mitm=False, origin=KeyOrigin.CTKD_DERIVED, key_byte=0x42)
-        verdict = evaluate(PolicySet(c3=True), record(mitm=False), incoming)
-        assert not verdict.allow and verdict.reason is RejectionReason.C3_OVERWRITE_BLOCK
+        assert evaluate(PolicySet(c3=True), record(mitm=False), incoming) is RejectionReason.C3_OVERWRITE_BLOCK
 
     def test_pure_given_same_inputs(self):
         existing = record(mitm=True)
         incoming = record(mitm=False, key_byte=0x42)
         policy = PolicySet(sig51=True, c4=True)
         assert evaluate(policy, existing, incoming) == evaluate(policy, existing, incoming)
-
-    def test_rejecting_verdict_needs_reason(self):
-        with pytest.raises(ValueError):
-            PolicyVerdict(False)
 
 
 class TestC1Tick:

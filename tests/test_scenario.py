@@ -938,6 +938,20 @@ class TestLatticeInvariants:
         assert runs == 32 * 69
         assert checked
 
+    def test_a_runs_rejection_is_its_one_deny_verdict(self, own, lattice):
+        runs = denied = 0
+        for results in (own, *lattice.values()):
+            for result in results:
+                denies = [event.payload["reason"] for event in result.trace
+                          if event.kind == "policy_verdict" and not event.payload["allow"]]
+                rejection = result.outcome.rejection
+                assert len(denies) <= 1, result.scenario.name
+                assert denies == ([] if rejection is None else [rejection.value]), result.scenario.name
+                runs += 1
+                denied += len(denies)
+        assert runs == 33 * 69
+        assert denied == 1535
+
     def test_c1_rejects_exactly_the_attacks_that_reach_an_unused_transport(self, lattice):
         by_name = {result.scenario.name: result for result in lattice[PolicySet()]}
         c1_runs = lattice[PolicySet(c1=True)]

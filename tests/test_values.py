@@ -30,7 +30,6 @@ from ctkdsim.crypto import (
     SharedSecret,
 )
 from ctkdsim.device import Association, KeyOrigin, KeyRecord, PairingRole
-from ctkdsim.policies import PolicyVerdict, RejectionReason
 from ctkdsim.smp import KeyMaterial, hexdump
 
 
@@ -95,15 +94,6 @@ class Old:
             object.__setattr__(self, "frame", hexdump(self.csrk.value + self.irk.value))
 
     @dataclass(frozen=True)
-    class PolicyVerdict:
-        allow: bool
-        reason: Optional[RejectionReason] = None
-
-        def __post_init__(self) -> None:
-            if not self.allow and self.reason is None:
-                raise ValueError("a rejecting verdict needs a reason")
-
-    @dataclass(frozen=True)
     class DhPrivate:
         value: object
         backend: str
@@ -147,11 +137,6 @@ CASES = {
         _call(PEER, "LE", NC_KEY, *RECORD[3:]), _call(PEER, "BT", None, *RECORD[3:]), _call(*RECORD[:5]),
         _call(*RECORD, None, None),
     ],
-    PolicyVerdict: [
-        _call(True), _call(True, RejectionReason.C3_OVERWRITE_BLOCK), _call(False, RejectionReason.NOT_PAIRABLE),
-        _call(allow=False, reason=RejectionReason.MITM_DOWNGRADE), _call(False), _call(False, None),
-        _call(0), _call(), _call(True, None, None),
-    ],
     DhPrivate: [_call(12345, "toy-modp"), _call(value=1, backend="p256"), _call(1), _call(1, "p256", 2)],
     DhKeyPair: [_call(PRIVATE, PUBLIC), _call(public=PUBLIC, private=PRIVATE), _call(PRIVATE), _call()],
 }
@@ -162,7 +147,6 @@ REPLACE = {
     SharedSecret: ((K16,), [{"value": bytes(16)}, {"value": b""}]),
     KeyRecord: (RECORD, [{"peer": Address(bytes(6))}, {"extra_keys": MATERIAL}, {"transport": "LE"},
                          {"key": NC_KEY}, {"key": NC_KEY, "association": Association.NUMERIC_COMPARISON}]),
-    PolicyVerdict: ((False, RejectionReason.NOT_PAIRABLE), [{"allow": True}, {"reason": None}]),
     DhPrivate: ((1, "toy-modp"), [{"backend": "p256"}]),
     DhKeyPair: ((PRIVATE, PUBLIC), [{"public": DhPublic(1, "toy-modp")}]),
 }
