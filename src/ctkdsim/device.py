@@ -201,17 +201,12 @@ class Device:
     def set_pairable(self, transport: str, flag: bool) -> None:
         self._pairable[transport] = flag
 
-    def live_sessions(self, transport: Optional[str] = None, peer: Optional[Address] = None):
+    def live_sessions(self, transport: str, peer: Optional[Address] = None):
         for s in self.sessions:
-            if not s.live:
-                continue
-            if transport is not None and s.transport != transport:
-                continue
-            if peer is not None and peer not in s.peers:
-                continue
-            yield s
+            if s.live and s.transport == transport and (peer is None or peer in s.peers):
+                yield s
 
-    def has_live_session(self, transport: Optional[str] = None, peer: Optional[Address] = None) -> bool:
+    def has_live_session(self, transport: str, peer: Optional[Address] = None) -> bool:
         return next(self.live_sessions(transport, peer), None) is not None
 
     def __repr__(self) -> str:

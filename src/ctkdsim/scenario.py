@@ -7,6 +7,7 @@ one attack, and the expected outcome fields. Same seed, same bytes out.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from dataclasses import dataclass, field
@@ -53,13 +54,25 @@ def _typed(value, kind: type, where: str):
     return value
 
 
-@dataclass
+class Step(NamedTuple):
+    """One pre-state step as loaded: ``ctkd`` (read by a ``pair`` step) and ``entropy`` (read by
+    a BT ``session`` step) hold their defaults where the file leaves them out."""
+
+    action: str  # "pair" or "session"
+    initiator: str  # device names
+    responder: str
+    transport: str
+    ctkd: bool = True
+    entropy: int = MAX_STRENGTH
+
+
+@dataclass(frozen=True)
 class DeviceSpec:
     profile: DeviceProfile
     policies: PolicySet
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackSpec:
     strategy: str
     target: str
@@ -67,12 +80,15 @@ class AttackSpec:
     attacker_address: Optional[Address] = None  # fixed fresh identity for `us`
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A loaded scenario, an immutable value that shares no object with the dict it was loaded
+    from; ``dataclasses.replace`` varies one."""
+
     name: str
     seed: int
-    devices: list[DeviceSpec]
-    pre_state: list[dict]
+    devices: tuple[DeviceSpec, ...]
+    pre_state: tuple[Step, ...]
     attack: AttackSpec
     expectations: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
@@ -117,10 +133,8 @@ class Scenario:
         if len(set(addresses)) != len(addresses):
             raise ScenarioError(f"{where}: duplicate device addresses")
 
-        pre_state = _typed(data.pop("pre_state", []), list, f"{where}.pre_state")
-        for i, step in enumerate(pre_state):
-            cls._validate_step(_typed(step, dict, f"{where}.pre_state[{i}]"), names,
-                               f"{where}.pre_state[{i}]")
+        steps = _typed(data.pop("pre_state", []), list, f"{where}.pre_state")
+        pre_state = tuple(_step(step, names, f"{where}.pre_state[{i}]") for i, step in enumerate(steps))
 
         strategy = attack_raw.pop("strategy", None)
         if strategy not in STRATEGIES:
@@ -159,41 +173,43 @@ class Scenario:
         if attack_raw:
             raise ScenarioError(f"{where}.attack: unknown field(s) {sorted(attack_raw)}")
 
-        expectations = dict(_typed(data.pop("expectations", {}), dict, f"{where}.expectations"))
-        meta = dict(_typed(data.pop("meta", {}), dict, f"{where}.meta"))
+        expectations = copy.deepcopy(_typed(data.pop("expectations", {}), dict, f"{where}.expectations"))
+        unknown = set(expectations) - set(AttackOutcome._fields)
+        if unknown:
+            raise ScenarioError(f"{where}.expectations: unknown field(s) {sorted(unknown)}")
+        meta = copy.deepcopy(_typed(data.pop("meta", {}), dict, f"{where}.meta"))
         for key in _MATRIX_META:
             if key in meta:
                 _typed(meta[key], str, f"{where}.meta.{key}")
         if data:
             raise ScenarioError(f"{where}: unknown field(s) {sorted(data)}")
-        return cls(name, seed, devices, pre_state, attack, expectations, meta)
+        return cls(name, seed, tuple(devices), pre_state, attack, expectations, meta)
 
-    @staticmethod
-    def _validate_step(step: dict, names: list[str], where: str) -> None:
-        action = step.get("action")
-        if not isinstance(action, str) or action not in _STEP_OPTIONS:
-            raise ScenarioError(f"{where}: unknown action {action!r}")
-        for role_field in ("initiator", "responder"):
-            if step.get(role_field) not in names:
-                raise ScenarioError(f"{where}: {role_field} {step.get(role_field)!r} is not a listed device")
-        if step["initiator"] == step["responder"]:
-            raise ScenarioError(f"{where}: initiator and responder are both {step['initiator']!r}")
-        if step.get("transport") not in TRANSPORTS:
-            raise ScenarioError(f"{where}: bad transport {step.get('transport')!r}")
-        unknown = set(step) - {"action", "initiator", "responder", "transport", _STEP_OPTIONS[action]}
-        if unknown:
-            raise ScenarioError(f"{where}: unknown field(s) {sorted(unknown)} for action {action!r}")
-        if not isinstance(step.get("ctkd", True), bool):
-            raise ScenarioError(f"{where}: ctkd must be true or false, got {step['ctkd']!r}")
-        if "entropy" in step and step["transport"] == TRANSPORT_BLE:
-            # A BLE session key always takes the pairing key's strength.
-            raise ScenarioError(f"{where}: entropy is read only by a BT session")
-        entropy = step.get("entropy", MAX_STRENGTH)
-        if isinstance(entropy, bool) or not isinstance(entropy, int) \
-                or not MIN_STRENGTH <= entropy <= MAX_STRENGTH:
-            raise ScenarioError(
-                f"{where}: entropy must be an integer in {MIN_STRENGTH}..{MAX_STRENGTH}, got {entropy!r}"
-            )
+
+def _step(step: dict, names: list[str], where: str) -> Step:
+    action = _typed(step, dict, where).get("action")
+    if not isinstance(action, str) or action not in _STEP_OPTIONS:
+        raise ScenarioError(f"{where}: unknown action {action!r}")
+    for role_field in ("initiator", "responder"):
+        if step.get(role_field) not in names:
+            raise ScenarioError(f"{where}: {role_field} {step.get(role_field)!r} is not a listed device")
+    if step["initiator"] == step["responder"]:
+        raise ScenarioError(f"{where}: initiator and responder are both {step['initiator']!r}")
+    if step.get("transport") not in TRANSPORTS:
+        raise ScenarioError(f"{where}: bad transport {step.get('transport')!r}")
+    unknown = set(step) - {"action", "initiator", "responder", "transport", _STEP_OPTIONS[action]}
+    if unknown:
+        raise ScenarioError(f"{where}: unknown field(s) {sorted(unknown)} for action {action!r}")
+    ctkd = step.get("ctkd", True)
+    if not isinstance(ctkd, bool):
+        raise ScenarioError(f"{where}: ctkd must be true or false, got {ctkd!r}")
+    if "entropy" in step and step["transport"] == TRANSPORT_BLE:
+        # A BLE session key always takes the pairing key's strength.
+        raise ScenarioError(f"{where}: entropy is read only by a BT session")
+    entropy = step.get("entropy", MAX_STRENGTH)
+    if type(entropy) is not int or not MIN_STRENGTH <= entropy <= MAX_STRENGTH:  # so true is no integer
+        raise ScenarioError(f"{where}: entropy must be an integer in {MIN_STRENGTH}..{MAX_STRENGTH}, got {entropy!r}")
+    return Step(action, step["initiator"], step["responder"], step["transport"], ctkd, entropy)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -235,10 +251,7 @@ def check_expectations(expectations: dict, outcome: AttackOutcome) -> list[str]:
     got = outcome.to_dict()
     failures = []
     for key, expected in expectations.items():
-        if key not in got:
-            failures.append(f"{key}: no such outcome field")
-            continue
-        actual = got[key]
+        actual = got[key]  # loading rejects a key that is no outcome field
         if key in _UNORDERED and isinstance(expected, list):
             # Items compare as JSON texts, so an item of any JSON type is a mismatch, not a crash.
             canon = _UNORDERED[key]
@@ -283,8 +296,8 @@ def run_scenario(
     pre-state aborts or raises keeps no snapshot: each of its runs takes the
     reference path, so a pre-state error still names its ``pre_state[i]``
     under the policies in force. The snapshot is kept per seed (and DH
-    backend), so a Scenario must not be changed after its first run;
-    ``load_scenario`` and ``dataclasses.replace`` give fresh ones.
+    backend) on the Scenario, an immutable value; one that
+    ``dataclasses.replace`` varies starts with none.
 
     The fork pays only when one Scenario object runs a seed again: the run
     that takes the snapshot costs more than the reference path would (the
@@ -307,13 +320,12 @@ def _pre_state(scenario: Scenario, ctx: SimContext, policies: list[PolicySet]) -
     devices = {spec.profile.name: make_device(ctx, spec.profile, device_policies)
                for spec, device_policies in zip(scenario.devices, policies)}
     for i, step in enumerate(scenario.pre_state):
-        initiator = devices[step["initiator"]]
-        responder = devices[step["responder"]]
-        transport = step["transport"]
-        if step["action"] == "pair":
-            pair = ble_pair if transport == TRANSPORT_BLE else bt_pair
+        initiator = devices[step.initiator]
+        responder = devices[step.responder]
+        if step.action == "pair":
+            pair = ble_pair if step.transport == TRANSPORT_BLE else bt_pair
             try:
-                session = pair(ctx, initiator, responder, step.get("ctkd", True))
+                session = pair(ctx, initiator, responder, step.ctkd)
             except ValueError as err:  # a self-pairing step, which loading also rejects
                 raise ScenarioError(f"{scenario.name}: pre_state[{i}] {err}") from None
             if session.aborted:
@@ -322,9 +334,7 @@ def _pre_state(scenario: Scenario, ctx: SimContext, policies: list[PolicySet]) -
                     f"({session.abort_reason and session.abort_reason.value})"
                 )
         else:
-            result = establish_session(
-                ctx, initiator, responder, transport, step.get("entropy", 16)
-            )
+            result = establish_session(ctx, initiator, responder, step.transport, step.entropy)
             if not result.ok:
                 raise ScenarioError(
                     f"{scenario.name}: pre_state[{i}] session failed ({result.outcome})"

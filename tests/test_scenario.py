@@ -77,6 +77,21 @@ def scenario_dict(**overrides):
     return base
 
 
+def _with_step(scenario, index, **fields):
+    """``scenario`` with the fields of its pre-state step ``index`` replaced, through ``dataclasses.replace``."""
+    steps = list(scenario.pre_state)
+    steps[index] = steps[index]._replace(**fields)
+    return dataclasses.replace(scenario, pre_state=tuple(steps))
+
+
+def _containers(value):
+    """Every object and list inside a JSON document, itself included."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _containers(child)
+
+
 class TestLoading:
     def test_valid_scenario_loads(self):
         scenario = Scenario.from_dict(scenario_dict())
@@ -122,7 +137,7 @@ class TestLoading:
     def test_session_entropy_in_range_loads(self):
         raw = scenario_dict()
         raw["pre_state"][1]["entropy"] = 7
-        assert Scenario.from_dict(raw).pre_state[1]["entropy"] == 7
+        assert Scenario.from_dict(raw).pre_state[1].entropy == 7
 
     @pytest.mark.parametrize("ctkd", ["no", 0, None])
     def test_pair_ctkd_must_be_a_bool(self, ctkd):
@@ -143,6 +158,16 @@ class TestLoading:
         raw["attack"] = {"strategy": "us", "target": "bob", "attacker_address": "02:00:00:00:0b:01"}
         result = run_scenario(Scenario.from_dict(raw))
         assert "02:00:00:00:0b:01" in {event.actor for event in result.trace}
+
+    def test_no_field_of_a_loaded_scenario_can_be_assigned(self):
+        scenario = Scenario.from_dict(scenario_dict())
+        assert type(scenario.devices) is type(scenario.pre_state) is tuple
+        for value in (scenario, scenario.devices[0], scenario.attack):
+            for f in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, f.name, getattr(value, f.name))
+        with pytest.raises(AttributeError):
+            scenario.pre_state[0].transport = "NFC"
 
     def test_missing_seed(self):
         raw = scenario_dict()
@@ -292,9 +317,7 @@ class TestRunMatrix:
 
     def test_errors_do_not_abort_the_matrix(self):
         good = Scenario.from_dict(scenario_dict())
-        bad = Scenario.from_dict(scenario_dict(name="bad"))
-        bad.pre_state[0]["responder"] = "alice"  # self-pairing will fail
-        bad.pre_state[0]["initiator"] = "alice"
+        bad = _with_step(Scenario.from_dict(scenario_dict(name="bad")), 0, responder="alice")  # self-pairing will fail
         report = run_matrix([bad, good])
         assert report.total == 1
         assert len(report.errors) == 1
@@ -590,6 +613,7 @@ class TestMalformedInput:
             {"action": "session", "transport": "BLE", "initiator": "legacy-speaker",
              "responder": "phone", "entropy": 7},
         ]),
+        (("expectations", "succeded"), True),
     ], ids=[
         "seed-text", "seed-negative", "devices-number", "attack-list", "top-level-list", "expectations-list",
         "device-text", "step-text", "address-number", "max-key-size-text", "c1-threshold-text",
@@ -599,7 +623,7 @@ class TestMalformedInput:
         "pair-step-with-itself", "session-step-with-itself", "peer-is-target",
         "attacker-address-not-us", "us-attacker-address-of-listed-device",
         "policy-long-name-c1", "policy-long-name-c3", "profile-pairable-bt", "c1-threshold-negative",
-        "attacker-name", "ble-session-entropy",
+        "attacker-name", "ble-session-entropy", "expectation-unknown-field",
     ])
     def test_config_error_exits_2(self, path, value):
         raw = _replaced(json.loads(MUTATED.read_text()), path, value)
@@ -657,7 +681,7 @@ def _attack_requests_on_unused_transports(result) -> list:
         if event.kind == "msg_received" and event.payload["opcode"] == "request"
         and not event.payload["tunneled"]
     ]
-    attack = requests[sum(step["action"] == "pair" for step in result.scenario.pre_state):]
+    attack = requests[sum(step.action == "pair" for step in result.scenario.pre_state):]
     origins, live = {}, {}  # (device, peer, transport) -> origin; (pair, transport) -> live
     for event in result.trace[:attack[0].index]:
         payload = event.payload
@@ -762,8 +786,7 @@ class TestLattice:
 
     def test_a_scenario_error_is_kept_and_the_sweep_goes_on(self):
         good = Scenario.from_dict(scenario_dict())
-        bad = Scenario.from_dict(scenario_dict(name="bad"))
-        bad.pre_state[0]["initiator"] = "bob"  # self-pairing will fail
+        bad = _with_step(Scenario.from_dict(scenario_dict(name="bad")), 0, initiator="bob")  # self-pairing will fail
         lattice = run_lattice([bad, good])
         assert list(lattice) == list(DEFENSE_SUBSETS)
         for policies, report in lattice.items():
@@ -871,13 +894,37 @@ class TestFork:
     def test_seeds_and_dataclasses_replace_fork_apart(self):
         scenario = Scenario.from_dict(scenario_dict())
         renamed = dataclasses.replace(scenario, seed=99)
+        weaker = _with_step(scenario, 1, entropy=7)  # its BT session key takes 7 bytes of entropy
         for policies in (None, PolicySet(sig51=True)):
             for seed in (1, 2, 1):
                 full = reference_run(scenario, policies, seed)
                 assert run_scenario(scenario, policy_override=policies, seed_override=seed).trace_digest() \
                     == full.trace_digest()
-            assert run_scenario(renamed, policy_override=policies).trace_digest() \
-                == reference_run(renamed, policies).trace_digest()
+            for varied in (renamed, weaker):
+                assert run_scenario(varied, policy_override=policies).trace_digest() \
+                    == reference_run(varied, policies).trace_digest()
+            assert run_scenario(weaker, policy_override=policies).trace_digest() \
+                != run_scenario(scenario, policy_override=policies).trace_digest()
+
+    def test_a_loaded_scenario_shares_nothing_with_its_input(self):
+        """Emptying every object and list of the input after a run changes neither the Scenario nor
+        its next run, which forks its snapshot and equals the first run and the reference path."""
+        def mini():
+            raw = scenario_dict(meta={"device": "bob", "notes": [{"seen": [1]}]})
+            raw["expectations"]["ctis_used"] = [1, 3]
+            return raw
+
+        raw = mini()
+        scenario = Scenario.from_dict(raw)
+        first = run_scenario(scenario)
+        assert first.expectation_failures == []
+        for container in list(_containers(raw)):
+            container.clear()
+        for result in (run_scenario(scenario), reference_run(scenario)):
+            assert result.trace_digest() == first.trace_digest()
+            assert result.outcome == first.outcome
+            assert result.expectation_failures == []
+        assert scenario == Scenario.from_dict(mini())
 
     def test_each_dh_backend_forks_a_snapshot_of_its_own(self, monkeypatch):
         scenario = Scenario.from_dict(scenario_dict())
