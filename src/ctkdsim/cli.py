@@ -24,7 +24,9 @@ EXIT_CONFIG = 2
 
 
 def _parse_policies(spec: str) -> PolicySet:
-    names = [part.strip() for part in spec.split(",") if part.strip()]
+    """The defenses a ``--policies`` list names: none for an empty list, or for ``none``, which is
+    how the report prints the empty set."""
+    names = [] if spec.strip() == "none" else [part.strip() for part in spec.split(",") if part.strip()]
     try:
         return PolicySet.from_dict({name: True for name in names}, "--policies")
     except ValueError as err:
@@ -55,7 +57,7 @@ def _cmd_matrix(args) -> int:
     if not paths:
         raise ScenarioError(f"no scenario files in {directory}")
     scenarios = [load_scenario(p) for p in paths]
-    override = _parse_policies(args.policies) if args.policies else None
+    override = None if args.policies is None else _parse_policies(args.policies)
 
     report = run_matrix(scenarios, policy_override=override)
     print(report.render_text(), end="")
@@ -100,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_p.add_argument("directory", help="directory of scenario JSON files")
     matrix_p.add_argument(
         "--policies",
-        help=f"force these defenses on every device (comma list: {','.join(DEFENSES)})",
+        help=f"force these defenses on every device (comma list: {','.join(DEFENSES)}; none for no defense)",
     )
     matrix_p.add_argument("--report", help="write a JSON report here")
     matrix_p.set_defaults(func=_cmd_matrix)

@@ -7,26 +7,15 @@ one attack, and the expected outcome fields. Same seed, same bytes out.
 
 from __future__ import annotations
 
-import copy
 import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .attacks import (
-    STRATEGIES,
-    STRATEGY_MI,
-    STRATEGY_MITM,
-    STRATEGY_SI,
-    STRATEGY_US,
-    AttackOutcome,
-    master_impersonation,
-    mitm,
-    slave_impersonation,
-    unintended_session,
-)
-from .crypto import MAX_STRENGTH, MIN_STRENGTH, TRANSPORT_BLE, TRANSPORTS, Address
+from .attacks import (STRATEGIES, STRATEGY_MI, STRATEGY_MITM, STRATEGY_SI, STRATEGY_US, AttackOutcome,
+                      master_impersonation, mitm, slave_impersonation, unintended_session)
+from .crypto import MAX_STRENGTH, MIN_STRENGTH, TRANSPORT_BLE, TRANSPORT_BT, TRANSPORTS, Address, Checked
 from .device import Device, DeviceProfile
 from .pairing import SessionState, SimContext, ble_pair, bt_pair, establish_session, make_device
 from .policies import DEFENSE_SUBSETS, PolicySet, c1_tick
@@ -54,16 +43,53 @@ def _typed(value, kind: type, where: str):
     return value
 
 
-class Step(NamedTuple):
-    """One pre-state step as loaded: ``ctkd`` (read by a ``pair`` step) and ``entropy`` (read by
-    a BT ``session`` step) hold their defaults where the file leaves them out."""
+class _Object(tuple):
+    """A frozen JSON object: its ``(key, value)`` pairs in order, which ``_thawed`` makes a dict again."""
+    __slots__ = ()
 
-    action: str  # "pair" or "session"
-    initiator: str  # device names
-    responder: str
-    transport: str
-    ctkd: bool = True
-    entropy: int = MAX_STRENGTH
+
+def _frozen(value):
+    """A JSON value, read-only and hashable: an object as an ``_Object``, a list as a tuple."""
+    if isinstance(value, dict):
+        return _Object((key, _frozen(item)) for key, item in value.items())
+    return tuple(map(_frozen, value)) if type(value) in (list, tuple) else value
+
+
+def _thawed(value):
+    """The JSON value that ``_frozen`` froze."""
+    if isinstance(value, _Object):
+        return {key: _thawed(item) for key, item in value}
+    return list(map(_thawed, value)) if type(value) is tuple else value
+
+
+class Step(Checked, NamedTuple("Step", [("action", str), ("initiator", str), ("responder", str),
+                                        ("transport", str), ("ctkd", bool), ("entropy", int)])):
+    """One pre-state step: ``action`` ("pair" or "session") between two device names on
+    ``transport``. ``ctkd`` is read by a ``pair`` step and ``entropy`` by a BT ``session``; a step
+    that does not read one holds its default. The constructor checks these rules and ``Scenario``
+    the names, so a loaded step and one built or ``_replace``d in code are checked alike, as every
+    way of building a Scenario checks the same rules."""
+
+    __slots__ = ()
+
+    def __new__(cls, action: str, initiator: str, responder: str, transport: str,
+                ctkd: bool = True, entropy: int = MAX_STRENGTH) -> "Step":
+        if type(action) is not str or action not in _STEP_OPTIONS:
+            raise ScenarioError(f"unknown action {action!r}")
+        if initiator == responder:
+            raise ScenarioError(f"initiator and responder are both {initiator!r}")
+        if transport not in TRANSPORTS:
+            raise ScenarioError(f"bad transport {transport!r}")
+        if type(ctkd) is not bool:
+            raise ScenarioError(f"ctkd must be true or false, got {ctkd!r}")
+        if type(entropy) is not int or not MIN_STRENGTH <= entropy <= MAX_STRENGTH:  # so true is no integer
+            raise ScenarioError(f"entropy must be an integer in {MIN_STRENGTH}..{MAX_STRENGTH}, got {entropy!r}")
+        if not ctkd and action != "pair":
+            raise ScenarioError("ctkd is read only by a pair step")
+        if entropy != MAX_STRENGTH and (action, transport) != ("session", TRANSPORT_BT):
+            # A BLE session key always takes the pairing key's strength.
+            raise ScenarioError("entropy is read only by a BT session")
+        return tuple.__new__(cls, (action, initiator, responder, transport, ctkd, entropy))
 
 
 @dataclass(frozen=True)
@@ -74,142 +100,124 @@ class DeviceSpec:
 
 @dataclass(frozen=True)
 class AttackSpec:
+    """The attack's strategy, its target and peer (device names), and the fresh identity ``us``
+    may fix. The constructor checks the rules between them; ``Scenario`` checks the names."""
+
     strategy: str
     target: str
     peer: Optional[str] = None
     attacker_address: Optional[Address] = None  # fixed fresh identity for `us`
 
+    def __post_init__(self) -> None:
+        if self.strategy not in STRATEGIES:
+            raise ScenarioError(f"unknown strategy {self.strategy!r}")
+        if self.peer == self.target:
+            raise ScenarioError(f"peer and target are both {self.target!r}")
+        if self.strategy != STRATEGY_US and self.peer is None:
+            raise ScenarioError(f"strategy {self.strategy!r} needs a 'peer'")
+        if self.strategy != STRATEGY_US and self.attacker_address is not None:
+            raise ScenarioError(f"attacker_address is read only by strategy {STRATEGY_US!r}")
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """A loaded scenario, an immutable value that shares no object with the dict it was loaded
-    from; ``dataclasses.replace`` varies one."""
+    """A scenario: an immutable, hashable value that shares no object with the dict it was loaded
+    from. ``from_dict``, the constructor and ``dataclasses.replace`` check the same rules: each
+    ``Step`` and ``AttackSpec`` its own, and ``__post_init__`` those between fields.
+    ``expectations`` and ``meta`` are tuples of ``(field, value)`` pairs in file order, each JSON
+    list in a value a tuple and each JSON object an ``_Object`` of pairs; a dict given is frozen so."""
 
     name: str
     seed: int
     devices: tuple[DeviceSpec, ...]
     pre_state: tuple[Step, ...]
     attack: AttackSpec
-    expectations: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    expectations: tuple = ()
+    meta: tuple = ()
     #: Per (seed, DH backend), the pre-state snapshot that every run forks, or None (see run_scenario).
     _snapshots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        """The rules between fields, each message naming its field; ``from_dict`` prefixes its ``where``."""
+        if type(self.seed) is not int or self.seed < 0:
+            raise ScenarioError(f"seed must be a non-negative integer, got {self.seed!r}")
+        names = [spec.profile.name for spec in self.devices]
+        addresses = [spec.profile.address for spec in self.devices]
+        for what, listed in (("name", names), ("address", addresses)):
+            for i, value in enumerate(listed):
+                if listed.index(value) < i:
+                    raise ScenarioError(f"devices[{i}]: {what} {value} is also devices[{listed.index(value)}]'s")
+        for i, step in enumerate(self.pre_state):
+            for role, name in (("initiator", step.initiator), ("responder", step.responder)):
+                if name not in names:
+                    raise ScenarioError(f"pre_state[{i}]: {role} {name!r} is not a listed device")
+        for role, name in (("target", self.attack.target), ("peer", self.attack.peer)):
+            if name not in names and (role == "target" or name is not None):
+                raise ScenarioError(f"attack: {role} {name!r} is not a listed device")
+        if self.attack.attacker_address in addresses:
+            raise ScenarioError(f"attack.attacker_address: {self.attack.attacker_address} is a listed device's address")
+        for name in ("expectations", "meta"):
+            object.__setattr__(self, name, _frozen(dict(getattr(self, name))))
+        unknown = [key for key, _ in self.expectations if key not in AttackOutcome._fields]
+        if unknown:
+            raise ScenarioError(f"expectations: unknown field(s) {sorted(unknown, key=str)}")
+        for key, value in self.meta:
+            if key in _MATRIX_META and type(value) is not str:
+                raise ScenarioError(f"meta.{key} must be a string, got {value!r}")
+
     @classmethod
     def from_dict(cls, raw: dict, where: str = "scenario") -> "Scenario":
-        """Validate a whole scenario; a bad one raises ``ScenarioError`` and nothing else."""
-        data = dict(_typed(raw, dict, where))
-        name = _typed(data.pop("name", where), str, f"{where}.name")
-        try:
-            seed = _typed(data.pop("seed"), int, f"{where}.seed")
-            if seed < 0:
-                raise ScenarioError(f"{where}.seed must not be negative, got {seed}")
-            device_list = _typed(data.pop("devices"), list, f"{where}.devices")
-            attack_raw = dict(_typed(data.pop("attack"), dict, f"{where}.attack"))
-        except KeyError as missing:
-            raise ScenarioError(f"{where}: missing required field {missing.args[0]!r}") from None
-
+        """Parse a scenario's JSON shape, naming each bad field by its ``where`` path; the
+        constructors check the rest. A bad one raises ``ScenarioError`` and nothing else."""
+        data = _fields(raw, where, {"name": str, "seed": int, "devices": list, "pre_state": list, "attack": dict,
+                                    "expectations": dict, "meta": dict}, required=("seed", "devices", "attack"))
         devices = []
-        for i, entry in enumerate(device_list):
+        for i, entry in enumerate(data["devices"]):
             where_dev = f"{where}.devices[{i}]"
-            entry = dict(_typed(entry, dict, where_dev))
-            if "profile" not in entry:
-                raise ScenarioError(f"{where_dev}: missing 'profile'")
-            try:
-                profile = DeviceProfile.from_dict(
-                    _typed(entry.pop("profile"), dict, f"{where_dev}.profile"), where_dev)
-                policies = PolicySet.from_dict(
-                    _typed(entry.pop("policies", {}), dict, f"{where_dev}.policies"),
-                    f"{where_dev}.policies")
-            except ValueError as err:
-                raise ScenarioError(str(err)) from None
-            if entry:
-                raise ScenarioError(f"{where_dev}: unknown field(s) {sorted(entry)}")
-            devices.append(DeviceSpec(profile, policies))
-        names = [spec.profile.name for spec in devices]
-        if len(set(names)) != len(names):
-            raise ScenarioError(f"{where}: duplicate device names")
-        addresses = [spec.profile.address for spec in devices]
-        if len(set(addresses)) != len(addresses):
-            raise ScenarioError(f"{where}: duplicate device addresses")
-
-        steps = _typed(data.pop("pre_state", []), list, f"{where}.pre_state")
-        pre_state = tuple(_step(step, names, f"{where}.pre_state[{i}]") for i, step in enumerate(steps))
-
-        strategy = attack_raw.pop("strategy", None)
-        if strategy not in STRATEGIES:
-            raise ScenarioError(f"{where}.attack: unknown strategy {strategy!r}")
-        target = attack_raw.pop("target", None)
-        if target not in names:
-            raise ScenarioError(f"{where}.attack: target {target!r} is not a listed device")
-        peer = attack_raw.pop("peer", None)
-        if peer is not None and peer not in names:
-            raise ScenarioError(f"{where}.attack: peer {peer!r} is not a listed device")
-        if peer == target:
-            raise ScenarioError(f"{where}.attack: peer and target are both {target!r}")
-        if strategy in (STRATEGY_MI, STRATEGY_SI, STRATEGY_MITM) and peer is None:
-            raise ScenarioError(f"{where}.attack: strategy {strategy!r} needs a 'peer'")
-        attacker_address = attack_raw.pop("attacker_address", None)
-        if attacker_address is not None:
-            _typed(attacker_address, str, f"{where}.attack.attacker_address")
-            try:
-                attacker_address = Address.parse(attacker_address)
-            except ValueError as err:
-                raise ScenarioError(f"{where}.attack.attacker_address: {err}") from None
-            if strategy != STRATEGY_US:
-                raise ScenarioError(
-                    f"{where}.attack: attacker_address is read only by strategy {STRATEGY_US!r}"
-                )
-            if attacker_address in addresses:
-                raise ScenarioError(
-                    f"{where}.attack.attacker_address: {attacker_address} is a listed device's address"
-                )
-        attack = AttackSpec(
-            strategy=strategy,
-            target=target,
-            peer=peer,
-            attacker_address=attacker_address,
-        )
-        if attack_raw:
-            raise ScenarioError(f"{where}.attack: unknown field(s) {sorted(attack_raw)}")
-
-        expectations = copy.deepcopy(_typed(data.pop("expectations", {}), dict, f"{where}.expectations"))
-        unknown = set(expectations) - set(AttackOutcome._fields)
-        if unknown:
-            raise ScenarioError(f"{where}.expectations: unknown field(s) {sorted(unknown)}")
-        meta = copy.deepcopy(_typed(data.pop("meta", {}), dict, f"{where}.meta"))
-        for key in _MATRIX_META:
-            if key in meta:
-                _typed(meta[key], str, f"{where}.meta.{key}")
-        if data:
-            raise ScenarioError(f"{where}: unknown field(s) {sorted(data)}")
-        return cls(name, seed, tuple(devices), pre_state, attack, expectations, meta)
+            entry = _fields(entry, where_dev, {"profile": dict, "policies": dict}, required=("profile",))
+            devices.append(DeviceSpec(_at("", DeviceProfile.from_dict, entry["profile"], where_dev),
+                                      _at("", PolicySet.from_dict, entry.get("policies", {}), f"{where_dev}.policies")))
+        steps = data.get("pre_state", [])
+        pre_state = tuple(_step(step, f"{where}.pre_state[{i}]") for i, step in enumerate(steps))
+        attack = _fields(data["attack"], f"{where}.attack", {"strategy": str, "target": str, "peer": str,
+                                                             "attacker_address": str}, required=("strategy", "target"))
+        address = attack.get("attacker_address")
+        address = None if address is None else _at(f"{where}.attack.attacker_address: ", Address.parse, address)
+        attack = _at(f"{where}.attack: ", AttackSpec, attack["strategy"], attack["target"], attack.get("peer"), address)
+        return _at(f"{where}.", cls, data.get("name", where), data["seed"], tuple(devices), pre_state, attack,
+                   data.get("expectations", {}), data.get("meta", {}))
 
 
-def _step(step: dict, names: list[str], where: str) -> Step:
-    action = _typed(step, dict, where).get("action")
-    if not isinstance(action, str) or action not in _STEP_OPTIONS:
-        raise ScenarioError(f"{where}: unknown action {action!r}")
-    for role_field in ("initiator", "responder"):
-        if step.get(role_field) not in names:
-            raise ScenarioError(f"{where}: {role_field} {step.get(role_field)!r} is not a listed device")
-    if step["initiator"] == step["responder"]:
-        raise ScenarioError(f"{where}: initiator and responder are both {step['initiator']!r}")
-    if step.get("transport") not in TRANSPORTS:
-        raise ScenarioError(f"{where}: bad transport {step.get('transport')!r}")
-    unknown = set(step) - {"action", "initiator", "responder", "transport", _STEP_OPTIONS[action]}
+def _fields(raw, where: str, kinds: dict, required=()) -> dict:
+    """``raw`` when it is a JSON object with every ``required`` field and none outside ``kinds``, each of its kind."""
+    data = _typed(raw, dict, where)
+    missing = [name for name in required if name not in data]
+    if missing:
+        raise ScenarioError(f"{where}: missing required field {missing[0]!r}")
+    unknown = set(data) - set(kinds)
     if unknown:
-        raise ScenarioError(f"{where}: unknown field(s) {sorted(unknown)} for action {action!r}")
-    ctkd = step.get("ctkd", True)
-    if not isinstance(ctkd, bool):
-        raise ScenarioError(f"{where}: ctkd must be true or false, got {ctkd!r}")
-    if "entropy" in step and step["transport"] == TRANSPORT_BLE:
-        # A BLE session key always takes the pairing key's strength.
-        raise ScenarioError(f"{where}: entropy is read only by a BT session")
-    entropy = step.get("entropy", MAX_STRENGTH)
-    if type(entropy) is not int or not MIN_STRENGTH <= entropy <= MAX_STRENGTH:  # so true is no integer
-        raise ScenarioError(f"{where}: entropy must be an integer in {MIN_STRENGTH}..{MAX_STRENGTH}, got {entropy!r}")
-    return Step(action, step["initiator"], step["responder"], step["transport"], ctkd, entropy)
+        raise ScenarioError(f"{where}: unknown field(s) {sorted(unknown)}")
+    for name, value in data.items():
+        _typed(value, kinds[name], f"{where}.{name}")
+    return data
+
+
+def _at(where: str, build, *args):
+    """``build(*args)``; a ``ValueError`` it raises becomes a ``ScenarioError`` with ``where`` before its message."""
+    try:
+        return build(*args)
+    except ValueError as err:
+        raise ScenarioError(f"{where}{err}") from None
+
+
+def _step(step: dict, where: str) -> Step:
+    action = _typed(step, dict, where).get("action")
+    if type(action) is str and action in _STEP_OPTIONS:  # else Step names the bad action
+        unknown = set(step) - {"action", "initiator", "responder", "transport", _STEP_OPTIONS[action]}
+        if unknown:
+            raise ScenarioError(f"{where}: unknown field(s) {sorted(unknown)} for action {action!r}")
+    return _at(f"{where}: ", Step, action, step.get("initiator"), step.get("responder"), step.get("transport"),
+               step.get("ctkd", True), step.get("entropy", MAX_STRENGTH))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -247,11 +255,13 @@ class ScenarioResult:
 _UNORDERED = {"keys_written": sorted, "ctis_used": set}
 
 
-def check_expectations(expectations: dict, outcome: AttackOutcome) -> list[str]:
+def check_expectations(expectations: tuple, outcome: AttackOutcome) -> list[str]:
+    """The messages of the ``(field, value)`` pairs of a Scenario's ``expectations`` that ``outcome`` misses."""
     got = outcome.to_dict()
     failures = []
-    for key, expected in expectations.items():
-        actual = got[key]  # loading rejects a key that is no outcome field
+    for key, expected in expectations:
+        actual = got[key]  # a Scenario rejects a key that is no outcome field
+        expected = _thawed(expected)
         if key in _UNORDERED and isinstance(expected, list):
             # Items compare as JSON texts, so an item of any JSON type is a mismatch, not a crash.
             canon = _UNORDERED[key]
@@ -324,10 +334,7 @@ def _pre_state(scenario: Scenario, ctx: SimContext, policies: list[PolicySet]) -
         responder = devices[step.responder]
         if step.action == "pair":
             pair = ble_pair if step.transport == TRANSPORT_BLE else bt_pair
-            try:
-                session = pair(ctx, initiator, responder, step.ctkd)
-            except ValueError as err:  # a self-pairing step, which loading also rejects
-                raise ScenarioError(f"{scenario.name}: pre_state[{i}] {err}") from None
+            session = pair(ctx, initiator, responder, step.ctkd)
             if session.aborted:
                 raise ScenarioError(
                     f"{scenario.name}: pre_state[{i}] pairing aborted "
@@ -447,6 +454,7 @@ def _fork(scenario: Scenario, seed: int, policies: list[PolicySet]) -> tuple[Sim
 
 CHECK = "✓"
 CROSS = "✗"
+_MARKS = {None: ".", True: CHECK, False: CROSS}  # per cell: not run, succeeded, blocked
 
 
 @dataclass
@@ -497,16 +505,8 @@ class MatrixReport:
         if not grouped:
             return "(no scenarios)\n"
         name_w = max(len("Device"), *(len(d) for d in grouped))
-        lines = [
-            f"{'Device':<{name_w}}  {'Version':<7}  {'Role':<6}  {'MI/SI':<5}  {'MitM':<4}  US",
-            "-" * (name_w + 2 + 7 + 2 + 6 + 2 + 5 + 2 + 4 + 2 + 2),
-        ]
-
-        def mark(value) -> str:
-            if value is None:
-                return "."
-            return CHECK if value else CROSS
-
+        header = f"{'Device':<{name_w}}  {'Version':<7}  {'Role':<6}  {'MI/SI':<5}  {'MitM':<4}  US"
+        lines = [header, "-" * len(header)]
         for device, entry in grouped.items():
             role = entry.get("attacker_role") or "-"
             imp = entry.get("mi") if role == "Master" else entry.get("si")
@@ -514,7 +514,7 @@ class MatrixReport:
                 imp = entry.get("mi", entry.get("si"))
             lines.append(
                 f"{device:<{name_w}}  {entry.get('version') or '-':<7}  {role:<6}  "
-                f"{mark(imp):<5}  {mark(entry.get('mitm')):<4}  {mark(entry.get('us'))}"
+                f"{_MARKS[imp]:<5}  {_MARKS[entry.get('mitm')]:<4}  {_MARKS[entry.get('us')]}"
             )
         lines.append("")
         lines.append(
@@ -538,15 +538,15 @@ def run_matrix(
         except ScenarioError as err:
             errors.append(str(err))
             continue
-        outcome = result.outcome
+        outcome, meta = result.outcome, dict(scenario.meta)
         rows.append(
             {
                 "scenario": scenario.name,
                 # Matrix fixtures carry the profile name in meta; ad-hoc
                 # scenarios each get their own table row.
-                "device": scenario.meta.get("device", scenario.name),
-                "version": scenario.meta.get("bt_version"),
-                "attacker_role": scenario.meta.get("attacker_role"),
+                "device": meta.get("device", scenario.name),
+                "version": meta.get("bt_version"),
+                "attacker_role": meta.get("attacker_role"),
                 "strategy": scenario.attack.strategy,
                 "succeeded": outcome.succeeded,
                 "rejection": None if outcome.rejection is None else outcome.rejection._value_,

@@ -21,11 +21,12 @@ from conftest import BUNDLED, matrix_runs, reference_run
 
 from ctkdsim import scenario as scenario_module
 from ctkdsim.cli import main as cli_main
-from ctkdsim.crypto import get_backend, random_address, random_nonce
+from ctkdsim.crypto import Address, get_backend, random_address, random_nonce
 from ctkdsim.fixtures import bundled_profiles, matrix_scenarios, write_matrix
 from ctkdsim.pairing import SimContext
 from ctkdsim.policies import DEFENSE_SUBSETS, PolicySet, RejectionReason
 from ctkdsim.scenario import (
+    AttackSpec,
     MatrixReport,
     Scenario,
     ScenarioError,
@@ -82,6 +83,30 @@ def _with_step(scenario, index, **fields):
     steps = list(scenario.pre_state)
     steps[index] = steps[index]._replace(**fields)
     return dataclasses.replace(scenario, pre_state=tuple(steps))
+
+
+#: The run-time error of ``_session_before_pairing``, under any policies.
+NO_BOND = "bad: pre_state[0] session failed (no_bond)"
+
+
+def _session_before_pairing():
+    """A valid Scenario whose pre-state fails at run time: ``scenario_dict``'s two steps swapped,
+    so its session opens before the devices have paired."""
+    scenario = Scenario.from_dict(scenario_dict(name="bad"))
+    return dataclasses.replace(scenario, pre_state=scenario.pre_state[::-1])
+
+
+def _mutable_parts(value):
+    """Every dict, list or set inside ``value``, through tuples and the compared fields of dataclasses."""
+    if isinstance(value, (dict, list, set)):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _mutable_parts(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            if f.compare:
+                yield from _mutable_parts(getattr(value, f.name))
 
 
 def _containers(value):
@@ -169,6 +194,32 @@ class TestLoading:
         with pytest.raises(AttributeError):
             scenario.pre_state[0].transport = "NFC"
 
+    def test_equal_loads_are_equal_and_hash_equal(self):
+        for path in BUNDLED:
+            scenario, again = load_scenario(path), load_scenario(path)
+            assert scenario == again and hash(scenario) == hash(again), path.name
+            assert dataclasses.replace(scenario) == scenario and hash(dataclasses.replace(scenario)) == hash(scenario)
+        assert len({load_scenario(path) for path in BUNDLED * 2}) == len(BUNDLED)
+
+    def test_no_run_path_reads_a_dict_from_a_scenario(self):
+        """Nothing a run reads from a Scenario, every field but the snapshot cache, holds a dict, list or
+        set at any depth; ``expectations`` and ``meta`` are ``(field, value)`` pairs."""
+        for path in BUNDLED:
+            scenario = load_scenario(path)
+            assert not list(_mutable_parts(scenario)), path.name
+            for pairs in (scenario.expectations, scenario.meta):
+                assert isinstance(pairs, tuple) and all(len(pair) == 2 for pair in pairs)
+        scenario = Scenario.from_dict(scenario_dict(meta={"device": "bob", "notes": [{"seen": [1]}]}))
+        assert scenario.meta == (("device", "bob"), ("notes", ((("seen", (1,)),),)))
+        assert not list(_mutable_parts(scenario))
+
+    def test_a_replaced_dict_is_frozen_as_a_loaded_one(self):
+        scenario = Scenario.from_dict(scenario_dict(meta={"device": "bob", "notes": [{"seen": [1]}]}))
+        replaced = dataclasses.replace(scenario, meta={"device": "bob", "notes": [{"seen": [1]}]},
+                                       expectations=dict(scenario.expectations))
+        assert replaced == scenario and hash(replaced) == hash(scenario)
+        assert dict(scenario.meta)["notes"] == (scenario_module._frozen({"seen": [1]}),)
+
     def test_missing_seed(self):
         raw = scenario_dict()
         del raw["seed"]
@@ -204,13 +255,14 @@ class TestRunScenario:
         assert run_scenario(scenario).expectations_ok is False
 
     @pytest.mark.parametrize("field, expected", [
-        ("ctis_used", 5), ("ctis_used", [[1]]), ("keys_written", [1]),
+        ("ctis_used", 5), ("ctis_used", [[1]]), ("keys_written", [1]), ("succeeded", {"a": [1]}),
     ])
     def test_malformed_list_expectation_is_a_mismatch(self, field, expected):
+        """A mismatch prints the expected value as JSON loads it, though the Scenario keeps it frozen."""
         raw = scenario_dict()
         raw["expectations"][field] = expected
         result = run_scenario(Scenario.from_dict(raw))
-        assert any(f.startswith(f"{field}: expected") for f in result.expectation_failures)
+        assert any(f.startswith(f"{field}: expected {expected!r}, got") for f in result.expectation_failures)
 
     def test_same_seed_identical_traces(self):
         scenario = Scenario.from_dict(scenario_dict())
@@ -317,10 +369,10 @@ class TestRunMatrix:
 
     def test_errors_do_not_abort_the_matrix(self):
         good = Scenario.from_dict(scenario_dict())
-        bad = _with_step(Scenario.from_dict(scenario_dict(name="bad")), 0, responder="alice")  # self-pairing will fail
+        bad = _session_before_pairing()
         report = run_matrix([bad, good])
         assert report.total == 1
-        assert len(report.errors) == 1
+        assert report.errors == [NO_BOND]
 
     def test_json_report_shape(self):
         report = run_matrix(matrix_scenarios()[:4])
@@ -330,7 +382,7 @@ class TestRunMatrix:
         assert data["policies"] is None
 
     def test_text_table_mirrors_role_column(self):
-        scenarios = [s for s in matrix_scenarios() if s.meta["device"] == "sony-wh-ch700n"]
+        scenarios = [s for s in matrix_scenarios() if dict(s.meta)["device"] == "sony-wh-ch700n"]
         text = run_matrix(scenarios).render_text()
         assert "sony-wh-ch700n" in text
         assert "Master" in text
@@ -483,7 +535,7 @@ class TestCli:
         assert len(rows) == 64
         assert {row["expectations_ok"] for row in rows} == {None}
         # Checked, the bundled expectations would fail: c1 blocks attacks they expect to succeed.
-        expected = {s.name: s.expectations["succeeded"] for s in matrix_scenarios()}
+        expected = {s.name: dict(s.expectations)["succeeded"] for s in matrix_scenarios()}
         assert any(row["succeeded"] != expected[row["scenario"]] for row in rows)
 
     def test_matrix_policies_long_defense_name_is_unknown_exits_2(self, capsys):
@@ -496,6 +548,20 @@ class TestCli:
         code = cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--policies", "sig51_version_gated"])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("policies", ["", ",", "none"], ids=["empty", "comma", "none"])
+    def test_matrix_policies_naming_no_defense_is_the_empty_override(self, tmp_path, capsys, policies):
+        """A given ``--policies`` always overrides the files' own: these name the empty set, printed as none."""
+        report = tmp_path / "r.json"
+        assert cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--policies", policies,
+                         "--report", str(report)]) == 0
+        assert "5/5 attack runs succeeded (policies: none)\n" in capsys.readouterr().out
+        data = json.loads(report.read_text())
+        assert data["policies"] == [] and {row["expectations_ok"] for row in data["rows"]} == {None}
+
+    def test_matrix_policies_none_with_a_defense_exits_2(self, capsys):
+        assert cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--policies", "c1,none"]) == 2
+        assert capsys.readouterr().err.startswith("config error: --policies: unknown policy field(s) ['none']")
 
     def test_matrix_empty_dir_exits_2(self, tmp_path):
         (tmp_path / "empty").mkdir()
@@ -614,6 +680,8 @@ class TestMalformedInput:
              "responder": "phone", "entropy": 7},
         ]),
         (("expectations", "succeded"), True),
+        (("pre_state", 0, "initiator"), "mallory"),
+        (("pre_state", 1, "responder"), "mallory"),
     ], ids=[
         "seed-text", "seed-negative", "devices-number", "attack-list", "top-level-list", "expectations-list",
         "device-text", "step-text", "address-number", "max-key-size-text", "c1-threshold-text",
@@ -624,6 +692,7 @@ class TestMalformedInput:
         "attacker-address-not-us", "us-attacker-address-of-listed-device",
         "policy-long-name-c1", "policy-long-name-c3", "profile-pairable-bt", "c1-threshold-negative",
         "attacker-name", "ble-session-entropy", "expectation-unknown-field",
+        "step-initiator-unlisted", "step-responder-unlisted",
     ])
     def test_config_error_exits_2(self, path, value):
         raw = _replaced(json.loads(MUTATED.read_text()), path, value)
@@ -635,6 +704,63 @@ class TestMalformedInput:
 
     def test_unmutated_file_still_runs(self):
         assert _run_cli(json.loads(MUTATED.read_text()))[0] == 0
+
+    @pytest.mark.parametrize("path, value, build, field", [
+        (("seed",), -5, lambda s: dataclasses.replace(s, seed=-5), "seed"),
+        (("devices", 1, "profile", "address"), "02:00:00:00:0e:05",
+         lambda s: dataclasses.replace(s, devices=(s.devices[0], dataclasses.replace(
+             s.devices[1], profile=dataclasses.replace(s.devices[1].profile, address=s.devices[0].profile.address)))),
+         "devices[1]: address"),
+        (("pre_state", 0, "responder"), "legacy-speaker",
+         lambda s: s.pre_state[0]._replace(responder="legacy-speaker"), "initiator and responder"),
+        (("pre_state", 1, "initiator"), "phone",
+         lambda s: s.pre_state[1]._replace(initiator="phone"), "initiator and responder"),
+        (("pre_state", 0, "initiator"), "mallory", lambda s: _with_step(s, 0, initiator="mallory"),
+         "pre_state[0]: initiator"),
+        (("pre_state", 1, "responder"), "mallory", lambda s: _with_step(s, 1, responder="mallory"),
+         "pre_state[1]: responder"),
+        (("pre_state", 1), {"action": "session", "transport": "BLE", "initiator": "legacy-speaker",
+                            "responder": "phone", "entropy": 7},
+         lambda s: s.pre_state[1]._replace(transport="BLE", entropy=7), "entropy"),
+        (("attack", "peer"), "phone", lambda s: dataclasses.replace(s.attack, peer="phone"), "peer and target"),
+        (("attack", "attacker_address"), "02:00:00:00:0e:07",
+         lambda s: dataclasses.replace(s.attack, attacker_address=Address.parse("02:00:00:00:0e:07")),
+         "attacker_address"),
+        (("attack",), {"strategy": "us", "target": "phone", "peer": "legacy-speaker",
+                       "attacker_address": "02:00:00:00:0E:06"},
+         lambda s: dataclasses.replace(s, attack=AttackSpec("us", "phone", "legacy-speaker",
+                                                            Address.parse("02:00:00:00:0E:06"))),
+         "attack.attacker_address"),
+        (("expectations", "succeded"), True,
+         lambda s: dataclasses.replace(s, expectations=s.expectations + (("succeded", True),)), "expectations"),
+        (("pre_state", 0, "transport"), "NFC", lambda s: s.pre_state[0]._replace(transport="NFC"), "transport"),
+        (("attack", "strategy"), "zz", lambda s: dataclasses.replace(s.attack, strategy="zz"), "strategy"),
+        (("attack", "peer"), "nobody",
+         lambda s: dataclasses.replace(s, attack=dataclasses.replace(s.attack, peer="nobody")), "attack: peer"),
+        (("devices",), lambda raw: raw["devices"] + raw["devices"][:1],
+         lambda s: dataclasses.replace(s, devices=s.devices + s.devices[:1]), "devices[2]: name"),
+    ], ids=[
+        "seed-negative", "duplicate-address", "pair-step-with-itself", "session-step-with-itself",
+        "step-initiator-unlisted", "step-responder-unlisted", "ble-session-entropy", "peer-is-target",
+        "attacker-address-not-us", "us-attacker-address-of-listed-device", "expectation-unknown-field",
+        "step-transport-nfc", "strategy-unknown", "peer-unlisted", "device-listed-twice",
+    ])
+    def test_a_replace_that_breaks_a_rule_fails_as_loading_does(self, path, value, build, field):
+        """The same rule broken in the file and by ``dataclasses.replace`` or ``Step._replace`` on the
+        loaded, unmutated file: both raise ``ScenarioError`` naming the same field, and the file's
+        message is the replace's with the file's path before it."""
+        scenario = load_scenario(MUTATED)
+        with pytest.raises(ScenarioError) as replaced:
+            build(scenario)
+        raw = json.loads(MUTATED.read_text())
+        raw = _replaced(raw, path, value(raw) if callable(value) else value)
+        with pytest.raises(ScenarioError) as loaded:
+            Scenario.from_dict(raw, str(MUTATED))
+        assert field in str(replaced.value)
+        assert str(loaded.value).startswith(str(MUTATED))
+        assert str(loaded.value).endswith(str(replaced.value))
+        assert _run_cli(raw)[0] == 2
+        assert scenario == load_scenario(MUTATED)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -718,12 +844,12 @@ def _outcome_row(row: dict) -> list:
 
 def _row(result) -> dict:
     """The ``run_matrix`` row of a run under a defense set, rebuilt from its ``ScenarioResult``."""
-    scenario, outcome = result.scenario, result.outcome.to_dict()
+    scenario, outcome, meta = result.scenario, result.outcome.to_dict(), dict(result.scenario.meta)
     return {
         "scenario": scenario.name,
-        "device": scenario.meta.get("device", scenario.name),
-        "version": scenario.meta.get("bt_version"),
-        "attacker_role": scenario.meta.get("attacker_role"),
+        "device": meta.get("device", scenario.name),
+        "version": meta.get("bt_version"),
+        "attacker_role": meta.get("attacker_role"),
         "strategy": scenario.attack.strategy,
         "succeeded": outcome["succeeded"],
         "rejection": outcome["rejection"],
@@ -786,13 +912,13 @@ class TestLattice:
 
     def test_a_scenario_error_is_kept_and_the_sweep_goes_on(self):
         good = Scenario.from_dict(scenario_dict())
-        bad = _with_step(Scenario.from_dict(scenario_dict(name="bad")), 0, initiator="bob")  # self-pairing will fail
+        bad = _session_before_pairing()
         lattice = run_lattice([bad, good])
         assert list(lattice) == list(DEFENSE_SUBSETS)
         for policies, report in lattice.items():
             assert report.policy_override == policies
             assert [row["scenario"] for row in report.rows] == ["mini"]
-            assert len(report.errors) == 1 and report.errors[0].startswith("bad: pre_state[0]")
+            assert report.errors == [NO_BOND]
 
     def test_minimal_blocking_sets_over_the_matrix(self, lattice_rows):
         minimal = minimal_blocking_sets(_matrix_part(lattice_rows))
