@@ -52,21 +52,32 @@ _IO_BY_NAME = {
 }
 
 
-def pop_options(cls, data: dict, where: str) -> dict:
-    """Pop from ``data`` each field of dataclass ``cls`` that has a default.
+class ScenarioError(ValueError):
+    """Configuration problem, with enough context to find the bad field."""
 
-    A value must have exactly its default's type, so a JSON ``"no"`` is not
-    read as a true flag and ``true`` is not read as the number 1.
-    """
-    options = {}
-    for f in fields(cls):
-        if f.default is MISSING or f.name not in data:
-            continue
-        value = data.pop(f.name)
-        if type(value) is not type(f.default):
-            raise ValueError(f"{where}: {f.name} must be {type(f.default).__name__}, got {value!r}")
-        options[f.name] = value
-    return options
+
+_KIND_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string", int: "an integer", bool: "true or false"}
+
+
+def json_typed(value, kind: type, where: str):
+    """``value`` when it is exactly a ``kind`` (so ``true`` is no integer)."""
+    if type(value) is not kind:
+        raise ScenarioError(f"{where} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def json_fields(raw, where: str, kinds: dict, required=()) -> dict:
+    """``raw`` when it is a JSON object with every ``required`` field and none outside ``kinds``, each of its kind."""
+    data = json_typed(raw, dict, where)
+    missing = [name for name in required if name not in data]
+    if missing:
+        raise ScenarioError(f"{where}: missing required field {missing[0]!r}")
+    unknown = set(data) - set(kinds)
+    if unknown:
+        raise ScenarioError(f"{where}: unknown field(s) {sorted(unknown)}")
+    for name, value in data.items():
+        json_typed(value, kinds[name], f"{where}.{name}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -112,29 +123,17 @@ class DeviceProfile:
 
     @classmethod
     def from_dict(cls, raw: dict, where: str = "profile") -> "DeviceProfile":
-        data = dict(raw)
-        required = {}
-        for name in ("address", "name", "bt_version", "io_capability"):
-            if name not in data:
-                raise ValueError(f"{where}: missing required field {name!r}")
-            required[name] = data.pop(name)
-            if not isinstance(required[name], str):
-                raise ValueError(f"{where}: {name} must be str, got {required[name]!r}")
-        if required["io_capability"] not in _IO_BY_NAME:
-            raise ValueError(f"{where}: unknown io_capability {required['io_capability']!r}")
-        options = pop_options(cls, data, where)
-        if data:
-            raise ValueError(f"{where}: unknown field(s) {sorted(data)}")
+        """A profile from JSON: a field without a default is a required string, any other of its default's type."""
+        init = [f for f in fields(cls) if f.init]
+        data = json_fields(raw, where, {f.name: str if f.default is MISSING else type(f.default) for f in init},
+                           required=[f.name for f in init if f.default is MISSING])
+        if data["io_capability"] not in _IO_BY_NAME:
+            raise ScenarioError(f"{where}: unknown io_capability {data['io_capability']!r}")
         try:
-            return cls(
-                address=Address.parse(required["address"]),
-                name=required["name"],
-                bt_version=required["bt_version"],
-                io_capability=_IO_BY_NAME[required["io_capability"]],
-                **options,
-            )
+            return cls(**{**data, "address": Address.parse(data["address"]),
+                          "io_capability": _IO_BY_NAME[data["io_capability"]]})
         except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
+            raise ScenarioError(f"{where}: {err}") from None
 
 
 class KeyRecord(Checked, NamedTuple("KeyRecord", [

@@ -29,7 +29,7 @@ from .device import (
     KeyOrigin,
     KeyRecord,
     PairingRole,
-    pop_options,
+    json_fields,
 )
 
 
@@ -59,11 +59,8 @@ class PolicySet:
 
     @classmethod
     def from_dict(cls, raw: dict, where: str = "policies") -> "PolicySet":
-        data = dict(raw)
-        options = pop_options(cls, data, where)
-        if data:
-            raise ValueError(f"{where}: unknown policy field(s) {sorted(data)}")
-        return cls(**options)
+        """The set a JSON object of defense flags gives; a bad one raises ``ScenarioError`` naming it by ``where``."""
+        return cls(**json_fields(raw, where, dict.fromkeys(DEFENSES, bool)))
 
     def enabled_names(self) -> list[str]:
         return [name for name in DEFENSES if getattr(self, name)]

@@ -16,50 +16,41 @@ from typing import NamedTuple, Optional
 from .attacks import (STRATEGIES, STRATEGY_MI, STRATEGY_MITM, STRATEGY_SI, STRATEGY_US, AttackOutcome,
                       master_impersonation, mitm, slave_impersonation, unintended_session)
 from .crypto import MAX_STRENGTH, MIN_STRENGTH, TRANSPORT_BLE, TRANSPORT_BT, TRANSPORTS, Address, Checked
-from .device import Device, DeviceProfile
+from .device import Device, DeviceProfile, ScenarioError, json_fields, json_typed
 from .pairing import SessionState, SimContext, ble_pair, bt_pair, establish_session, make_device
 from .policies import DEFENSE_SUBSETS, PolicySet, c1_tick
 from .trace import PAYLOAD_SCHEMAS, TraceEvent, trace_digest
-
-
-class ScenarioError(ValueError):
-    """Configuration problem, with enough context to find the bad field."""
 
 
 #: The one optional field each pre-state action reads, besides the
 #: action, the two devices and the transport.
 _STEP_OPTIONS = {"pair": "ctkd", "session": "entropy"}
 
-#: The meta fields a matrix report reads; the rest of ``meta`` is free-form.
-_MATRIX_META = ("device", "bt_version", "attacker_role")
 
-_KIND_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string", int: "an integer"}
-
-
-def _typed(value, kind: type, where: str):
-    """``value`` when it is exactly a ``kind`` (so ``true`` is no integer)."""
-    if type(value) is not kind:
-        raise ScenarioError(f"{where} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return value
+def _listed(value, item) -> bool:
+    """Whether ``value`` is a JSON list, or the tuple a Scenario keeps one as, whose every item passes ``item``."""
+    return type(value) in (list, tuple) and all(map(item, value))
 
 
-class _Object(tuple):
-    """A frozen JSON object: its ``(key, value)`` pairs in order, which ``_thawed`` makes a dict again."""
-    __slots__ = ()
+#: Per outcome field, its JSON type (as ``AttackOutcome.to_dict`` gives it) and whether a value has it.
+_EXPECTED = {
+    "succeeded": ("true or false", lambda value: type(value) is bool),
+    "overwrote_existing": ("true or false", lambda value: type(value) is bool),
+    "victim_reconnect": ("a string", lambda value: type(value) is str),
+    "rejection": ("a string or null", lambda value: value is None or type(value) is str),
+    "ctis_used": ("a list of integers", lambda value: _listed(value, lambda cti: type(cti) is int)),
+    "keys_written": ("a list of three-string lists", lambda value: _listed(
+        value, lambda key: _listed(key, lambda part: type(part) is str) and len(key) == 3)),
+}
 
 
-def _frozen(value):
-    """A JSON value, read-only and hashable: an object as an ``_Object``, a list as a tuple."""
-    if isinstance(value, dict):
-        return _Object((key, _frozen(item)) for key, item in value.items())
-    return tuple(map(_frozen, value)) if type(value) in (list, tuple) else value
-
-
-def _thawed(value):
-    """The JSON value that ``_frozen`` froze."""
-    if isinstance(value, _Object):
-        return {key: _thawed(item) for key, item in value}
-    return list(map(_thawed, value)) if type(value) is tuple else value
+def _expected(name: str, value):
+    """``value`` as a Scenario keeps expectation ``name``, each list a tuple, when it has the outcome field's JSON
+    type; a kept value passes too, as ``dataclasses.replace`` gives it back."""
+    kind, has_kind = _EXPECTED[name]
+    if not has_kind(value):
+        raise ScenarioError(f"expectations.{name} must be {kind}, got {value!r}")
+    return tuple(map(tuple, value)) if name == "keys_written" else tuple(value) if name == "ctis_used" else value
 
 
 class Step(Checked, NamedTuple("Step", [("action", str), ("initiator", str), ("responder", str),
@@ -124,16 +115,17 @@ class Scenario:
     """A scenario: an immutable, hashable value that shares no object with the dict it was loaded
     from. ``from_dict``, the constructor and ``dataclasses.replace`` check the same rules: each
     ``Step`` and ``AttackSpec`` its own, and ``__post_init__`` those between fields.
-    ``expectations`` and ``meta`` are tuples of ``(field, value)`` pairs in file order, each JSON
-    list in a value a tuple and each JSON object an ``_Object`` of pairs; a dict given is frozen so."""
+    ``expectations`` and ``meta`` are tuples of ``(field, value)`` pairs in file order, a dict given
+    for either being made so: each expectation of its outcome field's JSON type, each list a tuple,
+    and each meta value a string."""
 
     name: str
     seed: int
     devices: tuple[DeviceSpec, ...]
     pre_state: tuple[Step, ...]
     attack: AttackSpec
-    expectations: tuple = ()
-    meta: tuple = ()
+    expectations: tuple[tuple[str, object], ...] = ()
+    meta: tuple[tuple[str, str], ...] = ()
     #: Per (seed, DH backend), the pre-state snapshot that every run forks, or None (see run_scenario).
     _snapshots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -156,50 +148,36 @@ class Scenario:
                 raise ScenarioError(f"attack: {role} {name!r} is not a listed device")
         if self.attack.attacker_address in addresses:
             raise ScenarioError(f"attack.attacker_address: {self.attack.attacker_address} is a listed device's address")
-        for name in ("expectations", "meta"):
-            object.__setattr__(self, name, _frozen(dict(getattr(self, name))))
-        unknown = [key for key, _ in self.expectations if key not in AttackOutcome._fields]
+        expectations = dict(self.expectations)
+        unknown = [key for key in expectations if key not in AttackOutcome._fields]
         if unknown:
             raise ScenarioError(f"expectations: unknown field(s) {sorted(unknown, key=str)}")
-        for key, value in self.meta:
-            if key in _MATRIX_META and type(value) is not str:
-                raise ScenarioError(f"meta.{key} must be a string, got {value!r}")
+        object.__setattr__(self, "expectations", tuple((key, _expected(key, value))
+                                                       for key, value in expectations.items()))
+        object.__setattr__(self, "meta", tuple((key, json_typed(value, str, f"meta.{key}"))
+                                               for key, value in dict(self.meta).items()))
 
     @classmethod
     def from_dict(cls, raw: dict, where: str = "scenario") -> "Scenario":
         """Parse a scenario's JSON shape, naming each bad field by its ``where`` path; the
         constructors check the rest. A bad one raises ``ScenarioError`` and nothing else."""
-        data = _fields(raw, where, {"name": str, "seed": int, "devices": list, "pre_state": list, "attack": dict,
-                                    "expectations": dict, "meta": dict}, required=("seed", "devices", "attack"))
+        data = json_fields(raw, where, {"name": str, "seed": int, "devices": list, "pre_state": list, "attack": dict,
+                                        "expectations": dict, "meta": dict}, required=("seed", "devices", "attack"))
         devices = []
         for i, entry in enumerate(data["devices"]):
             where_dev = f"{where}.devices[{i}]"
-            entry = _fields(entry, where_dev, {"profile": dict, "policies": dict}, required=("profile",))
-            devices.append(DeviceSpec(_at("", DeviceProfile.from_dict, entry["profile"], where_dev),
-                                      _at("", PolicySet.from_dict, entry.get("policies", {}), f"{where_dev}.policies")))
+            entry = json_fields(entry, where_dev, {"profile": dict, "policies": dict}, required=("profile",))
+            devices.append(DeviceSpec(DeviceProfile.from_dict(entry["profile"], f"{where_dev}.profile"),
+                                      PolicySet.from_dict(entry.get("policies", {}), f"{where_dev}.policies")))
         steps = data.get("pre_state", [])
         pre_state = tuple(_step(step, f"{where}.pre_state[{i}]") for i, step in enumerate(steps))
-        attack = _fields(data["attack"], f"{where}.attack", {"strategy": str, "target": str, "peer": str,
-                                                             "attacker_address": str}, required=("strategy", "target"))
+        kinds = {"strategy": str, "target": str, "peer": str, "attacker_address": str}
+        attack = json_fields(data["attack"], f"{where}.attack", kinds, required=("strategy", "target"))
         address = attack.get("attacker_address")
         address = None if address is None else _at(f"{where}.attack.attacker_address: ", Address.parse, address)
         attack = _at(f"{where}.attack: ", AttackSpec, attack["strategy"], attack["target"], attack.get("peer"), address)
         return _at(f"{where}.", cls, data.get("name", where), data["seed"], tuple(devices), pre_state, attack,
                    data.get("expectations", {}), data.get("meta", {}))
-
-
-def _fields(raw, where: str, kinds: dict, required=()) -> dict:
-    """``raw`` when it is a JSON object with every ``required`` field and none outside ``kinds``, each of its kind."""
-    data = _typed(raw, dict, where)
-    missing = [name for name in required if name not in data]
-    if missing:
-        raise ScenarioError(f"{where}: missing required field {missing[0]!r}")
-    unknown = set(data) - set(kinds)
-    if unknown:
-        raise ScenarioError(f"{where}: unknown field(s) {sorted(unknown)}")
-    for name, value in data.items():
-        _typed(value, kinds[name], f"{where}.{name}")
-    return data
 
 
 def _at(where: str, build, *args):
@@ -211,7 +189,7 @@ def _at(where: str, build, *args):
 
 
 def _step(step: dict, where: str) -> Step:
-    action = _typed(step, dict, where).get("action")
+    action = json_typed(step, dict, where).get("action")
     if type(action) is str and action in _STEP_OPTIONS:  # else Step names the bad action
         unknown = set(step) - {"action", "initiator", "responder", "transport", _STEP_OPTIONS[action]}
         if unknown:
@@ -260,12 +238,10 @@ def check_expectations(expectations: tuple, outcome: AttackOutcome) -> list[str]
     got = outcome.to_dict()
     failures = []
     for key, expected in expectations:
-        actual = got[key]  # a Scenario rejects a key that is no outcome field
-        expected = _thawed(expected)
-        if key in _UNORDERED and isinstance(expected, list):
-            # Items compare as JSON texts, so an item of any JSON type is a mismatch, not a crash.
-            canon = _UNORDERED[key]
-            matched = canon(map(json.dumps, actual)) == canon(map(json.dumps, expected))
+        actual = got[key]  # a Scenario keeps only outcome fields, each of its JSON type
+        if key in _UNORDERED:  # a kept list, compared and printed as JSON loads it
+            expected = [list(item) if type(item) is tuple else item for item in expected]
+            matched = _UNORDERED[key](actual) == _UNORDERED[key](expected)
         else:
             matched = actual == expected
         if not matched:

@@ -96,6 +96,17 @@ def _session_before_pairing():
     return dataclasses.replace(scenario, pre_state=scenario.pre_state[::-1])
 
 
+#: The ``keys_written`` of ``scenario_dict``'s attack, as ``AttackOutcome.to_dict`` lists them.
+KEYS_WRITTEN = [["02:00:00:00:0a:02", "BLE", "direct_pairing"], ["02:00:00:00:0a:02", "BT", "ctkd_derived"]]
+
+
+def _with_lists():
+    """``scenario_dict`` with string ``meta`` and the list-valued expectations its attack meets."""
+    raw = scenario_dict(meta={"device": "bob", "note": "lists"})
+    raw["expectations"].update(ctis_used=[1, 3], keys_written=[list(key) for key in KEYS_WRITTEN])
+    return raw
+
+
 def _mutable_parts(value):
     """Every dict, list or set inside ``value``, through tuples and the compared fields of dataclasses."""
     if isinstance(value, (dict, list, set)):
@@ -209,16 +220,18 @@ class TestLoading:
             assert not list(_mutable_parts(scenario)), path.name
             for pairs in (scenario.expectations, scenario.meta):
                 assert isinstance(pairs, tuple) and all(len(pair) == 2 for pair in pairs)
-        scenario = Scenario.from_dict(scenario_dict(meta={"device": "bob", "notes": [{"seen": [1]}]}))
-        assert scenario.meta == (("device", "bob"), ("notes", ((("seen", (1,)),),)))
+        scenario = Scenario.from_dict(_with_lists())
+        assert scenario.meta == (("device", "bob"), ("note", "lists"))
+        assert dict(scenario.expectations)["ctis_used"] == (1, 3)
+        assert dict(scenario.expectations)["keys_written"] == tuple(map(tuple, KEYS_WRITTEN))
         assert not list(_mutable_parts(scenario))
 
     def test_a_replaced_dict_is_frozen_as_a_loaded_one(self):
-        scenario = Scenario.from_dict(scenario_dict(meta={"device": "bob", "notes": [{"seen": [1]}]}))
-        replaced = dataclasses.replace(scenario, meta={"device": "bob", "notes": [{"seen": [1]}]},
-                                       expectations=dict(scenario.expectations))
+        scenario = Scenario.from_dict(_with_lists())
+        raw = _with_lists()
+        replaced = dataclasses.replace(scenario, meta=raw["meta"], expectations=raw["expectations"])
         assert replaced == scenario and hash(replaced) == hash(scenario)
-        assert dict(scenario.meta)["notes"] == (scenario_module._frozen({"seen": [1]}),)
+        assert replaced.expectations == scenario.expectations and not list(_mutable_parts(replaced))
 
     def test_missing_seed(self):
         raw = scenario_dict()
@@ -255,14 +268,21 @@ class TestRunScenario:
         assert run_scenario(scenario).expectations_ok is False
 
     @pytest.mark.parametrize("field, expected", [
-        ("ctis_used", 5), ("ctis_used", [[1]]), ("keys_written", [1]), ("succeeded", {"a": [1]}),
+        ("ctis_used", [1]), ("ctis_used", [3, 1, 2]), ("keys_written", KEYS_WRITTEN[:1]),
+        ("keys_written", KEYS_WRITTEN * 2),
     ])
-    def test_malformed_list_expectation_is_a_mismatch(self, field, expected):
+    def test_a_list_mismatch_prints_lists_as_json_loads_them(self, field, expected):
         """A mismatch prints the expected value as JSON loads it, though the Scenario keeps it frozen."""
         raw = scenario_dict()
         raw["expectations"][field] = expected
         result = run_scenario(Scenario.from_dict(raw))
-        assert any(f.startswith(f"{field}: expected {expected!r}, got") for f in result.expectation_failures)
+        actual = result.outcome.to_dict()[field]
+        assert result.expectation_failures == [f"{field}: expected {expected!r}, got {actual!r}"]
+
+    def test_lists_match_in_any_order(self):
+        raw = scenario_dict()
+        raw["expectations"].update(ctis_used=[3, 1, 3], keys_written=KEYS_WRITTEN[::-1])
+        assert run_scenario(Scenario.from_dict(raw)).expectation_failures == []
 
     def test_same_seed_identical_traces(self):
         scenario = Scenario.from_dict(scenario_dict())
@@ -542,7 +562,7 @@ class TestCli:
         code = cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--policies", "c1,c1_auto_pairable"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: --policies: unknown policy field(s) ['c1_auto_pairable']")
+        assert err.startswith("config error: --policies: unknown field(s) ['c1_auto_pairable']")
 
     def test_matrix_policies_naming_no_defense_exits_2(self, capsys):
         code = cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--policies", "sig51_version_gated"])
@@ -561,7 +581,7 @@ class TestCli:
 
     def test_matrix_policies_none_with_a_defense_exits_2(self, capsys):
         assert cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--policies", "c1,none"]) == 2
-        assert capsys.readouterr().err.startswith("config error: --policies: unknown policy field(s) ['none']")
+        assert capsys.readouterr().err.startswith("config error: --policies: unknown field(s) ['none']")
 
     def test_matrix_empty_dir_exits_2(self, tmp_path):
         (tmp_path / "empty").mkdir()
@@ -682,6 +702,18 @@ class TestMalformedInput:
         (("expectations", "succeded"), True),
         (("pre_state", 0, "initiator"), "mallory"),
         (("pre_state", 1, "responder"), "mallory"),
+        (("expectations", "succeeded"), 1),
+        (("expectations", "overwrote_existing"), 1.0),
+        (("expectations", "victim_reconnect"), True),
+        (("expectations", "rejection"), 5),
+        (("expectations", "ctis_used"), [True]),
+        (("expectations", "ctis_used"), 5),
+        (("expectations", "ctis_used"), [[1]]),
+        (("expectations", "keys_written"), [1]),
+        (("expectations", "keys_written"), [["02:00:00:00:0e:06", "BT"]]),
+        (("expectations", "succeeded"), {"a": [1]}),
+        (("meta", "note"), {"a": 1}),
+        (("meta", "note"), [["a", 1]]),
     ], ids=[
         "seed-text", "seed-negative", "devices-number", "attack-list", "top-level-list", "expectations-list",
         "device-text", "step-text", "address-number", "max-key-size-text", "c1-threshold-text",
@@ -693,6 +725,10 @@ class TestMalformedInput:
         "policy-long-name-c1", "policy-long-name-c3", "profile-pairable-bt", "c1-threshold-negative",
         "attacker-name", "ble-session-entropy", "expectation-unknown-field",
         "step-initiator-unlisted", "step-responder-unlisted",
+        "expected-succeeded-integer", "expected-overwrote-float", "expected-reconnect-bool",
+        "expected-rejection-integer", "expected-cti-bool", "expected-ctis-integer", "expected-ctis-nested",
+        "expected-keys-flat", "expected-key-two-strings", "expected-succeeded-object",
+        "meta-object", "meta-list",
     ])
     def test_config_error_exits_2(self, path, value):
         raw = _replaced(json.loads(MUTATED.read_text()), path, value)
@@ -701,6 +737,19 @@ class TestMalformedInput:
         code, err = _run_cli(raw)
         assert code == 2
         assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("devices", 0, "profile", "sc_host"), "no", "devices[0].profile.sc_host must be true or false"),
+        (("devices", 0, "profile", "zz"), 1, "devices[0].profile: unknown field(s) ['zz']"),
+        (("devices", 0, "policies"), {"c3": "false"}, "devices[0].policies.c3 must be true or false"),
+        (("devices", 0, "policies"), {"zz": True}, "devices[0].policies: unknown field(s) ['zz']"),
+        (("devices", 0, "zz"), 1, "devices[0]: unknown field(s) ['zz']"),
+    ], ids=["profile-flag", "profile-field", "policy-flag", "policy-field", "device-field"])
+    def test_an_error_names_its_object(self, path, value, message):
+        """A profile's or policy set's error names it, apart from the device entry that holds it."""
+        code, err = _run_cli(_replaced(json.loads(MUTATED.read_text()), path, value))
+        assert code == 2 and err.startswith("config error: ")
+        assert f".{message}" in err
 
     def test_unmutated_file_still_runs(self):
         assert _run_cli(json.loads(MUTATED.read_text()))[0] == 0
@@ -739,11 +788,13 @@ class TestMalformedInput:
          lambda s: dataclasses.replace(s, attack=dataclasses.replace(s.attack, peer="nobody")), "attack: peer"),
         (("devices",), lambda raw: raw["devices"] + raw["devices"][:1],
          lambda s: dataclasses.replace(s, devices=s.devices + s.devices[:1]), "devices[2]: name"),
+        (("expectations",), {"succeeded": 1}, lambda s: dataclasses.replace(s, expectations=(("succeeded", 1),)),
+         "expectations.succeeded"),
     ], ids=[
         "seed-negative", "duplicate-address", "pair-step-with-itself", "session-step-with-itself",
         "step-initiator-unlisted", "step-responder-unlisted", "ble-session-entropy", "peer-is-target",
         "attacker-address-not-us", "us-attacker-address-of-listed-device", "expectation-unknown-field",
-        "step-transport-nfc", "strategy-unknown", "peer-unlisted", "device-listed-twice",
+        "step-transport-nfc", "strategy-unknown", "peer-unlisted", "device-listed-twice", "expectation-integer",
     ])
     def test_a_replace_that_breaks_a_rule_fails_as_loading_does(self, path, value, build, field):
         """The same rule broken in the file and by ``dataclasses.replace`` or ``Step._replace`` on the
@@ -1035,12 +1086,7 @@ class TestFork:
     def test_a_loaded_scenario_shares_nothing_with_its_input(self):
         """Emptying every object and list of the input after a run changes neither the Scenario nor
         its next run, which forks its snapshot and equals the first run and the reference path."""
-        def mini():
-            raw = scenario_dict(meta={"device": "bob", "notes": [{"seen": [1]}]})
-            raw["expectations"]["ctis_used"] = [1, 3]
-            return raw
-
-        raw = mini()
+        raw = _with_lists()
         scenario = Scenario.from_dict(raw)
         first = run_scenario(scenario)
         assert first.expectation_failures == []
@@ -1050,7 +1096,7 @@ class TestFork:
             assert result.trace_digest() == first.trace_digest()
             assert result.outcome == first.outcome
             assert result.expectation_failures == []
-        assert scenario == Scenario.from_dict(mini())
+        assert scenario == Scenario.from_dict(_with_lists())
 
     def test_each_dh_backend_forks_a_snapshot_of_its_own(self, monkeypatch):
         scenario = Scenario.from_dict(scenario_dict())
