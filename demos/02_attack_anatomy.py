@@ -37,6 +37,7 @@ print("pre-state: bonded on both transports, BT session live")
 print(f"  bob's BT key for alice : {bob.bonds.lookup(alice.address, 'BT').key.hex()}")
 
 # The attack: one BLE pairing against bob, spoofing alice's address.
+attack_start = ctx.trace.clock
 outcome = master_impersonation(ctx, bob, alice)
 
 print("\nattack outcome:")
@@ -46,7 +47,7 @@ print(f"  bob's BT key for alice : {bob.bonds.lookup(alice.address, 'BT').key.he
 
 # The trace tells the same story.
 print("\nattack-window events:")
-for event in ctx.trace.events:
+for event in ctx.trace.events[attack_start:]:
     if event.kind in ("key_stored", "session_ok", "session_fail"):
         extra = {k: v for k, v in event.payload.items()
                  if k in ("transport", "origin", "overwrote", "reason")}

@@ -107,12 +107,24 @@ _MASTER, _CTKD_DERIVED = PairingRole.MASTER.value, KeyOrigin.CTKD_DERIVED.value 
 _JUST_WORKS, _NUMERIC_COMPARISON = Association.JUST_WORKS.value, Association.NUMERIC_COMPARISON.value
 
 
-def derive_ctis(events: list[TraceEvent], *, attack_start: int) -> frozenset[CTI]:
-    """Replay the trace and record which issue predicates fired.
+#: What derive_ctis reads from an attack's trace; its docstring says what each field holds.
+class Replay(NamedTuple):
+    ctis: frozenset[CTI]
+    keys_written: tuple[tuple[str, str, str], ...]
+    overwrote: bool
+    bonds: dict[tuple[str, str, str], dict]
+
+
+def derive_ctis(events: list[TraceEvent], *, attack_start: int) -> Replay:
+    """Replay the trace: the issues that fired, each ``(owner, transport, origin)`` a target stored under the
+    claimed identity, whether one overwrote, and each real device's last store per ``(owner, peer, transport)``.
 
     Every non-tunneled pairing request received at or after
     ``attack_start`` is an attack pairing: its receiver is the target and
-    its sender the claimed identity, until the next such request.
+    its sender the claimed identity, until the next such request. A store
+    by the claimed identity is the attacker's own (its device shows the
+    address it claims) and is skipped. Live sessions still conflate those
+    two ends: telling them apart needs a session identity the trace lacks.
 
     * extended pairing: the attack pairing landed on a transport where the
       target had no live session at that moment;
@@ -123,6 +135,7 @@ def derive_ctis(events: list[TraceEvent], *, attack_start: int) -> frozenset[CTI
       association was stronger than the one it negotiated.
     """
     fired: set[CTI] = set()
+    written, overwrote = [], False
     # Rolling state: bonds[(owner, peer, transport)] -> payload of last store;
     # live session keys are (sorted peer pair, transport).
     bonds: dict[tuple[str, str, str], dict] = {}
@@ -150,9 +163,11 @@ def derive_ctis(events: list[TraceEvent], *, attack_start: int) -> frozenset[CTI
             pair = tuple(sorted((actor, payload["peer"])))
             sessions[(pair, payload["transport"])] = True
 
-        elif kind == KIND_KEY_STORED:
+        elif kind == KIND_KEY_STORED and actor != claimed:
             peer = payload["peer"]
             if actor == target and peer == claimed:
+                written.append((actor, payload["transport"], payload["origin"]))
+                overwrote = overwrote or payload["overwrote"]
                 if payload["origin"] == _CTKD_DERIVED:
                     fired.add(CTI.KEY_TAMPERING)
                 if payload["association"] == _JUST_WORKS:
@@ -160,12 +175,12 @@ def derive_ctis(events: list[TraceEvent], *, attack_start: int) -> frozenset[CTI
                         prior = bonds.get((actor, peer, t))
                         if prior is not None and prior["association"] == _NUMERIC_COMPARISON:
                             fired.add(CTI.ASSOCIATION_MANIPULATION)
-            if payload.get("overwrote"):
+            if payload["overwrote"]:
                 pair = tuple(sorted((actor, peer)))
                 sessions[(pair, payload["transport"])] = False
             bonds[(actor, peer, payload["transport"])] = payload
 
-    return frozenset(fired)
+    return Replay(frozenset(fired), tuple(written), overwrote, bonds)
 
 
 def _victim_reconnect(ctx: SimContext, victim: Device, peer: Device) -> str:
@@ -191,20 +206,12 @@ def _attack(ctx: SimContext, legs: list[tuple], comeback: Optional[tuple[Device,
     any record. The outcome reads only the pairing sessions, the takeover
     results and the trace.
     """
-    events = ctx.trace.events
     attack_start = ctx.trace.clock
-    keys_written: list[tuple[str, str, str]] = []
-    overwrote = False
     for claimed, target, transport, reconnect in legs:
-        start = ctx.trace.clock
         charlie = make_device(ctx, _ATTACKER, _NO_DEFENSES, claimed)
         session = (ble_pair if transport == TRANSPORT_BLE else bt_pair)(ctx, charlie, target)
-        victim = target.address.text
         succeeded, victim_reconnect = False, RECONNECT_NOT_ATTEMPTED
         if not session.aborted:
-            stored = [e.payload for e in events[start:] if e.kind == KIND_KEY_STORED and e.actor == victim]
-            keys_written += [(victim, p["transport"], p["origin"]) for p in stored]
-            overwrote = overwrote or any(p.get("overwrote") for p in stored)
             takeovers = [establish_session(ctx, charlie, target, t) for t in (TRANSPORT_BT, TRANSPORT_BLE)]
             if reconnect is not None:
                 victim_reconnect = _victim_reconnect(ctx, *reconnect)
@@ -213,8 +220,9 @@ def _attack(ctx: SimContext, legs: list[tuple], comeback: Optional[tuple[Device,
             break
     if comeback is not None:
         victim_reconnect = _victim_reconnect(ctx, *comeback) if succeeded else RECONNECT_NOT_ATTEMPTED
-    return AttackOutcome(succeeded and not (silent and overwrote), keys_written, overwrote, victim_reconnect,
-                         derive_ctis(events, attack_start=attack_start), session.abort_reason)
+    replay = derive_ctis(ctx.trace.events, attack_start=attack_start)
+    return AttackOutcome(succeeded and not (silent and replay.overwrote), list(replay.keys_written),
+                         replay.overwrote, victim_reconnect, replay.ctis, session.abort_reason)
 
 
 # ---------------------------------------------------------------------------

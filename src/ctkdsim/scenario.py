@@ -148,14 +148,18 @@ class Scenario:
                 raise ScenarioError(f"attack: {role} {name!r} is not a listed device")
         if self.attack.attacker_address in addresses:
             raise ScenarioError(f"attack.attacker_address: {self.attack.attacker_address} is a listed device's address")
-        expectations = dict(self.expectations)
-        unknown = [key for key in expectations if key not in AttackOutcome._fields]
+        for name in ("expectations", "meta"):  # a JSON object, or the (field, value) pairs one is kept as
+            try:
+                object.__setattr__(self, name, dict(getattr(self, name)))
+            except (TypeError, ValueError):
+                raise ScenarioError(f"{name} must be a JSON object, got {getattr(self, name)!r}") from None
+        unknown = [key for key in self.expectations if key not in AttackOutcome._fields]
         if unknown:
             raise ScenarioError(f"expectations: unknown field(s) {sorted(unknown, key=str)}")
         object.__setattr__(self, "expectations", tuple((key, _expected(key, value))
-                                                       for key, value in expectations.items()))
+                                                       for key, value in self.expectations.items()))
         object.__setattr__(self, "meta", tuple((key, json_typed(value, str, f"meta.{key}"))
-                                               for key, value in dict(self.meta).items()))
+                                               for key, value in self.meta.items()))
 
     @classmethod
     def from_dict(cls, raw: dict, where: str = "scenario") -> "Scenario":

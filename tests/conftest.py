@@ -81,6 +81,14 @@ def baseline(own):
     return matrix_runs(own)
 
 
+def attack_requests(result) -> list:
+    """The pairing requests ``result``'s attack received, in order: the non-tunneled ones after the
+    pre-state's, one per ``pair`` step (a BT pairing's tunnelled SMP request is not counted)."""
+    requests = [event for event in result.trace if event.kind == "msg_received"
+                and event.payload["opcode"] == "request" and not event.payload["tunneled"]]
+    return requests[sum(step.action == "pair" for step in result.scenario.pre_state):]
+
+
 def reference_run(scenario, policy_override=None, seed_override=None) -> ScenarioResult:
     """``run_scenario`` on the reference path: the pre-state run afresh under the policies in
     force, never forked from a snapshot, then the attack; the guard every fork is checked by."""

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import BUNDLED, device
+from conftest import BUNDLED, attack_requests, device
 
 from ctkdsim import attacks
 from ctkdsim.attacks import (
@@ -230,6 +230,18 @@ class TestMitm:
         first_msg = next(e for e in ctx.trace.events[start:] if e.kind == "msg_sent")
         assert first_msg.payload["transport"] == TRANSPORT_BLE
 
+    def test_the_role_check_reads_the_victims_record_not_the_first_attackers(self, ctx):
+        # Bob started the BT bond, so alice's record says bob was the master, and c2 lets a BT
+        # request claiming bob through. The master leg opens (BT is live): its attacker, claiming
+        # alice, stores a record of bob with bob as the slave, which is no record of alice's.
+        alice = device(ctx, "alice", 0x0A, policies=PolicySet(c2=True))
+        bob = device(ctx, "bob", 0x0B, io="NoInputNoOutput")
+        assert not bt_pair(ctx, bob, alice).aborted
+        assert establish_session(ctx, alice, bob, TRANSPORT_BT).ok
+        outcome = mitm(ctx, alice, bob)
+        assert outcome.succeeded and outcome.rejection is None
+        assert outcome.ctis_used == {CTI.EXTENDED_PAIRING, CTI.KEY_TAMPERING}
+
 
 class TestUnintendedSession:
     def test_baseline_stealth_bond(self, ctx):
@@ -376,14 +388,25 @@ class TestDeriveCtisFromDisk:
             assert on_disk == live
             replays = {start: derive_ctis(live, attack_start=start) for start in (starts[0], 0)}
             assert {start: derive_ctis(on_disk, attack_start=start) for start in replays} == replays, path.name
-            assert replays[starts[0]] == result.outcome.ctis_used, path.name
+            assert replays[starts[0]].ctis == result.outcome.ctis_used, path.name
             fired |= result.outcome.ctis_used
         assert fired == set(CTI)  # the comparison covers every issue firing
 
     def test_nothing_before_the_first_attack_request_counts(self, own):
         # Every pre-state but mi-peer-without-ctkd's stores CTKD-derived keys; none of them counts.
         for path, result in zip(BUNDLED, own):
-            assert derive_ctis(result.trace, attack_start=len(result.trace)) == frozenset(), path.name
+            assert derive_ctis(result.trace, attack_start=len(result.trace)).ctis == frozenset(), path.name
+
+    def test_the_replayed_bonds_are_the_live_devices(self, own, lattice):
+        # Each bond as (owner, peer, transport) -> (key, origin, role), in the live table and the replay.
+        for result in [*own, *(result for results in lattice.values() for result in results)]:
+            live = {(device.address.text, record.peer.text, record.transport):
+                    (record.key.hex(), record.origin.value, record.role_at_pairing.value)
+                    for device in result.devices.values() for record in device.bonds.records.values()}
+            requests = attack_requests(result)
+            replay = derive_ctis(result.trace, attack_start=requests[0].index if requests else len(result.trace))
+            replayed = {bond: (p["key"], p["origin"], p["role"]) for bond, p in replay.bonds.items()}
+            assert replayed == live, result.scenario.name
 
 
 def _request(index, receiver, sender, tunneled=False):
@@ -391,9 +414,9 @@ def _request(index, receiver, sender, tunneled=False):
                                                         "opcode": "request", "tunneled": tunneled})
 
 
-def _derived(index, owner, peer):
+def _derived(index, owner, peer, role="master"):
     return TraceEvent(index, owner, "key_stored", {"transport": TRANSPORT_BLE, "peer": peer, "origin": "ctkd_derived",
-                                                   "association": "just_works", "role": "master", "overwrote": False})
+                                                   "association": "just_works", "role": role, "overwrote": False})
 
 
 class TestDeriveCtisAttackPairings:
@@ -401,15 +424,27 @@ class TestDeriveCtisAttackPairings:
 
     def test_only_the_target_storing_under_the_claimed_identity_counts(self):
         events = [_request(0, "target", "claimed"), _derived(1, "claimed", "target"), _derived(2, "target", "other")]
-        assert derive_ctis(events, attack_start=0) == {CTI.EXTENDED_PAIRING}
-        assert derive_ctis(events + [_derived(3, "target", "claimed")], attack_start=0) \
+        assert derive_ctis(events, attack_start=0).ctis == {CTI.EXTENDED_PAIRING}
+        assert derive_ctis(events + [_derived(3, "target", "claimed")], attack_start=0).ctis \
             == {CTI.EXTENDED_PAIRING, CTI.KEY_TAMPERING}
 
     def test_the_next_request_moves_the_target(self):
         events = [_request(0, "first", "a"), _request(1, "second", "b"), _derived(2, "first", "a")]
-        assert CTI.KEY_TAMPERING not in derive_ctis(events, attack_start=0)
+        assert CTI.KEY_TAMPERING not in derive_ctis(events, attack_start=0).ctis
 
     def test_tunneled_and_earlier_requests_name_no_target(self):
         events = [_request(0, "target", "claimed"), _request(1, "target", "claimed", tunneled=True),
                   _derived(2, "target", "claimed")]
-        assert derive_ctis(events, attack_start=1) == frozenset()
+        assert derive_ctis(events, attack_start=1).ctis == frozenset()
+
+    def test_a_store_by_the_claimed_identity_is_the_attackers_and_skipped(self):
+        # "alice"'s own record of "bob" says bob was the master; an attacker claiming alice then
+        # stores its record of bob as "alice", and a BT request claiming bob reaches alice.
+        alice_bond = _derived(0, "alice", "bob")
+        events = [alice_bond, _request(1, "bob", "alice"), _derived(2, "alice", "bob", role="slave"),
+                  _derived(3, "bob", "alice"), _request(4, "alice", "bob")]
+        replay = derive_ctis(events, attack_start=1)
+        assert replay.bonds == {("alice", "bob", TRANSPORT_BLE): alice_bond.payload,
+                                ("bob", "alice", TRANSPORT_BLE): events[3].payload}
+        assert replay.keys_written == (("bob", TRANSPORT_BLE, "ctkd_derived"),)
+        assert replay.ctis == {CTI.EXTENDED_PAIRING, CTI.KEY_TAMPERING}  # alice's real record: no role asymmetry

@@ -20,6 +20,8 @@ Unreached today, each with the ROADMAP item that should reach it or delete it:
 
 from collections import Counter
 
+from conftest import attack_requests
+
 from ctkdsim.device import Association
 from ctkdsim.pairing import negotiate_association
 from ctkdsim.smp import decode_pairing, parse_hexdump
@@ -69,21 +71,26 @@ def _denies(results) -> dict:
 
 
 def _attack_pairings(result) -> list:
-    """Per pairing the attack opened, in order: its transport, the strongest association the
-    victim had stored for the claimed identity, and the one the request and the victim's response
-    negotiate, None when the victim denied the request before responding.
+    """Per pairing the attack opened (``attack_requests``), in order: its transport, the strongest
+    association the victim had stored for the claimed identity, and the one the request and the
+    victim's response negotiate, None when the victim denied the request before responding.
 
-    The attack's requests are the ones after the pre-state's, one per ``pair`` step (a BT pairing's
-    tunnelled SMP request is not counted)."""
+    An attacker's device shows the address it claims, so from the attack's first request on, a store
+    whose actor is the latest request's claimed identity is that attacker's, and not the victim's."""
     trace = result.trace
-    requests = [event for event in trace if event.kind == "msg_received"
-                and event.payload["opcode"] == "request" and not event.payload["tunneled"]]
+    requests = attack_requests(result)
+    claims = {request.index: request.payload["peer"] for request in requests}
+    claimed, attackers = None, set()
+    for event in trace:
+        claimed = claims.get(event.index, claimed)
+        if event.kind == "key_stored" and event.actor == claimed:
+            attackers.add(event.index)
     pairings = []
-    for request in requests[sum(step.action == "pair" for step in result.scenario.pre_state):]:
+    for request in requests:
         victim, claimed = request.actor, request.payload["peer"]
         stored = {event.payload["transport"]: Association(event.payload["association"])
-                  for event in trace[:request.index]
-                  if event.kind == "key_stored" and event.actor == victim and event.payload["peer"] == claimed}
+                  for event in trace[:request.index] if event.kind == "key_stored" and event.index not in attackers
+                  and event.actor == victim and event.payload["peer"] == claimed}
         strongest = max(stored.values(), key=lambda association: association.rank, default=None)
         response = next((event for event in trace[request.index:]
                          if event.kind == "msg_sent" and event.actor == victim

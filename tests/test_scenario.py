@@ -790,11 +790,13 @@ class TestMalformedInput:
          lambda s: dataclasses.replace(s, devices=s.devices + s.devices[:1]), "devices[2]: name"),
         (("expectations",), {"succeeded": 1}, lambda s: dataclasses.replace(s, expectations=(("succeeded", 1),)),
          "expectations.succeeded"),
+        (("expectations",), 5, lambda s: dataclasses.replace(s, expectations=5), "expectations"),
     ], ids=[
         "seed-negative", "duplicate-address", "pair-step-with-itself", "session-step-with-itself",
         "step-initiator-unlisted", "step-responder-unlisted", "ble-session-entropy", "peer-is-target",
         "attacker-address-not-us", "us-attacker-address-of-listed-device", "expectation-unknown-field",
         "step-transport-nfc", "strategy-unknown", "peer-unlisted", "device-listed-twice", "expectation-integer",
+        "expectations-not-an-object",
     ])
     def test_a_replace_that_breaks_a_rule_fails_as_loading_does(self, path, value, build, field):
         """The same rule broken in the file and by ``dataclasses.replace`` or ``Step._replace`` on the
@@ -812,6 +814,15 @@ class TestMalformedInput:
         assert str(loaded.value).endswith(str(replaced.value))
         assert _run_cli(raw)[0] == 2
         assert scenario == load_scenario(MUTATED)
+
+    @pytest.mark.parametrize("field, value", [
+        ("expectations", (("succeeded",),)), ("meta", (("x",),)), ("meta", [["a", "b", "c"]]),
+    ])
+    def test_a_replace_given_no_object_or_pairs_names_its_field(self, field, value):
+        """Only code can give ``expectations`` or ``meta`` something that is neither an object nor
+        ``(field, value)`` pairs; it is a ``ScenarioError`` naming the field, as a file's would be."""
+        with pytest.raises(ScenarioError, match=f"^{field} must be a JSON object, got "):
+            dataclasses.replace(load_scenario(MUTATED), **{field: value})
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
