@@ -113,18 +113,23 @@ class Replay(NamedTuple):
     keys_written: tuple[tuple[str, str, str], ...]
     overwrote: bool
     bonds: dict[tuple[str, str, str], dict]
+    sessions: dict[tuple[str, str, str], bool]
 
 
 def derive_ctis(events: list[TraceEvent], *, attack_start: int) -> Replay:
     """Replay the trace: the issues that fired, each ``(owner, transport, origin)`` a target stored under the
-    claimed identity, whether one overwrote, and each real device's last store per ``(owner, peer, transport)``.
+    claimed identity, whether one overwrote, and per ``(owner, peer, transport)`` each real device's last store
+    and whether its end of a session with that peer is live.
 
     Every non-tunneled pairing request received at or after
     ``attack_start`` is an attack pairing: its receiver is the target and
     its sender the claimed identity, until the next such request. A store
     by the claimed identity is the attacker's own (its device shows the
-    address it claims) and is skipped. Live sessions still conflate those
-    two ends: telling them apart needs a session identity the trace lacks.
+    address it claims) and is skipped. A session needs equal keys at both
+    ends, so a ``session_ok`` whose two ends' replayed keys differ was
+    opened by the attacker: only its peer's end goes live, flagged as a
+    session with the attacker. An overwrite by X of its record for Y ends
+    X's end, whoever holds the other, and Y's end unless that is flagged.
 
     * extended pairing: the attack pairing landed on a transport where the
       target had no live session at that moment;
@@ -136,10 +141,10 @@ def derive_ctis(events: list[TraceEvent], *, attack_start: int) -> Replay:
     """
     fired: set[CTI] = set()
     written, overwrote = [], False
-    # Rolling state: bonds[(owner, peer, transport)] -> payload of last store;
-    # live session keys are (sorted peer pair, transport).
+    # Rolling state per (owner, peer, transport): the payload of the last store, and whether that end is live.
     bonds: dict[tuple[str, str, str], dict] = {}
-    sessions: dict[tuple[tuple[str, str], str], bool] = {}
+    sessions: dict[tuple[str, str, str], bool] = {}
+    with_attacker: set[tuple[str, str, str]] = set()  # the live ends whose other end is the attacker
     target = claimed = None
 
     for index, actor, kind, payload in events:
@@ -147,11 +152,7 @@ def derive_ctis(events: list[TraceEvent], *, attack_start: int) -> Replay:
             if index >= attack_start and payload.get("opcode") == "request" and not payload.get("tunneled", False):
                 target, claimed = actor, payload["peer"]
                 transport = payload["transport"]
-                target_live = any(
-                    live and transport == t and actor in pair
-                    for (pair, t), live in sessions.items()
-                )
-                if not target_live:
+                if not any(live and owner == actor and t == transport for (owner, _, t), live in sessions.items()):
                     fired.add(CTI.EXTENDED_PAIRING)
                 if transport == TRANSPORT_BT:
                     for t in TRANSPORTS:
@@ -160,8 +161,13 @@ def derive_ctis(events: list[TraceEvent], *, attack_start: int) -> Replay:
                             fired.add(CTI.ROLE_ASYMMETRY)
 
         elif kind == KIND_SESSION_OK:
-            pair = tuple(sorted((actor, payload["peer"])))
-            sessions[(pair, payload["transport"])] = True
+            peer, transport = payload["peer"], payload["transport"]
+            mine, theirs = (actor, peer, transport), (peer, actor, transport)
+            if mine in bonds and theirs in bonds and bonds[mine]["key"] == bonds[theirs]["key"]:
+                sessions[mine] = True
+            else:  # the actor is the attacker, whose stores are skipped
+                with_attacker.add(theirs)
+            sessions[theirs] = True
 
         elif kind == KIND_KEY_STORED and actor != claimed:
             peer = payload["peer"]
@@ -175,12 +181,14 @@ def derive_ctis(events: list[TraceEvent], *, attack_start: int) -> Replay:
                         prior = bonds.get((actor, peer, t))
                         if prior is not None and prior["association"] == _NUMERIC_COMPARISON:
                             fired.add(CTI.ASSOCIATION_MANIPULATION)
+            mine, theirs = (actor, peer, payload["transport"]), (peer, actor, payload["transport"])
             if payload["overwrote"]:
-                pair = tuple(sorted((actor, peer)))
-                sessions[(pair, payload["transport"])] = False
-            bonds[(actor, peer, payload["transport"])] = payload
+                sessions[mine] = False
+                with_attacker.discard(mine)
+                sessions[theirs] = theirs in with_attacker
+            bonds[mine] = payload
 
-    return Replay(frozenset(fired), tuple(written), overwrote, bonds)
+    return Replay(frozenset(fired), tuple(written), overwrote, bonds, sessions)
 
 
 def _victim_reconnect(ctx: SimContext, victim: Device, peer: Device) -> str:

@@ -9,6 +9,7 @@ reports it and exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -32,7 +33,9 @@ def _parse_policies(spec: str) -> PolicySet:
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    result = run_scenario(scenario, seed_override=args.seed)
+    if args.seed is not None:  # checked as a loaded seed is
+        scenario = dataclasses.replace(scenario, seed=args.seed)
+    result = run_scenario(scenario)
     if args.trace:
         emit_trace(result.trace, args.trace)
 

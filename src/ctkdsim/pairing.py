@@ -54,7 +54,6 @@ from .smp import (
     hexdump,
 )
 from .trace import (
-    KIND_KEY_REJECTED,
     KIND_KEY_STORED,
     KIND_MSG_RECEIVED,
     KIND_MSG_SENT,
@@ -383,7 +382,7 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
     under CTKD, one of the derived key on the other transport; the BLE
     record keeps the peer's identity keys. Every record gets its verdict
     before any is committed, so one rejection aborts the run with both
-    tables untouched.
+    tables untouched; the trace shows it by its deny verdict alone.
     """
     transport = session.transport
     derived_transport = other_transport(transport)
@@ -406,11 +405,8 @@ def _store_keys(ctx: SimContext, session: PairingSession, initiator: Device, res
 
     for device, record, existing, prior_direct in pending:
         reason = evaluate(device.policies, existing, record, prior_direct)
-        origin = record.origin._value_
-        _emit_verdict(ctx, device, "store", record.transport, record.peer, reason, origin)
+        _emit_verdict(ctx, device, "store", record.transport, record.peer, reason, record.origin._value_)
         if reason is not None:
-            ctx.trace.emit(device.address.text, KIND_KEY_REJECTED, {"transport": record.transport,
-                           "peer": record.peer.text, "origin": origin, "reason": reason._value_})
             session.abort_reason = reason
             return session
     for device, record, existing, *_ in pending:

@@ -126,12 +126,12 @@ class Scenario:
     attack: AttackSpec
     expectations: tuple[tuple[str, object], ...] = ()
     meta: tuple[tuple[str, str], ...] = ()
-    #: Per (seed, DH backend), the pre-state snapshot that every run forks, or None (see run_scenario).
+    #: Per DH backend, the pre-state snapshot that every run forks, or None (see run_scenario).
     _snapshots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """The rules between fields, each message naming its field; ``from_dict`` prefixes its ``where``."""
-        if type(self.seed) is not int or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:  # random.Random drops the sign: -5 would replay seed 5
             raise ScenarioError(f"seed must be a non-negative integer, got {self.seed!r}")
         names = [spec.profile.name for spec in self.devices]
         addresses = [spec.profile.address for spec in self.devices]
@@ -253,12 +253,9 @@ def check_expectations(expectations: tuple, outcome: AttackOutcome) -> list[str]
     return failures
 
 
-def run_scenario(
-    scenario: Scenario,
-    policy_override: Optional[PolicySet] = None,
-    seed_override: Optional[int] = None,
-) -> ScenarioResult:
-    """Execute pre-state then the attack; fully deterministic under the seed.
+def run_scenario(scenario: Scenario, policy_override: Optional[PolicySet] = None) -> ScenarioResult:
+    """Execute pre-state then the attack; fully deterministic under the scenario's seed, which
+    ``dataclasses.replace(scenario, seed=n)`` varies.
 
     Each device runs under its own policies, or every device under
     ``policy_override`` (every run of ``run_lattice``, and of ``run_matrix``
@@ -266,10 +263,10 @@ def run_scenario(
     scenario's expectations, which describe those policies: under an
     override ``expectation_failures`` and ``expectations_ok`` are None.
 
-    Every run forks. The scenario's first run at a seed runs the pre-state
-    once with all five defenses on and keeps what it left on the Scenario
-    (``_snapshot``); every run at that seed copies it, gives each device its
-    policies, ticks c1 and runs the attack. The trace bytes are those of the
+    Every run forks. The scenario's first run runs the pre-state once with
+    all five defenses on and keeps what it left on the Scenario
+    (``_snapshot``); every run copies it, gives each device its policies,
+    ticks c1 and runs the attack. The trace bytes are those of the
     reference path (``_pre_state``, then the attack) under the same
     policies, since a device's checks read only its own policies, each of
     which is a subset of all five, and:
@@ -282,23 +279,20 @@ def run_scenario(
     * c1 acts only at the tick after the pre-state.
 
     So a pre-state that passes with all five on writes the same bytes and
-    leaves the same state under every subset. A seed whose all-defenses
+    leaves the same state under every subset. A scenario whose all-defenses
     pre-state aborts or raises keeps no snapshot: each of its runs takes the
     reference path, so a pre-state error still names its ``pre_state[i]``
-    under the policies in force. The snapshot is kept per seed (and DH
-    backend) on the Scenario, an immutable value; one that
-    ``dataclasses.replace`` varies starts with none.
+    under the policies in force. The snapshot is kept per DH backend on the
+    Scenario, an immutable value; one that ``dataclasses.replace`` varies,
+    its seed included, starts with none.
 
-    The fork pays only when one Scenario object runs a seed again: the run
+    The fork pays only when one Scenario object runs again: the run
     that takes the snapshot costs more than the reference path would (the
     all-defenses pre-state and a copy), each later run less. ``ctkdsim run``
     and ``ctkdsim matrix`` run each fresh Scenario once.
     """
-    seed = scenario.seed if seed_override is None else seed_override
-    if seed < 0:  # random.Random drops the sign: -5 would replay seed 5
-        raise ScenarioError(f"{scenario.name}: seed {seed} is negative")
     policies = [spec.policies if policy_override is None else policy_override for spec in scenario.devices]
-    ctx, devices = _fork(scenario, seed, policies)
+    ctx, devices = _fork(scenario, policies)
     outcome = _run_attack(ctx, scenario, devices)
     failures = check_expectations(scenario.expectations, outcome) if policy_override is None else None
     return ScenarioResult(scenario, outcome, ctx.trace.events, devices, failures)
@@ -369,7 +363,7 @@ class _Counted(random.Random):
 
 
 class _Snapshot(NamedTuple):
-    """What a scenario's all-defenses pre-state left at one seed; ``_fork`` copies it.
+    """What a scenario's all-defenses pre-state left on one DH backend; ``_fork`` copies it.
 
     The rng is kept as a word count, counted as the pre-state drew: a fork seeds
     ``random.Random`` and skips the words with one ``getrandbits`` (about 9 us), where
@@ -385,10 +379,9 @@ class _Snapshot(NamedTuple):
     devices: tuple  # its Devices, in DeviceSpec order; no fork changes them
 
 
-def _snapshot(scenario: Scenario, seed: int, dh_backend: str) -> Optional[_Snapshot]:
-    """What the pre-state leaves at ``seed`` with all five defenses on, or None when it aborts
-    or raises."""
-    ctx = SimContext(rng=_Counted(seed), dh_backend=dh_backend)
+def _snapshot(scenario: Scenario, dh_backend: str) -> Optional[_Snapshot]:
+    """What the pre-state leaves with all five defenses on, or None when it aborts or raises."""
+    ctx = SimContext(rng=_Counted(scenario.seed), dh_backend=dh_backend)
     try:
         devices = _pre_state(scenario, ctx, [DEFENSE_SUBSETS[-1]] * len(scenario.devices))
     except ScenarioError:
@@ -396,15 +389,14 @@ def _snapshot(scenario: Scenario, seed: int, dh_backend: str) -> Optional[_Snaps
     return _Snapshot(ctx.rng.words, tuple(ctx.trace.events), tuple(devices.values()))
 
 
-def _fork(scenario: Scenario, seed: int, policies: list[PolicySet]) -> tuple[SimContext, dict[str, Device]]:
+def _fork(scenario: Scenario, policies: list[PolicySet]) -> tuple[SimContext, dict[str, Device]]:
     """A context and devices in the state the pre-state leaves with each device under its
-    ``policies``: a copy of the scenario's snapshot at ``seed``, taken first if it has none, or
-    the reference path's when it keeps none."""
-    ctx = SimContext(rng=random.Random(seed))
-    key = (seed, ctx.dh_backend)
-    if key not in scenario._snapshots:
-        scenario._snapshots[key] = _snapshot(scenario, seed, ctx.dh_backend)
-    snapshot = scenario._snapshots[key]
+    ``policies``: a copy of the scenario's snapshot on the context's DH backend, taken first if
+    it has none, or the reference path's when it keeps none."""
+    ctx = SimContext(rng=random.Random(scenario.seed))
+    if ctx.dh_backend not in scenario._snapshots:
+        scenario._snapshots[ctx.dh_backend] = _snapshot(scenario, ctx.dh_backend)
+    snapshot = scenario._snapshots[ctx.dh_backend]
     if snapshot is None:
         return ctx, _pre_state(scenario, ctx, policies)
     ctx.rng.getrandbits(32 * snapshot.words)

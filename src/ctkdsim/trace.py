@@ -10,7 +10,6 @@ from typing import Iterable, NamedTuple
 KIND_MSG_SENT = "msg_sent"
 KIND_MSG_RECEIVED = "msg_received"
 KIND_KEY_STORED = "key_stored"
-KIND_KEY_REJECTED = "key_rejected"
 KIND_SESSION_OK = "session_ok"
 KIND_SESSION_FAIL = "session_fail"
 KIND_POLICY_VERDICT = "policy_verdict"
@@ -29,7 +28,6 @@ PAYLOAD_SCHEMAS = {
         "mitm_protected": BOOLEAN, "origin": STRING, "overwrote": BOOLEAN, "peer": STRING,
         "role": STRING, "strength": INTEGER, "transport": STRING,
     },
-    KIND_KEY_REJECTED: {"origin": STRING, "peer": STRING, "reason": STRING, "transport": STRING},
     KIND_SESSION_OK: {"entropy": INTEGER, "peer": STRING, "transport": STRING},
     KIND_SESSION_FAIL: {"peer": STRING, "reason": STRING, "transport": STRING},
     KIND_POLICY_VERDICT: {"allow": BOOLEAN, "origin": STRING_OR_NULL, "peer": STRING,

@@ -89,14 +89,13 @@ def attack_requests(result) -> list:
     return requests[sum(step.action == "pair" for step in result.scenario.pre_state):]
 
 
-def reference_run(scenario, policy_override=None, seed_override=None) -> ScenarioResult:
+def reference_run(scenario, policy_override=None) -> ScenarioResult:
     """``run_scenario`` on the reference path: the pre-state run afresh under the policies in
     force, never forked from a snapshot, then the attack; the guard every fork is checked by."""
-    seed = scenario.seed if seed_override is None else seed_override
     policies = [spec.policies if policy_override is None else policy_override for spec in scenario.devices]
     # Built through the module's name, so a test that rebinds ``scenario_module.SimContext`` to
     # another DH backend runs the reference path on that backend too.
-    ctx = scenario_module.SimContext(rng=random.Random(seed))
+    ctx = scenario_module.SimContext(rng=random.Random(scenario.seed))
     devices = scenario_module._pre_state(scenario, ctx, policies)
     outcome = scenario_module._run_attack(ctx, scenario, devices)
     failures = check_expectations(scenario.expectations, outcome) if policy_override is None else None

@@ -17,7 +17,7 @@ from ctkdsim.attacks import (
     slave_impersonation,
     unintended_session,
 )
-from ctkdsim.crypto import TRANSPORT_BLE, TRANSPORT_BT
+from ctkdsim.crypto import TRANSPORT_BLE, TRANSPORT_BT, TRANSPORTS, Address
 from ctkdsim.device import Association, KeyOrigin
 from ctkdsim.pairing import SimContext, bt_pair, establish_session
 from ctkdsim.policies import PolicySet, RejectionReason
@@ -403,10 +403,40 @@ class TestDeriveCtisFromDisk:
             live = {(device.address.text, record.peer.text, record.transport):
                     (record.key.hex(), record.origin.value, record.role_at_pairing.value)
                     for device in result.devices.values() for record in device.bonds.records.values()}
-            requests = attack_requests(result)
-            replay = derive_ctis(result.trace, attack_start=requests[0].index if requests else len(result.trace))
-            replayed = {bond: (p["key"], p["origin"], p["role"]) for bond, p in replay.bonds.items()}
+            replayed = {bond: (p["key"], p["origin"], p["role"]) for bond, p in _replay(result).bonds.items()}
             assert replayed == live, result.scenario.name
+
+    def test_the_replayed_sessions_are_the_live_devices(self, own, lattice):
+        # Each end (owner, peer, transport) -> live, for every device and every peer a device or the replay
+        # names: a peer may be an identity only the attacker claimed.
+        for result in [*own, *(result for results in lattice.values() for result in results)]:
+            devices = {device.address.text: device for device in result.devices.values()}
+            sessions = _replay(result).sessions
+            assert {owner for (owner, _, _), live in sessions.items() if live} <= set(devices), result.scenario.name
+            peers = {*devices, *(peer for _, peer, _ in sessions)}
+            live = {(owner, peer, transport): device.has_live_session(transport, Address.parse(peer))
+                    for owner, device in devices.items() for peer in peers - {owner} for transport in TRANSPORTS}
+            assert {end: sessions.get(end, False) for end in live} == live, result.scenario.name
+
+    def test_the_attackers_session_is_live_only_at_the_target(self, own):
+        # The attacker claims companion-laptop's address and opens a session with the target on each transport.
+        # Its replayed keys differ from companion-laptop's, so only the target's end goes live; a state keyed by
+        # the address pair would call companion-laptop live on both transports.
+        result = next(run for path, run in zip(BUNDLED, own) if path.stem == "00__cypress-cyw920819evb02__mi")
+        assert result.outcome.succeeded and result.outcome.victim_reconnect == "key_mismatch"
+        target, laptop = result.devices["cypress-cyw920819evb02"], result.devices["companion-laptop"]
+        sessions = _replay(result).sessions
+        for transport in TRANSPORTS:
+            assert target.has_live_session(transport, laptop.address)
+            assert sessions[(target.address.text, laptop.address.text, transport)]
+            assert not laptop.has_live_session(transport)
+            assert not sessions.get((laptop.address.text, target.address.text, transport), False)
+
+
+def _replay(result):
+    """``derive_ctis`` over ``result``'s trace, its attack starting at the attack's first pairing request."""
+    requests = attack_requests(result)
+    return derive_ctis(result.trace, attack_start=requests[0].index if requests else len(result.trace))
 
 
 def _request(index, receiver, sender, tunneled=False):

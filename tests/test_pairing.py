@@ -263,9 +263,9 @@ class TestAbortAtomicity:
         session = ble_pair(ctx, device(ctx, "peer-again", 0x5C, **claimant), guarded)
         assert session.aborted and session.negotiated.ctkd
         assert session.abort_reason is RejectionReason.C3_WEAK_INPUT_BLOCK
-        rejected = [e.payload for e in ctx.trace.events if e.kind == "key_rejected"]
-        assert rejected == [{"transport": TRANSPORT_BT, "peer": "02:aa:00:00:00:5c", "origin": "ctkd_derived",
-                             "reason": "c3_weak_input_block"}]
+        denied = [e.payload for e in ctx.trace.events if e.kind == "policy_verdict" and not e.payload["allow"]]
+        assert denied == [{"stage": "store", "transport": TRANSPORT_BT, "peer": "02:aa:00:00:00:5c", "allow": False,
+                           "reason": "c3_weak_input_block", "origin": "ctkd_derived"}]
         assert guarded.bonds.records == snapshot
 
     def test_sig51_refuses_a_shorter_key(self, ctx):
@@ -277,9 +277,9 @@ class TestAbortAtomicity:
         session = ble_pair(ctx, claimant, guarded)
         assert session.aborted
         assert session.abort_reason is RejectionReason.STRENGTH_DOWNGRADE
-        rejected = [e.payload for e in ctx.trace.events if e.kind == "key_rejected"]
-        assert rejected == [{"transport": TRANSPORT_BLE, "peer": "02:aa:00:00:00:5d", "origin": "direct_pairing",
-                             "reason": "strength_downgrade"}]
+        denied = [e.payload for e in ctx.trace.events if e.kind == "policy_verdict" and not e.payload["allow"]]
+        assert denied == [{"stage": "store", "transport": TRANSPORT_BLE, "peer": "02:aa:00:00:00:5d", "allow": False,
+                           "reason": "strength_downgrade", "origin": "direct_pairing"}]
         assert guarded.bonds.records == snapshot
 
     @pytest.mark.parametrize("pair", [ble_pair, bt_pair])
