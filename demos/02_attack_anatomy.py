@@ -16,6 +16,8 @@ from ctkdsim import (
     master_impersonation,
 )
 from ctkdsim.device import DeviceProfile
+from ctkdsim.pairing import read_frame
+from ctkdsim.smp import ctkd_requested
 
 ctx = SimContext(rng=random.Random(42))
 
@@ -44,6 +46,17 @@ print("\nattack outcome:")
 for field, value in outcome.to_dict().items():
     print(f"  {field:<20}: {value}")
 print(f"  bob's BT key for alice : {bob.bonds.lookup(alice.address, 'BT').key.hex()}  (attacker-derived)")
+
+# bob acts only on the frame he was handed: what he decoded from the request.
+request = next(event for event in ctx.trace.events[attack_start:]
+               if event.kind == "msg_received" and event.actor == bob.address.text
+               and event.payload["opcode"] == "request")
+claimed = read_frame(request.payload["frame"])
+print(f"\nthe request bob decoded, frame {request.payload['frame']}:")
+print(f"  IO capability : {claimed.io_capability.name}  (forces Just Works)")
+print(f"  MITM          : {claimed.auth_req.mitm}")
+print(f"  Link Key      : {ctkd_requested(claimed)}  (asks for CTKD)")
+print(f"  CT2           : {claimed.auth_req.ct2_h7}")
 
 # The trace tells the same story.
 print("\nattack-window events:")

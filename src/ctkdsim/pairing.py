@@ -5,8 +5,8 @@ the request and the pairability check, the early policy checks, DH and
 nonces with the KDF, the CSRK/IRK exchange, and the key-store writes.
 ``ble_pair`` negotiates cross-transport derivation in-band, through the
 Link Key flag; ``bt_pair`` negotiates it after the link is encrypted,
-through BLE-style frames tunneled over it. Session establishment closes
-the module.
+through BLE-style frames tunneled over it. Each end acts on the frames it
+was handed, as it decodes them. Session establishment closes the module.
 
 Key-store writes are transactional per pairing run: every prospective
 record gets its policy verdict first, and nothing is committed unless all
@@ -15,9 +15,10 @@ of them pass, so an aborted pairing leaves both bond tables untouched.
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from .crypto import (
     Address,
@@ -49,9 +50,11 @@ from .smp import (
     OPCODE_RESPONSE,
     SmpPairingMessage,
     ctkd_requested,
+    decode_pairing,
     encode_bt_auth_req,
     encode_pairing,
     hexdump,
+    parse_hexdump,
 )
 from .trace import (
     KIND_KEY_STORED,
@@ -188,13 +191,9 @@ def build_pairing_response(profile: DeviceProfile, request: SmpPairingMessage) -
         request.oob,
         _auth_req(profile),
         profile.max_key_size,
-        _with_link_key(request.initiator_dist, link),
-        _with_link_key(request.responder_dist, link),
+        replace(request.initiator_dist, link_key=link),
+        replace(request.responder_dist, link_key=link),
     )
-
-
-def _with_link_key(dist: KeyDistBits, link: bool) -> KeyDistBits:
-    return KeyDistBits(dist.enc_key, dist.id_key, dist.sign_key, link)
 
 
 def build_bt_pairing_request(profile: DeviceProfile, opcode: int = OPCODE_REQUEST) -> SmpPairingMessage:
@@ -216,32 +215,30 @@ def build_bt_pairing_request(profile: DeviceProfile, opcode: int = OPCODE_REQUES
     )
 
 
-class HonestFrame(NamedTuple):
-    """An honest pairing message, its 7-byte frame as trace text, and its BT auth-req text."""
-
-    msg: SmpPairingMessage
-    text: str
-    bt_auth_req: str
-
-
 #: Never keyed by a profile or an address: a few dozen entries whatever the traffic.
-_FRAMES: dict[tuple, HonestFrame] = {}
+_FRAMES: dict[tuple, str] = {}
+#: A bonding device's BT auth-requirements byte as trace text, by its MITM bit.
+_BT_AUTH_REQ = {mitm: f"0x{encode_bt_auth_req(True, mitm):02x}" for mitm in (False, True)}
 
 
-def honest(build, profile: DeviceProfile, arg, arg_key=None) -> HonestFrame:
-    """``build(profile, arg)`` with its trace text, built once per capability set.
+def honest(build, profile: DeviceProfile, arg) -> str:
+    """``build(profile, arg)`` as its frame's trace text, built once per capability set.
 
     The key is ``build``, the profile's ``capabilities`` (the fields the
-    message reads) and ``arg``, or ``arg_key`` when given: a response passes
-    its request's message and the request's text.
+    message reads) and ``arg``: a response passes the request message its
+    responder read.
     """
-    key = (build, profile.capabilities, arg if arg_key is None else arg_key)
-    frame = _FRAMES.get(key)
-    if frame is None:
-        msg = build(profile, arg)
-        bt_auth_req = f"0x{encode_bt_auth_req(True, msg.auth_req.mitm):02x}"
-        frame = _FRAMES[key] = HonestFrame(msg, hexdump(encode_pairing(msg)), bt_auth_req)
-    return frame
+    key = (build, profile.capabilities, arg)
+    text = _FRAMES.get(key)
+    if text is None:
+        text = _FRAMES[key] = hexdump(encode_pairing(build(profile, arg)))
+    return text
+
+
+@functools.cache
+def read_frame(text: str) -> SmpPairingMessage:
+    """The message a receiver decodes from the frame it was handed, decoded once per text."""
+    return decode_pairing(parse_hexdump(text))
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +246,12 @@ def honest(build, profile: DeviceProfile, arg, arg_key=None) -> HonestFrame:
 # ---------------------------------------------------------------------------
 
 def _emit_message(ctx: SimContext, sender: Device, receiver: Device, transport: str,
-                  text: str, opcode: str, tunneled: bool = False, bt_auth_req: Optional[str] = None) -> None:
+                  text: str, opcode: str, tunneled: bool = False) -> None:
     sender_text, receiver_text = sender.address.text, receiver.address.text
     sent = {"transport": transport, "peer": receiver_text, "frame": text, "opcode": opcode, "tunneled": tunneled}
     received = {"transport": transport, "peer": sender_text, "frame": text, "opcode": opcode, "tunneled": tunneled}
-    if bt_auth_req is not None:
-        sent["bt_auth_req"] = received["bt_auth_req"] = bt_auth_req
+    if transport == TRANSPORT_BT and not tunneled:  # a BT-native frame: its MITM bit as BT's auth-req byte
+        sent["bt_auth_req"] = received["bt_auth_req"] = _BT_AUTH_REQ[read_frame(text).auth_req.mitm]
     ctx.trace.emit(sender_text, KIND_MSG_SENT, sent)
     ctx.trace.emit(receiver_text, KIND_MSG_RECEIVED, received)
 
@@ -294,27 +291,27 @@ def _sides(initiator: Device, responder: Device) -> tuple:
     return ((responder, initiator, PairingRole.MASTER), (initiator, responder, PairingRole.SLAVE))
 
 
-def _request(ctx: SimContext, initiator: Device, responder: Device, transport: str,
-             request: HonestFrame, bt_auth_req: Optional[str] = None) -> PairingSession:
-    """Send the pairing request; a responder that is not pairable aborts the run."""
+def _request(ctx: SimContext, initiator: Device, responder: Device, transport: str, request: str) -> PairingSession:
+    """Send the pairing request's frame; a responder that is not pairable aborts the run."""
     if initiator is responder:
         raise ValueError(f"{initiator.name} cannot pair with itself")
     session = PairingSession(transport)
-    _emit_message(ctx, initiator, responder, transport, request.text, "request", bt_auth_req=bt_auth_req)
+    _emit_message(ctx, initiator, responder, transport, request, "request")
     if not responder.is_pairable(transport):
         _abort(ctx, session, responder, "pairing_request", initiator.address, RejectionReason.NOT_PAIRABLE)
     return session
 
 
 def _respond(ctx: SimContext, session: PairingSession, initiator: Device, responder: Device,
-             request: SmpPairingMessage, response: HonestFrame, bt_auth_req: Optional[str] = None) -> None:
-    """Send the response and settle the association method from both messages."""
-    _emit_message(ctx, responder, initiator, session.transport, response.text, "response",
-                  bt_auth_req=bt_auth_req)
+             request: SmpPairingMessage, response: str) -> SmpPairingMessage:
+    """Send the response; the association comes from both messages as read. Returns the response read."""
+    _emit_message(ctx, responder, initiator, session.transport, response, "response")
+    received = read_frame(response)
     session.negotiated.association = negotiate_association(
-        request.io_capability, response.msg.io_capability,
-        request.auth_req.mitm, response.msg.auth_req.mitm,
+        request.io_capability, received.io_capability,
+        request.auth_req.mitm, received.auth_req.mitm,
     )
+    return received
 
 
 def _early_check(ctx, session: PairingSession, initiator: Device, responder: Device, stage: str) -> bool:
@@ -435,15 +432,16 @@ def ble_pair(ctx: SimContext, initiator: Device, responder: Device, ctkd: bool =
     initiator's address is whatever its profile claims; nothing below
     authenticates it.
     """
-    request = honest(build_pairing_request, initiator.profile, ctkd)
-    session = _request(ctx, initiator, responder, TRANSPORT_BLE, request)
+    sent = honest(build_pairing_request, initiator.profile, ctkd)
+    session = _request(ctx, initiator, responder, TRANSPORT_BLE, sent)
     if session.aborted:
         return session
-    response = honest(build_pairing_response, responder.profile, request.msg, request.text)
-    _respond(ctx, session, initiator, responder, request.msg, response)
-    _negotiate_ctkd(session, request.msg, response.msg)
+    request = read_frame(sent)
+    response = _respond(ctx, session, initiator, responder, request,
+                        honest(build_pairing_response, responder.profile, request))
+    _negotiate_ctkd(session, request, response)
     neg = session.negotiated
-    neg.key_strength = min(request.msg.max_key_size, response.msg.max_key_size)
+    neg.key_strength = min(request.max_key_size, response.max_key_size)
     if not (
         _early_check(ctx, session, initiator, responder, "pairing_request")
         and _early_check(ctx, session, initiator, responder, "association")
@@ -468,12 +466,12 @@ def bt_pair(ctx: SimContext, initiator: Device, responder: Device, ctkd: bool = 
     role: the transport allows switching roles right before a pairing
     request, so the responder checks roles before it responds.
     """
-    request = honest(build_bt_pairing_request, initiator.profile, OPCODE_REQUEST)
-    session = _request(ctx, initiator, responder, TRANSPORT_BT, request, bt_auth_req=request.bt_auth_req)
+    sent = honest(build_bt_pairing_request, initiator.profile, OPCODE_REQUEST)
+    session = _request(ctx, initiator, responder, TRANSPORT_BT, sent)
     if session.aborted or not _early_check(ctx, session, initiator, responder, "pairing_request"):
         return session
-    response = honest(build_bt_pairing_request, responder.profile, OPCODE_RESPONSE)
-    _respond(ctx, session, initiator, responder, request.msg, response, bt_auth_req=response.bt_auth_req)
+    _respond(ctx, session, initiator, responder, read_frame(sent),
+             honest(build_bt_pairing_request, responder.profile, OPCODE_RESPONSE))
     if not _early_check(ctx, session, initiator, responder, "association"):
         return session
 
@@ -482,11 +480,12 @@ def bt_pair(ctx: SimContext, initiator: Device, responder: Device, ctkd: bool = 
     if ctkd and initiator.profile.ctkd_supported:
         # The link is encrypted from here on. CTKD is negotiated by BLE-style
         # pairing messages tunneled over it, which carry the CT2 bit too.
-        tunnel_req = honest(build_pairing_request, initiator.profile, True)
-        _emit_message(ctx, initiator, responder, TRANSPORT_BT, tunnel_req.text, "request", tunneled=True)
-        tunnel_resp = honest(build_pairing_response, responder.profile, tunnel_req.msg, tunnel_req.text)
-        _emit_message(ctx, responder, initiator, TRANSPORT_BT, tunnel_resp.text, "response", tunneled=True)
-        if _negotiate_ctkd(session, tunnel_req.msg, tunnel_resp.msg):
+        sent = honest(build_pairing_request, initiator.profile, True)
+        _emit_message(ctx, initiator, responder, TRANSPORT_BT, sent, "request", tunneled=True)
+        request = read_frame(sent)
+        answer = honest(build_pairing_response, responder.profile, request)
+        _emit_message(ctx, responder, initiator, TRANSPORT_BT, answer, "response", tunneled=True)
+        if _negotiate_ctkd(session, request, read_frame(answer)):
             # The BLE identity keys ride in the same tunneled exchange.
             _exchange_identity_keys(ctx, initiator, responder, TRANSPORT_BT, tunneled=True)
             k_ble = ctkd_bt_to_ble(k_bt, session.negotiated.h7)

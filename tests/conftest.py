@@ -10,6 +10,9 @@ from ctkdsim.policies import DEFENSE_SUBSETS, PolicySet
 from ctkdsim.scenario import ScenarioResult, check_expectations, load_scenario, run_lattice, run_scenario
 
 BUNDLED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*/*.json"))
+#: How many scenarios are bundled: the 64 of ``scenarios/matrix`` and the extras. The one count
+#: the tests name, so that a new bundled case changes this line alone.
+BUNDLED_COUNT = 72
 
 
 def make_profile(name: str, last_byte: int, io: str = "DisplayYesNo", **overrides) -> DeviceProfile:
@@ -45,27 +48,27 @@ def device(ctx, name, last_byte, io="DisplayYesNo", policies=None, **overrides):
 
 @pytest.fixture(scope="session")
 def lattice():
-    """Each of the 69 bundled scenarios under each of the 32 defense subsets, run once per test
+    """Each of the ``BUNDLED_COUNT`` bundled scenarios under each of the 32 defense subsets, run once per test
     session: per set, the full ``ScenarioResult``s in ``BUNDLED`` order, for the tests that read
     traces, devices or session keys. Tests must not change them."""
-    assert len(BUNDLED) == 69
+    assert len(BUNDLED) == BUNDLED_COUNT
     bundled = [load_scenario(path) for path in BUNDLED]
     return {p: [run_scenario(s, policy_override=p) for s in bundled] for p in DEFENSE_SUBSETS}
 
 
 @pytest.fixture(scope="session")
 def lattice_rows():
-    """``run_lattice`` over the 69 bundled scenarios, once per test session: per defense subset,
+    """``run_lattice`` over the ``BUNDLED_COUNT`` bundled scenarios, once per test session: per defense subset,
     the ``MatrixReport`` whose rows are in ``BUNDLED`` order. No run's ``ScenarioResult`` is kept."""
-    assert len(BUNDLED) == 69
+    assert len(BUNDLED) == BUNDLED_COUNT
     return run_lattice([load_scenario(path) for path in BUNDLED])
 
 
 @pytest.fixture(scope="session")
 def own():
-    """Each of the 69 bundled scenarios under its own policies, in ``BUNDLED`` order, run once per
+    """Each of the ``BUNDLED_COUNT`` bundled scenarios under its own policies, in ``BUNDLED`` order, run once per
     test session. Tests read the results and must not change them."""
-    assert len(BUNDLED) == 69
+    assert len(BUNDLED) == BUNDLED_COUNT
     return [run_scenario(load_scenario(path)) for path in BUNDLED]
 
 

@@ -18,9 +18,15 @@ from ctkdsim.device import (
     PairingRole,
 )
 from ctkdsim import pairing
-from ctkdsim.pairing import build_bt_pairing_request, build_pairing_request, build_pairing_response, honest
+from ctkdsim.pairing import (
+    build_bt_pairing_request,
+    build_pairing_request,
+    build_pairing_response,
+    honest,
+    read_frame,
+)
 from ctkdsim.policies import PolicySet, RejectionReason, evaluate
-from ctkdsim.smp import OPCODE_REQUEST, OPCODE_RESPONSE, IoCapability, encode_pairing, hexdump
+from ctkdsim.smp import OPCODE_REQUEST, OPCODE_RESPONSE, IoCapability
 
 
 def record(peer_last=0x99, transport="BT", strength=16, mitm=False,
@@ -96,14 +102,15 @@ CAPABILITY_CHANGES = {
     "ctkd_supported": {"ctkd_supported": False},
 }
 
-#: Every kind of honest message as ``honest``'s (build, arg, arg_key); the response answers ``REQUEST``.
-REQUEST = build_pairing_request(_profile(0x09), True)
+#: Every kind of honest message as ``honest``'s (build, arg); the response answers ``REQUEST``, as
+#: its responder reads it.
+REQUEST = read_frame(honest(build_pairing_request, _profile(0x09), True))
 HONEST_MESSAGES = [
-    (build_pairing_request, True, None),
-    (build_pairing_request, False, None),
-    (build_pairing_response, REQUEST, hexdump(encode_pairing(REQUEST))),
-    (build_bt_pairing_request, OPCODE_REQUEST, None),
-    (build_bt_pairing_request, OPCODE_RESPONSE, None),
+    (build_pairing_request, True),
+    (build_pairing_request, False),
+    (build_pairing_response, REQUEST),
+    (build_bt_pairing_request, OPCODE_REQUEST),
+    (build_bt_pairing_request, OPCODE_RESPONSE),
 ]
 
 
@@ -124,10 +131,10 @@ class TestCapabilities:
         base = _profile(**caps)
         other = _profile(address, name, bt_version, **caps)
         assert other.capabilities == base.capabilities
-        for build, arg, arg_key in HONEST_MESSAGES:
-            first = honest(build, base, arg, arg_key)
+        for build, arg in HONEST_MESSAGES:
+            first = honest(build, base, arg)
             entries = len(pairing._FRAMES)
-            assert honest(build, other, arg, arg_key) is first
+            assert honest(build, other, arg) is first
             assert len(pairing._FRAMES) == entries
 
     @pytest.mark.parametrize("change", list(CAPABILITY_CHANGES))
@@ -135,11 +142,11 @@ class TestCapabilities:
         base = _profile()
         other = _profile(**CAPABILITY_CHANGES[change])
         assert other.capabilities != base.capabilities
-        for build, arg, arg_key in HONEST_MESSAGES:
-            assert honest(build, other, arg, arg_key) is not honest(build, base, arg, arg_key)
-            assert honest(build, other, arg, arg_key).msg == build(other, arg)
+        for build, arg in HONEST_MESSAGES:
+            assert honest(build, other, arg) is not honest(build, base, arg)
+            assert read_frame(honest(build, other, arg)) == build(other, arg)
         # The in-band request carries every capability field, so its frame differs too.
-        assert honest(build_pairing_request, other, True).text != honest(build_pairing_request, base, True).text
+        assert honest(build_pairing_request, other, True) != honest(build_pairing_request, base, True)
 
     def test_capabilities_are_not_part_of_the_value(self):
         profile = _profile()

@@ -1,11 +1,13 @@
 """Static pairing content is rendered once, and that changes nothing a run writes.
 
-Honest SMP messages and their trace text come from a cache keyed by
-capability fields (``pairing.honest``), identity-key text is rendered
-once per ``KeyMaterial``, and payloads read pre-rendered address and enum
-text. The bundled scenarios use only two IO capabilities at key size 16,
-so the golden digests alone cannot catch a cache key that drops a field:
-the Hypothesis tests here cover the whole capability space.
+Honest SMP frames, as trace text, come from a cache keyed by capability
+fields (``pairing.honest``), and a receiver acts on the message it decodes
+from the frame it was handed, decoded once per text (``pairing.read_frame``).
+Identity-key text is rendered once per ``KeyMaterial``, and payloads read
+pre-rendered address and enum text. The bundled scenarios use only two IO
+capabilities at key size 16, so the golden digests alone cannot catch a
+cache key that drops a field: the Hypothesis tests here cover the whole
+capability space.
 """
 
 import gc
@@ -20,14 +22,15 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from conftest import reference_run
+from conftest import make_profile, reference_run
 
 from ctkdsim import pairing
 from ctkdsim.attacks import unintended_session
 from ctkdsim.crypto import Address, TRANSPORT_BLE, random_address
-from ctkdsim.device import DeviceProfile
+from ctkdsim.device import Association, DeviceProfile
 from ctkdsim.pairing import (
     SimContext,
+    ble_pair,
     bt_pair,
     build_bt_pairing_request,
     build_pairing_request,
@@ -35,6 +38,7 @@ from ctkdsim.pairing import (
     establish_session,
     honest,
     make_device,
+    read_frame,
 )
 from ctkdsim.policies import PolicySet
 from ctkdsim.scenario import load_scenario, run_scenario
@@ -46,9 +50,8 @@ from ctkdsim.smp import (
     decode_pairing,
     encode_pairing,
     hexdump,
-    parse_hexdump,
 )
-from ctkdsim.trace import KIND_KEY_STORED
+from ctkdsim.trace import KIND_KEY_STORED, KIND_MSG_RECEIVED, KIND_MSG_SENT
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -75,26 +78,77 @@ def profiles(draw) -> DeviceProfile:
 
 class TestHonestFramesEqualAFreshBuild:
     @staticmethod
-    def _check(frame, fresh, profile) -> None:
-        assert frame.msg == fresh
-        assert frame.text == hexdump(encode_pairing(fresh))
-        assert decode_pairing(parse_hexdump(frame.text)) == fresh
-        assert decode_bt_auth_req(int(frame.bt_auth_req, 16)) == (True, profile.wants_mitm)
+    def _check(text, fresh) -> None:
+        assert text == hexdump(encode_pairing(fresh))
+        assert read_frame(text) == fresh
+        assert read_frame(text) is read_frame(text)
 
     @settings(max_examples=400, deadline=None)
     @given(initiator=profiles(), responder=profiles(), ctkd=st.booleans())
     def test_request_and_response(self, initiator, responder, ctkd):
         request = honest(build_pairing_request, initiator, ctkd)
-        self._check(request, build_pairing_request(initiator, ctkd), initiator)
-        response = honest(build_pairing_response, responder, request.msg, request.text)
+        self._check(request, build_pairing_request(initiator, ctkd))
+        response = honest(build_pairing_response, responder, read_frame(request))
         fresh = build_pairing_response(responder, build_pairing_request(initiator, ctkd))
-        self._check(response, fresh, responder)
+        self._check(response, fresh)
 
     @settings(max_examples=200, deadline=None)
     @given(profile=profiles(), opcode=st.sampled_from([OPCODE_REQUEST, OPCODE_RESPONSE]))
     def test_bt_message(self, profile, opcode):
         frame = honest(build_bt_pairing_request, profile, opcode)
-        self._check(frame, build_bt_pairing_request(profile, opcode), profile)
+        self._check(frame, build_bt_pairing_request(profile, opcode))
+
+    @settings(max_examples=100, deadline=None)
+    @given(initiator=profiles(), responder=profiles())
+    def test_bt_native_frames_show_their_senders_auth_req_byte(self, initiator, responder):
+        assume(initiator.address != responder.address)
+        ctx = SimContext(rng=random.Random(0))
+        a, b = make_device(ctx, initiator), make_device(ctx, responder)
+        assert not bt_pair(ctx, a, b).aborted
+        wants_mitm = {a.address.text: initiator.wants_mitm, b.address.text: responder.wants_mitm}
+        shown = 0
+        for event in ctx.trace.events:
+            if event.kind in (KIND_MSG_SENT, KIND_MSG_RECEIVED):
+                payload = event.payload
+                sender = event.actor if event.kind == KIND_MSG_SENT else payload["peer"]
+                assert ("bt_auth_req" in payload) == (not payload["tunneled"])
+                if "bt_auth_req" in payload:
+                    shown += 1
+                    assert decode_bt_auth_req(int(payload["bt_auth_req"], 16)) == (True, wants_mitm[sender])
+        assert shown == 4  # the request and the response, each sent and received
+
+
+def _claims_no_input_no_output(build, profile, arg):
+    """``pairing.honest``, except that a DisplayYesNo responder's response claims NoInputNoOutput."""
+    text = honest(build, profile, arg)
+    if text.startswith("02 01 ") and profile.io_capability is IoCapability.DISPLAY_YES_NO:
+        text = "02 03 " + text[6:]
+    return text
+
+
+class TestReceiversActOnTheBytes:
+    """The association, and with it the keys' MITM protection, comes from the frames each end was
+    handed: a response frame that claims NoInputNoOutput forces Just Works on two DisplayYesNo ends."""
+
+    @pytest.mark.parametrize("tampered", [False, True], ids=["honest", "tampered"])
+    @pytest.mark.parametrize("pair", [ble_pair, bt_pair], ids=["ble", "bt"])
+    def test_a_response_that_claims_no_input_no_output_forces_just_works(self, monkeypatch, pair, tampered):
+        if tampered:
+            monkeypatch.setattr(pairing, "honest", _claims_no_input_no_output)
+        ctx = SimContext(rng=random.Random(1))
+        a, b = (make_device(ctx, make_profile(name, n)) for n, name in enumerate("ab", 1))
+        session = pair(ctx, a, b)
+        assert not session.aborted
+        expected = Association.JUST_WORKS if tampered else Association.NUMERIC_COMPARISON
+        assert session.negotiated.association is expected
+        stored = [e.payload for e in ctx.trace.events if e.kind == KIND_KEY_STORED]
+        assert len(stored) == 4  # both ends, both transports: CTKD still ran
+        assert {(p["association"], p["mitm_protected"]) for p in stored} == {(expected.value, not tampered)}
+        # The initiator was handed the frame the trace shows.
+        response = next(e for e in ctx.trace.events if e.kind == KIND_MSG_RECEIVED and e.actor == a.address.text
+                        and e.payload["opcode"] == "response")
+        assert read_frame(response.payload["frame"]).io_capability is (
+            IoCapability.NO_INPUT_NO_OUTPUT if tampered else IoCapability.DISPLAY_YES_NO)
 
 
 #: 20 capability sets for generated victims.
@@ -132,15 +186,29 @@ OVERRIDES, OVERRIDE_IDS = [None, PolicySet()], ["own", "override"]
 class TestBoundedMemory:
     def test_frames_grow_with_capability_sets_not_with_traffic(self):
         rng = random.Random(3)
-        before = set(pairing._FRAMES)
+        before, decoded_before = set(pairing._FRAMES), read_frame.cache_info().currsize
         _us_attacks(2 * len(CAPABILITY_SETS), rng)
         first = set(pairing._FRAMES) - before
+        decoded = read_frame.cache_info().currsize
         # Per victim capability set: its BT response, its response to the
         # attacker's request and its response to the companion's. Beside
-        # them, the attacker's and the companion's two requests each.
+        # them, the attacker's and the companion's two requests each. Every
+        # text a device decodes is one of these frames.
         assert len(first) <= 3 * len(CAPABILITY_SETS) + 4
+        assert decoded - decoded_before <= 3 * len(CAPABILITY_SETS) + 4
         _us_attacks(10 * len(CAPABILITY_SETS), rng)
         assert set(pairing._FRAMES) == before | first
+        assert read_frame.cache_info().currsize == decoded
+
+    def test_each_frame_text_is_decoded_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pairing, "decode_pairing", lambda data: calls.append(data) or decode_pairing(data))
+        read_frame.cache_clear()
+        scenarios = [load_scenario(path) for path in MATRIX]
+        for policies in (None, PolicySet()):
+            for scenario in scenarios:
+                run_scenario(scenario, policy_override=policies)
+        assert calls and len(calls) == len(set(calls)) == read_frame.cache_info().currsize
 
     @pytest.mark.parametrize("policies", OVERRIDES, ids=OVERRIDE_IDS)
     def test_matrix_passes_retain_nothing_after_the_first(self, policies):

@@ -1,6 +1,6 @@
 """Golden trace digests and outcomes of every bundled scenario.
 
-``golden_digests.json`` holds, for each of the 69 bundled scenarios
+``golden_digests.json`` holds, for each bundled scenario
 (``scenarios/matrix`` and ``scenarios/extra``) under each of seven policy
 sets, the SHA-256 trace digest and the ``AttackOutcome.to_dict()`` of the
 run. A refactor that changes a single trace byte or outcome field fails
@@ -32,7 +32,7 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import BUNDLED, make_profile
+from conftest import BUNDLED, BUNDLED_COUNT, make_profile
 
 from ctkdsim.crypto import TRANSPORT_BLE, TRANSPORT_BT, TRANSPORTS, other_transport
 from ctkdsim.device import Association
@@ -87,7 +87,7 @@ def golden():
 
 
 def test_golden_covers_every_bundled_scenario_and_policy_set(golden):
-    assert len(BUNDLED) == 69
+    assert len(BUNDLED) == BUNDLED_COUNT
     assert set(golden) == {_key(p, n) for p in BUNDLED for n in POLICY_SETS}
 
 

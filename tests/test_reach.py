@@ -9,11 +9,8 @@ the literals record coverage, they are no bound.
 
 Unreached today, each with the ROADMAP item that should reach it or delete it:
 
-* deny cells: ``strength_downgrade`` (item 10); ``c3_weak_input_block``, a BT ``not_pairable``,
-  a BLE ``c2_role_mismatch`` and a BT ``c4_association_downgrade`` (item 4);
-* CTI sets: ``si`` or ``mitm`` with CTI 4 (items 4 and 17), and ``us`` with CTI 2 (item 4);
-* ``mitm`` leg orders: any that opens with the master leg, the ``[master, slave]`` arm of
-  ``attacks.mitm`` (item 4);
+* deny cells: ``strength_downgrade`` (item 10) and a BLE ``c2_role_mismatch`` (item 4);
+* CTI sets: ``us`` with CTI 2 (item 4);
 * association pairs: any that negotiates Numeric Comparison, since the attacker's one profile
   claims NoInputNoOutput and so forces Just Works (items 9 and 17).
 """
@@ -28,28 +25,34 @@ from ctkdsim.smp import decode_pairing, parse_hexdump
 
 JW, NC = Association.JUST_WORKS.value, Association.NUMERIC_COMPARISON.value
 
-#: Deny verdicts over the 32 x 69 runs of ``lattice``; a run has at most one.
+#: Deny verdicts over the 32 x ``BUNDLED_COUNT`` runs of ``lattice``; a run has at most one.
 LATTICE_DENIES = {
-    ("pairing_request", "BLE", "not_pairable"): 592,
-    ("pairing_request", "BT", "c2_role_mismatch"): 512,
-    ("store", "BLE", "c3_overwrite_block"): 256,
-    ("store", "BT", "c3_overwrite_block"): 148,
-    ("association", "BLE", "c4_association_downgrade"): 16,
-    ("store", "BLE", "mitm_downgrade"): 8,
+    ("pairing_request", "BLE", "not_pairable"): 608,
+    ("pairing_request", "BT", "c2_role_mismatch"): 521,
+    ("store", "BLE", "c3_overwrite_block"): 257,
+    ("store", "BT", "c3_overwrite_block"): 150,
+    ("association", "BLE", "c4_association_downgrade"): 40,
+    ("store", "BLE", "mitm_downgrade"): 20,
+    ("pairing_request", "BT", "not_pairable"): 16,
+    ("store", "BT", "c3_weak_input_block"): 4,
+    ("association", "BT", "c4_association_downgrade"): 4,
+    ("store", "BT", "mitm_downgrade"): 2,
 }
 
-#: Deny verdicts over the 69 runs of ``own``: the bundled extras that set a defense.
+#: Deny verdicts over the ``BUNDLED_COUNT`` runs of ``own``: the bundled extras that set a defense.
 OWN_DENIES = {
     ("pairing_request", "BLE", "not_pairable"): 1,
     ("store", "BT", "c3_overwrite_block"): 1,
+    ("store", "BT", "c3_weak_input_block"): 1,
     ("store", "BLE", "mitm_downgrade"): 1,
 }
 
 #: Per strategy, the CTI sets of its successful runs in ``own`` and ``lattice``.
-CTI_SETS = {"mi": {(1, 3), (1, 3, 4)}, "si": {(1, 2, 3)}, "mitm": {(1, 2, 3)}, "us": {(1, 3)}}
+CTI_SETS = {"mi": {(1, 3), (3, 4), (1, 3, 4)}, "si": {(1, 2, 3), (1, 2, 3, 4)}, "mitm": {(1, 2, 3), (1, 2, 3, 4)},
+            "us": {(1, 3)}}
 
 #: The legs each ``mitm`` run opened, in order; a leg that fails ends the attack.
-MITM_LEG_ORDERS = {("slave", "master"), ("slave",)}
+MITM_LEG_ORDERS = {("slave", "master"), ("slave",), ("master", "slave"), ("master",)}
 
 #: ``(stored, negotiated)`` per attack pairing that reached negotiation: the strongest association
 #: the victim had stored for the claimed identity (None without a bond), and the one negotiated.
@@ -57,7 +60,7 @@ ASSOCIATION_PAIRS = {(None, JW), (JW, JW), (NC, JW)}
 
 
 def _runs(own, lattice) -> list:
-    """Every run of the two fixtures: ``own``'s 69, then ``lattice``'s 32 x 69."""
+    """Every run of the two fixtures: ``own``'s ``BUNDLED_COUNT``, then ``lattice``'s 32 x ``BUNDLED_COUNT``."""
     return [*own, *(result for results in lattice.values() for result in results)]
 
 

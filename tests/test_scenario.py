@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import BUNDLED, matrix_runs, reference_run
+from conftest import BUNDLED, BUNDLED_COUNT, matrix_runs, reference_run
 
 from ctkdsim import scenario as scenario_module
 from ctkdsim.cli import main as cli_main
@@ -490,7 +490,7 @@ def _paired_h7(events, near_index: int) -> bool:
 class TestExtraScenarios:
     def test_bundled_edge_cases_meet_expectations(self, own):
         extra = [(path, result) for path, result in zip(BUNDLED, own) if path.parent.name == "extra"]
-        assert len(extra) == 5
+        assert len(extra) == BUNDLED_COUNT - 64  # beside the matrix's 64
         for path, result in extra:
             assert result.expectations_ok, (path.name, result.expectation_failures)
 
@@ -575,7 +575,8 @@ class TestCli:
         report = tmp_path / "r.json"
         assert cli_main(["matrix", str(ROOT / "scenarios" / "extra"), "--policies", policies,
                          "--report", str(report)]) == 0
-        assert "5/5 attack runs succeeded (policies: none)\n" in capsys.readouterr().out
+        extras = BUNDLED_COUNT - 64  # every bundled case outside the matrix's 64
+        assert f"{extras}/{extras} attack runs succeeded (policies: none)\n" in capsys.readouterr().out
         data = json.loads(report.read_text())
         assert data["policies"] == [] and {row["expectations_ok"] for row in data["rows"]} == {None}
 
@@ -1020,9 +1021,9 @@ class TestFork:
     """Every run forks its scenario's all-defenses pre-state (``run_scenario``'s docstring)."""
 
     def test_a_fork_equals_the_reference_path_of_every_bundled_scenario(self):
-        """Every bundled scenario under its own policies and under every set: 69 + 2,208 pairs of
-        runs, each compared as it finishes; no ``ScenarioResult`` is kept."""
-        assert len(BUNDLED) == 69
+        """Every bundled scenario under its own policies and under every set: ``BUNDLED_COUNT`` x 33
+        pairs of runs, each compared as it finishes; no ``ScenarioResult`` is kept."""
+        assert len(BUNDLED) == BUNDLED_COUNT
         runs = 0
         for path in BUNDLED:
             scenario = load_scenario(path)
@@ -1038,7 +1039,7 @@ class TestFork:
             # One snapshot served all 33 forks; no bundled pre-state aborts with every defense on.
             assert list(scenario._snapshots) == ["toy-modp"], scenario.name
             assert None not in scenario._snapshots.values(), scenario.name
-        assert runs == 69 * 33
+        assert runs == BUNDLED_COUNT * 33
 
     def test_a_pre_state_that_aborts_with_every_defense_on_takes_the_reference_path(self, tmp_path, capsys):
         scenario = Scenario.from_dict(_aborts_under_c3())
@@ -1161,7 +1162,7 @@ class TestLatticeInvariants:
             for result in results:
                 checked += _assert_a_verdict_before_every_store(result)
                 runs += 1
-        assert runs == 32 * 69
+        assert runs == 32 * BUNDLED_COUNT
         assert checked
 
     def test_a_runs_rejection_is_its_one_deny_verdict(self, own, lattice):
@@ -1175,17 +1176,17 @@ class TestLatticeInvariants:
                 assert denies == ([] if rejection is None else [rejection.value]), result.scenario.name
                 runs += 1
                 denied += len(denies)
-        assert runs == 33 * 69
-        assert denied == 1535
+        assert runs == 33 * BUNDLED_COUNT
+        assert denied == 1626
 
     def test_c1_rejects_exactly_the_attacks_that_reach_an_unused_transport(self, lattice):
         by_name = {result.scenario.name: result for result in lattice[PolicySet()]}
         c1_runs = lattice[PolicySet(c1=True)]
-        assert len(by_name) == len(c1_runs) == 69
+        assert len(by_name) == len(c1_runs) == BUNDLED_COUNT
         rejected = {r.scenario.name for r in c1_runs if r.outcome.rejection is RejectionReason.NOT_PAIRABLE}
         predicted = {name for name, r in by_name.items() if _attack_requests_on_unused_transports(r)}
         assert rejected == predicted
-        assert rejected and len(rejected) < 69
+        assert rejected and len(rejected) < BUNDLED_COUNT
 
     def test_outcomes_do_not_depend_on_the_dh_backend(self, monkeypatch, own, lattice):
         """Each bundled scenario on P-256, under its own policies and under every defense subset,
@@ -1201,7 +1202,7 @@ class TestLatticeInvariants:
                     differ.append((scenario.name, policies))
                 if policies is None:
                     digests_differ |= result.trace_digest() != toy.trace_digest()
-        assert runs == 33 * 69
+        assert runs == 33 * BUNDLED_COUNT
         assert not differ
         assert digests_differ  # the runs took the P-256 path
 
@@ -1213,5 +1214,5 @@ class TestLatticeInvariants:
                         for seed in (1, 2, 3)]
             if outcomes[0] != outcomes[1] or outcomes[0] != outcomes[2]:
                 differ.append(path.name)
-        assert len(BUNDLED) == 69
+        assert len(BUNDLED) == BUNDLED_COUNT
         assert not differ

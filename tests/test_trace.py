@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import test_golden
+from conftest import BUNDLED_COUNT
 from ctkdsim import trace
 from ctkdsim.pairing import ble_pair
 from ctkdsim.trace import (
@@ -137,7 +138,7 @@ class TestSerialisedBytes:
     """The bytes of a trace are those of the public ``json`` API, whichever path runs."""
 
     def _check(self, traces, tmp_path):
-        assert len(traces) == 69
+        assert len(traces) == BUNDLED_COUNT
         path = tmp_path / "run.jsonl"
         for events in traces:
             for event in events:
@@ -460,7 +461,7 @@ class TestFastPath:
     @staticmethod
     def _traces(bundled_traces, lattice) -> list:
         traces = [*bundled_traces, *(r.trace for results in lattice.values() for r in results)]
-        assert len(traces) == 69 * 33
+        assert len(traces) == BUNDLED_COUNT * 33
         return traces
 
     def test_bundled_scenarios_under_own_policies_and_every_defense_subset(
