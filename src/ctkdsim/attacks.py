@@ -55,15 +55,32 @@ class Requirement(Enum):
 
 
 _CTI_TABLE = {
-    STRATEGY_MI: (Requirement.REQUIRED, Requirement.NOT_NEEDED, Requirement.REQUIRED, Requirement.SOMETIMES),
+    STRATEGY_MI: (Requirement.SOMETIMES, Requirement.NOT_NEEDED, Requirement.REQUIRED, Requirement.SOMETIMES),
     STRATEGY_SI: (Requirement.REQUIRED, Requirement.REQUIRED, Requirement.REQUIRED, Requirement.SOMETIMES),
     STRATEGY_MITM: (Requirement.REQUIRED, Requirement.REQUIRED, Requirement.REQUIRED, Requirement.SOMETIMES),
-    STRATEGY_US: (Requirement.REQUIRED, Requirement.SOMETIMES, Requirement.REQUIRED, Requirement.NOT_NEEDED),
+    STRATEGY_US: (Requirement.REQUIRED, Requirement.NOT_NEEDED, Requirement.REQUIRED, Requirement.NOT_NEEDED),
 }
 
 
 def cti_map(strategy: str) -> dict[CTI, Requirement]:
-    """Which issues a strategy needs: required / not needed / sometimes."""
+    """Which issues a strategy needs: required / not needed / sometimes.
+
+    A successful run fires every REQUIRED issue of its strategy and no
+    NOT_NEEDED one. Each SOMETIMES cell has a bundled run that fires it:
+
+    * mi, extended pairing: every matrix ``mi`` run fires it, but
+      ``extra/nc-bond-mi-c3-weak-input`` does not. Its pre-state leaves the
+      target in a live BLE session with the claimed peer, and the attack
+      re-pairs on that link, so it needs no extended pairing.
+    * mi, si and mitm, association manipulation: ``extra/nc-bond-mi-baseline``,
+      ``extra/nc-bond-si-baseline`` and ``extra/nc-bond-mitm-baseline``,
+      whose victims bonded by Numeric Comparison; no matrix run fires it.
+
+    us, role asymmetry, is NOT_NEEDED: the loader rejects an
+    ``attacker_address`` that belongs to a listed device, so a ``us`` claim
+    is never bonded, and the role check reads only the claimed identity's
+    bonds.
+    """
     try:
         row = _CTI_TABLE[strategy]
     except KeyError:

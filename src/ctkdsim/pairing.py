@@ -182,8 +182,10 @@ def build_pairing_request(profile: DeviceProfile, ctkd: bool = True) -> SmpPairi
     )
 
 
-def build_pairing_response(profile: DeviceProfile, request: SmpPairingMessage) -> SmpPairingMessage:
-    """Honest response: own capabilities, distribution masked by the request."""
+def build_pairing_response(profile: DeviceProfile, sent: str) -> SmpPairingMessage:
+    """Honest response to the request frame ``sent`` (its trace text): own capabilities,
+    distribution masked by the request its responder decodes."""
+    request = read_frame(sent)
     link = profile.ctkd_supported and ctkd_requested(request)
     return SmpPairingMessage(
         OPCODE_RESPONSE,
@@ -225,8 +227,8 @@ def honest(build, profile: DeviceProfile, arg) -> str:
     """``build(profile, arg)`` as its frame's trace text, built once per capability set.
 
     The key is ``build``, the profile's ``capabilities`` (the fields the
-    message reads) and ``arg``: a response passes the request message its
-    responder read.
+    message reads) and ``arg``: a response passes the request frame's text,
+    the bytes its responder read.
     """
     key = (build, profile.capabilities, arg)
     text = _FRAMES.get(key)
@@ -438,7 +440,7 @@ def ble_pair(ctx: SimContext, initiator: Device, responder: Device, ctkd: bool =
         return session
     request = read_frame(sent)
     response = _respond(ctx, session, initiator, responder, request,
-                        honest(build_pairing_response, responder.profile, request))
+                        honest(build_pairing_response, responder.profile, sent))
     _negotiate_ctkd(session, request, response)
     neg = session.negotiated
     neg.key_strength = min(request.max_key_size, response.max_key_size)
@@ -482,10 +484,9 @@ def bt_pair(ctx: SimContext, initiator: Device, responder: Device, ctkd: bool = 
         # pairing messages tunneled over it, which carry the CT2 bit too.
         sent = honest(build_pairing_request, initiator.profile, True)
         _emit_message(ctx, initiator, responder, TRANSPORT_BT, sent, "request", tunneled=True)
-        request = read_frame(sent)
-        answer = honest(build_pairing_response, responder.profile, request)
+        answer = honest(build_pairing_response, responder.profile, sent)
         _emit_message(ctx, responder, initiator, TRANSPORT_BT, answer, "response", tunneled=True)
-        if _negotiate_ctkd(session, request, read_frame(answer)):
+        if _negotiate_ctkd(session, read_frame(sent), read_frame(answer)):
             # The BLE identity keys ride in the same tunneled exchange.
             _exchange_identity_keys(ctx, initiator, responder, TRANSPORT_BT, tunneled=True)
             k_ble = ctkd_bt_to_ble(k_bt, session.negotiated.h7)

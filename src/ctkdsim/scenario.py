@@ -265,8 +265,8 @@ def run_scenario(scenario: Scenario, policy_override: Optional[PolicySet] = None
 
     Every run forks. The scenario's first run runs the pre-state once with
     all five defenses on and keeps what it left on the Scenario
-    (``_snapshot``); every run copies it, gives each device its policies,
-    ticks c1 and runs the attack. The trace bytes are those of the
+    (``_snapshot``); every run copies its devices, gives each device its
+    policies, ticks c1 and runs the attack. The trace bytes are those of the
     reference path (``_pre_state``, then the attack) under the same
     policies, since a device's checks read only its own policies, each of
     which is a subset of all five, and:
@@ -286,16 +286,36 @@ def run_scenario(scenario: Scenario, policy_override: Optional[PolicySet] = None
     Scenario, an immutable value; one that ``dataclasses.replace`` varies,
     its seed included, starts with none.
 
+    A fork's trace starts with the snapshot's own pre-state events, which
+    the run only reads. This function swaps them for copies before it
+    returns, so every payload dict of the trace it hands out, and every
+    dict inside one, is the caller's own. ``run_matrix`` reads only the
+    outcome, so a sweep copies no event.
+
     The fork pays only when one Scenario object runs again: the run
     that takes the snapshot costs more than the reference path would (the
     all-defenses pre-state and a copy), each later run less. ``ctkdsim run``
     and ``ctkdsim matrix`` run each fresh Scenario once.
     """
-    policies = [spec.policies if policy_override is None else policy_override for spec in scenario.devices]
-    ctx, devices = _fork(scenario, policies)
-    outcome = _run_attack(ctx, scenario, devices)
+    ctx, devices, outcome, shared = _run(scenario, policy_override)
+    events = ctx.trace.events
+    for index, actor, kind, payload in events[:shared]:
+        payload = payload.copy()
+        for name in _NESTED:
+            if name in payload:
+                payload[name] = payload[name].copy()
+        events[index] = tuple.__new__(TraceEvent, (index, actor, kind, payload))
     failures = check_expectations(scenario.expectations, outcome) if policy_override is None else None
-    return ScenarioResult(scenario, outcome, ctx.trace.events, devices, failures)
+    return ScenarioResult(scenario, outcome, events, devices, failures)
+
+
+def _run(scenario: Scenario, policy_override: Optional[PolicySet]
+         ) -> tuple[SimContext, dict[str, Device], AttackOutcome, int]:
+    """Run ``scenario`` as ``run_scenario`` does, but copy nothing: the context, devices and
+    outcome, and how many of the trace's first events are the snapshot's own, shared."""
+    policies = [spec.policies if policy_override is None else policy_override for spec in scenario.devices]
+    ctx, devices, shared = _fork(scenario, policies)
+    return ctx, devices, _run_attack(ctx, scenario, devices), shared
 
 
 def _pre_state(scenario: Scenario, ctx: SimContext, policies: list[PolicySet]) -> dict[str, Device]:
@@ -345,7 +365,7 @@ def _run_attack(ctx: SimContext, scenario: Scenario, devices: dict[str, Device])
 # Pre-state snapshots, which every run forks
 # ---------------------------------------------------------------------------
 
-#: The payload keys whose value is an object, which a fork copies too.
+#: The payload keys whose value is an object, which ``run_scenario`` copies too.
 _NESTED = frozenset(key for schema in PAYLOAD_SCHEMAS.values() for key, kind in schema.items()
                     if isinstance(kind, dict))
 
@@ -363,19 +383,21 @@ class _Counted(random.Random):
 
 
 class _Snapshot(NamedTuple):
-    """What a scenario's all-defenses pre-state left on one DH backend; ``_fork`` copies it.
+    """What a scenario's all-defenses pre-state left on one DH backend, which ``_fork`` starts from.
 
     The rng is kept as a word count, counted as the pre-state drew: a fork seeds
-    ``random.Random`` and skips the words with one ``getrandbits`` (about 9 us), where
-    ``setstate`` from a kept ``rng.getstate()`` takes about 29 us and a ``copy.copy`` of the
-    generator about 30 us. The devices are the pre-state's own, under all five defenses; a fork
+    ``random.Random`` and skips the words with one ``getrandbits``: about 9 us for the 40 words
+    of a matrix pre-state, against about 12 us for ``setstate`` from a kept ``rng.getstate()``
+    on a generator built as ``random.Random(0)`` (``timeit``, Python 3.11.7, 2-vCPU shared VM).
+    A kept state is also a 24.4 kB tuple: 64 of them hold 1.56 MB. A fork shares the events,
+    which no run writes into. The devices are the pre-state's own, under all five defenses; a fork
     builds its own under its policies from their identity keys, and copies their bonds and
     sessions. No pre-state step changes a device's pairability (only the c1 tick after it does),
     so a fork's devices start pairable, as built.
     """
 
     words: int  # 32-bit words the pre-state drew from its seeded generator
-    events: tuple  # its TraceEvents as recorded; each fork copies their payload dicts
+    events: tuple  # its TraceEvents as recorded; each fork's trace starts with these very tuples
     devices: tuple  # its Devices, in DeviceSpec order; no fork changes them
 
 
@@ -389,25 +411,19 @@ def _snapshot(scenario: Scenario, dh_backend: str) -> Optional[_Snapshot]:
     return _Snapshot(ctx.rng.words, tuple(ctx.trace.events), tuple(devices.values()))
 
 
-def _fork(scenario: Scenario, policies: list[PolicySet]) -> tuple[SimContext, dict[str, Device]]:
+def _fork(scenario: Scenario, policies: list[PolicySet]) -> tuple[SimContext, dict[str, Device], int]:
     """A context and devices in the state the pre-state leaves with each device under its
-    ``policies``: a copy of the scenario's snapshot on the context's DH backend, taken first if
-    it has none, or the reference path's when it keeps none."""
+    ``policies``, and how many trace events the context shares with the snapshot: the
+    scenario's snapshot on the context's DH backend, taken first if it has none, or the
+    reference path's state, which shares none, when it keeps none."""
     ctx = SimContext(rng=random.Random(scenario.seed))
     if ctx.dh_backend not in scenario._snapshots:
         scenario._snapshots[ctx.dh_backend] = _snapshot(scenario, ctx.dh_backend)
     snapshot = scenario._snapshots[ctx.dh_backend]
     if snapshot is None:
-        return ctx, _pre_state(scenario, ctx, policies)
+        return ctx, _pre_state(scenario, ctx, policies), 0
     ctx.rng.getrandbits(32 * snapshot.words)
-    # Every payload dict is the fork's own, an object inside it too, as emit's callers give them.
-    events = ctx.trace.events
-    for index, actor, kind, payload in snapshot.events:
-        payload = payload.copy()
-        for name in _NESTED:
-            if name in payload:
-                payload[name] = payload[name].copy()
-        events.append(tuple.__new__(TraceEvent, (index, actor, kind, payload)))
+    ctx.trace.events.extend(snapshot.events)  # shared: no run writes into an earlier event's payload
     copies: dict[int, SessionState] = {}  # id(kept session) -> its copy, which both ends share
     devices = {}
     for device_policies, kept in zip(policies, snapshot.devices):
@@ -417,7 +433,7 @@ def _fork(scenario: Scenario, policies: list[PolicySet]) -> tuple[SimContext, di
             if id(s) not in copies:
                 copies[id(s)] = SessionState(s.peers, s.transport, s.pairing_key, s.nonces, s.entropy, s.live)
             device.sessions.append(copies[id(s)])
-    return ctx, devices
+    return ctx, devices, len(snapshot.events)
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +517,17 @@ def run_matrix(
     scenarios: list[Scenario],
     policy_override: Optional[PolicySet] = None,
 ) -> MatrixReport:
-    """Run every scenario; a scenario error goes into ``errors`` and never aborts the rest."""
+    """Run every scenario; a scenario error goes into ``errors`` and never aborts the rest. Each row
+    reads only its run's outcome, so no run builds a ``ScenarioResult`` or copies a trace event."""
     rows = []
     errors = []
     for scenario in scenarios:
         try:
-            result = run_scenario(scenario, policy_override=policy_override)
+            _, _, outcome, _ = _run(scenario, policy_override)
         except ScenarioError as err:
             errors.append(str(err))
             continue
-        outcome, meta = result.outcome, dict(scenario.meta)
+        meta = dict(scenario.meta)
         rows.append(
             {
                 "scenario": scenario.name,
@@ -523,14 +540,15 @@ def run_matrix(
                 "succeeded": outcome.succeeded,
                 "rejection": None if outcome.rejection is None else outcome.rejection._value_,
                 "ctis_used": sorted(int(c) for c in outcome.ctis_used),
-                "expectations_ok": result.expectations_ok,
+                "expectations_ok": None if policy_override is not None
+                else not check_expectations(scenario.expectations, outcome),
             }
         )
     return MatrixReport(rows, policy_override, errors)
 
 
 def run_lattice(scenarios: list[Scenario]) -> dict[PolicySet, MatrixReport]:
-    """``run_matrix`` under each set of ``DEFENSE_SUBSETS``; no run's ``ScenarioResult`` is kept."""
+    """``run_matrix`` under each set of ``DEFENSE_SUBSETS``; no run builds a ``ScenarioResult``."""
     return {policies: run_matrix(scenarios, policies) for policies in DEFENSE_SUBSETS}
 
 

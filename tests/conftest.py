@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ctkdsim import scenario as scenario_module
+from ctkdsim.attacks import CTI, Requirement, cti_map
 from ctkdsim.device import DeviceProfile
 from ctkdsim.pairing import SimContext, make_device
 from ctkdsim.policies import DEFENSE_SUBSETS, PolicySet
@@ -82,6 +83,21 @@ def matrix_runs(results: list) -> list:
 def baseline(own):
     """The 64 matrix scenarios under their own policies: ``own``'s ``matrix/`` entries."""
     return matrix_runs(own)
+
+
+def cti_map_breaches(results) -> dict:
+    """Per ``(strategy, cti)`` cell of ``cti_map`` that the successful runs among ``results`` break,
+    one witness scenario name per value seen (whether the cell fired). A REQUIRED cell must fire on
+    every success and a NOT_NEEDED cell on none; a SOMETIMES cell must be seen both firing and not."""
+    seen: dict = {}
+    for result in results:
+        if result.outcome.succeeded:
+            strategy = result.scenario.attack.strategy
+            for cti in CTI:
+                seen.setdefault((strategy, cti), {}).setdefault(cti in result.outcome.ctis_used, result.scenario.name)
+    allowed = {Requirement.REQUIRED: {True}, Requirement.NOT_NEEDED: {False}, Requirement.SOMETIMES: {True, False}}
+    return {(strategy, cti): witnesses for (strategy, cti), witnesses in seen.items()
+            if set(witnesses) != allowed[cti_map(strategy)[cti]]}
 
 
 def attack_requests(result) -> list:

@@ -8,10 +8,9 @@ import hashlib
 import random
 import time
 
-from conftest import matrix_runs
+from conftest import cti_map_breaches, matrix_runs
 from reference import ref_ble_to_bt, ref_bt_to_ble
 
-from ctkdsim.attacks import Requirement, cti_map
 from ctkdsim.crypto import Key128, TRANSPORT_BLE, TRANSPORT_BT, ctkd_ble_to_bt, ctkd_bt_to_ble
 from ctkdsim.fixtures import matrix_scenarios
 from ctkdsim.policies import PolicySet, RejectionReason
@@ -88,22 +87,14 @@ def test_criterion_4_countermeasures_block(lattice):
     _report(4, "c3: 0/48 impersonation+MitM succeed; c1+c3: 0/64 overall")
 
 
-def test_criterion_5_cti_mapping_holds(baseline):
-    """Trace-derived issue usage matches the per-strategy requirement row."""
-    strategies_seen = set()
-    for result in baseline:
-        outcome = result.outcome
-        strategy = result.scenario.attack.strategy
-        assert outcome.succeeded
-        row = cti_map(strategy)
-        for cti, need in row.items():
-            if need is Requirement.REQUIRED:
-                assert cti in outcome.ctis_used, (result.scenario.name, cti)
-            elif need is Requirement.NOT_NEEDED:
-                assert cti not in outcome.ctis_used, (result.scenario.name, cti)
-        strategies_seen.add(strategy)
-    assert strategies_seen == {"mi", "si", "mitm", "us"}
-    _report(5, "64 runs consistent with the issue-requirement table, all 4 strategies")
+def test_criterion_5_cti_mapping_holds(own, lattice):
+    """Trace-derived issue usage matches the per-strategy requirement row on every bundled run, under its
+    own policies and under each defense set."""
+    runs = [*own, *(result for results in lattice.values() for result in results)]
+    assert cti_map_breaches(runs) == {}
+    succeeded = [result for result in runs if result.outcome.succeeded]
+    assert {result.scenario.attack.strategy for result in succeeded} == {"mi", "si", "mitm", "us"}
+    _report(5, f"{len(succeeded)} successful runs of {len(runs)} consistent with the issue-requirement table")
 
 
 def test_criterion_6_victim_lockout(baseline):

@@ -317,7 +317,7 @@ class TestUnintendedSession:
 class TestCtiMap:
     def test_master_impersonation_row(self):
         row = cti_map("mi")
-        assert row[CTI.EXTENDED_PAIRING] is Requirement.REQUIRED
+        assert row[CTI.EXTENDED_PAIRING] is Requirement.SOMETIMES
         assert row[CTI.ROLE_ASYMMETRY] is Requirement.NOT_NEEDED
         assert row[CTI.KEY_TAMPERING] is Requirement.REQUIRED
         assert row[CTI.ASSOCIATION_MANIPULATION] is Requirement.SOMETIMES
@@ -335,7 +335,7 @@ class TestCtiMap:
 
     def test_unintended_session_row(self):
         row = cti_map("us")
-        assert row[CTI.ROLE_ASYMMETRY] is Requirement.SOMETIMES
+        assert row[CTI.ROLE_ASYMMETRY] is Requirement.NOT_NEEDED
         assert row[CTI.ASSOCIATION_MANIPULATION] is Requirement.NOT_NEEDED
 
     def test_unknown_strategy(self):

@@ -102,9 +102,9 @@ CAPABILITY_CHANGES = {
     "ctkd_supported": {"ctkd_supported": False},
 }
 
-#: Every kind of honest message as ``honest``'s (build, arg); the response answers ``REQUEST``, as
-#: its responder reads it.
-REQUEST = read_frame(honest(build_pairing_request, _profile(0x09), True))
+#: Every kind of honest message as ``honest``'s (build, arg); the response answers ``REQUEST``, the
+#: request frame's text its responder reads.
+REQUEST = honest(build_pairing_request, _profile(0x09), True)
 HONEST_MESSAGES = [
     (build_pairing_request, True),
     (build_pairing_request, False),

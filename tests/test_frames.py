@@ -88,8 +88,8 @@ class TestHonestFramesEqualAFreshBuild:
     def test_request_and_response(self, initiator, responder, ctkd):
         request = honest(build_pairing_request, initiator, ctkd)
         self._check(request, build_pairing_request(initiator, ctkd))
-        response = honest(build_pairing_response, responder, read_frame(request))
-        fresh = build_pairing_response(responder, build_pairing_request(initiator, ctkd))
+        response = honest(build_pairing_response, responder, request)
+        fresh = build_pairing_response(responder, hexdump(encode_pairing(build_pairing_request(initiator, ctkd))))
         self._check(response, fresh)
 
     @settings(max_examples=200, deadline=None)

@@ -30,6 +30,8 @@ from ctkdsim.smp import (
     KeyDistBits,
     SmpPairingMessage,
     ctkd_requested,
+    encode_pairing,
+    hexdump,
 )
 from ctkdsim.crypto import Key128, dh_agree, get_backend, kdf_le, random_nonce
 
@@ -107,7 +109,8 @@ class TestMessageConstruction:
                 AuthReqBits(bonding=1, mitm=mitm, sc=True, ct2_h7=True), 16,
                 KeyDistBits.from_byte(init_byte), KeyDistBits.from_byte(resp_byte),
             )
-            assert build_pairing_response(profile, request) == self._replaced_response(profile, request)
+            sent = hexdump(encode_pairing(request))
+            assert build_pairing_response(profile, sent) == self._replaced_response(profile, request)
 
     @pytest.mark.parametrize("io", _IO_NAMES)
     def test_bt_response_is_the_request_with_the_response_opcode(self, io):

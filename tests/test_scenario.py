@@ -1,8 +1,8 @@
 """Scenario loading, deterministic execution, matrix aggregation, CLI."""
 
+import ast
 import dataclasses
 import functools
-import gc
 import io
 import itertools
 import json
@@ -11,9 +11,9 @@ import random
 import subprocess
 import sys
 import tempfile
-import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +24,7 @@ from ctkdsim.cli import main as cli_main
 from ctkdsim.crypto import Address, get_backend, random_address, random_nonce
 from ctkdsim.fixtures import bundled_profiles, matrix_scenarios, write_matrix
 from ctkdsim.pairing import SimContext
-from ctkdsim.policies import DEFENSE_SUBSETS, PolicySet, RejectionReason
+from ctkdsim.policies import DEFENSE_SUBSETS, DEFENSES, PolicySet, RejectionReason
 from ctkdsim.scenario import (
     AttackSpec,
     MatrixReport,
@@ -942,6 +942,15 @@ class TestLattice:
         rows = json.loads((ROOT / "bench" / "reference" / "lattice_rows.json").read_text())["rows"]
         assert [",".join(p.enabled_names()) or "none" for p in DEFENSE_SUBSETS] == list(rows)
 
+    def test_the_bench_policy_names_are_the_defenses_in_order(self):
+        """The bench indexes its lattice by bit over its own ``POLICY_NAMES``, so the reference rows' keys
+        follow both orders. The literal is read from the source; the bench is not imported."""
+        tree = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+        values = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(isinstance(target, ast.Name) and target.id == "POLICY_NAMES" for target in node.targets)]
+        assert len(values) == 1
+        assert ast.literal_eval(values[0]) == DEFENSES
+
     def test_outcomes_equal_the_recorded_run_matrix_rows(self, lattice_rows):
         reference = json.loads((ROOT / "bench" / "reference" / "lattice_rows.json").read_text())
         for policies, report in _matrix_part(lattice_rows).items():
@@ -957,21 +966,16 @@ class TestLattice:
             assert report.policy_override == policies and report.errors == []
             assert report.rows == [_row(result) for result in lattice[policies]]
 
-    def test_a_sweep_keeps_no_scenario_result(self, monkeypatch):
-        """While the sweep's reports are alive, no run's ``ScenarioResult`` is."""
-        refs = []
-
-        def recorded(*args, **kwargs):
-            result = run_scenario(*args, **kwargs)
-            refs.append(weakref.ref(result))
-            return result
-
-        monkeypatch.setattr(scenario_module, "run_scenario", recorded)
+    def test_a_sweep_builds_no_scenario_result(self, monkeypatch):
+        """A sweep reads each run's outcome and nothing else: it runs every scenario under every set
+        and builds no ``ScenarioResult``, so it copies no trace event."""
+        built, attacks = [], []
+        monkeypatch.setattr(scenario_module, "ScenarioResult", lambda *args: built.append(args))
+        run_attack = scenario_module._run_attack
+        monkeypatch.setattr(scenario_module, "_run_attack", lambda *args: attacks.append(args) or run_attack(*args))
         lattice = run_lattice(matrix_scenarios()[:4])
-        gc.collect()
-        assert len(refs) == 4 * len(DEFENSE_SUBSETS)
-        assert not [ref for ref in refs if ref() is not None]
-        assert sum(report.total for report in lattice.values()) == len(refs)
+        assert built == []
+        assert len(attacks) == sum(report.total for report in lattice.values()) == 4 * len(DEFENSE_SUBSETS)
 
     def test_a_scenario_error_is_kept_and_the_sweep_goes_on(self):
         good = Scenario.from_dict(scenario_dict())
@@ -1040,6 +1044,27 @@ class TestFork:
             assert list(scenario._snapshots) == ["toy-modp"], scenario.name
             assert None not in scenario._snapshots.values(), scenario.name
         assert runs == BUNDLED_COUNT * 33
+
+    def test_a_sweep_writes_into_no_event_its_fork_shares(self, lattice_rows):
+        """Every kept snapshot payload, and each dict inside one, made read-only: a sweep over every
+        bundled scenario still gives the unwrapped sweep's rows, so no run writes into them."""
+        def read_only(event):
+            payload = {key: MappingProxyType(value) if type(value) is dict else value
+                       for key, value in event.payload.items()}
+            return event._replace(payload=MappingProxyType(payload))
+
+        scenarios, nested = [], 0
+        for path in BUNDLED:
+            scenario = load_scenario(path)
+            snapshot = scenario_module._snapshot(scenario, "toy-modp")
+            events = tuple(map(read_only, snapshot.events))
+            nested += sum(type(value) is MappingProxyType for event in events for value in event.payload.values())
+            scenario._snapshots["toy-modp"] = snapshot._replace(events=events)
+            scenarios.append(scenario)
+        assert nested  # pre-state payloads hold dicts too, as identity key exchanges do
+        with pytest.raises(TypeError):
+            events[0].payload["wrecked"] = True
+        assert run_lattice(scenarios) == lattice_rows
 
     def test_a_pre_state_that_aborts_with_every_defense_on_takes_the_reference_path(self, tmp_path, capsys):
         scenario = Scenario.from_dict(_aborts_under_c3())
