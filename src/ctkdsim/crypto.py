@@ -63,10 +63,6 @@ class Address:
     def __str__(self) -> str:
         return self.text
 
-    def __hash__(self) -> int:
-        # By value alone, as the generated method hashes, without building a one-field tuple.
-        return hash(self.value)
-
 
 class Checked:
     """Base of an immutable value: a ``NamedTuple`` whose ``__new__`` checks its fields.
@@ -397,19 +393,6 @@ def kdf_bt(
     return Key128(aes_cmac(dk.value, msg), MAX_STRENGTH)
 
 
-def check_session_args(transport: str, pairing_key: Key128, negotiated_entropy: int) -> None:
-    """Every argument check of ``session_key``, for a caller that derives the key later."""
-    if transport not in TRANSPORTS:
-        raise ValueError(f"unknown transport {transport!r}")
-    if not MIN_STRENGTH <= negotiated_entropy <= MAX_STRENGTH:
-        raise ValueError(f"entropy {negotiated_entropy} outside {MIN_STRENGTH}..{MAX_STRENGTH}")
-    if transport == TRANSPORT_BLE and negotiated_entropy != pairing_key.strength:
-        raise ValueError(
-            f"BLE session entropy {negotiated_entropy} must equal "
-            f"pairing-key strength {pairing_key.strength}"
-        )
-
-
 def session_key(
     transport: str,
     pairing_key: Key128,
@@ -422,7 +405,15 @@ def session_key(
     BT may negotiate the session-key entropy down; a BLE session key always
     inherits the entropy of its pairing key.
     """
-    check_session_args(transport, pairing_key, negotiated_entropy)
+    if transport not in TRANSPORTS:
+        raise ValueError(f"unknown transport {transport!r}")
+    if not MIN_STRENGTH <= negotiated_entropy <= MAX_STRENGTH:
+        raise ValueError(f"entropy {negotiated_entropy} outside {MIN_STRENGTH}..{MAX_STRENGTH}")
+    if transport == TRANSPORT_BLE and negotiated_entropy != pairing_key.strength:
+        raise ValueError(
+            f"BLE session entropy {negotiated_entropy} must equal "
+            f"pairing-key strength {pairing_key.strength}"
+        )
     msg = b"SK" + transport.encode("ascii") + n_a.value + n_b.value
     tag = aes_cmac(pairing_key.value, msg)
     return Key128(

@@ -23,11 +23,11 @@ from typing import Optional
 from .crypto import (
     Address,
     Key128,
-    Nonce,
+    MAX_STRENGTH,
+    MIN_STRENGTH,
     TRANSPORT_BLE,
     TRANSPORT_BT,
     TRANSPORTS,
-    check_session_args,
     ctkd_ble_to_bt,
     ctkd_bt_to_ble,
     dh_agree,
@@ -36,7 +36,6 @@ from .crypto import (
     other_transport,
     random_key128,
     random_nonce,
-    session_key,
 )
 from .device import Association, Device, DeviceProfile, KeyOrigin, KeyRecord, PairingRole
 from .policies import PolicySet, RejectionReason, c2_check, c4_check, evaluate
@@ -111,14 +110,7 @@ class PairingSession:
 class SessionState:
     peers: tuple[Address, Address]
     transport: str
-    pairing_key: Key128
-    nonces: tuple[Nonce, Nonce]
-    entropy: int
     live: bool = True
-
-    @property
-    def session_key(self) -> Key128:  # derived on read, since no run path reads it
-        return session_key(self.transport, self.pairing_key, *self.nonces, self.entropy)
 
 
 SESSION_OK = "ok"
@@ -507,8 +499,9 @@ def establish_session(
     """Bring up a secure session; failure is a modeled outcome, not an error.
 
     Succeeds only when both bond tables hold byte-identical keys for the
-    peer on this transport. BT may negotiate the session-key entropy down,
-    BLE always inherits the pairing key's strength.
+    peer on this transport. BT may negotiate the session's entropy down,
+    BLE always inherits the pairing key's strength; ``session_ok`` records
+    it. A BT proposal outside 7..16 raises ``ValueError``.
     """
     rec_a = a.bonds.lookup(b.address, transport)
     rec_b = b.bonds.lookup(a.address, transport)
@@ -519,9 +512,11 @@ def establish_session(
         return SessionResult(failure)
 
     entropy = rec_a.key.strength if transport == TRANSPORT_BLE else entropy_proposal
-    nonces = (random_nonce(ctx.rng), random_nonce(ctx.rng))
-    check_session_args(transport, rec_a.key, entropy)
-    state = SessionState((a.address, b.address), transport, rec_a.key, nonces, entropy)
+    # Both nonces are still drawn: the generator's stream, and so every later digest, depends on them.
+    random_nonce(ctx.rng), random_nonce(ctx.rng)
+    if not MIN_STRENGTH <= entropy <= MAX_STRENGTH:
+        raise ValueError(f"entropy {entropy} outside {MIN_STRENGTH}..{MAX_STRENGTH}")
+    state = SessionState((a.address, b.address), transport)
     a.sessions.append(state)
     b.sessions.append(state)
     ctx.trace.emit(a.address.text, KIND_SESSION_OK,

@@ -431,7 +431,7 @@ def _fork(scenario: Scenario, policies: list[PolicySet]) -> tuple[SimContext, di
         device.bonds.records = kept.bonds.records.copy()
         for s in kept.sessions:
             if id(s) not in copies:
-                copies[id(s)] = SessionState(s.peers, s.transport, s.pairing_key, s.nonces, s.entropy, s.live)
+                copies[id(s)] = SessionState(s.peers, s.transport, s.live)
             device.sessions.append(copies[id(s)])
     return ctx, devices, len(snapshot.events)
 
@@ -554,10 +554,13 @@ def run_lattice(scenarios: list[Scenario]) -> dict[PolicySet, MatrixReport]:
 
 def minimal_blocking_sets(lattice: dict[PolicySet, MatrixReport]) -> dict[str, list[PolicySet]]:
     """Per attack strategy, the defense sets under which none of its scenarios succeeds,
-    without any set that holds a smaller such set."""
+    without any set that holds a smaller such set. Raises ``ScenarioError`` when a report holds
+    errors: a scenario that raised under a set has no row there, so it cannot count as blocked."""
     names = {policies: set(policies.enabled_names()) for policies in lattice}
     blocking: dict[str, list[PolicySet]] = {}
     for policies, report in lattice.items():
+        if report.errors:
+            raise ScenarioError(f"under {{{','.join(policies.enabled_names())}}}: {report.errors[0]}")
         succeeded = {row["strategy"] for row in report.rows if row["succeeded"]}
         for strategy in dict.fromkeys(row["strategy"] for row in report.rows):
             sets = blocking.setdefault(strategy, [])

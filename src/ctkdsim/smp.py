@@ -3,7 +3,7 @@
 One 7-byte layout serves both transports: BLE-native pairing messages and
 the CTKD negotiation frames that get tunneled over an encrypted BT link
 use it directly, while the (much simpler) BT-side authentication
-requirements byte has its own two helpers below. Reserved bits are strict
+requirements byte has its own helper below. Reserved bits are strict
 zero on decode so malformed attacker frames surface immediately.
 """
 
@@ -173,13 +173,6 @@ def ctkd_requested(msg: SmpPairingMessage) -> bool:
 
 def encode_bt_auth_req(bonding: bool, mitm: bool) -> int:
     return (0x02 if bonding else 0x00) | (0x01 if mitm else 0x00)
-
-
-def decode_bt_auth_req(raw: int) -> tuple[bool, bool]:
-    """Returns (bonding, mitm); accepts the dedicated- and general-bonding rows."""
-    if not 0x00 <= raw <= 0x05:
-        raise CodecError(f"bad BT auth-requirements byte 0x{raw:02x}")
-    return raw >= 0x02, bool(raw & 0x01)
 
 
 # ---------------------------------------------------------------------------

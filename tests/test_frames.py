@@ -46,8 +46,8 @@ from ctkdsim.smp import (
     OPCODE_REQUEST,
     OPCODE_RESPONSE,
     IoCapability,
-    decode_bt_auth_req,
     decode_pairing,
+    encode_bt_auth_req,
     encode_pairing,
     hexdump,
 )
@@ -114,7 +114,7 @@ class TestHonestFramesEqualAFreshBuild:
                 assert ("bt_auth_req" in payload) == (not payload["tunneled"])
                 if "bt_auth_req" in payload:
                     shown += 1
-                    assert decode_bt_auth_req(int(payload["bt_auth_req"], 16)) == (True, wants_mitm[sender])
+                    assert payload["bt_auth_req"] == f"0x{encode_bt_auth_req(True, wants_mitm[sender]):02x}"
         assert shown == 4  # the request and the response, each sent and received
 
 

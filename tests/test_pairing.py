@@ -364,13 +364,14 @@ class TestSessions:
         weak = device(ctx, "weak2", 0x5A, io="NoInputNoOutput", max_key_size=7)
         ble_pair(ctx, laptop, weak)
         result = establish_session(ctx, laptop, weak, TRANSPORT_BLE, entropy_proposal=16)
-        assert result.ok
-        assert result.session.session_key.strength == 7
+        last = ctx.trace.events[-1]
+        assert result.ok and last.kind == "session_ok" and last.payload["entropy"] == 7
 
     def test_bt_session_entropy_negotiable(self, ctx, laptop, headset):
         bt_pair(ctx, laptop, headset)
         result = establish_session(ctx, laptop, headset, TRANSPORT_BT, entropy_proposal=7)
-        assert result.ok and result.session.session_key.strength == 7
+        last = ctx.trace.events[-1]
+        assert result.ok and last.kind == "session_ok" and last.payload["entropy"] == 7
 
     @pytest.mark.parametrize("entropy", [6, 17])
     def test_bt_session_entropy_out_of_range_raises_after_both_nonces(self, ctx, laptop, headset, entropy):

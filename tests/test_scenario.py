@@ -993,6 +993,27 @@ class TestLattice:
             "mi": [["c1"], ["c3"]], "si": [["c2"], ["c3"]], "mitm": [["c2"], ["c3"]], "us": [["c1"]],
         }
 
+    def test_minimal_blocking_sets_refuse_a_set_a_scenario_never_ran_under(self):
+        """A scenario whose pre-state aborts under a set has no row there, so the set cannot be
+        claimed to block its attack. The earbuds' BLE pairing back to the laptop aborts under the 24
+        sets that hold c2 (a role mismatch) or c3 (its derived key would overwrite the BT bond); the
+        matrix scenario alone would then decide them, and call ``{c1,c2}`` minimal for ``mi``."""
+        raw = json.loads((ROOT / "scenarios" / "extra" / "mi-c3-blocked.json").read_text())
+        del raw["devices"][1]["policies"], raw["expectations"]
+        raw["pre_state"] = [{"action": "pair", "transport": "BT", "initiator": "laptop", "responder": "earbuds"},
+                            {"action": "pair", "transport": "BLE", "initiator": "earbuds", "responder": "laptop"}]
+        aborted = Scenario.from_dict(raw)
+        matrix = load_scenario(ROOT / "scenarios" / "matrix" / "00__cypress-cyw920819evb02__mi.json")
+        alone = minimal_blocking_sets(run_lattice([matrix]))
+        assert {strategy: [p.enabled_names() for p in sets] for strategy, sets in alone.items()} == {
+            "mi": [["c1"], ["c3"]]}
+        lattice = run_lattice([aborted, matrix])
+        assert [policies for policies, report in lattice.items() if report.errors] == [
+            policies for policies in DEFENSE_SUBSETS if policies.c2 or policies.c3]
+        with pytest.raises(ScenarioError, match=r"^under \{c2\}: mi-c3-blocked: pre_state\[1\] pairing aborted "
+                                                r"\(c2_role_mismatch\)$"):
+            minimal_blocking_sets(lattice)
+
     def test_readme_countermeasure_table_matches_the_lattice(self, lattice_rows):
         table = countermeasure_table(_matrix_part(lattice_rows))
         assert table in (ROOT / "README.md").read_text(encoding="utf-8"), (

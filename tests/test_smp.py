@@ -16,7 +16,6 @@ from ctkdsim.smp import (
     OPCODE_RESPONSE,
     SmpPairingMessage,
     ctkd_requested,
-    decode_bt_auth_req,
     decode_pairing,
     encode_bt_auth_req,
     encode_pairing,
@@ -51,14 +50,8 @@ class TestAuthReqBits:
 
 class TestBtAuthReqByte:
     def test_observed_bytes(self):
-        assert decode_bt_auth_req(0x03) == (True, True)   # bonding + MITM
-        assert decode_bt_auth_req(0x02) == (True, False)  # bonding only
-        assert encode_bt_auth_req(True, True) == 0x03
-        assert encode_bt_auth_req(True, False) == 0x02
-
-    def test_range_checked(self):
-        with pytest.raises(CodecError):
-            decode_bt_auth_req(0x06)
+        assert encode_bt_auth_req(True, True) == 0x03   # bonding + MITM
+        assert encode_bt_auth_req(True, False) == 0x02  # bonding only
 
 
 def _random_message(rng: random.Random) -> SmpPairingMessage:
